@@ -9,6 +9,7 @@ Selmer groups and cap the Mordell-Weil rank.
 Only the real place and the primes 2 and l can obstruct: at any other
 odd prime the torsor coefficients are units, the reduced curve is a
 smooth genus-1 curve with a point by Hasse-Weil, and Hensel lifts it.
+Local verdicts at 2 are cached per pair of classes in Q_2^*/(Q_2^*)^4.
 """
 
 from __future__ import annotations
@@ -150,8 +151,39 @@ def _square_class_table(bound: int) -> bytes:
     return bytes(out)
 
 
+def _fourth_power_class_2adic(x: int, name: str) -> int:
+    """Representative 2^(v_2(x) mod 4) * (odd part of x mod 16) of x in
+    Q_2^*/(Q_2^*)^4."""
+    if x == 0:
+        raise ValueError(f"2-adic solubility: coefficient {name} is 0")
+    v, unit = _unit_part(x, 2)
+    return (unit % 16) << (v % 4)
+
+
 def _soluble_at_two(alpha: int, beta: int) -> bool:
-    """Exact solubility of w^2 = alpha u^4 + beta v^4 over Q_2.
+    """Exact solubility of w^2 = alpha u^4 + beta v^4 over Q_2, decided once
+    per pair of classes in Q_2^*/(Q_2^*)^4.
+
+    The verdict depends on alpha and beta only through their classes.  If
+    alpha' = alpha x^4 and beta' = beta y^4 with x, y in Q_2^*, then
+    (u, v, w) -> (u / x, v / y, w) is a bijection from the nontrivial
+    solutions of w^2 = alpha u^4 + beta v^4 to those of
+    w^2 = alpha' u^4 + beta' v^4.  Each coefficient is therefore replaced by
+    the representative 2^(v_2 mod 4) * (odd part mod 16): 2^v differs from
+    2^(v mod 4) by the 4th power 2^(4 floor(v/4)), and an odd unit differs
+    from its residue mod 16 by a unit that is 1 mod 16, which is a 2-adic
+    4th power (the criterion of _is_fourth_power_2adic).  That leaves at
+    most 32 x 32 pairs, each decided by _soluble_at_two_class.
+    """
+    return _soluble_at_two_class(
+        _fourth_power_class_2adic(alpha, "alpha"), _fourth_power_class_2adic(beta, "beta")
+    )
+
+
+@lru_cache(maxsize=None)
+def _soluble_at_two_class(alpha: int, beta: int) -> bool:
+    """Exact solubility of w^2 = alpha u^4 + beta v^4 over Q_2, for any
+    nonzero alpha and beta; __wrapped__ is the uncached algorithm.
 
     First the w = 0 case: soluble iff -beta/alpha is a 2-adic 4th power.
     Otherwise any solution can be scaled primitive (u or v a unit), and
@@ -205,12 +237,10 @@ def locally_soluble(t: Torsor, place) -> bool:
 def _class_rep(x: int, ell: int) -> int:
     """Signed squarefree representative of x mod squares, support {2, ell}."""
     sign = -1 if x < 0 else 1
-    x = abs(x)
-    e2 = vp(x, 2)
-    el = vp(x, ell) if ell != 2 else 0
-    rest = x // (2**e2 * ell**el if ell != 2 else 2**e2)
+    e2, rest = _unit_part(abs(x), 2)
+    el, rest = _unit_part(rest, ell) if ell != 2 else (0, rest)
     assert is_square(rest), f"unexpected support in class {x}"
-    return sign * 2 ** (e2 % 2) * (ell ** (el % 2) if ell != 2 else 1)
+    return sign * 2 ** (e2 % 2) * ell ** (el % 2)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,16 @@
 """Two-isogeny descent machinery: torsor bookkeeping, local solubility
 against the known residue tables, Selmer groups, and the rank-1 pipeline."""
 
+import itertools
+
 import pytest
 
 from ellcert.arith import REAL, is_prime
 from ellcert.curve import INFINITY, base_point, make_family, on_curve, point
 from ellcert.descent import (
+    Torsor,
+    _soluble_at_two,
+    _soluble_at_two_class,
     certify_rank_one,
     locally_soluble,
     make_torsors,
@@ -79,6 +84,31 @@ def test_dual_even_classes_die_at_two():
         ts = make_torsors(ell)
         for d in (2, -2, 2 * ell, -2 * ell):
             assert not locally_soluble(_torsor(ts, "dual", d), 2), (ell, d)
+
+
+# signed representatives +-2^k r of Q_2^*/(Q_2^*)^4, k < 4, r odd < 16
+SIGNED_CLASS_REPS = [sgn * (r << k) for sgn in (1, -1) for k in range(4) for r in range(1, 16, 2)]
+# odd 4th powers times units = 1 mod 16: each is a 2-adic 4th power
+FOURTH_POWER_MULTIPLIERS = [3**4 * 17, 5**4 * 33, 7**4 * 49, 3**4 * 5**4 * 65]
+
+
+def test_two_adic_verdict_depends_only_on_fourth_power_classes():
+    # the cached verdict on a non-representative member of each class must
+    # match the uncached algorithm run on that member itself
+    pairs = itertools.product(SIGNED_CLASS_REPS, repeat=2)
+    for i, (a, b) in enumerate(pairs):
+        alpha = a * FOURTH_POWER_MULTIPLIERS[i % 4]
+        beta = b * FOURTH_POWER_MULTIPLIERS[(i // 4) % 4]
+        if a % 2 and b % 2:
+            alpha *= 2**4  # exercise the valuation reduction where it is cheap
+        uncached = _soluble_at_two_class.__wrapped__(alpha, beta)
+        assert _soluble_at_two(alpha, beta) == uncached, (a, b)
+
+
+@pytest.mark.parametrize("alpha,beta,name", [(0, 5, "alpha"), (5, 0, "beta")])
+def test_zero_coefficient_at_two_is_named(alpha, beta, name):
+    with pytest.raises(ValueError, match=f"coefficient {name} is 0"):
+        locally_soluble(Torsor("forward", 1, 5, alpha, beta), 2)
 
 
 def test_found_points_imply_local_solubility():
