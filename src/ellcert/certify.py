@@ -113,6 +113,12 @@ def cohomology_vanishing_checks(s: int, t: int, p: int) -> list[CheckEntry]:
     comparing j = 1728 against the two rational-11-isogeny j-invariants;
     7 by the absence of rational 7-torsion; 5 by the same check on the
     quartic twist by 25 together with a cited irreducibility theorem.
+
+    The torsion checks use a supersingular-reduction witness: a prime
+    q = 3 (mod 4) not dividing 2a has #E(F_q) = q + 1, recounted at run
+    time, and torsion of order prime to q injects into E(F_q) under good
+    reduction [Silverman AEC, VII.3.1], so m not dividing q + 1 leaves no
+    rational m-torsion (see ``has_rational_m_torsion``).
     """
     if p < 5 or not is_prime(p):
         raise PreconditionFailure("p-out-of-range", f"p={p} must be a prime >= 5")

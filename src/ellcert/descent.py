@@ -222,16 +222,20 @@ def _soluble_at_two_class(alpha: int, beta: int) -> bool:
             raise AssertionError("2-adic solubility failed to stabilize")
 
 
-def locally_soluble(t: Torsor, place) -> bool:
-    """Does the torsor have a nontrivial point over R (place=REAL) or Q_p?"""
+def _soluble_at(t: Torsor, place) -> bool:
+    """``locally_soluble`` for a place already known to be REAL or prime."""
     if place == REAL:
         return _soluble_at_real(t.alpha, t.beta)
-    p = place
-    if not is_prime(p):
-        raise ValueError(f"locally_soluble: place {place!r} is not prime or REAL")
-    if p == 2:
+    if place == 2:
         return _soluble_at_two(t.alpha, t.beta)
-    return _soluble_at_odd_prime(t.alpha, t.beta, p)
+    return _soluble_at_odd_prime(t.alpha, t.beta, place)
+
+
+def locally_soluble(t: Torsor, place) -> bool:
+    """Does the torsor have a nontrivial point over R (place=REAL) or Q_p?"""
+    if place != REAL and not is_prime(place):
+        raise ValueError(f"locally_soluble: place {place!r} is not prime or REAL")
+    return _soluble_at(t, place)
 
 
 def _class_rep(x: int, ell: int) -> int:
@@ -269,8 +273,8 @@ def selmer(ell: int) -> SelmerReport:
     for t in torsors:
         verdicts = {}
         alive = True
-        for pl in places:
-            ok = locally_soluble(t, pl)
+        for pl in places:  # make_torsors has proved ell prime
+            ok = _soluble_at(t, pl)
             verdicts["real" if pl == REAL else pl] = ok
             if not ok:
                 alive = False

@@ -104,6 +104,16 @@ def test_verify_refusal_exits_one(capsys):
     assert "REFUSED at check 'p-divides-exactly-one'" in out
 
 
+def test_verify_large_parameters_reach_a_verdict(capsys):
+    # both ended in a factorize ValueError inside the former
+    # division-polynomial torsion check
+    rc, out, _ = run(capsys, "verify", "--mode", "main", "--p", "5", "--s", "1009", "--t", "50")
+    assert rc == 0
+    assert json.loads(out.splitlines()[-1])["theorem"] == "divisibility"
+    rc, out, _ = run(capsys, "verify", "--mode", "main", "--p", "7", "--s", "1035", "--t", "98")
+    assert rc == 0 or (rc == 1 and "REFUSED at check '" in out)
+
+
 @pytest.mark.parametrize(
     "argv",
     [

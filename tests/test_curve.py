@@ -1,5 +1,6 @@
-"""Group law, division polynomials, torsion, and reduction data checked
-against independently coded chord-tangent arithmetic (exact and mod p)."""
+"""Group law, torsion, and reduction data checked against independently
+coded chord-tangent arithmetic (exact and mod p), and the supersingular
+torsion witness checked against a division-polynomial root search."""
 
 import math
 import random
@@ -15,7 +16,6 @@ from ellcert.curve import (
     base_point,
     count_points_mod_p,
     curve_from_a,
-    division_poly_x,
     has_rational_m_torsion,
     is_torsion_point,
     j_invariant,
@@ -29,7 +29,11 @@ from ellcert.curve import (
     torsion,
     translate_by_torsion,
 )
+import ellcert.curve as curve_mod
+from ellcert.arith import is_prime
 from ellcert.errors import PreconditionFailure
+
+from divpoly_oracle import _rational_roots, division_poly_x, has_rational_m_torsion_by_roots
 
 
 # ---- independent chord-tangent oracle over Q -------------------------------
@@ -176,6 +180,61 @@ def test_no_rational_odd_torsion_on_family_shape():
         c = curve_from_a(a)
         for m in (3, 5, 7):
             assert not has_rational_m_torsion(c, m), (a, m)
+
+
+def test_torsion_witness_matches_division_poly_oracle():
+    # the root search does find rational torsion x's: (2, 4) has order 4 on a = 4
+    assert Fraction(2) in _rational_roots(division_poly_x(4, 4))
+    # family curves with coprime s, t <= 30 and their -25 ell twists (the
+    # curves the p = 5 check reads); the oracle finds no rational root
+    # whose y is rational, exactly where the witness says no torsion
+    for s in range(1, 31):
+        for t in range(1, 31):
+            if math.gcd(s, t) != 1:
+                continue
+            c = make_family(s, t)
+            for curve in (c, curve_from_a(-25 * c.ell)):
+                for m in (3, 5, 7):
+                    assert has_rational_m_torsion(curve, m) == has_rational_m_torsion_by_roots(
+                        curve.a, m
+                    ), (s, t, curve.a, m)
+
+
+def test_supersingular_count_every_small_q():
+    # #E(F_q) = q + 1 at each good q = 3 mod 4, the fact the witness rests on
+    rng = random.Random(13)
+    curves = [make_family(rng.randrange(1, 40), rng.randrange(1, 40)) for _ in range(12)]
+    curves += [curve_from_a(a) for a in (-5, 4, -4, -36, -25 * 641)]
+    for c in curves:
+        for q in range(3, 200, 4):
+            if is_prime(q) and (2 * c.a) % q != 0:
+                assert count_points_mod_p(c, q) == q + 1, (c.a, q)
+
+
+def test_torsion_witness_prime_and_recount(monkeypatch):
+    seen = []
+    monkeypatch.setattr(
+        curve_mod, "count_points_mod_p", lambda c, q: seen.append(q) or count_points_mod_p(c, q)
+    )
+    # -35 and -231 make the search skip q = m, q | 2a and m | q + 1
+    for a in (-5, -35, -231, 4, -(3 * 7 * 11 * 19 * 23 * 31)):
+        for m in (3, 5, 7):
+            seen.clear()
+            assert not has_rational_m_torsion(curve_from_a(a), m)
+            [q] = seen
+            assert is_prime(q) and q % 4 == 3 and q != m, (a, m, q)
+            assert (2 * a) % q != 0 and (q + 1) % m != 0, (a, m, q)
+    # the recount is a live check: a wrong point count is an alarm, not a pass
+    monkeypatch.setattr(curve_mod, "count_points_mod_p", lambda c, q: q)
+    with pytest.raises(AssertionError, match="not supersingular"):
+        has_rational_m_torsion(curve_from_a(-5), 7)
+
+
+def test_torsion_witness_on_huge_twist():
+    # the root search overflowed its float magnitude bound here
+    assert not has_rational_m_torsion(curve_from_a(-25 * (10**60 + 7)), 5)
+    with pytest.raises(ValueError):
+        has_rational_m_torsion(curve_from_a(-5), 11)
 
 
 def test_torsion_structures():

@@ -5,6 +5,7 @@ import itertools
 
 import pytest
 
+from ellcert import descent
 from ellcert.arith import REAL, is_prime
 from ellcert.curve import INFINITY, base_point, make_family, on_curve, point
 from ellcert.descent import (
@@ -109,6 +110,19 @@ def test_two_adic_verdict_depends_only_on_fourth_power_classes():
 def test_zero_coefficient_at_two_is_named(alpha, beta, name):
     with pytest.raises(ValueError, match=f"coefficient {name} is 0"):
         locally_soluble(Torsor("forward", 1, 5, alpha, beta), 2)
+
+
+def test_selmer_proves_ell_prime_once(monkeypatch):
+    # make_torsors proves ell prime; the local tests must not re-prove it
+    calls = []
+    monkeypatch.setattr(descent, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    assert selmer(1009).rank_upper == rank_bound_by_residue(1009)
+    assert calls == [1009, 1009]  # make_torsors, rank_bound_by_residue
+
+
+def test_locally_soluble_rejects_composite_place():
+    with pytest.raises(ValueError, match="not prime or REAL"):
+        locally_soluble(make_torsors(5)[0], 15)
 
 
 def test_found_points_imply_local_solubility():
