@@ -2,9 +2,17 @@
 
 Search enumerates parameter pairs by increasing max(s, t), then
 lexicographically within each shell, so runs are reproducible; results
-are emitted in enumeration order regardless of worker count.  A
-checkpoint file keyed by a hash of the search configuration permits
-resuming an interrupted run.
+are emitted in enumeration order regardless of worker count.  Only the
+pairs where p^depth divides s or t are generated, each with its index in
+the full enumeration, because a coprime pair carries its whole p-adic
+depth in one parameter.  Certificates are written and flushed one at a
+time; nothing is buffered.
+
+A checkpoint file keyed by a hash of the search configuration permits
+resuming an interrupted run.  It is rewritten after every 32 handled
+candidates and once when the search ends.  A resumed run first cuts its
+output file back to the records the checkpoint vouches for, so records
+emitted after the last checkpoint write are not duplicated.
 
 Exit codes: 0 success, 1 completed but a hypothesis check failed (or a
 search found nothing, or a stored certificate did not re-verify), 2 bad
@@ -58,17 +66,26 @@ class SearchConfig:
         return hashlib.sha256(key.encode()).hexdigest()[:16]
 
 
-def iter_parameter_pairs(max_param: int):
+def iter_parameter_pairs(max_param: int, q: int = 1):
     """(index, s, t) by increasing max(s, t); within a shell the pairs
-    (1, m) .. (m-1, m) come before (m, 1) .. (m, m)."""
-    idx = 0
+    (1, m) .. (m-1, m) come before (m, 1) .. (m, m).
+
+    Only the pairs with q | s or q | t are yielded, each with its index in
+    the full enumeration: shell m starts at index (m-1)^2.  When q | m the
+    whole shell qualifies; otherwise the other parameter steps by q.
+    """
     for m in range(1, max_param + 1):
-        for s in range(1, m):
-            yield idx, s, m
-            idx += 1
-        for t in range(1, m + 1):
-            yield idx, m, t
-            idx += 1
+        start = (m - 1) ** 2
+        step = 1 if m % q == 0 else q
+        for s in range(step, m, step):
+            yield start + s - 1, s, m
+        for t in range(step, m + 1, step):
+            yield start + m + t - 2, m, t
+
+
+def _required_depth(mode: str, n: int) -> int:
+    """The p-adic valuation one parameter must reach in this mode."""
+    return 2 if mode == "square_subfamily" else n + 1
 
 
 def _depth_ok(s: int, t: int, p: int, n: int) -> bool:
@@ -129,25 +146,66 @@ def _save_checkpoint(path: str, fingerprint: str, next_index: int, found: int):
     os.replace(tmp, path)
 
 
+def _cut_to_checkpoint(
+    path: str, checkpoint: str, fingerprint: str, header_lines: int
+) -> int:
+    """Cut a resumed run's output file back to its header lines and the
+    records its checkpoint vouches for; return how many lines it kept.
+
+    Later records were emitted after the last checkpoint write, and the
+    resumed run emits them again.  A file holding fewer records than the
+    checkpoint counts is refused and left as it is.
+    """
+    found = _load_checkpoint(checkpoint, fingerprint)[1]
+    keep = header_lines + found
+    kept = end = 0
+    exists = os.path.exists(path)
+    if exists:
+        with open(path, "rb") as fh:
+            for line in fh:
+                if kept == keep or not line.endswith(b"\n"):
+                    break
+                kept += 1
+                end += len(line)
+    if kept < keep and found:
+        raise SystemExit(
+            f"{path} holds fewer than the {found} record(s) checkpoint "
+            f"{checkpoint} vouches for"
+        )
+    if exists:
+        os.truncate(path, end)
+    return kept
+
+
 def run_search(cfg: SearchConfig, emit, checkpoint: str | None = None) -> int:
-    """Drive the search; call emit(line) for each certificate. Returns count."""
+    """Drive the search; call emit(line) for each certificate. Returns count.
+
+    The checkpoint is rewritten after every ``_BATCH`` handled candidates
+    and once when the search ends, exhausted or at the target count.
+    """
     start_index, found = 0, 0
     if checkpoint:
         start_index, found = _load_checkpoint(checkpoint, cfg.fingerprint())
 
+    # a coprime pair carries its whole p-adic depth in one parameter, so
+    # only pairs where p^depth divides s or t can pass the filter
+    q = cfg.p ** _required_depth(cfg.mode, cfg.n)
     candidates = (
         (idx, (cfg.mode, cfg.p, cfg.n, s, t))
-        for idx, s, t in iter_parameter_pairs(cfg.max_param)
+        for idx, s, t in iter_parameter_pairs(cfg.max_param, q)
         if idx >= start_index and cheap_filter(cfg.mode, cfg.p, cfg.n, s, t)
     )
+    next_index, unsaved = start_index, 0
 
     def handle(idx: int, line: str | None) -> bool:
-        nonlocal found
+        nonlocal found, next_index, unsaved
         if line is not None:
             emit(line)
             found += 1
-        if checkpoint:
-            _save_checkpoint(checkpoint, cfg.fingerprint(), idx + 1, found)
+        next_index, unsaved = idx + 1, unsaved + 1
+        if checkpoint and unsaved == _BATCH:
+            _save_checkpoint(checkpoint, cfg.fingerprint(), next_index, found)
+            unsaved = 0
         return found >= cfg.target_count
 
     if cfg.workers <= 1:
@@ -155,7 +213,8 @@ def run_search(cfg: SearchConfig, emit, checkpoint: str | None = None) -> int:
             if handle(idx, certify_candidate(task)):
                 break
     else:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        # at most _BATCH tasks are ever in flight
+        with ProcessPoolExecutor(max_workers=min(cfg.workers, _BATCH)) as pool:
             done = False
             while not done:
                 batch = list(islice(candidates, _BATCH))
@@ -166,14 +225,20 @@ def run_search(cfg: SearchConfig, emit, checkpoint: str | None = None) -> int:
                     if handle(idx, line):
                         done = True
                         break
+    if checkpoint and unsaved:
+        _save_checkpoint(checkpoint, cfg.fingerprint(), next_index, found)
     return found
 
 
-def _default_workers() -> int:
+def _default_workers() -> int | None:
+    """ELLCERT_WORKERS, or 1 when it is unset; None when it is no integer."""
     env = os.environ.get("ELLCERT_WORKERS")
-    if env:
+    if not env:
+        return 1
+    try:
         return max(1, int(env))
-    return 1
+    except ValueError:
+        return None
 
 
 def _open_out(path: str, append: bool):
@@ -183,6 +248,8 @@ def _open_out(path: str, append: bool):
 
 
 def _search_config_error(args) -> str | None:
+    if args.workers is None:
+        return f"ELLCERT_WORKERS={os.environ.get('ELLCERT_WORKERS')!r} is not an integer"
     if args.target_count < 1:
         return "--target-count must be at least 1"
     if args.max_param < 1:
@@ -193,7 +260,7 @@ def _search_config_error(args) -> str | None:
         return f"p = {args.p} is not a prime >= 5"
     # the p-adic depth lands entirely inside one parameter (the pair is
     # coprime), so that parameter must reach p^depth within the range
-    depth = 2 if args.mode == "square_subfamily" else args.n + 1
+    depth = _required_depth(args.mode, args.n)
     if args.p**depth > args.max_param:
         return (
             f"unsatisfiable: no parameter up to {args.max_param} can carry "
@@ -216,6 +283,13 @@ def cmd_search(args) -> int:
         workers=args.workers,
     )
     resuming = bool(args.checkpoint and os.path.exists(args.checkpoint))
+    header_lines = 1 if args.format == "csv" else 0
+    kept = 0
+    if resuming:
+        # stdout cannot be cut back, so a resumed run there just appends
+        kept = header_lines if args.out == "-" else _cut_to_checkpoint(
+            args.out, args.checkpoint, cfg.fingerprint(), header_lines
+        )
     stream, close_me = _open_out(args.out, append=resuming)
 
     def emit(line: str):
@@ -239,7 +313,7 @@ def cmd_search(args) -> int:
                 )
         stream.flush()
 
-    if args.format == "csv" and not resuming:
+    if header_lines and not kept:
         stream.write("s,t,ell,p,n,theorem\n")
     try:
         found = run_search(cfg, emit, checkpoint=args.checkpoint)
@@ -500,3 +574,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -91,6 +91,10 @@ def log_int_bounds(n: int) -> tuple[float, float]:
     return _dn(float(lo_d)), _up(float(hi_d))
 
 
+#: Upper bound of h(j) = ln 1728, the j-invariant of every family member.
+LOG1728_HI = log_int_bounds(1728)[1]
+
+
 def _x_height_int(pt: Point) -> int:
     """max(|num|, den) of the x-coordinate."""
     return max(abs(pt.x.numerator), pt.x.denominator)
@@ -124,10 +128,9 @@ class SilvermanBounds:
 
 def silverman_gaps(c: Curve) -> SilvermanBounds:
     # j = 1728 and Delta = -64 a^3 for every y^2 = x^3 + a x
-    hj = log_int_bounds(1728)[1]
     hdelta = log_int_bounds(64 * abs(c.a) ** 3)[1]
-    lower = _up(_up(hj / 8.0 + hdelta / 12.0) + 0.973)
-    upper = _up(_up(hj / 12.0 + hdelta / 12.0) + 1.07)
+    lower = _up(_up(LOG1728_HI / 8.0 + hdelta / 12.0) + 0.973)
+    upper = _up(_up(LOG1728_HI / 12.0 + hdelta / 12.0) + 1.07)
     return SilvermanBounds(lower_gap=lower, upper_gap=upper)
 
 

@@ -2,10 +2,16 @@
 verification, checkpoint resume, and worker-count independence."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from ellcert.cli import iter_parameter_pairs, main
+import ellcert
+from ellcert import cli
+from ellcert.cli import SearchConfig, cheap_filter, iter_parameter_pairs, main, run_search
 
 
 def run(capsys, *argv):
@@ -21,6 +27,90 @@ def test_enumeration_order():
         (1, 1, 2), (2, 2, 1), (3, 2, 2),
         (4, 1, 3), (5, 2, 3), (6, 3, 1), (7, 3, 2), (8, 3, 3),
     ]
+
+
+def _all_pairs(max_param):
+    """The full enumeration, written out independently of the module."""
+    idx = 0
+    for m in range(1, max_param + 1):
+        for s in range(1, m):
+            yield idx, s, m
+            idx += 1
+        for t in range(1, m + 1):
+            yield idx, m, t
+            idx += 1
+
+
+def test_restricted_enumeration_is_the_filtered_full_one():
+    full = list(_all_pairs(60))
+    for q in (1, 4, 7, 25, 49, 169):
+        for max_param in range(1, 61):
+            want = [
+                (i, s, t) for i, s, t in full
+                if max(s, t) <= max_param and (s % q == 0 or t % q == 0)
+            ]
+            assert list(iter_parameter_pairs(max_param, q)) == want, (q, max_param)
+
+
+def _stub_certifier(calls):
+    # stands in for certification: refuses some candidates, and the record
+    # names the task so the emitted sequence shows which ones were handled
+    def certify(task):
+        calls.append(task)
+        _, _, _, s, t = task
+        return None if (s + t) % 3 == 0 else json.dumps(task)
+
+    return certify
+
+
+@pytest.mark.parametrize("mode", ["main", "square_subfamily", "infinite"])
+@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("n", [1, 2])
+def test_search_matches_filter_all_oracle(mode, p, n, tmp_path, monkeypatch):
+    depth = 2 if mode == "square_subfamily" else n + 1
+    # two whole shells divisible by p^depth: at 7^3 infinite mode needs
+    # the even s = 686
+    max_param = 2 * p**depth + p
+    oracle_tasks, oracle_records = [], []
+    oracle = _stub_certifier(oracle_tasks)
+    last = None
+    for idx, s, t in _all_pairs(max_param):
+        if cheap_filter(mode, p, n, s, t):
+            line = oracle((mode, p, n, s, t))
+            if line is not None:
+                oracle_records.append(line)
+            last = idx
+    assert oracle_tasks
+
+    tasks, records = [], []
+    monkeypatch.setattr(cli, "certify_candidate", _stub_certifier(tasks))
+    ck = tmp_path / "ck.json"
+    cfg = SearchConfig(mode, p, n, max_param, target_count=10**9, workers=1)
+    found = run_search(cfg, records.append, checkpoint=str(ck))
+    assert tasks == oracle_tasks
+    assert records == oracle_records
+    assert found == len(records)
+    state = json.loads(ck.read_text())
+    assert (state["next_index"], state["found"]) == (last + 1, found)
+
+
+def test_checkpoint_written_per_batch_and_at_the_end(tmp_path, monkeypatch):
+    writes = []
+    save = cli._save_checkpoint
+
+    def recording_save(path, fingerprint, next_index, found):
+        writes.append((next_index, found))
+        save(path, fingerprint, next_index, found)
+
+    monkeypatch.setattr(cli, "_save_checkpoint", recording_save)
+    ck = tmp_path / "ck.json"
+    assert main(["search", "--max-param", "80", "--workers", "1",
+                 "--checkpoint", str(ck), "--out", str(tmp_path / "o.jsonl")]) == 0
+    handled = sum(
+        1 for _, s, t in _all_pairs(80) if cheap_filter("main", 5, 1, s, t)
+    )
+    assert len(writes) == handled // 32 + (handled % 32 > 0)
+    assert writes[-1] == (json.loads(ck.read_text())["next_index"], 278)
 
 
 def test_search_main_jsonl(tmp_path, capsys):
@@ -201,6 +291,84 @@ def test_checkpoint_resume_is_byte_identical(tmp_path, capsys):
     assert part.read_bytes() == full.read_bytes()
 
 
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_resume_after_crash_past_checkpoint_is_byte_identical(fmt, tmp_path, capsys):
+    base = ["search", "--max-param", "80", "--workers", "1", "--format", fmt]
+    full = tmp_path / "full"
+    assert main(base + ["--out", str(full)]) == 0
+    full_lines = full.read_text().splitlines(keepends=True)
+
+    part = tmp_path / "part"
+    ck = tmp_path / "ck.json"
+    assert main(base + ["--out", str(part), "--checkpoint", str(ck),
+                        "--target-count", "40"]) == 0
+    assert json.loads(ck.read_text())["found"] == 40
+    # a record emitted after the last checkpoint write, and half of the next
+    header = 1 if fmt == "csv" else 0
+    with open(part, "a", encoding="utf-8") as fh:
+        fh.write(full_lines[header + 40] + full_lines[header + 41][:20])
+
+    assert main(base + ["--out", str(part), "--checkpoint", str(ck)]) == 0
+    capsys.readouterr()
+    assert part.read_bytes() == full.read_bytes()
+
+
+def test_resume_after_crash_mid_batch_is_byte_identical(tmp_path, capsys, monkeypatch):
+    base = ["search", "--max-param", "80", "--workers", "1"]
+    full = tmp_path / "full.jsonl"
+    assert main(base + ["--out", str(full)]) == 0
+
+    real = cli.certify_candidate
+    calls = []
+
+    def crashing(task):
+        calls.append(task)
+        if len(calls) == 45:
+            raise RuntimeError("simulated crash")
+        return real(task)
+
+    part = tmp_path / "part.jsonl"
+    ck = tmp_path / "ck.json"
+    monkeypatch.setattr(cli, "certify_candidate", crashing)
+    with pytest.raises(RuntimeError):
+        main(base + ["--out", str(part), "--checkpoint", str(ck)])
+    # the checkpoint vouches for the first batch; more records were written
+    assert json.loads(ck.read_text())["found"] < len(part.read_text().splitlines())
+
+    monkeypatch.setattr(cli, "certify_candidate", real)
+    assert main(base + ["--out", str(part), "--checkpoint", str(ck)]) == 0
+    capsys.readouterr()
+    assert part.read_bytes() == full.read_bytes()
+
+
+def test_resume_from_an_empty_checkpoint_writes_the_csv_header(tmp_path, capsys):
+    base = ["search", "--max-param", "25", "--workers", "1", "--format", "csv"]
+    full = tmp_path / "full.csv"
+    assert main(base + ["--out", str(full)]) == 0
+    ck = tmp_path / "ck.json"
+    fingerprint = SearchConfig("main", 5, 1, 25, target_count=1, workers=1).fingerprint()
+    cli._save_checkpoint(str(ck), fingerprint, 0, 0)
+    part = tmp_path / "part.csv"
+    part.write_text("s,t,e")  # a header cut short
+    assert main(base + ["--out", str(part), "--checkpoint", str(ck)]) == 0
+    capsys.readouterr()
+    assert part.read_bytes() == full.read_bytes()
+
+
+def test_resume_refuses_output_shorter_than_checkpoint(tmp_path, capsys):
+    base = ["search", "--max-param", "80", "--workers", "1"]
+    part = tmp_path / "part.jsonl"
+    ck = tmp_path / "ck.json"
+    assert main(base + ["--out", str(part), "--checkpoint", str(ck),
+                        "--target-count", "5"]) == 0
+    short = "".join(part.read_text().splitlines(keepends=True)[:3])
+    part.write_text(short)
+    with pytest.raises(SystemExit) as exc:
+        main(base + ["--out", str(part), "--checkpoint", str(ck)])
+    assert "vouches for" in str(exc.value.code)
+    assert part.read_text() == short
+
+
 def test_checkpoint_rejects_other_config(tmp_path, capsys):
     ck = tmp_path / "ck.json"
     args = ["search", "--mode", "infinite", "--max-param", "80", "--workers", "1",
@@ -221,6 +389,62 @@ def test_worker_count_independence(tmp_path, capsys):
     assert main(argv + ["--workers", "2", "--out", str(two)]) == 0
     capsys.readouterr()
     assert one.read_bytes() == two.read_bytes()
+
+
+def test_worker_pool_is_capped_at_the_batch_size(tmp_path, capsys, monkeypatch):
+    seen = []
+
+    class InlinePool:
+        # records the requested size and runs the tasks in this process
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    one = tmp_path / "w1.jsonl"
+    many = tmp_path / "many.jsonl"
+    argv = ["search", "--max-param", "25", "--target-count", "12"]
+    assert main(argv + ["--workers", "1", "--out", str(one)]) == 0
+    assert main(argv + ["--workers", "1000", "--out", str(many)]) == 0
+    assert main(argv + ["--workers", "3", "--out", str(many)]) == 0
+    capsys.readouterr()
+    assert seen == [32, 3]
+    assert many.read_bytes() == one.read_bytes()
+
+
+def test_non_integer_worker_env_is_a_config_error(monkeypatch, capsys):
+    monkeypatch.setenv("ELLCERT_WORKERS", "abc")
+    rc, _, err = run(capsys, "search", "--max-param", "60")
+    assert rc == 2
+    assert err.startswith("config error:") and "ELLCERT_WORKERS" in err
+    # an explicit --workers overrides the variable
+    rc, _, _ = run(capsys, "search", "--max-param", "25", "--target-count", "1",
+                   "--workers", "1")
+    assert rc == 0
+
+
+def test_module_runs_as_script(tmp_path):
+    out = tmp_path / "m.jsonl"
+    env = dict(os.environ)
+    env.pop("ELLCERT_WORKERS", None)
+    src = str(Path(ellcert.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ellcert.cli", "search", "--max-param", "30",
+         "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert out.stat().st_size > 0
+    assert json.loads(out.read_text().splitlines()[0])["theorem"] == "divisibility"
 
 
 def test_selmer_table_rows(capsys):

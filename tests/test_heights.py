@@ -11,6 +11,7 @@ from ellcert.curve import INFINITY, base_point, curve_from_a, make_family, point
 from ellcert.errors import PreconditionFailure
 from ellcert.heights import (
     LOG2_BOUNDS,
+    LOG1728_HI,
     canonical_height,
     dec_ln_bounds,
     log_int_bounds,
@@ -40,6 +41,12 @@ def test_log2_bounds():
     lo, hi = LOG2_BOUNDS
     assert lo <= math.log(2) <= hi
     assert hi - lo < 1e-12
+
+
+def test_log1728_constant_is_the_computed_bound():
+    # silverman_gaps reads the constant instead of recomputing it per curve
+    assert LOG1728_HI == log_int_bounds(1728)[1]
+    assert math.log(1728) <= LOG1728_HI
 
 
 def test_log_int_bounds_small():
