@@ -18,8 +18,10 @@ REAL = "R"
 
 Rational = Fraction | int
 
-#: Deterministic Miller-Rabin base set.  Sufficient for every n < 3.3e24,
-#: which covers the advertised 2^64 deterministic range with room to spare.
+#: Deterministic Miller-Rabin base set.  Bases 2..37 decide every
+#: n < psi_12 ~ 3.18e23 (Sorenson-Webster, Math. Comp. 86, 2017; the
+#: 3.3e24 bound is psi_13 and needs base 41 too), which covers the
+#: advertised 2^64 deterministic range with room to spare.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _MR_DETERMINISTIC_LIMIT = 1 << 64

@@ -22,8 +22,9 @@ import json
 import math
 from dataclasses import dataclass
 
-from .arith import is_prime, is_square, kth_power_free, primality_info, vp
+from .arith import is_prime, is_square, kth_power_free, vp
 from .curve import (
+    Curve,
     base_point,
     curve_from_a,
     has_rational_m_torsion,
@@ -53,31 +54,28 @@ _ELEVEN_ISOGENY_J = (-32768, -24729001)
 
 
 @dataclass(frozen=True)
-class FamilyMember:
+class Member:
+    """One family member E_{s,t} with the facts about ell that its ledger
+    checks consume, each worked out once."""
+
     s: int
     t: int
     ell: int
-    ell_is_prime: bool
-    primality_method: str
-    ell_mod_16: int
-    t_mod_8: int
-    s_even: bool
+    curve: Curve  # family-tagged, so it carries s, t and ell as well
+    fourth_power_free: bool
+    ell_is_square: bool
 
 
-def make_member(s: int, t: int) -> FamilyMember:
-    if s < 1 or t < 1:
-        raise PreconditionFailure("degenerate-parameters", f"(s,t)=({s},{t})")
-    ell = s**4 + t**2
-    prime, method = primality_info(ell)
-    return FamilyMember(
+def member(s: int, t: int) -> Member:
+    """The member for (s, t); (0, 0) raises ValueError, as make_family does."""
+    c = make_family(s, t)
+    return Member(
         s=s,
         t=t,
-        ell=ell,
-        ell_is_prime=prime,
-        primality_method=method,
-        ell_mod_16=ell % 16,
-        t_mod_8=t % 8,
-        s_even=s % 2 == 0,
+        ell=c.ell,
+        curve=c,
+        fourth_power_free=kth_power_free(c.ell, 4),
+        ell_is_square=is_square(c.ell),
     )
 
 
@@ -106,8 +104,9 @@ def _require(ok: bool, name: str, detail: str) -> None:
         raise PreconditionFailure(name, detail)
 
 
-def cohomology_vanishing_checks(s: int, t: int, p: int) -> list[CheckEntry]:
-    """Mod-p image conditions that feed the divisibility criterion.
+def cohomology_vanishing_checks(c: Curve, p: int) -> list[CheckEntry]:
+    """Mod-p image conditions on the family curve c that feed the
+    divisibility criterion.
 
     p >= 13 needs nothing beyond the prime itself; 11 is settled by
     comparing j = 1728 against the two rational-11-isogeny j-invariants;
@@ -122,7 +121,6 @@ def cohomology_vanishing_checks(s: int, t: int, p: int) -> list[CheckEntry]:
     """
     if p < 5 or not is_prime(p):
         raise PreconditionFailure("p-out-of-range", f"p={p} must be a prime >= 5")
-    c = make_family(s, t)
     out = []
     if p >= 13:
         out.append(CheckEntry("mod-p-image-large-prime", "pass", {"p": p}))
@@ -165,21 +163,26 @@ def cohomology_vanishing_checks(s: int, t: int, p: int) -> list[CheckEntry]:
     return out
 
 
-def _divisibility_checks(s: int, t: int, p: int, n: int) -> list[CheckEntry]:
+def _checked_member(s: int, t: int, p: int, n: int) -> Member:
+    """The member, built only once the cheap checks on n, p and gcd pass."""
     _require(n >= 1, "depth-target", f"n={n} must be >= 1")
     _require(p >= 5 and is_prime(p), "p-out-of-range", f"p={p} must be a prime >= 5")
     _require(math.gcd(s, t) == 1, "coprime-parameters", f"gcd({s},{t}) != 1")
-    ell = s**4 + t**2
-    c = make_family(s, t)
-    checks = [CheckEntry("coprime-parameters", "pass", {"s": s, "t": t})]
+    return member(s, t)
 
-    _require(kth_power_free(ell, 4), "fourth-power-free", f"ell={ell}")
+
+def _divisibility_checks(m: Member, p: int, n: int) -> list[CheckEntry]:
+    """The ledger for a member whose n, p and gcd checks have passed."""
+    ell, c = m.ell, m.curve
+    checks = [CheckEntry("coprime-parameters", "pass", {"s": m.s, "t": m.t})]
+
+    _require(m.fourth_power_free, "fourth-power-free", f"ell={ell}")
     checks.append(CheckEntry("fourth-power-free", "pass", {"ell": ell}))
 
-    _require(not is_square(ell), "nonsquare-ell", f"ell={ell}")
+    _require(not m.ell_is_square, "nonsquare-ell", f"ell={ell}")
     checks.append(CheckEntry("nonsquare-ell", "pass", {"ell": ell}))
 
-    local = check_local(s, t, p, n)  # raises with its own reasons if violated
+    local = check_local(c, p, n)  # raises with its own reasons if violated
     checks.append(
         CheckEntry(
             "parameter-depth",
@@ -201,9 +204,9 @@ def _divisibility_checks(s: int, t: int, p: int, n: int) -> list[CheckEntry]:
             },
         )
     )
-    checks.extend(cohomology_vanishing_checks(s, t, p))
+    checks.extend(cohomology_vanishing_checks(c, p))
 
-    prim = certify_primitive(s, t)
+    prim = certify_primitive(m)
     _require(
         prim.status == "primitive", "primitive-point", f"status={prim.status}"
     )
@@ -225,11 +228,11 @@ def _divisibility_checks(s: int, t: int, p: int, n: int) -> list[CheckEntry]:
 
 def certify_divisibility(s: int, t: int, p: int, n: int) -> Certificate:
     """Certificate that p^(2n) divides h of the p^n division field of E_{s,t}."""
-    checks = _divisibility_checks(s, t, p, n)
-    ell = s**4 + t**2
+    m = _checked_member(s, t, p, n)
+    checks = _divisibility_checks(m, p, n)
     return Certificate(
         theorem="divisibility",
-        subject={"s": s, "t": t, "ell": ell, "p": p, "n": n},
+        subject={"s": s, "t": t, "ell": m.ell, "p": p, "n": n},
         checks=tuple(checks),
         conclusion=f"{p}^{2 * n} divides h(Q(E[{p}^{n}]))",
         conclusion_basis="verified checks plus the cited criterion",
@@ -248,12 +251,14 @@ def certify_square_subfamily(s: int, tau: int, p: int) -> Certificate:
     _require(math.gcd(s, tau) == 1, "coprime-parameters", f"gcd({s},{tau}) != 1")
     _require(p >= 5 and is_prime(p), "p-out-of-range", f"p={p} must be a prime >= 5")
     t = tau * tau
-    ell = s**4 + tau**4
-    _require(kth_power_free(ell, 4), "fourth-power-free", f"ell={ell}")
+    m = member(s, t)
+    ell = m.ell
+    _require(m.fourth_power_free, "fourth-power-free", f"ell={ell}")
     _require(vp(s * tau, p) >= 2, "square-depth", f"v_p(s*tau)={vp(s * tau, p)} < 2")
 
-    checks = _divisibility_checks(s, t, p, 1)
-    local_swapped = check_local(tau, s * s, p, 1)
+    checks = _divisibility_checks(m, p, 1)
+    swapped = make_family(tau, s * s)
+    local_swapped = check_local(swapped, p, 1)
     first = "s" if vp(s, p) > 0 else "tau"
     checks.append(
         CheckEntry(
@@ -266,11 +271,10 @@ def certify_square_subfamily(s: int, tau: int, p: int) -> Certificate:
             },
         )
     )
-    c = make_family(s, t)
-    second = base_point(make_family(tau, s * s))
-    assert c.a == -(tau**4 + s**4)
+    assert swapped.a == m.curve.a
+    second = base_point(swapped)
     _require(
-        not is_torsion_point(c, second), "second-point-torsion", "degenerate point"
+        not is_torsion_point(m.curve, second), "second-point-torsion", "degenerate point"
     )
     checks.append(
         CheckEntry(
@@ -293,8 +297,9 @@ def certify_square_subfamily(s: int, tau: int, p: int) -> Certificate:
 def certify_infinite_instance(s: int, t: int, p: int, n: int) -> Certificate:
     """One member of the infinite pairwise-distinct list: divisibility,
     rank exactly 1, and the ramification set {2, l, p} keyed by l."""
-    checks = _divisibility_checks(s, t, p, n)
-    ell = s**4 + t**2
+    m = _checked_member(s, t, p, n)
+    checks = _divisibility_checks(m, p, n)
+    ell = m.ell
     rank = certify_rank_one(s, t)  # enforces s even, t = +-3 mod 8, l prime
     checks.append(
         CheckEntry(
@@ -308,7 +313,7 @@ def certify_infinite_instance(s: int, t: int, p: int, n: int) -> Certificate:
             },
         )
     )
-    red = reduction_at(make_family(s, t), ell)
+    red = reduction_at(m.curve, ell)
     _require(
         red.kodaira == "III" and red.tamagawa == 2,
         "multiplicative-free-at-ell",

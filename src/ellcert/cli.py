@@ -26,6 +26,7 @@ import hashlib
 import json
 import os
 import sys
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
@@ -34,7 +35,6 @@ from .arith import is_prime, vp
 from .certify import (
     SCHEMA_VERSION,
     Certificate,
-    certificate_from_dict,
     certificate_to_dict,
     certificate_to_jsonl,
     certify_divisibility,
@@ -46,7 +46,7 @@ from .descent import RankCert, certify_rank_one, rank_bound_by_residue, selmer
 from .errors import PreconditionFailure
 from .heights import canonical_height, naive_height, silverman_gaps, vy_lower_bound
 
-MODES = ("main", "square_subfamily", "infinite")
+MODES = ("main", "square_subfamily", "infinite")  # the search modes
 _BATCH = 32
 
 
@@ -114,16 +114,12 @@ def cheap_filter(mode: str, p: int, n: int, s: int, t: int) -> bool:
 def certify_candidate(task: tuple[str, int, int, int, int]) -> str | None:
     """Worker body: full certification, None when a precondition fails."""
     mode, p, n, s, t = task
+    theorem = THEOREMS[mode]
     try:
-        if mode == "main":
-            cert = certify_divisibility(s, t, p, n)
-        elif mode == "square_subfamily":
-            cert = certify_square_subfamily(s, t, p)
-        else:
-            cert = certify_infinite_instance(s, t, p, n)
+        cert = theorem.certify(s, t, p, n)
     except PreconditionFailure:
         return None
-    return certificate_to_jsonl(cert)
+    return theorem.jsonl(cert)
 
 
 def _load_checkpoint(path: str, fingerprint: str):
@@ -375,7 +371,48 @@ def _print_rank_fragment(rc: RankCert) -> None:
         f" dim_dual={rep.dim_dual} rank_upper={rep.rank_upper}"
     )
     print(f"  [pass] base-point-nontorsion  {rc.base_point_nontorsion}")
-    print(f"conclusion: rank = {rc.rank}")
+    print(f"conclusion: {rc.conclusion}")
+
+
+@dataclass(frozen=True)
+class Theorem:
+    """What one CLI mode certifies, and how its result is recorded and shown.
+
+    ``certify`` takes (s, t, p, n) in every mode.  It names its certifier
+    inside a lambda body, so the name is looked up in this module on every
+    call, and rebinding it (a test's monkeypatch, a profiler's wrapper)
+    takes effect here too.
+    """
+
+    certify: Callable
+    record: Callable = lambda cert: certificate_to_dict(cert)
+    jsonl: Callable = lambda cert: certificate_to_jsonl(cert)
+    show: Callable = _print_ledger
+    needs_p: bool = True
+
+
+#: CLI mode -> theorem; search, verify and verify --file all dispatch here.
+THEOREMS = {
+    "main": Theorem(lambda s, t, p, n: certify_divisibility(s, t, p, n)),
+    "square_subfamily": Theorem(lambda s, t, p, n: certify_square_subfamily(s, t, p)),
+    "infinite": Theorem(lambda s, t, p, n: certify_infinite_instance(s, t, p, n)),
+    "rank": Theorem(
+        lambda s, t, p, n: certify_rank_one(s, t),
+        record=_rank_fragment_dict,
+        jsonl=lambda rc: json.dumps(_rank_fragment_dict(rc), separators=(",", ":")),
+        show=_print_rank_fragment,
+        needs_p=False,
+    ),
+}
+
+#: A record's theorem -> its CLI mode and the subject key of its second
+#: parameter.
+RECORD_MODES = {
+    "divisibility": ("main", "t"),
+    "square-subfamily": ("square_subfamily", "tau"),
+    "infinite-family": ("infinite", "t"),
+    "rank-one": ("rank", "t"),
+}
 
 
 def _write_record(out: str | None, line: str) -> None:
@@ -384,6 +421,28 @@ def _write_record(out: str | None, line: str) -> None:
     else:
         with open(out, "a", encoding="utf-8") as fh:
             fh.write(line + "\n")
+
+
+def _record_task(stored) -> tuple[str, int, int, int | None, int | None] | None:
+    """The (mode, s, t, p, n) that recomputes a stored record, or None for
+    an unknown theorem.  Raises ValueError naming what makes ``stored`` no
+    certificate record."""
+    if not isinstance(stored, dict):
+        raise ValueError(f"a JSON {type(stored).__name__}, not an object")
+    if stored.get("schema") != SCHEMA_VERSION:
+        raise ValueError(f"unsupported schema {stored.get('schema')!r}")
+    theorem = stored.get("theorem")
+    if not isinstance(theorem, str) or theorem not in RECORD_MODES:
+        return None
+    mode, second = RECORD_MODES[theorem]
+    keys = ("s", second, "p", "n") if THEOREMS[mode].needs_p else ("s", second)
+    subject = stored.get("subject")
+    values = [subject.get(k) for k in keys] if isinstance(subject, dict) else [None]
+    if not all(isinstance(v, str) for v in values):
+        raise ValueError(f"subject {subject!r} lacks a decimal string for one of {keys}")
+    s, t, *rest = map(int, values)  # a ValueError names the bad literal
+    p, n = rest or (None, None)
+    return mode, s, t, p, n
 
 
 def _verify_file(args) -> int:
@@ -402,45 +461,28 @@ def _verify_file(args) -> int:
             total += 1
             try:
                 stored = json.loads(raw)
-            except json.JSONDecodeError as exc:
+                task = _record_task(stored)
+            except ValueError as exc:  # JSONDecodeError included
                 print(f"line {lineno}: not a certificate record ({exc})")
                 bad += 1
                 continue
-            theorem = stored.get("theorem")
+            if task is None:
+                print(f"line {lineno}: unknown theorem {stored.get('theorem')}")
+                bad += 1
+                continue
+            mode, s, t, p, n = task
+            theorem = THEOREMS[mode]
             try:
-                if theorem == "rank-one":
-                    sub = stored["subject"]
-                    rc = certify_rank_one(int(sub["s"]), int(sub["t"]))
-                    fresh_dict = _rank_fragment_dict(rc)
-                    conclusion = f"rank = {rc.rank}"
-                else:
-                    cert = certificate_from_dict(stored)
-                    sub = cert.subject
-                    if theorem == "divisibility":
-                        fresh = certify_divisibility(
-                            sub["s"], sub["t"], sub["p"], sub["n"]
-                        )
-                    elif theorem == "square-subfamily":
-                        fresh = certify_square_subfamily(sub["s"], sub["tau"], sub["p"])
-                    elif theorem == "infinite-family":
-                        fresh = certify_infinite_instance(
-                            sub["s"], sub["t"], sub["p"], sub["n"]
-                        )
-                    else:
-                        print(f"line {lineno}: unknown theorem {theorem}")
-                        bad += 1
-                        continue
-                    fresh_dict = certificate_to_dict(fresh)
-                    conclusion = fresh.conclusion
+                fresh = theorem.certify(s, t, p, n)
             except PreconditionFailure as exc:
                 print(f"line {lineno}: REFUSED at check '{exc.reason}'")
                 bad += 1
                 continue
-            if fresh_dict != stored:
+            if theorem.record(fresh) != stored:
                 print(f"line {lineno}: MISMATCH for subject {stored.get('subject')}")
                 bad += 1
             elif args.verbose:
-                print(f"line {lineno}: ok {conclusion}")
+                print(f"line {lineno}: ok {fresh.conclusion}")
     print(f"{total - bad}/{total} certificates verified")
     return 0 if bad == 0 and total > 0 else 1
 
@@ -454,27 +496,17 @@ def cmd_verify(args) -> int:
     if args.s is None or args.t is None:
         print("single-shot verification needs --s and --t (or --file)", file=sys.stderr)
         return 2
+    theorem = THEOREMS[args.mode]
+    if theorem.needs_p and args.p is None:
+        print(f"mode {args.mode} needs --p", file=sys.stderr)
+        return 2
     try:
-        if args.mode == "rank":
-            rc = certify_rank_one(args.s, args.t)
-            _print_rank_fragment(rc)
-            record = json.dumps(_rank_fragment_dict(rc), separators=(",", ":"))
-            _write_record(args.out, record)
-            return 0
-        if args.p is None:
-            print(f"mode {args.mode} needs --p", file=sys.stderr)
-            return 2
-        if args.mode == "main":
-            cert = certify_divisibility(args.s, args.t, args.p, args.n)
-        elif args.mode == "square_subfamily":
-            cert = certify_square_subfamily(args.s, args.t, args.p)
-        else:
-            cert = certify_infinite_instance(args.s, args.t, args.p, args.n)
+        cert = theorem.certify(args.s, args.t, args.p, args.n)
     except PreconditionFailure as exc:
         print(f"REFUSED at check '{exc.reason}': {exc}")
         return 1
-    _print_ledger(cert)
-    _write_record(args.out, certificate_to_jsonl(cert))
+    theorem.show(cert)
+    _write_record(args.out, theorem.jsonl(cert))
     return 0
 
 
@@ -545,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     vp_.add_argument("--t", type=int, help="t (or tau in square_subfamily mode)")
     vp_.add_argument("--p", type=int)
     vp_.add_argument("--n", type=int, default=1)
-    vp_.add_argument("--mode", choices=MODES + ("rank",), default="main")
+    vp_.add_argument("--mode", choices=tuple(THEOREMS), default="main")
     vp_.add_argument("--out", default=None, help="append the JSONL record here")
     vp_.add_argument(
         "--file", default=None, help="re-verify a stored JSONL batch instead"

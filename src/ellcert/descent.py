@@ -344,6 +344,10 @@ class RankCert:
     rank: int
     base_point_nontorsion: bool
 
+    @property
+    def conclusion(self) -> str:
+        return f"rank = {self.rank}"
+
 
 def certify_rank_one(s: int, t: int) -> RankCert:
     """Prove rank E_{s,t}(Q) = 1 for s even, t = +-3 mod 8, l = s^4 + t^2 prime.

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import is_prime, vp
-from .curve import base_point, count_points_mod_p, make_family, reduction_at, smul
+from .curve import Curve, base_point, count_points_mod_p, reduction_at, smul
 from .errors import PreconditionFailure
 
 _COUNT_LIMIT = 10**4
@@ -43,8 +43,9 @@ class LocalCert:
     holds: bool
 
 
-def check_local(s: int, t: int, p: int, n: int) -> LocalCert:
-    """Verify v_p(z(2P)) >= n+1 for the base point P of E_{s,t}.
+def check_local(c: Curve, p: int, n: int) -> LocalCert:
+    """Verify v_p(z(2P)) >= n+1 for the base point P of the family curve
+    c = E_{s,t}, which carries s and t.
 
     Requires p an odd prime dividing exactly one of s and t, with
     p^(n+1) | s t.  All valuations are recomputed from the exact doubled
@@ -54,6 +55,7 @@ def check_local(s: int, t: int, p: int, n: int) -> LocalCert:
         raise PreconditionFailure("depth-target", f"n={n} must be >= 1")
     if p == 2 or not is_prime(p):
         raise PreconditionFailure("p-not-odd-prime", f"p={p}")
+    s, t = c.s, c.t
     if s == 0 or t == 0:
         raise PreconditionFailure("degenerate-parameters", f"(s,t)=({s},{t})")
     v_s = vp(s, p)
@@ -69,7 +71,6 @@ def check_local(s: int, t: int, p: int, n: int) -> LocalCert:
             "insufficient-depth", f"v_p(st)={v_st} < n+1={n + 1}"
         )
 
-    c = make_family(s, t)
     doubled = smul(c, 2, base_point(c))
     assert doubled is not None
     xv = vp(doubled.x, p)

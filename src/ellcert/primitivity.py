@@ -10,23 +10,26 @@ torsion.  Two exact facts combine into the proof:
 * index size: hhat(P) = m^2 hhat(G) for the saturating generator G, so
   m^2 is at most hhat(P) divided by the residue-class height floor.
 
-Floor ratio below 9 plus odd parity forces m = 1.  The smallest member
-(s, t) = (1, 1) is decided instead by a rank-one point search, since the
-height floor's residue table is not relied on at |a| = 2.
+Floor ratio below 9 plus odd parity forces m = 1.  For every member
+with l fourth-power-free, not a square and not 2, the crude bound
+h(P)/2 + upper_gap already gives that ratio (see ``certify_primitive``).
+The smallest member (s, t) = (1, 1) is decided instead by a rank-one
+point search, since the height floor's residue table is not relied on at
+|a| = 2.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .arith import is_prime, is_square, kth_power_free
+from .arith import is_square
 from .curve import (
     Curve,
     Point,
     base_point,
     is_torsion_point,
-    make_family,
     rational_points_up_to_height,
     smul,
 )
@@ -39,6 +42,9 @@ from .heights import (
     silverman_gaps,
     vy_lower_bound,
 )
+
+if TYPE_CHECKING:
+    from .certify import Member
 
 RATIO_MARGIN = 1e-6
 _INDEX_SQ_LIMIT = 9.0  # first odd index to exclude is 3
@@ -127,20 +133,32 @@ def _search_certificate(c: Curve, s: int, t: int, ell: int,
                  status="undecided", reason="ambiguous-small-points", bound=bound)
 
 
-def certify_primitive(s: int, t: int) -> PrimitivityCert:
+def certify_primitive(m: Member) -> PrimitivityCert:
     """Certificate that (-s^2, s t) generates E_{s,t}(Q) up to torsion.
 
     The height-floor route needs l fourth-power-free (else the floor table
     does not apply) and l not a square (else extra 2-torsion breaks the
     parity argument; reported undecided, not failed).
+
+    Lemma: for s, t >= 1 with l = s^4 + t^2 fourth-power-free, not a
+    square and not 2, the crude ratio (h(P)/2 + upper_gap) / floor is
+    below 9.  The floor's coefficient c(-l) is 5/16 or 9/16, never the
+    negative row: if s = 2s' and t = 2t' then t' is odd (else 16 | l) and
+    l = 4(4s'^4 + t'^2) = 4 mod 16; otherwise l is odd or 2 mod 4.  So -l
+    is never 4 or 52 mod 64.  Write L = ln l.  Then h(P)/2 = ln s <= L/4,
+    upper_gap = L/4 + ln(64 * 1728)/12 + 1.07 <= L/4 + 2.038, and
+    floor >= L/16 + (5/16) ln 2 >= L/16 + 0.2166.  So the ratio is at
+    most 8 + 0.305 / (L/16 + 0.2166), below 8.78 once s >= 2 (l >= 17).
+    At s = 1, ln s = 0 and the ratio is (L/4 + 2.038) / (L/16 + 0.2166),
+    below 7.7 for l >= 5.  A failed test is therefore a soundness alarm.
     """
+    s, t, ell = m.s, m.t, m.ell
     if s < 1 or t < 1:
         raise PreconditionFailure("degenerate-parameters", f"(s,t)=({s},{t})")
-    ell = s**4 + t**2
-    if not kth_power_free(ell, 4):
+    if not m.fourth_power_free:
         raise PreconditionFailure("ell-not-fourth-power-free", f"ell={ell}")
-    c = make_family(s, t)
-    if is_square(ell):
+    c = m.curve
+    if m.ell_is_square:
         return _cert(s, t, ell, torsion=False, parity=False, method="none",
                      status="undecided", reason="square-ell-extra-two-torsion")
     assert excludes_index_two(c)
@@ -149,25 +167,10 @@ def certify_primitive(s: int, t: int) -> PrimitivityCert:
         return _search_certificate(c, s, t, ell, iterations=6)
 
     vy = vy_lower_bound(-ell)
-    if vy > 0:
-        h_naive_hi = log_int_bounds(s * s)[1] if s > 1 else 0.0
-        crude = _up(_up(h_naive_hi / 2.0) + silverman_gaps(c).upper_gap)
-        ratio = _up(crude / vy)
-        if ratio < _INDEX_SQ_LIMIT - RATIO_MARGIN:
-            return _cert(s, t, ell, torsion=True, parity=True,
-                         method="height-ratio", ratio=ratio)
-        refined = canonical_height(c, base_point(c), iterations=9)
-        ratio = _up(refined.hi / vy)
-        if ratio < _INDEX_SQ_LIMIT - RATIO_MARGIN:
-            return _cert(s, t, ell, torsion=True, parity=True,
-                         method="height-ratio-refined", ratio=ratio)
-        reason = "height-ratio-inconclusive"
-    else:
-        reason = "nonpositive-height-floor"
-
-    if is_prime(ell):
-        out = _search_certificate(c, s, t, ell, iterations=6)
-        if out.status != "undecided":
-            return out
-    return _cert(s, t, ell, torsion=True, parity=True, method="none",
-                 status="undecided", reason=reason)
+    h_naive_hi = log_int_bounds(s * s)[1] if s > 1 else 0.0
+    crude = _up(_up(h_naive_hi / 2.0) + silverman_gaps(c).upper_gap)
+    ratio = _up(crude / vy)
+    if not ratio < _INDEX_SQ_LIMIT - RATIO_MARGIN:
+        raise AssertionError(f"crude index bound {ratio} >= 9 at (s,t)=({s},{t})")
+    return _cert(s, t, ell, torsion=True, parity=True,
+                 method="height-ratio", ratio=ratio)

@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 
 from ellcert.arith import REAL, is_prime, is_square, jacobi, kth_power_free, vp
-from ellcert.certify import certify_divisibility
+from ellcert.certify import certify_divisibility, member
 from ellcert.cli import SearchConfig, main, run_search
 from ellcert.curve import (
     base_point,
@@ -202,7 +202,7 @@ def test_criterion_6_primitivity_sweep():
         ]
         assert len(eligible) == 334
         for s, t in eligible:
-            cert = certify_primitive(s, t)
+            cert = certify_primitive(member(s, t))
             assert cert.status == "primitive", (s, t, cert.reason)
             assert cert.torsion_only_two and cert.excludes_index_two
             c = make_family(s, t)

@@ -2,9 +2,12 @@
 round-trips, and batch distinctness."""
 
 import json
+import sys
 
 import pytest
 
+from ellcert import arith
+from ellcert import curve as curve_module
 from ellcert.certify import (
     SCHEMA_VERSION,
     batch_distinctness,
@@ -16,7 +19,9 @@ from ellcert.certify import (
     certify_infinite_instance,
     certify_square_subfamily,
     cohomology_vanishing_checks,
+    member,
 )
+from ellcert.curve import make_family
 from ellcert.errors import PreconditionFailure
 
 MAIN_CHECK_NAMES = [
@@ -69,15 +74,15 @@ def test_larger_p_branches(s, t, p, expected_entry):
 
 
 def test_cohomology_checks_standalone():
-    entries = cohomology_vanishing_checks(2, 25, 5)
+    entries = cohomology_vanishing_checks(make_family(2, 25), 5)
     assert [e.name for e in entries] == [
         "twist-five-torsion-free",
         "mod-five-irreducibility",
     ]
     with pytest.raises(PreconditionFailure):
-        cohomology_vanishing_checks(2, 25, 3)
+        cohomology_vanishing_checks(make_family(2, 25), 3)
     with pytest.raises(PreconditionFailure):
-        cohomology_vanishing_checks(2, 25, 9)
+        cohomology_vanishing_checks(make_family(2, 25), 9)
 
 
 @pytest.mark.parametrize(
@@ -192,3 +197,49 @@ def test_from_dict_rejects_unknown_schema():
     data["schema"] = "999"
     with pytest.raises(ValueError):
         certificate_from_dict(data)
+
+
+def test_member_facts():
+    m = member(2, 25)
+    assert (m.s, m.t, m.ell) == (2, 25, 641)
+    assert m.curve == make_family(2, 25)
+    assert m.fourth_power_free and not m.ell_is_square
+    assert not member(1, 182).fourth_power_free  # 5^4 * 53
+    assert member(2, 3).ell_is_square  # 25
+
+
+def _count_calls(monkeypatch, fn):
+    """Wrap fn in every ellcert namespace that binds it; return the call log."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name == "ellcert" or name.startswith("ellcert."):
+            for key, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, key, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "certify,args,curves",
+    [
+        (certify_divisibility, (2, 25, 5, 1), [(2, 25)]),
+        (certify_divisibility, (2, 169, 13, 1), [(2, 169)]),
+        # the swapped pair (tau, s^2) carries the second point
+        (certify_square_subfamily, (25, 2, 5), [(25, 4), (2, 625)]),
+        # certify_rank_one builds its own curve from (s, t)
+        (certify_infinite_instance, (2, 75, 5, 1), [(2, 75), (2, 75)]),
+    ],
+)
+def test_member_facts_are_worked_out_once(certify, args, curves, monkeypatch):
+    made = _count_calls(monkeypatch, curve_module.make_family)
+    fourth = _count_calls(monkeypatch, arith.kth_power_free)
+    certify(*args)
+    assert made == curves
+    # once for the member, once inside the height floor
+    ell = curves[0][0] ** 4 + curves[0][1] ** 2
+    assert fourth == [(ell, 4), (-ell, 4)]

@@ -269,6 +269,77 @@ def test_verify_file_bad_inputs(tmp_path, capsys):
     assert "0/0" in out
 
 
+_RANK_ONE_WITHOUT_T = {
+    "schema": "1", "theorem": "rank-one", "subject": {"s": "2", "ell": "41"},
+}
+_T_NOT_AN_INTEGER = {
+    "schema": "1", "theorem": "divisibility",
+    "subject": {"s": "2", "t": "x", "ell": "641", "p": "5", "n": "1"},
+}
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        '{"schema":"2","theorem":"divisibility"}',
+        "[1,2]",
+        json.dumps(_RANK_ONE_WITHOUT_T),
+        json.dumps(_T_NOT_AN_INTEGER),
+    ],
+    ids=["other-schema", "json-array", "rank-one-without-t", "t-not-an-integer"],
+)
+def test_verify_file_refuses_malformed_records_by_name(line, tmp_path, capsys):
+    # each of these ended in a traceback; a good record after it still counts
+    good = run(capsys, "verify", "--s", "2", "--t", "5", "--mode", "rank",
+               "--out", str(tmp_path / "good.jsonl"))[0]
+    assert good == 0
+    batch = tmp_path / "batch.jsonl"
+    batch.write_text(line + "\n" + (tmp_path / "good.jsonl").read_text())
+    rc, out, _ = run(capsys, "verify", "--file", str(batch))
+    assert rc == 1
+    assert out.splitlines()[0].startswith("line 1: not a certificate record (")
+    assert "1/2 certificates verified" in out
+
+
+def test_verify_file_lets_a_soundness_alarm_propagate(tmp_path, capsys, monkeypatch):
+    rec = tmp_path / "rank.jsonl"
+    assert run(capsys, "verify", "--s", "2", "--t", "5", "--mode", "rank",
+               "--out", str(rec))[0] == 0
+
+    def alarm(s, t):
+        raise AssertionError("descent gave rank cap 2, expected 1")
+
+    monkeypatch.setattr(cli, "certify_rank_one", alarm)
+    with pytest.raises(AssertionError, match="rank cap 2"):
+        main(["verify", "--file", str(rec)])
+
+
+@pytest.mark.parametrize(
+    "mode,name,s,t,p",
+    [
+        ("main", "certify_divisibility", 2, 25, 5),
+        ("square_subfamily", "certify_square_subfamily", 25, 2, 5),
+        ("infinite", "certify_infinite_instance", 2, 75, 5),
+        ("rank", "certify_rank_one", 2, 5, None),
+    ],
+)
+def test_registry_looks_each_certifier_up_by_name(mode, name, s, t, p, monkeypatch, capsys):
+    # profilers and benchmarks rebind cli.certify_*; every dispatch must see it
+    calls = []
+    real = getattr(cli, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, name, spy)
+    line = cli.certify_candidate((mode, p, 1, s, t))
+    argv = ["verify", "--mode", mode, "--s", str(s), "--t", str(t)]
+    rc, out, _ = run(capsys, *argv, *(["--p", str(p)] if p else []))
+    assert rc == 0 and out.splitlines()[-1] == line
+    assert len(calls) == 2
+
+
 def test_checkpoint_resume_is_byte_identical(tmp_path, capsys):
     base = ["search", "--mode", "infinite", "--max-param", "80", "--workers", "1"]
     full = tmp_path / "full.jsonl"

@@ -1,0 +1,87 @@
+"""Committed golden records and refusal reasons.
+
+``data/golden_records.jsonl`` holds one record per theorem shape: four
+divisibility records (p = 5, 7, 11, 13), one square-subfamily, one
+infinite-family and one rank-one fragment, each written by
+``ellcert verify --out``.  ``data/golden_refusals.json`` maps direct
+certifier calls to the reason each refuses with.  Both were recorded
+before the theorem registry and the member context replaced the
+per-mode dispatch, so they pin records and reasons byte for byte.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from ellcert import cli
+from ellcert.errors import PreconditionFailure
+
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "golden_records.jsonl"
+LINES = GOLDEN.read_text(encoding="utf-8").splitlines()
+REFUSALS = json.loads((DATA / "golden_refusals.json").read_text(encoding="utf-8"))
+
+
+def _verify_argv(record: dict) -> list[str]:
+    """The single-shot verify arguments that reproduce a stored record."""
+    sub = record["subject"]
+    if record["theorem"] == "rank-one":
+        return ["--mode", "rank", "--s", sub["s"], "--t", sub["t"]]
+    mode, second = {
+        "divisibility": ("main", "t"),
+        "square-subfamily": ("square_subfamily", "tau"),
+        "infinite-family": ("infinite", "t"),
+    }[record["theorem"]]
+    return ["--mode", mode, "--s", sub["s"], "--t", sub[second],
+            "--p", sub["p"], "--n", sub["n"]]
+
+
+def test_golden_file_covers_every_theorem():
+    theorems = [json.loads(line)["theorem"] for line in LINES]
+    assert theorems == ["divisibility"] * 4 + [
+        "square-subfamily", "infinite-family", "rank-one",
+    ]
+    assert [json.loads(line)["subject"].get("p") for line in LINES[:4]] == [
+        "5", "7", "11", "13",
+    ]
+
+
+def test_verify_file_reverifies_the_golden_records(capsys):
+    assert cli.main(["verify", "--file", str(GOLDEN), "--verbose"]) == 0
+    out = capsys.readouterr().out
+    assert f"{len(LINES)}/{len(LINES)} certificates verified" in out
+    assert "line 7: ok rank = 1" in out
+
+
+@pytest.mark.parametrize("lineno", range(1, len(LINES) + 1))
+def test_single_shot_verify_reproduces_each_line(lineno, tmp_path, capsys):
+    line = LINES[lineno - 1]
+    out = tmp_path / "one.jsonl"
+    argv = ["verify", *_verify_argv(json.loads(line)), "--out", str(out)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert out.read_text(encoding="utf-8") == line + "\n"
+
+
+@pytest.mark.parametrize(
+    "row", REFUSALS, ids=[f"{r['certifier']}{tuple(r['args'])}" for r in REFUSALS]
+)
+def test_refusal_reasons_are_unchanged(row):
+    with pytest.raises(PreconditionFailure) as err:
+        getattr(cli, row["certifier"])(*row["args"])
+    assert err.value.reason == row["reason"]
+
+
+def test_refusal_table_covers_the_edge_inputs():
+    by_certifier = {}
+    for row in REFUSALS:
+        by_certifier.setdefault(row["certifier"], set()).add(row["reason"])
+    assert set(by_certifier) == {
+        "certify_divisibility", "certify_square_subfamily",
+        "certify_infinite_instance", "certify_rank_one",
+    }
+    reasons = set().union(*by_certifier.values())
+    # degenerate, non-coprime, composite p, n = 0, not fourth-power-free
+    assert {"degenerate-parameters", "coprime-parameters", "p-out-of-range",
+            "depth-target", "fourth-power-free"} <= reasons

@@ -18,7 +18,7 @@ def test_formal_parameter():
 
 
 def test_frozen_deep_member():
-    cert = check_local(2, 25, 5, 1)
+    cert = check_local(make_family(2, 25), 5, 1)
     assert cert.flagged == "t"
     assert cert.v_st == 2
     assert cert.x_doubled_valuation == -4
@@ -31,16 +31,16 @@ def test_frozen_deep_member():
 
 
 def test_flag_swaps_to_s():
-    cert = check_local(25, 2, 5, 1)
+    cert = check_local(make_family(25, 2), 5, 1)
     assert cert.flagged == "s"
     assert cert.depth == 2 and cert.holds
 
 
 def test_deeper_member():
-    cert = check_local(2, 125, 5, 2)
+    cert = check_local(make_family(2, 125), 5, 2)
     assert cert.depth == 3 and cert.holds
     # same pair at the shallower target also holds
-    assert check_local(2, 125, 5, 1).holds
+    assert check_local(make_family(2, 125), 5, 1).holds
 
 
 @pytest.mark.parametrize(
@@ -58,13 +58,14 @@ def test_deeper_member():
 )
 def test_refusals(args, reason):
     with pytest.raises(PreconditionFailure) as err:
-        check_local(*args)
+        s, t, p, n = args
+        check_local(make_family(s, t), p, n)
     assert err.value.reason == reason
 
 
 def test_structural_parity_above_counting_range():
     p = 10007
-    cert = check_local(2, p * p, p, 1)
+    cert = check_local(make_family(2, p * p), p, 1)
     assert cert.order_parity_method == "rational-two-torsion"
     assert cert.order_mod_p_even and cert.holds
 
@@ -88,8 +89,8 @@ def test_valuations_against_group_law():
 
         if gcd(s, t) != 1:
             continue
-        cert = check_local(s, t, p, 1)
         c = make_family(s, t)
+        cert = check_local(c, p, 1)
         doubled = smul(c, 2, base_point(c))
         assert vp(doubled.x, p) == -2 * e == cert.x_doubled_valuation
         assert vp(doubled.y, p) == -3 * e == cert.y_doubled_valuation
