@@ -18,13 +18,15 @@ REAL = "R"
 
 Rational = Fraction | int
 
-#: Deterministic Miller-Rabin base set.  Bases 2..37 decide every
-#: n < psi_12 ~ 3.18e23 (Sorenson-Webster, Math. Comp. 86, 2017; the
-#: 3.3e24 bound is psi_13 and needs base 41 too), which covers the
-#: advertised 2^64 deterministic range with room to spare.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+#: Deterministic Miller-Rabin base set.  The first 13 prime bases 2..41
+#: decide every n below psi_13 ~ 3.32e24, the least strong pseudoprime to
+#: all of them (Sorenson-Webster, "Strong pseudoprimes to twelve prime
+#: bases", Math. Comp. 86, 2017).  That covers every ell = s^4 + t^2 with
+#: s <= 4e4 and t <= 1e12.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
-_MR_DETERMINISTIC_LIMIT = 1 << 64
+#: psi_13; itself a strong pseudoprime to every base above.
+_MR_DETERMINISTIC_LIMIT = 3317044064679887385961981
 
 
 def vp(x: Rational, p: int) -> int | float:
@@ -111,14 +113,15 @@ def primality_info(n: int) -> tuple[bool, str]:
     """Primality verdict plus which decision procedure produced it.
 
     Methods: "small-table" (n < 2), trial lookups for tiny n,
-    "deterministic-miller-rabin" for n < 2^64, and
-    "baillie-psw-probable-prime" above (MR base 2 plus strong Lucas; no
-    counterexample is known, and certificates record that the decision is
-    probabilistic in nature).
+    "deterministic-miller-rabin" for n < psi_13 ~ 3.32e24 (bases 2..41),
+    and "baillie-psw-probable-prime" from psi_13 up (MR base 2 plus strong
+    Lucas; no counterexample is known, and certificates record that the
+    decision is probabilistic in nature).
     """
     if n < 2:
         return False, "small-table"
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    # trial division by every base leaves n coprime to each of them
+    for q in _MR_BASES:
         if n == q:
             return True, "small-table"
         if n % q == 0:

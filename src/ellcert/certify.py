@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import is_prime, is_square, kth_power_free, vp
 from .curve import (
@@ -53,8 +53,7 @@ CITATIONS = {
 _ELEVEN_ISOGENY_J = (-32768, -24729001)
 
 
-@dataclass(frozen=True)
-class Member:
+class Member(NamedTuple):
     """One family member E_{s,t} with the facts about ell that its ledger
     checks consume, each worked out once."""
 
@@ -79,16 +78,14 @@ def member(s: int, t: int) -> Member:
     )
 
 
-@dataclass(frozen=True)
-class CheckEntry:
+class CheckEntry(NamedTuple):
     name: str
     status: str  # "pass" | "cited-assumption"
     witness: dict
     citation: str | None = None
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     theorem: str  # "divisibility" | "square-subfamily" | "infinite-family"
     subject: dict
     checks: tuple[CheckEntry, ...]
@@ -300,7 +297,8 @@ def certify_infinite_instance(s: int, t: int, p: int, n: int) -> Certificate:
     m = _checked_member(s, t, p, n)
     checks = _divisibility_checks(m, p, n)
     ell = m.ell
-    rank = certify_rank_one(s, t)  # enforces s even, t = +-3 mod 8, l prime
+    # enforces s even, t = +-3 mod 8, l prime
+    rank = certify_rank_one(s, t, m.curve)
     checks.append(
         CheckEntry(
             "rank-exactly-one",
@@ -368,6 +366,8 @@ def batch_distinctness(certs: list[Certificate]) -> dict:
 
 
 def _jsonable(value):
+    # record types are NamedTuples, hence tuples: one passed here would be
+    # written as a list, so only witness and subject values may reach it
     if isinstance(value, bool) or value is None or isinstance(value, (str, float)):
         return value
     if isinstance(value, int):

@@ -8,6 +8,11 @@ the full enumeration, because a coprime pair carries its whole p-adic
 depth in one parameter.  Certificates are written and flushed one at a
 time; nothing is buffered.
 
+Start-up is kept lean, since ``verify --file`` and short searches pay it
+on every invocation: the process pool (and the multiprocessing machinery
+behind it) is imported only when a search asks for more than one worker,
+and ``hashlib`` only when a checkpoint fingerprint is computed.
+
 A checkpoint file keyed by a hash of the search configuration permits
 resuming an interrupted run.  It is rewritten after every 32 handled
 candidates and once when the search ends.  A resumed run first cuts its
@@ -22,14 +27,12 @@ usage or an unsatisfiable search configuration.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from itertools import islice
+from typing import NamedTuple
 
 from .arith import is_prime, vp
 from .certify import (
@@ -50,8 +53,7 @@ MODES = ("main", "square_subfamily", "infinite")  # the search modes
 _BATCH = 32
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(NamedTuple):
     mode: str
     p: int
     n: int
@@ -62,6 +64,8 @@ class SearchConfig:
     def fingerprint(self) -> str:
         # target_count deliberately excluded: extending a finished run
         # with a higher target must reuse the same checkpoint
+        import hashlib
+
         key = f"{self.mode}|{self.p}|{self.n}|{self.max_param}"
         return hashlib.sha256(key.encode()).hexdigest()[:16]
 
@@ -209,6 +213,8 @@ def run_search(cfg: SearchConfig, emit, checkpoint: str | None = None) -> int:
             if handle(idx, certify_candidate(task)):
                 break
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         # at most _BATCH tasks are ever in flight
         with ProcessPoolExecutor(max_workers=min(cfg.workers, _BATCH)) as pool:
             done = False
@@ -374,8 +380,7 @@ def _print_rank_fragment(rc: RankCert) -> None:
     print(f"conclusion: {rc.conclusion}")
 
 
-@dataclass(frozen=True)
-class Theorem:
+class Theorem(NamedTuple):
     """What one CLI mode certifies, and how its result is recorded and shown.
 
     ``certify`` takes (s, t, p, n) in every mode.  It names its certifier

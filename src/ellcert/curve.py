@@ -8,15 +8,14 @@ General Weierstrass models (b != 0) are out of scope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import Rational, is_prime, is_square
 from .errors import PreconditionFailure
 
 
-@dataclass(frozen=True)
-class Curve:
+class Curve(NamedTuple):
     """y^2 = x^3 + a*x, with optional family tags (s, t)."""
 
     a: int
@@ -35,8 +34,7 @@ class Curve:
         return -self.a
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(NamedTuple):
     x: Fraction
     y: Fraction
 
@@ -163,8 +161,7 @@ def has_rational_m_torsion(c: Curve, m: int) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class TorsionInfo:
+class TorsionInfo(NamedTuple):
     structure: str
     order: int
     generators: tuple[Point, ...]
@@ -194,8 +191,7 @@ def is_torsion_point(c: Curve, pt: PointLike) -> bool:
     return pt is INFINITY or pt in torsion(c).points
 
 
-@dataclass(frozen=True)
-class ReductionData:
+class ReductionData(NamedTuple):
     q: int
     good: bool
     kodaira: str | None

@@ -14,10 +14,10 @@ Local verdicts at 2 are cached per pair of classes in Q_2^*/(Q_2^*)^4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
+from typing import NamedTuple
 
 from .arith import REAL, is_prime, is_square, jacobi, vp
 from .curve import (
@@ -44,8 +44,7 @@ def two_isogeny(c: Curve, pt: Point) -> tuple[Curve, Point | None]:
     return target, img
 
 
-@dataclass(frozen=True)
-class Torsor:
+class Torsor(NamedTuple):
     """w^2 = alpha u^4 + beta v^4 attached to the square class d."""
 
     side: str  # "forward" or "dual"
@@ -247,8 +246,7 @@ def _class_rep(x: int, ell: int) -> int:
     return sign * 2 ** (e2 % 2) * ell ** (el % 2)
 
 
-@dataclass(frozen=True)
-class SelmerReport:
+class SelmerReport(NamedTuple):
     ell: int
     sel_forward: tuple[int, ...]
     sel_dual: tuple[int, ...]
@@ -333,8 +331,7 @@ def search_torsor_point(t: Torsor, search_limit: int) -> tuple[int, int, int] | 
     return None
 
 
-@dataclass(frozen=True)
-class RankCert:
+class RankCert(NamedTuple):
     s: int
     t: int
     ell: int
@@ -349,7 +346,7 @@ class RankCert:
         return f"rank = {self.rank}"
 
 
-def certify_rank_one(s: int, t: int) -> RankCert:
+def certify_rank_one(s: int, t: int, c: Curve | None = None) -> RankCert:
     """Prove rank E_{s,t}(Q) = 1 for s even, t = +-3 mod 8, l = s^4 + t^2 prime.
 
     Those congruences force l = 9 mod 16, where the forward Selmer group
@@ -357,6 +354,9 @@ def certify_rank_one(s: int, t: int) -> RankCert:
     base point (-s^2, s t) is not torsion (torsion is just (0, 0) since l
     is not a square), so the rank is exactly 1.  The Selmer groups are
     recomputed here, not read off the residue table.
+
+    ``c`` is the family curve of (s, t) when the caller has built it
+    already; otherwise it is built once the cheap checks pass.
     """
     ell = s**4 + t**2
     if s <= 0 or s % 2 != 0:
@@ -369,7 +369,9 @@ def certify_rank_one(s: int, t: int) -> RankCert:
     report = selmer(ell)
     if report.rank_upper != 1:
         raise AssertionError(f"descent gave rank cap {report.rank_upper}, expected 1")
-    c = make_family(s, t)
+    if c is None:
+        c = make_family(s, t)
+    assert (c.s, c.t) == (s, t)
     if is_torsion_point(c, base_point(c)):
         raise AssertionError("base point unexpectedly torsion")
     return RankCert(

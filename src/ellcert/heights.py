@@ -14,9 +14,9 @@ h = log max(|n|, |d|).  This is the non-doubled normalization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import kth_power_free
 from .curve import Curve, Point, PointLike, INFINITY, is_torsion_point, on_curve
@@ -112,8 +112,7 @@ def naive_height(pt: PointLike) -> float:
     return (lo + hi) / 2.0
 
 
-@dataclass(frozen=True)
-class SilvermanBounds:
+class SilvermanBounds(NamedTuple):
     """Gap bounds between hhat and h/2, both rounded up (conservative).
 
     -lower_gap <= hhat(Q) - h(Q)/2 <= upper_gap for every rational point Q,
@@ -134,8 +133,7 @@ def silverman_gaps(c: Curve) -> SilvermanBounds:
     return SilvermanBounds(lower_gap=lower, upper_gap=upper)
 
 
-@dataclass(frozen=True)
-class HeightInterval:
+class HeightInterval(NamedTuple):
     lo: float
     hi: float
     iterations: int
@@ -238,6 +236,12 @@ def vy_lower_bound(a: int) -> float:
         raise ValueError("vy_lower_bound: a must be nonzero")
     if not kth_power_free(a, 4):
         raise ValueError(f"vy_lower_bound: a={a} is not fourth-power-free")
+    return _vy_floor(a)
+
+
+def _vy_floor(a: int) -> float:
+    """``vy_lower_bound`` for a caller that already knows a is nonzero and
+    fourth-power-free; nothing here checks either."""
     coeff = _vy_log2_coeff(a)
     ln_a_lo = log_int_bounds(abs(a))[0]
     log2_lo, log2_hi = LOG2_BOUNDS

@@ -9,8 +9,8 @@ verified valuations as a certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import is_prime, vp
 from .curve import Curve, base_point, count_points_mod_p, reduction_at, smul
@@ -26,8 +26,7 @@ def formal_parameter(pt) -> Fraction:
     return -pt.x / pt.y
 
 
-@dataclass(frozen=True)
-class LocalCert:
+class LocalCert(NamedTuple):
     s: int
     t: int
     p: int

@@ -21,8 +21,7 @@ point search, since the height floor's residue table is not relied on at
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import is_square
 from .curve import (
@@ -37,10 +36,10 @@ from .descent import selmer
 from .errors import PreconditionFailure
 from .heights import (
     _up,
+    _vy_floor,
     canonical_height,
     log_int_bounds,
     silverman_gaps,
-    vy_lower_bound,
 )
 
 if TYPE_CHECKING:
@@ -50,8 +49,7 @@ RATIO_MARGIN = 1e-6
 _INDEX_SQ_LIMIT = 9.0  # first odd index to exclude is 3
 
 
-@dataclass(frozen=True)
-class PrimitivityCert:
+class PrimitivityCert(NamedTuple):
     s: int
     t: int
     ell: int
@@ -166,7 +164,7 @@ def certify_primitive(m: Member) -> PrimitivityCert:
     if ell == 2:
         return _search_certificate(c, s, t, ell, iterations=6)
 
-    vy = vy_lower_bound(-ell)
+    vy = _vy_floor(-ell)  # the member has proved ell fourth-power-free
     h_naive_hi = log_int_bounds(s * s)[1] if s > 1 else 0.0
     crude = _up(_up(h_naive_hi / 2.0) + silverman_gaps(c).upper_gap)
     ratio = _up(crude / vy)

@@ -34,28 +34,34 @@ def _sieve(limit):
     return flags
 
 
+def _strong_probable_prime(n, a):
+    """Does odd n > a pass the strong (Miller-Rabin) test to base a?"""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
 def _mr_oracle(n):
-    # deterministic below 3.3e24 with these bases, far beyond the sampled range
+    # deterministic below psi_12 ~ 3.18e23 with these bases, far beyond the
+    # sampled range
     if n < 2:
         return False
     for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % q == 0:
             return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    return all(
+        _strong_probable_prime(n, a)
+        for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    )
 
 
 def test_primality_matches_sieve():
@@ -81,6 +87,32 @@ def test_primality_info_methods():
     assert verdict and method == "baillie-psw-probable-prime"
     verdict, method = primality_info(2**522 - 1)
     assert not verdict
+
+
+#: The least strong pseudoprimes to the first 12 and 13 prime bases
+#: (Sorenson-Webster, Math. Comp. 86, 2017).
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
+def test_psi_12_is_rejected_by_base_41():
+    assert _mr_oracle(PSI_12)  # passes bases 2..37
+    assert not _strong_probable_prime(PSI_12, 41)
+    assert primality_info(PSI_12) == (False, "deterministic-miller-rabin")
+
+
+def test_psi_13_takes_the_baillie_psw_path():
+    assert _mr_oracle(PSI_13) and _strong_probable_prime(PSI_13, 41)
+    assert primality_info(PSI_13) == (False, "baillie-psw-probable-prime")
+    # just below it the fixed bases still decide (PSI_13 - 2, - 4 and - 6
+    # have a factor up to 41)
+    assert primality_info(PSI_13 - 8)[1] == "deterministic-miller-rabin"
+
+
+def test_infinite_family_ell_above_two_to_the_64_is_decided_exactly():
+    ell = 131072**4 + 75**2  # about 2.95e20, the member (131072, 75)
+    assert ell > 2**64
+    assert primality_info(ell) == (True, "deterministic-miller-rabin")
 
 
 def test_vp_frozen():

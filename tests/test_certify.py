@@ -208,6 +208,17 @@ def test_member_facts():
     assert member(2, 3).ell_is_square  # 25
 
 
+def test_records_are_immutable_values():
+    cert = certify_divisibility(2, 25, 5, 1)
+    m = member(2, 25)
+    for obj, field in ((cert, "theorem"), (cert.checks[0], "status"),
+                       (m, "ell"), (m.curve, "a")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, None)
+    assert certify_divisibility(2, 25, 5, 1) == cert
+    assert hash(member(2, 25).curve) == hash(m.curve)
+
+
 def _count_calls(monkeypatch, fn):
     """Wrap fn in every ellcert namespace that binds it; return the call log."""
     calls = []
@@ -231,8 +242,8 @@ def _count_calls(monkeypatch, fn):
         (certify_divisibility, (2, 169, 13, 1), [(2, 169)]),
         # the swapped pair (tau, s^2) carries the second point
         (certify_square_subfamily, (25, 2, 5), [(25, 4), (2, 625)]),
-        # certify_rank_one builds its own curve from (s, t)
-        (certify_infinite_instance, (2, 75, 5, 1), [(2, 75), (2, 75)]),
+        # certify_rank_one reuses the member's curve
+        (certify_infinite_instance, (2, 75, 5, 1), [(2, 75)]),
     ],
 )
 def test_member_facts_are_worked_out_once(certify, args, curves, monkeypatch):
@@ -240,6 +251,6 @@ def test_member_facts_are_worked_out_once(certify, args, curves, monkeypatch):
     fourth = _count_calls(monkeypatch, arith.kth_power_free)
     certify(*args)
     assert made == curves
-    # once for the member, once inside the height floor
+    # once for the member; the height floor trusts its verdict
     ell = curves[0][0] ** 4 + curves[0][1] ** 2
-    assert fourth == [(ell, 4), (-ell, 4)]
+    assert fourth == [(ell, 4)]

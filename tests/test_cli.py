@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: search modes, exit codes, bulk
 verification, checkpoint resume, and worker-count independence."""
 
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -479,7 +480,8 @@ def test_worker_pool_is_capped_at_the_batch_size(tmp_path, capsys, monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    # the pool is imported inside run_search, so patch it where it lives
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     one = tmp_path / "w1.jsonl"
     many = tmp_path / "many.jsonl"
     argv = ["search", "--max-param", "25", "--target-count", "12"]
@@ -516,6 +518,39 @@ def test_module_runs_as_script(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert out.stat().st_size > 0
     assert json.loads(out.read_text().splitlines()[0])["theorem"] == "divisibility"
+
+
+def test_verify_file_loads_no_pool_hashlib_or_dataclasses():
+    # -S keeps site-packages hooks from loading modules of their own
+    golden = Path(__file__).parent / "data" / "golden_records.jsonl"
+    script = (
+        "import json, sys\n"
+        "import ellcert.cli\n"
+        f"rc = ellcert.cli.main(['verify', '--file', {str(golden)!r}])\n"
+        "heavy = ('concurrent.futures', 'multiprocessing', 'hashlib', 'dataclasses')\n"
+        "print(json.dumps([rc, [m for m in heavy if m in sys.modules]]))\n"
+    )
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    src = str(Path(ellcert.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
+
+
+def test_checkpoint_fingerprints_are_stable():
+    # checkpoints written by earlier releases must still resume
+    assert SearchConfig("main", 5, 1, 25, 1, 1).fingerprint() == "ea044ea46dc9c413"
+    assert (
+        SearchConfig("square_subfamily", 13, 1, 400, 10**9, 4).fingerprint()
+        == "040ccd1792f90d70"
+    )
+    # target_count and workers are not part of the key
+    assert SearchConfig("main", 13, 1, 400, 7, 2).fingerprint() == "034cd9ec40069822"
+    assert SearchConfig("main", 13, 1, 400, 1, 1).fingerprint() == "034cd9ec40069822"
 
 
 def test_selmer_table_rows(capsys):

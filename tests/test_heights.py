@@ -12,6 +12,7 @@ from ellcert.errors import PreconditionFailure
 from ellcert.heights import (
     LOG2_BOUNDS,
     LOG1728_HI,
+    _vy_floor,
     canonical_height,
     dec_ln_bounds,
     log_int_bounds,
@@ -164,6 +165,7 @@ def test_vy_rows_frozen(a, coeff):
     got = vy_lower_bound(a)
     assert got <= expected + 1e-15  # rounded down
     assert abs(got - expected) < 2e-12
+    assert _vy_floor(a) == got  # the unchecked floor a member's caller uses
 
 
 def test_vy_rejections():

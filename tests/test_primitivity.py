@@ -129,6 +129,6 @@ def test_crude_ratio_lemma_closed_form():
 
 
 def test_failed_crude_ratio_is_a_soundness_alarm(monkeypatch):
-    monkeypatch.setattr(primitivity, "vy_lower_bound", lambda a: 0.1)
+    monkeypatch.setattr(primitivity, "_vy_floor", lambda a: 0.1)
     with pytest.raises(AssertionError, match="crude index bound"):
         certify_primitive(member(2, 5))
