@@ -251,7 +251,8 @@ def certify_square_subfamily(s: int, tau: int, p: int) -> Certificate:
     m = member(s, t)
     ell = m.ell
     _require(m.fourth_power_free, "fourth-power-free", f"ell={ell}")
-    _require(vp(s * tau, p) >= 2, "square-depth", f"v_p(s*tau)={vp(s * tau, p)} < 2")
+    depth = vp(s * tau, p)
+    _require(depth >= 2, "square-depth", f"v_p(s*tau)={depth} < 2")
 
     checks = _divisibility_checks(m, p, 1)
     swapped = make_family(tau, s * s)

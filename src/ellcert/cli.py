@@ -34,7 +34,7 @@ from collections.abc import Callable
 from itertools import islice
 from typing import NamedTuple
 
-from .arith import is_prime, vp
+from .arith import is_prime
 from .certify import (
     SCHEMA_VERSION,
     Certificate,
@@ -92,23 +92,16 @@ def _required_depth(mode: str, n: int) -> int:
     return 2 if mode == "square_subfamily" else n + 1
 
 
-def _depth_ok(s: int, t: int, p: int, n: int) -> bool:
-    vs, vt = vp(s, p), vp(t, p)
-    if (vs > 0) == (vt > 0):
-        return False
-    return vs + vt >= n + 1
-
-
 def cheap_filter(mode: str, p: int, n: int, s: int, t: int) -> bool:
-    """Inexpensive congruence and valuation screens; no primality, no certs."""
+    """Inexpensive congruence and divisibility screens; no primality, no certs.
+
+    A coprime pair has p dividing at most one parameter, so "p divides
+    exactly one of s, t (tau in square_subfamily mode) to the required
+    depth" is the single test p^depth | s t.
+    """
     from math import gcd
 
-    if gcd(s, t) != 1:
-        return False
-    if mode == "square_subfamily":
-        # here t plays the role of tau
-        return vp(s * t, p) >= 2
-    if not _depth_ok(s, t, p, n):
+    if gcd(s, t) != 1 or (s * t) % p ** _required_depth(mode, n):
         return False
     if mode == "infinite":
         return s % 2 == 0 and t % 8 in (3, 5)

@@ -192,7 +192,6 @@ def is_torsion_point(c: Curve, pt: PointLike) -> bool:
 
 
 class ReductionData(NamedTuple):
-    q: int
     good: bool
     kodaira: str | None
     tamagawa: int | None
@@ -213,7 +212,7 @@ def reduction_at(c: Curve, q: int) -> ReductionData:
         raise ValueError(f"reduction_at: {q} is not prime")
     ell = c.ell
     if (2 * ell) % q != 0:
-        return ReductionData(q, True, None, None)
+        return ReductionData(True, None, None)
     if q >= 5:
         c4 = -48 * c.a  # = 48 ell
         disc = -64 * c.a**3  # = 64 ell^3
@@ -226,8 +225,8 @@ def reduction_at(c: Curve, q: int) -> ReductionData:
             disc //= q
             v_disc += 1
         if v_c4 == 1 and v_disc == 3:
-            return ReductionData(q, False, "III", 2)
-    return ReductionData(q, False, "unclassified", None)
+            return ReductionData(False, "III", 2)
+    return ReductionData(False, "unclassified", None)
 
 
 def count_points_mod_p(c: Curve, p: int) -> int:

@@ -247,13 +247,11 @@ def _class_rep(x: int, ell: int) -> int:
 
 
 class SelmerReport(NamedTuple):
-    ell: int
     sel_forward: tuple[int, ...]
     sel_dual: tuple[int, ...]
     dim_forward: int
     dim_dual: int
     rank_upper: int
-    local_tables: dict
 
 
 def selmer(ell: int) -> SelmerReport:
@@ -267,18 +265,9 @@ def selmer(ell: int) -> SelmerReport:
     torsors = make_torsors(ell)
     places = (REAL, 2) if ell == 2 else (REAL, ell, 2)
     survivors = {"forward": [], "dual": []}
-    tables = {}
     for t in torsors:
-        verdicts = {}
-        alive = True
-        for pl in places:  # make_torsors has proved ell prime
-            ok = _soluble_at(t, pl)
-            verdicts["real" if pl == REAL else pl] = ok
-            if not ok:
-                alive = False
-                break
-        tables[(t.side, t.d)] = verdicts
-        if alive:
+        # make_torsors has proved ell prime; all() stops at the first failing place
+        if all(_soluble_at(t, pl) for pl in places):
             survivors[t.side].append(t.d)
 
     fwd = tuple(sorted(survivors["forward"], key=abs))
@@ -295,13 +284,11 @@ def selmer(ell: int) -> SelmerReport:
     rank_upper = dim_f + dim_d - 2
     assert rank_upper >= 0
     return SelmerReport(
-        ell=ell,
         sel_forward=fwd,
         sel_dual=dual,
         dim_forward=dim_f,
         dim_dual=dim_d,
         rank_upper=rank_upper,
-        local_tables=tables,
     )
 
 

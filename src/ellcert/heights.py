@@ -138,13 +138,6 @@ class HeightInterval(NamedTuple):
     hi: float
     iterations: int
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    def contains(self, value: float) -> bool:
-        return self.lo <= value <= self.hi
-
 
 def _x_double(a: int, u: int, w: int) -> tuple[int, int]:
     """Reduced x(2Q) = u'/w' from reduced x(Q) = u/w on y^2 = x^3 + a x.

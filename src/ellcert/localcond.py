@@ -27,19 +27,14 @@ def formal_parameter(pt) -> Fraction:
 
 
 class LocalCert(NamedTuple):
-    s: int
-    t: int
-    p: int
-    n: int
+    """What the ledger records about the base point's depth at p."""
+
     flagged: str  # which of "s", "t" the prime divides
     v_st: int
     x_doubled_valuation: int
     y_doubled_valuation: int
     depth: int  # v_p(z(2P)), equals v_st
-    reduction_good: bool
-    order_mod_p_even: bool
     order_parity_method: str  # "counted" or "rational-two-torsion"
-    holds: bool
 
 
 def check_local(c: Curve, p: int, n: int) -> LocalCert:
@@ -47,8 +42,14 @@ def check_local(c: Curve, p: int, n: int) -> LocalCert:
     c = E_{s,t}, which carries s and t.
 
     Requires p an odd prime dividing exactly one of s and t, with
-    p^(n+1) | s t.  All valuations are recomputed from the exact doubled
-    point, not assumed.
+    p^(n+1) | s t, and good reduction at p.  All valuations are recomputed
+    from the exact doubled point, not assumed.
+
+    #E(F_p) is even because (0, 0) reduces to a point of order 2.  For
+    p <= 10^4 the points are counted anyway, and an odd count raises
+    AssertionError naming (s, t, p): it would be a bug in this code, not
+    a property of the candidate, so it is a soundness alarm and never a
+    refusal.
     """
     if n < 1:
         raise PreconditionFailure("depth-target", f"n={n} must be >= 1")
@@ -80,31 +81,22 @@ def check_local(c: Curve, p: int, n: int) -> LocalCert:
     depth = vp(formal_parameter(doubled), p)
     assert depth == xv - yv == v_st
 
-    red = reduction_at(c, p)
-    if not red.good:
+    if not reduction_at(c, p).good:
         raise PreconditionFailure("bad-reduction", f"p={p} divides 2(s^4+t^2)")
 
-    # (0, 0) survives reduction, so #E(F_p) is always even; for small p
-    # confirm by counting instead of arguing
+    # even by structure (see above); for small p the count re-checks it
     if p <= _COUNT_LIMIT:
-        even = count_points_mod_p(c, p) % 2 == 0
+        if count_points_mod_p(c, p) % 2:
+            raise AssertionError(f"odd #E(F_p) at (s,t)=({s},{t}), p={p}")
         parity_method = "counted"
     else:
-        even = True
         parity_method = "rational-two-torsion"
 
     return LocalCert(
-        s=s,
-        t=t,
-        p=p,
-        n=n,
         flagged="s" if v_s > 0 else "t",
         v_st=v_st,
         x_doubled_valuation=xv,
         y_doubled_valuation=yv,
         depth=depth,
-        reduction_good=red.good,
-        order_mod_p_even=even,
         order_parity_method=parity_method,
-        holds=depth >= n + 1 and red.good and even,
     )

@@ -50,24 +50,13 @@ _INDEX_SQ_LIMIT = 9.0  # first odd index to exclude is 3
 
 
 class PrimitivityCert(NamedTuple):
-    s: int
-    t: int
-    ell: int
-    torsion_only_two: bool
-    excludes_index_two: bool
     method: str
-    ratio: float | None  # rigorous upper bound for m^2 when the floor was used
-    search_bound: float | None
-    status: str  # "primitive" | "not-primitive" | "undecided"
-    reason: str | None
-
-
-def _cert(s, t, ell, *, torsion, parity, method, ratio=None, bound=None,
-          status="primitive", reason=None) -> PrimitivityCert:
-    return PrimitivityCert(
-        s=s, t=t, ell=ell, torsion_only_two=torsion, excludes_index_two=parity,
-        method=method, ratio=ratio, search_bound=bound, status=status, reason=reason,
-    )
+    torsion_only_two: bool = True
+    excludes_index_two: bool = True
+    ratio: float | None = None  # rigorous upper bound for m^2 when the floor was used
+    search_bound: float | None = None
+    status: str = "primitive"  # "primitive" | "not-primitive" | "undecided"
+    reason: str | None = None
 
 
 def excludes_index_two(c: Curve) -> bool:
@@ -84,8 +73,7 @@ def _same_up_to_torsion_translate(c: Curve, r: Point, p: Point) -> bool:
     return r.x != 0 and p.x == c.a / r.x
 
 
-def _search_certificate(c: Curve, s: int, t: int, ell: int,
-                        iterations: int) -> PrimitivityCert:
+def _search_certificate(c: Curve, iterations: int) -> PrimitivityCert:
     """Decide primitivity from rank 1 plus an exhaustive small-point search.
 
     With rank exactly 1, a saturation index m >= 3 (even m already ruled
@@ -93,18 +81,19 @@ def _search_certificate(c: Curve, s: int, t: int, ell: int,
     within 2(hhat(G) + lower_gap); every such point is enumerated and
     tested for m G = +-P modulo the 2-torsion translate.
     """
-    rep = selmer(ell)
+    method = "rank-one-search"
+    rep = selmer(c.ell)
     p0 = base_point(c)
     assert not is_torsion_point(c, p0)  # rank >= 1, so the cap makes it exactly 1
     if rep.rank_upper != 1:
-        return _cert(s, t, ell, torsion=True, parity=True, method="rank-one-search",
-                     status="undecided", reason=f"rank-cap-{rep.rank_upper}-not-1")
+        return PrimitivityCert(method, status="undecided",
+                               reason=f"rank-cap-{rep.rank_upper}-not-1")
     h_p = canonical_height(c, p0, iterations)
     gaps = silverman_gaps(c)
     bound = _up(2.0 * (h_p.hi / 4.0 + gaps.lower_gap) + 0.5)
     if bound > 12.0:
-        return _cert(s, t, ell, torsion=True, parity=True, method="rank-one-search",
-                     status="undecided", reason="search-box-too-large", bound=bound)
+        return PrimitivityCert(method, search_bound=bound, status="undecided",
+                               reason="search-box-too-large")
     threshold = _up(h_p.hi / 9.0)
     candidates = []
     for q in rational_points_up_to_height(c, bound):
@@ -114,21 +103,20 @@ def _search_certificate(c: Curve, s: int, t: int, ell: int,
         if h_q.lo <= threshold:
             candidates.append((q, h_q))
     if not candidates:
-        return _cert(s, t, ell, torsion=True, parity=True,
-                     method="rank-one-search", bound=bound)
+        return PrimitivityCert(method, search_bound=bound)
     for q, h_q in candidates:
         m_sq = h_p.hi / max(h_q.lo, 1e-12)
         m_max = min(int(math.isqrt(int(m_sq)) + 1), 9)
         for m in range(3, m_max + 1, 2):
             r = smul(c, m, q)
             if r is not None and _same_up_to_torsion_translate(c, r, p0):
-                return _cert(s, t, ell, torsion=True, parity=True,
-                             method="rank-one-search", bound=bound,
-                             status="not-primitive", reason=f"index-multiple-{m}")
+                return PrimitivityCert(method, search_bound=bound,
+                                       status="not-primitive",
+                                       reason=f"index-multiple-{m}")
     if iterations < 9:
-        return _search_certificate(c, s, t, ell, iterations + 1)
-    return _cert(s, t, ell, torsion=True, parity=True, method="rank-one-search",
-                 status="undecided", reason="ambiguous-small-points", bound=bound)
+        return _search_certificate(c, iterations + 1)
+    return PrimitivityCert(method, search_bound=bound, status="undecided",
+                           reason="ambiguous-small-points")
 
 
 def certify_primitive(m: Member) -> PrimitivityCert:
@@ -136,7 +124,9 @@ def certify_primitive(m: Member) -> PrimitivityCert:
 
     The height-floor route needs l fourth-power-free (else the floor table
     does not apply) and l not a square (else extra 2-torsion breaks the
-    parity argument; reported undecided, not failed).
+    parity argument; reported undecided, not failed).  The member's
+    ``ell_is_square`` is the parity fact itself (``excludes_index_two``
+    tests the same square), so it is not recomputed here.
 
     Lemma: for s, t >= 1 with l = s^4 + t^2 fourth-power-free, not a
     square and not 2, the crude ratio (h(P)/2 + upper_gap) / floor is
@@ -157,12 +147,11 @@ def certify_primitive(m: Member) -> PrimitivityCert:
         raise PreconditionFailure("ell-not-fourth-power-free", f"ell={ell}")
     c = m.curve
     if m.ell_is_square:
-        return _cert(s, t, ell, torsion=False, parity=False, method="none",
-                     status="undecided", reason="square-ell-extra-two-torsion")
-    assert excludes_index_two(c)
-
+        return PrimitivityCert("none", torsion_only_two=False,
+                               excludes_index_two=False, status="undecided",
+                               reason="square-ell-extra-two-torsion")
     if ell == 2:
-        return _search_certificate(c, s, t, ell, iterations=6)
+        return _search_certificate(c, iterations=6)
 
     vy = _vy_floor(-ell)  # the member has proved ell fourth-power-free
     h_naive_hi = log_int_bounds(s * s)[1] if s > 1 else 0.0
@@ -170,5 +159,4 @@ def certify_primitive(m: Member) -> PrimitivityCert:
     ratio = _up(crude / vy)
     if not ratio < _INDEX_SQ_LIMIT - RATIO_MARGIN:
         raise AssertionError(f"crude index bound {ratio} >= 9 at (s,t)=({s},{t})")
-    return _cert(s, t, ell, torsion=True, parity=True,
-                 method="height-ratio", ratio=ratio)
+    return PrimitivityCert("height-ratio", ratio=ratio)

@@ -3,6 +3,7 @@ verification, checkpoint resume, and worker-count independence."""
 
 import concurrent.futures
 import json
+import math
 import os
 import subprocess
 import sys
@@ -51,6 +52,43 @@ def test_restricted_enumeration_is_the_filtered_full_one():
                 if max(s, t) <= max_param and (s % q == 0 or t % q == 0)
             ]
             assert list(iter_parameter_pairs(max_param, q)) == want, (q, max_param)
+
+
+def _valuation(x, p):
+    if x == 0:
+        return float("inf")
+    v = 0
+    while x % p == 0:
+        x, v = x // p, v + 1
+    return v
+
+
+def _filter_by_definition(mode, p, n, s, t):
+    """cheap_filter restated: coprime, and p divides exactly one of s, t
+    (s, tau in square_subfamily mode) to the mode's depth."""
+    if math.gcd(s, t) != 1:
+        return False
+    vs, vt = _valuation(s, p), _valuation(t, p)
+    if mode == "square_subfamily":
+        return vs + vt >= 2
+    if (vs > 0) == (vt > 0) or vs + vt < n + 1:
+        return False
+    return mode != "infinite" or (s % 2 == 0 and t % 8 in (3, 5))
+
+
+@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("n", [1, 2])
+def test_cheap_filter_matches_its_definition(p, n):
+    grid = [(s, t) for s in range(-30, 60) for t in range(-30, 60) if (s, t) != (0, 0)]
+    grid += [(p**3 * u, 1) for u in (-2, -1, 1, 2)] + [(3, -(p**4))]
+    grid += [(2 * p**3, 3), (-2 * p**3, -3)]  # deep enough for infinite mode at n = 2
+    for mode in ("main", "square_subfamily", "infinite"):
+        passed = 0
+        for s, t in grid:
+            want = _filter_by_definition(mode, p, n, s, t)
+            assert cheap_filter(mode, p, n, s, t) == want, (mode, s, t)
+            passed += want
+        assert passed
 
 
 def _stub_certifier(calls):
