@@ -270,10 +270,10 @@ def certify_square_subfamily(s: int, tau: int, p: int) -> Certificate:
         )
     )
     assert swapped.a == m.curve.a
-    second = base_point(swapped)
-    _require(
-        not is_torsion_point(m.curve, second), "second-point-torsion", "degenerate point"
-    )
+    # l is not a square here, so the torsion is {O, (0, 0)}, and
+    # x(second) = -tau^2 is not 0 since tau = 0 would force l = 1
+    if is_torsion_point(m.curve, base_point(swapped)):
+        raise AssertionError(f"torsion second point at (s,tau)=({s},{tau}), p={p}")
     checks.append(
         CheckEntry(
             "independent-points",
@@ -312,12 +312,13 @@ def certify_infinite_instance(s: int, t: int, p: int, n: int) -> Certificate:
             },
         )
     )
+    # l is a prime = 9 mod 16, so l does not divide 48, v_l(c4) = 1 and
+    # v_l(Delta) = 3: the table always gives type III with Tamagawa number 2
     red = reduction_at(m.curve, ell)
-    _require(
-        red.kodaira == "III" and red.tamagawa == 2,
-        "multiplicative-free-at-ell",
-        f"kodaira={red.kodaira}",
-    )
+    if (red.kodaira, red.tamagawa) != ("III", 2):
+        raise AssertionError(
+            f"kodaira={red.kodaira} at ell={ell}, (s,t)=({s},{t}), p={p}"
+        )
     checks.append(
         CheckEntry(
             "kodaira-type-at-ell",

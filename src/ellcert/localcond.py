@@ -3,27 +3,20 @@
 For a family member with p dividing exactly one of s, t to order >= n+1,
 the doubled base point sits at least n+1 layers deep in the formal-group
 filtration of E(Q_p).  That depth is what the class-number divisibility
-criterion consumes; this module computes it exactly and packages the
-verified valuations as a certificate.
+criterion consumes.  The family's closed form for 2P gives it exactly in
+integer arithmetic, and this module packages the verified valuations as
+a certificate.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from .arith import is_prime, vp
-from .curve import Curve, base_point, count_points_mod_p, reduction_at, smul
+from .curve import Curve, count_points_mod_p
 from .errors import PreconditionFailure
 
 _COUNT_LIMIT = 10**4
-
-
-def formal_parameter(pt) -> Fraction:
-    """z = -x/y, the standard parameter at infinity; v_p(z) is the filtration depth."""
-    if pt is None or pt.y == 0:
-        raise ValueError("formal_parameter: needs an affine point with y != 0")
-    return -pt.x / pt.y
 
 
 class LocalCert(NamedTuple):
@@ -33,17 +26,27 @@ class LocalCert(NamedTuple):
     v_st: int
     x_doubled_valuation: int
     y_doubled_valuation: int
-    depth: int  # v_p(z(2P)), equals v_st
+    depth: int  # v_p(z(2P)) for the parameter z = -x/y, equals v_st
     order_parity_method: str  # "counted" or "rational-two-torsion"
 
 
 def check_local(c: Curve, p: int, n: int) -> LocalCert:
-    """Verify v_p(z(2P)) >= n+1 for the base point P of the family curve
-    c = E_{s,t}, which carries s and t.
+    """Verify v_p(z(2P)) >= n+1 for the base point P = (-s^2, s t) of the
+    family curve c = E_{s,t}, which carries s and t.
 
     Requires p an odd prime dividing exactly one of s and t, with
-    p^(n+1) | s t, and good reduction at p.  All valuations are recomputed
-    from the exact doubled point, not assumed.
+    p^(n+1) | s t.  The doubled point has the closed form
+
+        2P = (X / (4 s^2 t^2), -Y / (8 s^3 t^3)),
+        X = u^2,  Y = u w,  u = 2s^4 + t^2,  w = 4s^8 + 4s^4 t^2 - t^4,
+
+    checked on the curve in integers as Y^2 = X^3 + a X (4 s^2 t^2)^2.
+    If p | s only, then u = t^2 and w = -t^4 mod p; if p | t only, then
+    u = 2s^4 and w = 4s^8 mod p.  As p is odd it divides neither u nor w,
+    so v_p(x(2P)) = -2 v_p(st), v_p(y(2P)) = -3 v_p(st), and the depth
+    v_p(x/y) is v_p(st).  These valuations are recomputed and asserted,
+    not assumed.  The same premise gives p not dividing 2(s^4 + t^2), so
+    reduction at p is good; the ledger records it without a test.
 
     #E(F_p) is even because (0, 0) reduces to a point of order 2.  For
     p <= 10^4 the points are counted anyway, and an odd count raises
@@ -71,18 +74,18 @@ def check_local(c: Curve, p: int, n: int) -> LocalCert:
             "insufficient-depth", f"v_p(st)={v_st} < n+1={n + 1}"
         )
 
-    doubled = smul(c, 2, base_point(c))
-    assert doubled is not None
-    xv = vp(doubled.x, p)
-    yv = vp(doubled.y, p)
-    # p coprime to the unflagged parameter forces these exact valuations
+    s4, t2 = s**4, t * t
+    u = 2 * s4 + t2
+    x_num, y_num = u * u, u * (4 * s4 * s4 + 4 * s4 * t2 - t2 * t2)
+    x_den = 4 * s * s * t2
+    assert y_num * y_num == x_num**3 + c.a * x_num * x_den * x_den, (s, t)
+    # p is odd, so the constants 4 and 8 of the denominators are units
+    xv = vp(x_num, p) - 2 * v_st
+    yv = vp(y_num, p) - 3 * v_st
     assert xv == -2 * v_st, (xv, v_st)
     assert yv == -3 * v_st, (yv, v_st)
-    depth = vp(formal_parameter(doubled), p)
-    assert depth == xv - yv == v_st
-
-    if not reduction_at(c, p).good:
-        raise PreconditionFailure("bad-reduction", f"p={p} divides 2(s^4+t^2)")
+    depth = xv - yv
+    assert depth == v_st
 
     # even by structure (see above); for small p the count re-checks it
     if p <= _COUNT_LIMIT:

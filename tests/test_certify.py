@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from ellcert import arith
+from ellcert import arith, certify
 from ellcert import curve as curve_module
 from ellcert.certify import (
     SCHEMA_VERSION,
@@ -21,7 +21,7 @@ from ellcert.certify import (
     cohomology_vanishing_checks,
     member,
 )
-from ellcert.curve import make_family
+from ellcert.curve import ReductionData, make_family
 from ellcert.errors import PreconditionFailure
 
 MAIN_CHECK_NAMES = [
@@ -148,6 +148,23 @@ def test_infinite_instance_refuses_non_rank_pairs():
     with pytest.raises(PreconditionFailure) as err:
         certify_infinite_instance(1, 50, 5, 1)  # s odd
     assert err.value.reason == "s-not-even-positive"
+
+
+def test_torsion_second_point_is_a_soundness_alarm(monkeypatch):
+    # l is not a square by then, so the torsion is {O, (0, 0)} and the
+    # second point (-tau^2, s^2 tau) is never in it: no refusal reason
+    monkeypatch.setattr(certify, "is_torsion_point", lambda c, pt: True)
+    with pytest.raises(AssertionError, match=r"\(s,tau\)=\(2,25\), p=5"):
+        certify_square_subfamily(2, 25, 5)
+
+
+def test_other_reduction_at_ell_is_a_soundness_alarm(monkeypatch):
+    # l prime and 9 mod 16 always gives type III with Tamagawa number 2
+    monkeypatch.setattr(
+        certify, "reduction_at", lambda c, q: ReductionData(False, "unclassified", None)
+    )
+    with pytest.raises(AssertionError, match=r"ell=5641, \(s,t\)=\(2,75\), p=5"):
+        certify_infinite_instance(2, 75, 5, 1)
 
 
 def test_batch_distinctness():

@@ -210,6 +210,19 @@ def test_search_csv_format(tmp_path, capsys):
     assert rows[1].split(",")[5] == "divisibility"
 
 
+def test_search_pretty_format(capsys):
+    rc, out, err = run(
+        capsys, "search", "--max-param", "25", "--target-count", "2",
+        "--format", "pretty", "--workers", "1",
+    )
+    assert rc == 0
+    assert out.splitlines() == [
+        "s=1 t=25 ell=626: 5^2 divides h(Q(E[5^1])) [divisibility]",
+        "s=2 t=25 ell=641: 5^2 divides h(Q(E[5^1])) [divisibility]",
+    ]
+    assert "2 certificate(s)" in err
+
+
 def test_verify_single_then_bulk(tmp_path, capsys):
     rec = tmp_path / "one.jsonl"
     rc, out, _ = run(
@@ -338,6 +351,32 @@ def test_verify_file_refuses_malformed_records_by_name(line, tmp_path, capsys):
     assert rc == 1
     assert out.splitlines()[0].startswith("line 1: not a certificate record (")
     assert "1/2 certificates verified" in out
+
+
+def test_verify_file_names_a_refused_line(tmp_path, capsys):
+    golden = Path(__file__).parent / "data" / "golden_records.jsonl"
+    record = json.loads(golden.read_text(encoding="utf-8").splitlines()[0])
+    assert record["subject"]["t"] == "25"
+    record["subject"]["t"] = "5"  # v_5(s t) = 1 < n + 1
+    batch = tmp_path / "refused.jsonl"
+    batch.write_text(json.dumps(record, separators=(",", ":")) + "\n")
+    rc, out, _ = run(capsys, "verify", "--file", str(batch))
+    assert rc == 1
+    assert out.splitlines() == [
+        "line 1: REFUSED at check 'insufficient-depth'",
+        "0/1 certificates verified",
+    ]
+
+
+def test_verify_file_names_an_unknown_theorem(tmp_path, capsys):
+    batch = tmp_path / "unknown.jsonl"
+    batch.write_text('{"schema":"1","theorem":"sha-order","subject":{"s":"2"}}\n')
+    rc, out, _ = run(capsys, "verify", "--file", str(batch))
+    assert rc == 1
+    assert out.splitlines() == [
+        "line 1: unknown theorem sha-order",
+        "0/1 certificates verified",
+    ]
 
 
 def test_verify_file_lets_a_soundness_alarm_propagate(tmp_path, capsys, monkeypatch):

@@ -10,6 +10,7 @@ from ellcert.arith import REAL, is_prime
 from ellcert.curve import INFINITY, base_point, make_family, on_curve, point
 from ellcert.descent import (
     Torsor,
+    _soluble_at_odd_prime,
     _soluble_at_two,
     _soluble_at_two_class,
     certify_rank_one,
@@ -110,6 +111,20 @@ def test_two_adic_verdict_depends_only_on_fourth_power_classes():
 def test_zero_coefficient_at_two_is_named(alpha, beta, name):
     with pytest.raises(ValueError, match=f"coefficient {name} is 0"):
         locally_soluble(Torsor("forward", 1, 5, alpha, beta), 2)
+
+
+def test_unit_torsors_are_soluble_at_every_odd_prime():
+    """With p odd and p not dividing alpha beta, w^2 = alpha u^4 + beta v^4
+    is smooth of genus 1 mod p, has at least p + 1 - 2 sqrt(p) > 0 points
+    over F_p, and Hensel lifts them: always soluble.  Pairs of non-residues
+    reach the balanced residue loop."""
+    looped = 0
+    for p in (q for q in range(3, 60, 2) if is_prime(q)):
+        residues = {x * x % p for x in range(1, p)}
+        for alpha, beta in itertools.product(range(1, p), repeat=2):
+            assert _soluble_at_odd_prime(alpha, beta, p), (alpha, beta, p)
+            looped += alpha not in residues and beta not in residues
+    assert looped == 3973
 
 
 def test_selmer_proves_ell_prime_once(monkeypatch):

@@ -10,6 +10,7 @@ from ellcert import primitivity
 from ellcert.arith import is_square, kth_power_free
 from ellcert.certify import member
 from ellcert.curve import base_point, make_family, rational_points_up_to_height, smul, translate_by_torsion
+from ellcert.descent import SelmerReport
 from ellcert.errors import PreconditionFailure
 from ellcert.heights import _vy_log2_coeff
 from ellcert.primitivity import certify_primitive, excludes_index_two
@@ -132,3 +133,10 @@ def test_failed_crude_ratio_is_a_soundness_alarm(monkeypatch):
     monkeypatch.setattr(primitivity, "_vy_floor", lambda a: 0.1)
     with pytest.raises(AssertionError, match="crude index bound"):
         certify_primitive(member(2, 5))
+
+
+def test_failed_rank_one_search_is_a_soundness_alarm(monkeypatch):
+    # the Selmer cap at l = 2 is 1; any other cap contradicts the search's facts
+    monkeypatch.setattr(primitivity, "selmer", lambda ell: SelmerReport((), (), 0, 0, 2))
+    with pytest.raises(AssertionError, match=r"\(s,t\)=\(1,1\)"):
+        certify_primitive(member(1, 1))
