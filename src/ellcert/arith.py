@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 REAL = "R"
 
@@ -109,14 +110,20 @@ def _strong_lucas_prp(n: int) -> bool:
     return False
 
 
+@lru_cache(maxsize=1024)
 def primality_info(n: int) -> tuple[bool, str]:
     """Primality verdict plus which decision procedure produced it.
 
     Methods: "small-table" (n < 2), trial lookups for tiny n,
     "deterministic-miller-rabin" for n < psi_13 ~ 3.32e24 (bases 2..41),
     and "baillie-psw-probable-prime" from psi_13 up (MR base 2 plus strong
-    Lucas; no counterexample is known, and certificates record that the
-    decision is probabilistic in nature).
+    Lucas).  A BPSW "composite" is a proof; a BPSW "prime" is only a
+    probable prime, with no counterexample known.  No record field says
+    which method decided, so ``certify_rank_one`` refuses an ell whose
+    verdict is a BPSW "prime" (``ell-primality-unproven``).
+
+    Verdicts are cached (bounded), so a certifier that proves ell prime
+    and its later re-checks of the same ell pay for one proof.
     """
     if n < 2:
         return False, "small-table"

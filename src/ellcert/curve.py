@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 from .arith import Rational, is_prime, is_square
@@ -230,14 +231,23 @@ def reduction_at(c: Curve, q: int) -> ReductionData:
 
 
 def count_points_mod_p(c: Curve, p: int) -> int:
-    """#E(F_p) by direct character sum; p odd, good reduction, p <= 10^6."""
+    """#E(F_p) by direct character sum; p odd, good reduction, p <= 10^6.
+
+    The count depends only on (a mod p, p), and the sum runs once per
+    such pair: a search at one p meets at most p - 1 residues.
+    """
     if p == 2 or not is_prime(p):
         raise ValueError(f"count_points_mod_p: p={p} must be an odd prime")
     if c.a % p == 0:
         raise ValueError(f"count_points_mod_p: bad reduction at {p}")
     if p > 10**6:
         raise ValueError("count_points_mod_p: p above the supported range")
-    a = c.a % p
+    return _count_points(c.a % p, p)
+
+
+@lru_cache(maxsize=1024)
+def _count_points(a: int, p: int) -> int:
+    """The character sum 1 + sum_x (1 + ((x^3 + a x) / p)); a is reduced mod p."""
     total = 1  # infinity
     exp = (p - 1) // 2
     for x in range(p):

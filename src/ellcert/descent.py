@@ -9,7 +9,10 @@ Selmer groups and cap the Mordell-Weil rank.
 Only the real place and the primes 2 and l can obstruct: at any other
 odd prime the torsor coefficients are units, the reduced curve is a
 smooth genus-1 curve with a point by Hasse-Weil, and Hensel lifts it.
-Local verdicts at 2 are cached per pair of classes in Q_2^*/(Q_2^*)^4.
+Local verdicts at 2 are cached per pair of classes in Q_2^*/(Q_2^*)^4,
+and the surviving classes depend on l only through l mod 16, so
+``selmer`` runs the exact local computation once per residue class and
+substitutes l into the classes it found (the proof is in ``selmer``).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from functools import lru_cache
 from math import isqrt
 from typing import NamedTuple
 
-from .arith import REAL, is_prime, is_square, jacobi, vp
+from .arith import REAL, is_prime, is_square, jacobi, primality_info, vp
 from .curve import (
     Curve,
     Point,
@@ -64,6 +67,11 @@ def make_torsors(ell: int) -> list[Torsor]:
     """
     if ell < 2 or not is_prime(ell):
         raise PreconditionFailure("ell-not-prime", f"ell={ell}")
+    return _torsors(ell)
+
+
+def _torsors(ell: int) -> list[Torsor]:
+    """``make_torsors`` for an ell already proved prime."""
     base = [1, 2] if ell == 2 else [1, 2, ell, 2 * ell]
     reps = [sgn * d for d in base for sgn in (1, -1)]
     out = []
@@ -254,6 +262,12 @@ class SelmerReport(NamedTuple):
     rank_upper: int
 
 
+#: ell mod 16 -> the Selmer classes an exact descent found at the first
+#: prime of that residue, as (sign, 2-exponent, l-exponent) vectors, and
+#: the two dimensions; the prime 2 is the residue 2 of its own
+_SELMER_CLASSES: dict[int, tuple] = {}
+
+
 def selmer(ell: int) -> SelmerReport:
     """Both isogeny Selmer groups of y^2 = x^3 - l x, l prime, and the rank cap.
 
@@ -261,12 +275,64 @@ def selmer(ell: int) -> SelmerReport:
     (l forward, -l dual) and the trivial class; the result is checked to
     be multiplicatively closed, so its size is a power of two.
     rank <= dim sel_forward + dim sel_dual - 2.
+
+    l passes ``is_prime`` once (above psi_13 that is only a BPSW verdict,
+    which ``certify_rank_one`` refuses).  The exact local computation
+    (``_exact_selmer``) then runs once per residue of l mod 16 per
+    process; for every other prime of that residue the classes it found
+    are rebuilt by substituting l into their vectors d = sign * 2^a * l^b.
+    That is exact:
+
+    * Every candidate torsor w^2 = alpha u^4 + beta v^4 has alpha and beta
+      of the form +-2^k l^e, with v_l(alpha) + v_l(beta) = 1.
+    * At R the verdict depends only on the signs.
+    * At l the difference of the two l-valuations is odd, so
+      ``_soluble_at_odd_prime`` never reaches its balanced loop; it only
+      takes Jacobi symbols (+-2^k / l), which depend on l mod 8 alone.
+    * At 2 the classes in Q_2^*/(Q_2^*)^4 that ``_soluble_at_two`` decides
+      on are 2^(k mod 4) * (+-l^e mod 16), which depend on l mod 16 alone.
+
+    So the surviving class vectors found at any prime hold for every prime
+    with the same residue, and the order in which the memo fills (worker
+    count, a resumed run) cannot change a result.  For l >= 3 the sort by
+    absolute value orders 1 < 2 < l < 2l the same way for every l, and
+    the sort is stable on d before -d, so the tuples come out in the same
+    order too.  l = 2 is alone in its residue.
     """
-    torsors = make_torsors(ell)
+    if ell < 2 or not is_prime(ell):
+        raise PreconditionFailure("ell-not-prime", f"ell={ell}")
+    found = _SELMER_CLASSES.get(ell % 16)
+    if found is None:
+        report = _exact_selmer(ell)
+        _SELMER_CLASSES[ell % 16] = (
+            tuple(_class_vector(d, ell) for d in report.sel_forward),
+            tuple(_class_vector(d, ell) for d in report.sel_dual),
+            report.dim_forward,
+            report.dim_dual,
+        )
+        return report
+    fwd, dual, dim_f, dim_d = found
+    return SelmerReport(
+        sel_forward=tuple(sign * 2**a * ell**b for sign, a, b in fwd),
+        sel_dual=tuple(sign * 2**a * ell**b for sign, a, b in dual),
+        dim_forward=dim_f,
+        dim_dual=dim_d,
+        rank_upper=dim_f + dim_d - 2,
+    )
+
+
+def _class_vector(d: int, ell: int) -> tuple[int, int, int]:
+    """(sign, a, b) with d = sign * 2^a * l^b, for d in +-{1, 2, l, 2l}."""
+    return (-1 if d < 0 else 1, int(d % 2 == 0), int(ell != 2 and d % ell == 0))
+
+
+def _exact_selmer(ell: int) -> SelmerReport:
+    """``selmer`` computed from the local tests at R, l and 2, for an ell
+    already proved prime."""
     places = (REAL, 2) if ell == 2 else (REAL, ell, 2)
     survivors = {"forward": [], "dual": []}
-    for t in torsors:
-        # make_torsors has proved ell prime; all() stops at the first failing place
+    for t in _torsors(ell):
+        # all() stops at the first failing place
         if all(_soluble_at(t, pl) for pl in places):
             survivors[t.side].append(t.d)
 
@@ -339,8 +405,15 @@ def certify_rank_one(s: int, t: int, c: Curve | None = None) -> RankCert:
     Those congruences force l = 9 mod 16, where the forward Selmer group
     is {1, l} and the dual one is {+-1, +-l}: the descent cap is 1.  The
     base point (-s^2, s t) is not torsion (torsion is just (0, 0) since l
-    is not a square), so the rank is exactly 1.  The Selmer groups are
-    recomputed here, not read off the residue table.
+    is not a square), so the rank is exactly 1.  The Selmer groups come
+    from ``selmer``, whose exact local descent runs once per residue of l
+    mod 16 and is substituted for every other l of that residue (proof in
+    ``selmer``); they are not read off ``rank_bound_by_residue``'s table.
+
+    l must be proved prime: above psi_13 ``primality_info`` gives only a
+    BPSW probable prime, and that is refused as ``ell-primality-unproven``.
+    The proof is cached, so the re-checks in ``selmer`` and in
+    ``reduction_at(c, l)`` cost nothing.
 
     ``c`` is the family curve of (s, t) when the caller has built it
     already; otherwise it is built once the cheap checks pass.
@@ -350,8 +423,13 @@ def certify_rank_one(s: int, t: int, c: Curve | None = None) -> RankCert:
         raise PreconditionFailure("s-not-even-positive", f"s={s}")
     if t % 8 not in (3, 5):
         raise PreconditionFailure("t-residue", f"t={t} must be +-3 mod 8")
-    if not is_prime(ell):
+    prime, method = primality_info(ell)
+    if not prime:
         raise PreconditionFailure("ell-not-prime", f"ell={ell}")
+    if method == "baillie-psw-probable-prime":
+        raise PreconditionFailure(
+            "ell-primality-unproven", f"ell={ell} is only a BPSW probable prime"
+        )
     assert ell % 16 == 9
     report = selmer(ell)
     if report.rank_upper != 1:

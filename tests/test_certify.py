@@ -271,3 +271,15 @@ def test_member_facts_are_worked_out_once(certify, args, curves, monkeypatch):
     # once for the member; the height floor trusts its verdict
     ell = curves[0][0] ** 4 + curves[0][1] ** 2
     assert fourth == [(ell, 4)]
+
+
+def test_square_subfamily_counts_points_at_p_once(monkeypatch):
+    # the member (s, tau^2) and the swap (tau, s^2) have the same a, so
+    # their counts at p share one character sum
+    curve_module._count_points.cache_clear()
+    counts = _count_calls(monkeypatch, curve_module.count_points_mod_p)
+    certify_square_subfamily(2, 25, 5)
+    at_p = [c.a for c, p in counts if p == 5]
+    assert at_p == [-(2**4 + 625**2)] * 2
+    info = curve_module._count_points.cache_info()
+    assert info.misses == len({(c.a % p, p) for c, p in counts}) < len(counts)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import ellcert
-from ellcert import cli
+from ellcert import cli, descent
 from ellcert.cli import SearchConfig, cheap_filter, iter_parameter_pairs, main, run_search
 
 
@@ -285,6 +285,30 @@ def test_verify_rank_mode(tmp_path, capsys):
     rc, out, _ = run(capsys, "verify", "--file", str(rec))
     assert rc == 0
     assert "1/1 certificates verified" in out
+
+
+def test_verify_rank_mode_refuses_an_unproven_ell(capsys):
+    # l = 1350000^4 + 29^2 > psi_13 passes only BPSW, which proves nothing
+    rc, out, _ = run(capsys, "verify", "--mode", "rank", "--s", "1350000", "--t", "29")
+    assert rc == 1
+    assert "REFUSED at check 'ell-primality-unproven'" in out
+    assert "rank = 1" not in out
+    # l = 131072^4 + 75^2 ~ 2.95e20 is below psi_13: proved, and certified
+    rc, out, _ = run(capsys, "verify", "--mode", "rank", "--s", "131072", "--t", "75")
+    assert rc == 0
+    assert "conclusion: rank = 1" in out
+
+
+def test_verify_file_runs_one_exact_descent_per_residue(monkeypatch, capsys):
+    pool = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "pool.jsonl"
+    monkeypatch.setattr(descent, "_SELMER_CLASSES", {})
+    real, exact = descent._exact_selmer, []
+    monkeypatch.setattr(descent, "_exact_selmer", lambda ell: exact.append(ell) or real(ell))
+    rc, out, _ = run(capsys, "verify", "--file", str(pool))
+    assert rc == 0
+    assert "520/520 certificates verified" in out
+    # every rank-one and infinite-family l is 9 mod 16
+    assert [ell % 16 for ell in exact] == [9]
 
 
 def test_verify_file_catches_tampering(tmp_path, capsys):

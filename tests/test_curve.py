@@ -282,6 +282,24 @@ def test_count_points_matches_brute():
         count_points_mod_p(c, 2)
 
 
+def _brute_count(a, p):
+    """#E(F_p) for y^2 = x^3 + a x from the number of square roots of each value."""
+    roots = [0] * p
+    for y in range(p):
+        roots[y * y % p] += 1
+    return 1 + sum(roots[(x * x * x + a * x) % p] for x in range(p))
+
+
+def test_cached_count_matches_brute_force_below_200():
+    curve_mod._count_points.cache_clear()
+    for p in (q for q in range(3, 200, 2) if is_prime(q)):
+        for a in range(1, p):
+            want = _brute_count(a, p)
+            # every a of the residue class shares one cache entry
+            for rep in (a, a - p, a + 7 * p):
+                assert count_points_mod_p(curve_from_a(rep), p) == want, (rep, p)
+
+
 def test_count_points_hasse():
     rng = random.Random(11)
     for _ in range(20):

@@ -2,14 +2,17 @@
 against the known residue tables, Selmer groups, and the rank-1 pipeline."""
 
 import itertools
+import math
 
 import pytest
 
-from ellcert import descent
-from ellcert.arith import REAL, is_prime
+from ellcert import arith, descent
+from ellcert.arith import REAL, is_prime, primality_info
+from ellcert.certify import certify_infinite_instance
 from ellcert.curve import INFINITY, base_point, make_family, on_curve, point
 from ellcert.descent import (
     Torsor,
+    _exact_selmer,
     _soluble_at_odd_prime,
     _soluble_at_two,
     _soluble_at_two_class,
@@ -133,6 +136,75 @@ def test_selmer_proves_ell_prime_once(monkeypatch):
     monkeypatch.setattr(descent, "is_prime", lambda n: calls.append(n) or is_prime(n))
     assert selmer(1009).rank_upper == rank_bound_by_residue(1009)
     assert calls == [1009, 1009]  # make_torsors, rank_bound_by_residue
+
+
+def _primes_below(n):
+    flags = bytearray([1]) * n
+    flags[:2] = b"\0\0"
+    for q in range(2, math.isqrt(n - 1) + 1):
+        if flags[q]:
+            flags[q * q :: q] = bytes(len(range(q * q, n, q)))
+    return [q for q in range(n) if flags[q]]
+
+
+def test_selmer_memo_matches_the_exact_descent_below_2e5(monkeypatch):
+    monkeypatch.setattr(descent, "_SELMER_CLASSES", {})
+    primes = _primes_below(2 * 10**5)
+    assert len(primes) == 17984 and primes[0] == 2
+    mismatches = [ell for ell in primes if selmer(ell) != _exact_selmer(ell)]
+    assert mismatches == []
+    # the eight odd residues mod 16, and the prime 2 on its own
+    assert sorted(descent._SELMER_CLASSES) == [1, 2, 3, 5, 7, 9, 11, 13, 15]
+
+
+def test_selmer_memo_does_not_depend_on_fill_order(monkeypatch):
+    # fill every residue from a prime near 10^18 first, then the small ones
+    monkeypatch.setattr(descent, "_SELMER_CLASSES", {})
+    large = {}
+    ell = 10**18 + 1
+    while len(large) < 8:
+        if ell % 16 not in large and is_prime(ell):
+            large[ell % 16] = ell
+        ell += 2
+    for ell in large.values():
+        assert selmer(ell) == _exact_selmer(ell), ell
+    assert sorted(descent._SELMER_CLASSES) == [1, 3, 5, 7, 9, 11, 13, 15]
+    for ell in _primes_below(5000):
+        assert selmer(ell) == _exact_selmer(ell), ell
+
+
+def test_selmer_runs_the_exact_descent_once_per_residue(monkeypatch):
+    monkeypatch.setattr(descent, "_SELMER_CLASSES", {})
+    exact = []
+    monkeypatch.setattr(
+        descent, "_exact_selmer", lambda ell: exact.append(ell) or _exact_selmer(ell)
+    )
+    for ell in (41, 73, 89, 2, 137, 3, 19):
+        selmer(ell)
+    assert exact == [41, 2, 3]  # 41, 73, 89 and 137 are 9 mod 16; 3 and 19 are 3
+
+
+def test_certify_rank_one_refuses_an_unproven_ell():
+    # l = 1350000^4 + 29^2 is above psi_13: only a BPSW probable prime
+    ell = 1350000**4 + 29**2
+    assert primality_info(ell) == (True, "baillie-psw-probable-prime")
+    with pytest.raises(PreconditionFailure) as err:
+        certify_rank_one(1350000, 29)
+    assert err.value.reason == "ell-primality-unproven"
+    # below psi_13 the fixed Miller-Rabin bases prove l prime
+    assert certify_rank_one(131072, 75).ell == 131072**4 + 75**2
+
+
+def test_certify_rank_one_proves_ell_prime_once(monkeypatch):
+    # the re-checks of l in selmer and in reduction_at hit the cache
+    rounds = []
+    real_round = arith._miller_rabin_round
+    monkeypatch.setattr(
+        arith, "_miller_rabin_round", lambda n, *rest: rounds.append(n) or real_round(n, *rest)
+    )
+    arith.primality_info.cache_clear()
+    certify_infinite_instance(2, 75, 5, 1)
+    assert rounds.count(5641) == 13  # one deterministic run over bases 2..41
 
 
 def test_locally_soluble_rejects_composite_place():

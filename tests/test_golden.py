@@ -7,6 +7,9 @@ infinite-family and one rank-one fragment, each written by
 certifier calls to the reason each refuses with.  Both were recorded
 before the theorem registry and the member context replaced the
 per-mode dispatch, so they pin records and reasons byte for byte.
+``data/selmer_table_3000.csv`` is ``ellcert selmer-table --max-ell 3000``
+as written before ``descent.selmer`` kept one class pattern per residue
+of l mod 16.
 """
 
 import json
@@ -14,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from ellcert import cli
+from ellcert import cli, descent
 from ellcert.errors import PreconditionFailure
 
 DATA = Path(__file__).parent / "data"
@@ -85,3 +88,10 @@ def test_refusal_table_covers_the_edge_inputs():
     # degenerate, non-coprime, composite p, n = 0, not fourth-power-free
     assert {"degenerate-parameters", "coprime-parameters", "p-out-of-range",
             "depth-target", "fourth-power-free"} <= reasons
+
+
+def test_selmer_table_matches_the_golden(monkeypatch, capsys):
+    monkeypatch.setattr(descent, "_SELMER_CLASSES", {})
+    assert cli.main(["selmer-table", "--max-ell", "3000"]) == 0
+    golden = (DATA / "selmer_table_3000.csv").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == golden
