@@ -7,137 +7,4 @@ rationals; the only floating point is in rigorously outward-rounded
 height intervals.
 """
 
-from .arith import (
-    REAL,
-    is_prime,
-    is_square,
-    jacobi,
-    kth_power_free,
-    primality_info,
-    square_class_local,
-    vp,
-)
-from .certify import (
-    CITATIONS,
-    Certificate,
-    CheckEntry,
-    Member,
-    batch_distinctness,
-    certificate_from_jsonl,
-    certificate_to_jsonl,
-    certify_divisibility,
-    certify_infinite_instance,
-    certify_square_subfamily,
-    cohomology_vanishing_checks,
-    member,
-)
-from .curve import (
-    INFINITY,
-    Curve,
-    Point,
-    add,
-    base_point,
-    count_points_mod_p,
-    curve_from_a,
-    has_rational_m_torsion,
-    is_torsion_point,
-    j_invariant,
-    make_family,
-    neg,
-    on_curve,
-    rational_points_up_to_height,
-    reduction_at,
-    smul,
-    torsion,
-    translate_by_torsion,
-)
-from .descent import (
-    RankCert,
-    SelmerReport,
-    Torsor,
-    certify_rank_one,
-    locally_soluble,
-    make_torsors,
-    rank_bound_by_residue,
-    search_torsor_point,
-    selmer,
-    two_isogeny,
-)
-from .errors import PreconditionFailure
-from .heights import (
-    HeightInterval,
-    SilvermanBounds,
-    canonical_height,
-    log_int_bounds,
-    naive_height,
-    silverman_gaps,
-    vy_lower_bound,
-)
-from .localcond import LocalCert, check_local
-from .primitivity import PrimitivityCert, certify_primitive, excludes_index_two
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "REAL",
-    "is_prime",
-    "is_square",
-    "jacobi",
-    "kth_power_free",
-    "primality_info",
-    "square_class_local",
-    "vp",
-    "CITATIONS",
-    "Certificate",
-    "CheckEntry",
-    "Member",
-    "batch_distinctness",
-    "certificate_from_jsonl",
-    "certificate_to_jsonl",
-    "certify_divisibility",
-    "certify_infinite_instance",
-    "certify_square_subfamily",
-    "cohomology_vanishing_checks",
-    "member",
-    "INFINITY",
-    "Curve",
-    "Point",
-    "add",
-    "base_point",
-    "count_points_mod_p",
-    "curve_from_a",
-    "has_rational_m_torsion",
-    "is_torsion_point",
-    "j_invariant",
-    "make_family",
-    "neg",
-    "on_curve",
-    "rational_points_up_to_height",
-    "reduction_at",
-    "smul",
-    "torsion",
-    "translate_by_torsion",
-    "RankCert",
-    "SelmerReport",
-    "Torsor",
-    "certify_rank_one",
-    "locally_soluble",
-    "make_torsors",
-    "rank_bound_by_residue",
-    "search_torsor_point",
-    "selmer",
-    "two_isogeny",
-    "PreconditionFailure",
-    "HeightInterval",
-    "SilvermanBounds",
-    "canonical_height",
-    "log_int_bounds",
-    "naive_height",
-    "silverman_gaps",
-    "vy_lower_bound",
-    "LocalCert",
-    "check_local",
-    "PrimitivityCert",
-    "certify_primitive",
-    "excludes_index_two",
-]

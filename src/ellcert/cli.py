@@ -20,8 +20,10 @@ output file back to the records the checkpoint vouches for, so records
 emitted after the last checkpoint write are not duplicated.
 
 Exit codes: 0 success, 1 completed but a hypothesis check failed (or a
-search found nothing, or a stored certificate did not re-verify), 2 bad
-usage or an unsatisfiable search configuration.
+search found nothing, or a stored certificate did not re-verify); a
+refusal prints one line naming the check, such as ``selmer-table``'s
+ell not proved prime or ``heights``' torsion base point.  2 bad usage or
+an unsatisfiable search configuration.
 """
 
 from __future__ import annotations
@@ -45,7 +47,13 @@ from .certify import (
     certify_square_subfamily,
 )
 from .curve import base_point, make_family
-from .descent import RankCert, certify_rank_one, rank_bound_by_residue, selmer
+from .descent import (
+    RankCert,
+    certify_rank_one,
+    rank_bound_by_residue,
+    require_proved_prime,
+    selmer,
+)
 from .errors import PreconditionFailure
 from .heights import canonical_height, naive_height, silverman_gaps, vy_lower_bound
 
@@ -485,6 +493,11 @@ def _verify_file(args) -> int:
     return 0 if bad == 0 and total > 0 else 1
 
 
+def _refused(exc: PreconditionFailure) -> int:
+    print(f"REFUSED at check '{exc.reason}': {exc.detail}")
+    return 1
+
+
 def cmd_verify(args) -> int:
     if args.file is not None:
         if args.s is not None or args.t is not None:
@@ -501,19 +514,19 @@ def cmd_verify(args) -> int:
     try:
         cert = theorem.certify(args.s, args.t, args.p, args.n)
     except PreconditionFailure as exc:
-        print(f"REFUSED at check '{exc.reason}': {exc}")
-        return 1
+        return _refused(exc)
     theorem.show(cert)
     _write_record(args.out, theorem.jsonl(cert))
     return 0
 
 
 def cmd_selmer_table(args) -> int:
-    ells = (
-        [int(x) for x in args.ells.split(",")]
-        if args.ells
-        else [q for q in range(2, args.max_ell + 1) if is_prime(q)]
-    )
+    ells = args.ells or [q for q in range(2, args.max_ell + 1) if is_prime(q)]
+    try:
+        for ell in ells:
+            require_proved_prime(ell)
+    except PreconditionFailure as exc:
+        return _refused(exc)
     print("ell,mod16,dim_forward,dim_dual,rank_upper,residue_prediction")
     for ell in ells:
         rep = selmer(ell)
@@ -527,9 +540,18 @@ def cmd_selmer_table(args) -> int:
 
 
 def cmd_heights(args) -> int:
+    if args.s == 0 and args.t == 0:
+        print("(s, t) = (0, 0) gives a degenerate curve", file=sys.stderr)
+        return 2
+    if args.iterations < 1:
+        print("--iterations must be at least 1", file=sys.stderr)
+        return 2
     c = make_family(args.s, args.t)
     p0 = base_point(c)
-    h = canonical_height(c, p0, args.iterations)
+    try:
+        h = canonical_height(c, p0, args.iterations)
+    except PreconditionFailure as exc:
+        return _refused(exc)
     gaps = silverman_gaps(c)
     print(f"ell = {c.ell}")
     print(f"naive height h(P) = {naive_height(p0):.6f}")
@@ -542,6 +564,15 @@ def cmd_heights(args) -> int:
     except ValueError as exc:
         print(f"height floor unavailable: {exc}")
     return 0
+
+
+def _int_list(text: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a comma-separated list of integers"
+        ) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -585,7 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     st = sub.add_parser("selmer-table", help="descent rank caps for prime ell")
     group = st.add_mutually_exclusive_group(required=True)
-    group.add_argument("--ells", help="comma-separated primes")
+    group.add_argument("--ells", type=_int_list, help="comma-separated primes")
     group.add_argument("--max-ell", type=int, help="all primes up to this")
     st.set_defaults(func=cmd_selmer_table)
 

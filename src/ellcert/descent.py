@@ -23,28 +23,10 @@ from math import isqrt
 from typing import NamedTuple
 
 from .arith import REAL, is_prime, is_square, jacobi, primality_info, vp
-from .curve import (
-    Curve,
-    Point,
-    base_point,
-    curve_from_a,
-    is_torsion_point,
-    make_family,
-    point,
-)
+from .curve import Curve, base_point, is_torsion_point, make_family
 from .errors import PreconditionFailure
 
 _ODD_P_LOOP_LIMIT = 10**6
-
-
-def two_isogeny(c: Curve, pt: Point) -> tuple[Curve, Point | None]:
-    """Image of pt under the isogeny with kernel (0, 0), landing on y^2 = x^3 - 4a x."""
-    target = curve_from_a(-4 * c.a)
-    if pt is None or pt.x == 0:
-        return target, None
-    x, y = pt.x, pt.y
-    img = point(target, y * y / (x * x), -y * (x * x - c.a) / (x * x))
-    return target, img
 
 
 class Torsor(NamedTuple):
@@ -277,7 +259,7 @@ def selmer(ell: int) -> SelmerReport:
     rank <= dim sel_forward + dim sel_dual - 2.
 
     l passes ``is_prime`` once (above psi_13 that is only a BPSW verdict,
-    which ``certify_rank_one`` refuses).  The exact local computation
+    which ``require_proved_prime`` refuses for both callers).  The exact local computation
     (``_exact_selmer``) then runs once per residue of l mod 16 per
     process; for every other prime of that residue the classes it found
     are rebuilt by substituting l into their vectors d = sign * 2^a * l^b.
@@ -399,6 +381,18 @@ class RankCert(NamedTuple):
         return f"rank = {self.rank}"
 
 
+def require_proved_prime(ell: int) -> None:
+    """Refuse an ell that is not prime (``ell-not-prime``) or that only
+    passed BPSW, above psi_13 (``ell-primality-unproven``)."""
+    prime, method = primality_info(ell)
+    if not prime:
+        raise PreconditionFailure("ell-not-prime", f"ell={ell}")
+    if method == "baillie-psw-probable-prime":
+        raise PreconditionFailure(
+            "ell-primality-unproven", f"ell={ell} is only a BPSW probable prime"
+        )
+
+
 def certify_rank_one(s: int, t: int, c: Curve | None = None) -> RankCert:
     """Prove rank E_{s,t}(Q) = 1 for s even, t = +-3 mod 8, l = s^4 + t^2 prime.
 
@@ -423,13 +417,7 @@ def certify_rank_one(s: int, t: int, c: Curve | None = None) -> RankCert:
         raise PreconditionFailure("s-not-even-positive", f"s={s}")
     if t % 8 not in (3, 5):
         raise PreconditionFailure("t-residue", f"t={t} must be +-3 mod 8")
-    prime, method = primality_info(ell)
-    if not prime:
-        raise PreconditionFailure("ell-not-prime", f"ell={ell}")
-    if method == "baillie-psw-probable-prime":
-        raise PreconditionFailure(
-            "ell-primality-unproven", f"ell={ell} is only a BPSW probable prime"
-        )
+    require_proved_prime(ell)
     assert ell % 16 == 9
     report = selmer(ell)
     if report.rank_upper != 1:

@@ -13,7 +13,23 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from ellcert.arith import divisors_up_to, factorize, is_square
+from ellcert.arith import factorize, is_square
+
+
+def divisors_up_to(factors: dict[int, int], limit: int) -> list[int]:
+    """All positive divisors <= limit of the integer with the given factorization."""
+    out = [1]
+    for q, e in factors.items():
+        grown = []
+        for d in out:
+            m = d
+            for _ in range(e):
+                m *= q
+                if m > limit:
+                    break
+                grown.append(m)
+        out.extend(grown)
+    return sorted(d for d in out if d <= limit)
 
 
 def _pmul(f: list[int], g: list[int]) -> list[int]:

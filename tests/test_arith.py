@@ -9,16 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from divpoly_oracle import divisors_up_to
 from ellcert.arith import (
-    REAL,
-    divisors_up_to,
     factorize,
     is_prime,
     is_square,
     jacobi,
     kth_power_free,
     primality_info,
-    square_class_local,
     vp,
 )
 
@@ -167,39 +165,6 @@ def test_jacobi_composite_modulus():
         assert jacobi(a, 15) == jacobi(a, 3) * jacobi(a, 5)
     assert jacobi(3, 9) == 0
     assert jacobi(2, 1) == 1
-
-
-def test_square_class_local_frozen():
-    assert square_class_local(2, REAL)
-    assert not square_class_local(-1, REAL)
-    assert square_class_local(17, 2)   # 1 mod 8
-    assert not square_class_local(3, 2)
-    assert not square_class_local(Fraction(49, 2), 2)  # odd valuation
-    assert square_class_local(Fraction(9, 25), 5)
-    assert square_class_local(5, 11)
-    assert not square_class_local(7, 11)
-    with pytest.raises(ValueError):
-        square_class_local(0, REAL)
-    with pytest.raises(ValueError):
-        square_class_local(5, 6)
-
-
-def _is_local_square_oracle(x, p):
-    # even valuation and unit a square mod p (mod 8 at p = 2)
-    v = vp(x, p)
-    if v % 2:
-        return False
-    u = Fraction(x) / Fraction(p) ** int(v)
-    num, den = u.numerator, u.denominator
-    if p == 2:
-        return num * pow(den, -1, 8) % 8 == 1
-    return pow(num * pow(den, -1, p), (p - 1) // 2, p) == 1
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.integers(-(10**6), 10**6).filter(lambda n: n != 0), st.sampled_from([2, 3, 5, 7, 13]))
-def test_square_class_local_oracle(n, p):
-    assert square_class_local(n, p) == _is_local_square_oracle(n, p)
 
 
 @settings(max_examples=150, deadline=None)

@@ -12,7 +12,6 @@ from ellcert.certify import (
     SCHEMA_VERSION,
     batch_distinctness,
     certificate_from_dict,
-    certificate_from_jsonl,
     certificate_to_dict,
     certificate_to_jsonl,
     certify_divisibility,
@@ -187,7 +186,7 @@ def test_batch_distinctness():
 def test_jsonl_round_trip():
     cert = certify_infinite_instance(2, 75, 5, 1)
     line = certificate_to_jsonl(cert)
-    assert certificate_to_jsonl(certificate_from_jsonl(line)) == line
+    assert certificate_to_jsonl(certificate_from_dict(json.loads(line))) == line
     data = json.loads(line)
     assert data["schema"] == SCHEMA_VERSION
     assert list(data) == [

@@ -291,7 +291,11 @@ def test_verify_rank_mode_refuses_an_unproven_ell(capsys):
     # l = 1350000^4 + 29^2 > psi_13 passes only BPSW, which proves nothing
     rc, out, _ = run(capsys, "verify", "--mode", "rank", "--s", "1350000", "--t", "29")
     assert rc == 1
-    assert "REFUSED at check 'ell-primality-unproven'" in out
+    # the reason is printed once, then the detail
+    assert out.splitlines() == [
+        "REFUSED at check 'ell-primality-unproven': "
+        "ell=3321506250000000000000841 is only a BPSW probable prime"
+    ]
     assert "rank = 1" not in out
     # l = 131072^4 + 75^2 ~ 2.95e20 is below psi_13: proved, and certified
     rc, out, _ = run(capsys, "verify", "--mode", "rank", "--s", "131072", "--t", "75")
@@ -678,3 +682,46 @@ def test_heights_report(capsys):
     assert "ell = 5" in out
     assert "canonical height in [0.317" in out
     assert "index bound m^2 <=" in out
+
+
+@pytest.mark.parametrize(
+    "ells,reason",
+    [
+        ("3321506250000000000000841", "ell-primality-unproven"),  # above psi_13
+        ("5,15", "ell-not-prime"),
+    ],
+)
+def test_selmer_table_refuses_an_ell_not_proved_prime(ells, reason, capsys):
+    rc, out, _ = run(capsys, "selmer-table", "--ells", ells)
+    assert rc == 1
+    # every entry is checked before the header, so no row is printed
+    assert out.startswith(f"REFUSED at check '{reason}': ")
+    assert len(out.splitlines()) == 1
+
+
+def test_selmer_table_non_integer_ell_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["selmer-table", "--ells", "abc"])
+    assert exc.value.code == 2
+    assert "'abc' is not a comma-separated list of integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--s", "0", "--t", "0"),
+        ("--s", "1", "--t", "2", "--iterations", "0"),
+    ],
+)
+def test_heights_usage_errors(argv, capsys):
+    rc, out, err = run(capsys, "heights", *argv)
+    assert rc == 2
+    assert out == "" and err
+
+
+@pytest.mark.parametrize("s,t", [("1", "0"), ("0", "1")])
+def test_heights_refuses_a_torsion_base_point(s, t, capsys):
+    rc, out, _ = run(capsys, "heights", "--s", s, "--t", t)
+    assert rc == 1
+    assert out.startswith("REFUSED at check 'torsion-point': ")
+    assert len(out.splitlines()) == 1

@@ -9,7 +9,6 @@ import pytest
 from ellcert import arith, descent
 from ellcert.arith import REAL, is_prime, primality_info
 from ellcert.certify import certify_infinite_instance
-from ellcert.curve import INFINITY, base_point, make_family, on_curve, point
 from ellcert.descent import (
     Torsor,
     _exact_selmer,
@@ -22,23 +21,10 @@ from ellcert.descent import (
     rank_bound_by_residue,
     search_torsor_point,
     selmer,
-    two_isogeny,
 )
 from ellcert.errors import PreconditionFailure
 
 PRIMES_TO_400 = [q for q in range(3, 401, 2) if is_prime(q)]
-
-
-def test_two_isogeny_frozen():
-    c = make_family(1, 2)
-    image_curve, image_pt = two_isogeny(c, base_point(c))
-    assert image_curve.a == 20
-    assert image_pt is not None and (image_pt.x, image_pt.y) == (4, -12)
-    assert on_curve(image_curve, image_pt)
-    _, kernel_image = two_isogeny(c, point(c, 0, 0))
-    assert kernel_image is None
-    _, inf_image = two_isogeny(c, INFINITY)
-    assert inf_image is None
 
 
 def test_make_torsors_shapes():

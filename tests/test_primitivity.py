@@ -1,5 +1,5 @@
-"""Saturation-index certificates: height-floor route, the l = 2 search
-route, undecided cases, and a brute-force no-small-multiple cross-check."""
+"""Saturation-index certificates: the crude height-ratio lemma, its
+asserted preconditions, and a brute-force no-small-multiple cross-check."""
 
 import math
 from fractions import Fraction
@@ -10,50 +10,34 @@ from ellcert import primitivity
 from ellcert.arith import is_square, kth_power_free
 from ellcert.certify import member
 from ellcert.curve import base_point, make_family, rational_points_up_to_height, smul, translate_by_torsion
-from ellcert.descent import SelmerReport
 from ellcert.errors import PreconditionFailure
 from ellcert.heights import _vy_log2_coeff
-from ellcert.primitivity import certify_primitive, excludes_index_two
+from ellcert.primitivity import certify_primitive
 
 
 @pytest.mark.parametrize("s,t", [(1, 2), (2, 5), (3, 10), (2, 75)])
 def test_height_ratio_route(s, t):
-    cert = certify_primitive(member(s, t))
-    assert cert.status == "primitive"
-    assert cert.method == "height-ratio"
-    assert cert.torsion_only_two and cert.excludes_index_two
-    assert cert.ratio is not None and cert.ratio < 9.0
-    assert cert.search_bound is None
+    assert certify_primitive(member(s, t)) < 9.0
 
 
 def test_worst_family_ratio_frozen():
     # (2, 2) maximizes hhat_hi / floor over the small parameter box
-    cert = certify_primitive(member(2, 2))
-    assert cert.status == "primitive"
-    assert abs(cert.ratio - 8.6169) < 1e-3
+    assert abs(certify_primitive(member(2, 2)) - 8.6169) < 1e-3
 
 
-def test_smallest_member_uses_search():
-    cert = certify_primitive(member(1, 1))  # l = 2: floor table inapplicable
-    assert cert.status == "primitive"
-    assert cert.method == "rank-one-search"
-    assert cert.ratio is None
-    assert cert.search_bound is not None
-    assert 5.0 < cert.search_bound < 6.0
-
-
-def test_square_ell_is_undecided_not_failed():
-    cert = certify_primitive(member(2, 3))  # l = 25
-    assert cert.status == "undecided"
-    assert cert.reason == "square-ell-extra-two-torsion"
-    assert cert.method == "none"
-    assert not cert.torsion_only_two
-    assert not cert.excludes_index_two
-
-
-def test_parity_helper():
-    assert excludes_index_two(make_family(1, 2))
-    assert not excludes_index_two(make_family(2, 3))
+@pytest.mark.parametrize(
+    "s,t",
+    [
+        (1, 1),  # l = 2
+        (2, 3),  # l = 25, a square
+        (1, 182),  # l = 33125 = 5^4 * 53
+    ],
+)
+def test_unreachable_members_are_soundness_alarms(s, t):
+    """Members outside the lemma's preconditions, which every certifier
+    refuses before asking for primitivity."""
+    with pytest.raises(AssertionError, match=rf"\(s,t\)=\({s},{t}\)"):
+        certify_primitive(member(s, t))
 
 
 @pytest.mark.parametrize(
@@ -61,7 +45,7 @@ def test_parity_helper():
     [
         (0, 5, "degenerate-parameters"),
         (1, 0, "degenerate-parameters"),
-        (1, 182, "ell-not-fourth-power-free"),  # 33125 = 5^4 * 53
+        (-2, 5, "degenerate-parameters"),  # refused before the assertion
     ],
 )
 def test_refusals(s, t, reason):
@@ -110,12 +94,11 @@ def test_crude_ratio_lemma_exhaustive():
                 continue
             eligible += 1
             assert _vy_log2_coeff(-ell) in (Fraction(5, 16), Fraction(9, 16)), (s, t)
-            cert = certify_primitive(member(s, t))
-            assert cert.status == "primitive" and cert.method == "height-ratio", (s, t)
-            assert cert.ratio <= _lemma_bound(s, ell) + 1e-9, (s, t)
-            worst = max(worst, cert.ratio)
+            ratio = certify_primitive(member(s, t))
+            assert ratio <= _lemma_bound(s, ell) + 1e-9, (s, t)
+            worst = max(worst, ratio)
     assert eligible == 2993
-    assert worst == certify_primitive(member(2, 2)).ratio < 8.62
+    assert worst == certify_primitive(member(2, 2)) < 8.62
 
 
 def test_crude_ratio_lemma_closed_form():
@@ -123,8 +106,8 @@ def test_crude_ratio_lemma_closed_form():
     assert _lemma_bound(1, 5) < 7.7
     assert _lemma_bound(2, 17) < 8.78
     # the computed ratios round outward, so allow a few ulps
-    assert certify_primitive(member(1, 2)).ratio <= _lemma_bound(1, 5) + 1e-9
-    assert certify_primitive(member(2, 1)).ratio <= _lemma_bound(2, 17) + 1e-9
+    assert certify_primitive(member(1, 2)) <= _lemma_bound(1, 5) + 1e-9
+    assert certify_primitive(member(2, 1)) <= _lemma_bound(2, 17) + 1e-9
     # the bound falls as l grows, toward 8
     assert _lemma_bound(2, 10**40) < _lemma_bound(2, 10**6) < _lemma_bound(2, 17)
 
@@ -134,9 +117,3 @@ def test_failed_crude_ratio_is_a_soundness_alarm(monkeypatch):
     with pytest.raises(AssertionError, match="crude index bound"):
         certify_primitive(member(2, 5))
 
-
-def test_failed_rank_one_search_is_a_soundness_alarm(monkeypatch):
-    # the Selmer cap at l = 2 is 1; any other cap contradicts the search's facts
-    monkeypatch.setattr(primitivity, "selmer", lambda ell: SelmerReport((), (), 0, 0, 2))
-    with pytest.raises(AssertionError, match=r"\(s,t\)=\(1,1\)"):
-        certify_primitive(member(1, 1))

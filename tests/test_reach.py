@@ -1,0 +1,130 @@
+"""Reach guard: every function in ``src/ellcert`` is entered by some CLI
+run, or is a named reference oracle that the tests cross-check against.
+
+The CLI runs happen in a fresh interpreter, so warm ``lru_cache``s and
+the Selmer memo left by earlier tests cannot hide a function that only
+runs on a cache miss.  A function that no run enters and no allow-list
+entry names is dead code: delete it, or say here why it stays.
+"""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import ellcert
+
+PACKAGE = Path(ellcert.__file__).resolve().parent
+GOLDEN = Path(__file__).parent / "data" / "golden_records.jsonl"
+
+#: (module, function) -> why it stays although no CLI run enters it.
+ALLOWED = {
+    # the group law and the small-point search: oracles that the tests
+    # use to cross-check the closed forms (2P, torsion, primitivity)
+    ("curve", "point"): "group-law oracle",
+    ("curve", "neg"): "group-law oracle",
+    ("curve", "_add_raw"): "group-law oracle",
+    ("curve", "add"): "group-law oracle",
+    ("curve", "smul"): "group-law oracle; the benchmark tracer binds it",
+    ("curve", "translate_by_torsion"): "group-law oracle",
+    ("curve", "rational_points_up_to_height"): (
+        "small-point oracle; the benchmark tracer binds it"),
+    ("arith", "factorize"): "factoring oracle; the benchmark tracer binds it",
+    ("certify", "certificate_from_dict"): (
+        "parse oracle of the record round trip; the benchmark tracer binds it"),
+    # the public, checked entry points of the descent, whose unchecked
+    # cores (_torsors, _soluble_at) the certifiers call directly
+    ("descent", "make_torsors"): "descent oracle: checks that ell is prime",
+    ("descent", "locally_soluble"): "descent oracle: checks the place",
+    ("descent", "search_torsor_point"): "global-point oracle for torsors",
+    ("certify", "batch_distinctness"): (
+        "the pairwise distinctness verdict, kept for the batch check of "
+        "infinite-family records"),
+    ("cli", "entry"): "the console script; the runs call cli.main",
+}
+
+_RUNNER = r"""
+import json, os, sys
+
+entered = set()
+
+def profile(frame, event, arg):
+    if event == "call":
+        entered.add(frame.f_code)
+
+sys.setprofile(profile)
+import ellcert.cli as cli
+
+for argv in json.loads(sys.argv[1]):
+    try:
+        cli.main(argv)
+    except SystemExit:
+        pass
+sys.setprofile(None)
+root = os.path.dirname(os.path.abspath(cli.__file__))
+print(json.dumps(sorted(
+    [os.path.basename(code.co_filename)[:-3], code.co_firstlineno]
+    for code in entered
+    if os.path.dirname(os.path.abspath(code.co_filename)) == root
+)))
+"""
+
+
+def _cli_runs(tmp: Path) -> list[list[str]]:
+    ck, out = str(tmp / "run.ckpt"), str(tmp / "run.jsonl")
+    return [
+        ["verify", "--file", str(GOLDEN)],
+        ["verify", "--mode", "main", "--p", "5", "--s", "2", "--t", "25",
+         "--out", str(tmp / "one.jsonl")],
+        ["verify", "--mode", "square_subfamily", "--p", "5", "--s", "25", "--t", "2"],
+        ["verify", "--mode", "infinite", "--p", "5", "--s", "2", "--t", "75"],
+        ["verify", "--mode", "rank", "--s", "2", "--t", "5"],
+        # refused: ell is above psi_13, so only BPSW speaks for it
+        ["verify", "--mode", "rank", "--s", "1350000", "--t", "29"],
+        # a checkpointed search stopped early, then resumed
+        ["search", "--p", "5", "--max-param", "40", "--target-count", "3",
+         "--checkpoint", ck, "--out", out],
+        ["search", "--p", "5", "--max-param", "40", "--checkpoint", ck, "--out", out],
+        ["search", "--mode", "square_subfamily", "--p", "5", "--max-param", "30",
+         "--format", "csv", "--out", str(tmp / "sq.csv")],
+        ["search", "--mode", "infinite", "--p", "5", "--max-param", "80",
+         "--format", "pretty", "--out", str(tmp / "inf.txt")],
+        ["selmer-table", "--ells", "5,17,41,2"],
+        ["heights", "--s", "1", "--t", "2"],
+    ]
+
+
+def _defs() -> dict[tuple[str, int], str]:
+    """(module, first line) -> name of every def in the package; the first
+    line is that of the first decorator, as in the code object."""
+    out = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                out[(path.stem, first)] = node.name
+    return out
+
+
+def test_every_function_is_reached_or_an_allowed_oracle(tmp_path):
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env.pop("ELLCERT_WORKERS", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUNNER, json.dumps(_cli_runs(tmp_path))],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    entered = {tuple(key) for key in json.loads(proc.stdout.splitlines()[-1])}
+    defs = _defs()
+    names = {(mod, name) for (mod, _), name in defs.items()}
+    assert set(ALLOWED) <= names, "an allow-list entry names no function"
+    reached = {(mod, defs[(mod, line)]) for mod, line in entered if (mod, line) in defs}
+    unreached = {(mod, name) for (mod, line), name in defs.items()
+                 if (mod, line) not in entered}
+    assert unreached - set(ALLOWED) == set(), "functions no CLI run enters"
+    # an oracle that a run does enter is no longer test-only
+    assert reached & set(ALLOWED) == set(), "allow-list entries the CLI reaches"
