@@ -157,15 +157,39 @@ def is_prime(n: int) -> bool:
     return primality_info(n)[0]
 
 
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 0 and k >= 1, by integer Newton steps from
+    a power of two above the root."""
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def kth_power_free(n: int, k: int) -> bool:
-    """True when no prime q has q^k dividing n.  Sign of n is ignored."""
+    """True when no prime q has q^k dividing n.  Sign of n is ignored.
+
+    Trial division stops at B = floor(m^(1/(k+1))), where m is what is
+    left of |n| once the primes found so far are divided out (B shrinks
+    with m).  Every prime factor of the final m then exceeds B, so is
+    above m^(1/(k+1)).  If such a prime q had q^k | m, the quotient
+    m / q^k would be below m^(1/(k+1)), so at most B, and have no prime
+    factor up to B, so it would be 1: m = q^k.  Hence m is
+    k-th-power-free exactly when m = 1 or m is no perfect k-th power.
+    For k = 4 that is about n^(1/5) / 2 divisions, not n^(1/4) / 2.
+    """
     if n == 0:
         raise ValueError("kth_power_free: n must be nonzero")
     if k < 2:
         raise ValueError("kth_power_free: k must be >= 2")
     n = abs(n)
+    bound = _iroot(n, k + 1)
     q = 2
-    while q ** k <= n:
+    while q <= bound:
         if n % q == 0:
             v = 0
             while n % q == 0:
@@ -173,8 +197,9 @@ def kth_power_free(n: int, k: int) -> bool:
                 v += 1
             if v >= k:
                 return False
+            bound = _iroot(n, k + 1)
         q += 1 if q == 2 else 2
-    return True
+    return n == 1 or _iroot(n, k) ** k != n
 
 
 def is_square(x: Rational) -> bool:

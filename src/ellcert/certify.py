@@ -33,7 +33,7 @@ from .curve import (
     make_family,
     reduction_at,
 )
-from .descent import certify_rank_one
+from .descent import certify_rank_one, require_proved_prime
 from .errors import PreconditionFailure
 from .localcond import check_local
 from .primitivity import certify_primitive
@@ -160,10 +160,23 @@ def cohomology_vanishing_checks(c: Curve, p: int) -> list[CheckEntry]:
     return out
 
 
+def check_p(p: int) -> None:
+    """Refuse a p that is not a prime >= 5 (``p-out-of-range``) or that is
+    only a BPSW probable prime, above psi_13 (``p-primality-unproven``).
+
+    Every certifier, and ``search`` before it enumerates, runs this before
+    a member is built: an unproved p would leave the record resting on a
+    probable prime, and the parameters such a p forces (p^(n+1) | s t)
+    make ell too large to test for fourth powers in any useful time.
+    """
+    _require(p >= 5 and is_prime(p), "p-out-of-range", f"p={p} must be a prime >= 5")
+    require_proved_prime(p, "p")
+
+
 def _checked_member(s: int, t: int, p: int, n: int) -> Member:
     """The member, built only once the cheap checks on n, p and gcd pass."""
     _require(n >= 1, "depth-target", f"n={n} must be >= 1")
-    _require(p >= 5 and is_prime(p), "p-out-of-range", f"p={p} must be a prime >= 5")
+    check_p(p)
     _require(math.gcd(s, t) == 1, "coprime-parameters", f"gcd({s},{t}) != 1")
     return member(s, t)
 
@@ -246,7 +259,7 @@ def certify_square_subfamily(s: int, tau: int, p: int) -> Certificate:
     both filtration depths are machine-checked through the swap.
     """
     _require(math.gcd(s, tau) == 1, "coprime-parameters", f"gcd({s},{tau}) != 1")
-    _require(p >= 5 and is_prime(p), "p-out-of-range", f"p={p} must be a prime >= 5")
+    check_p(p)
     t = tau * tau
     m = member(s, t)
     ell = m.ell

@@ -45,6 +45,7 @@ from .certify import (
     certify_divisibility,
     certify_infinite_instance,
     certify_square_subfamily,
+    check_p,
 )
 from .curve import base_point, make_family
 from .descent import (
@@ -259,8 +260,10 @@ def _search_config_error(args) -> str | None:
         return "--max-param must be at least 1"
     if args.n < 1:
         return "depth target n must be at least 1"
-    if args.p < 5 or not is_prime(args.p):
-        return f"p = {args.p} is not a prime >= 5"
+    try:
+        check_p(args.p)
+    except PreconditionFailure as exc:
+        return f"{exc.reason}: {exc.detail}"
     # the p-adic depth lands entirely inside one parameter (the pair is
     # coprime), so that parameter must reach p^depth within the range
     depth = _required_depth(args.mode, args.n)

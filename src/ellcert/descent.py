@@ -381,15 +381,16 @@ class RankCert(NamedTuple):
         return f"rank = {self.rank}"
 
 
-def require_proved_prime(ell: int) -> None:
-    """Refuse an ell that is not prime (``ell-not-prime``) or that only
-    passed BPSW, above psi_13 (``ell-primality-unproven``)."""
-    prime, method = primality_info(ell)
+def require_proved_prime(n: int, name: str = "ell") -> None:
+    """Refuse an n that is not prime (``<name>-not-prime``) or that only
+    passed BPSW, above psi_13 (``<name>-primality-unproven``); ``name`` is
+    the parameter n stands for, ell or p."""
+    prime, method = primality_info(n)
     if not prime:
-        raise PreconditionFailure("ell-not-prime", f"ell={ell}")
+        raise PreconditionFailure(f"{name}-not-prime", f"{name}={n}")
     if method == "baillie-psw-probable-prime":
         raise PreconditionFailure(
-            "ell-primality-unproven", f"ell={ell} is only a BPSW probable prime"
+            f"{name}-primality-unproven", f"{name}={n} is only a BPSW probable prime"
         )
 
 

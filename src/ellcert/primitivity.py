@@ -17,6 +17,7 @@ h(P)/2 + upper_gap already gives that ratio (see ``certify_primitive``).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .errors import PreconditionFailure
@@ -27,6 +28,12 @@ if TYPE_CHECKING:
 
 RATIO_MARGIN = 1e-6
 _INDEX_SQ_LIMIT = 9.0  # first odd index to exclude is 3
+
+
+@lru_cache(maxsize=4096)
+def _ln_s_squared_hi(s: int) -> float:
+    """Upper end of ``log_int_bounds(s * s)``, that is of h(P) = ln s^2."""
+    return log_int_bounds(s * s)[1]
 
 
 def certify_primitive(m: Member) -> float:
@@ -51,6 +58,14 @@ def certify_primitive(m: Member) -> float:
     ``check_local``, which needs a prime p >= 5 with p^(n+1) | s t, so
     |s t| >= 25 and l != 2.  A negative s or t passes all of these, so
     ``degenerate-parameters`` is refused here, before the assertion.
+
+    The upper bound of h(P) = ln s^2 is memoized per process, keyed by s
+    (bounded, so a long search cannot grow it without limit).  It is a
+    pure function of s: a hit returns the float a fresh ``log_int_bounds``
+    call would, so the ratio, and every record, is the same whatever the
+    order in which a process meets its s values, the worker count or a
+    resumed run.  A search meets the same s across a whole shell, so
+    many certificates skip one of their three 50-digit logarithms.
     """
     s, t, ell = m.s, m.t, m.ell
     if s < 1 or t < 1:
@@ -60,7 +75,7 @@ def certify_primitive(m: Member) -> float:
     )
 
     vy = _vy_floor(-ell)
-    h_naive_hi = log_int_bounds(s * s)[1] if s > 1 else 0.0
+    h_naive_hi = _ln_s_squared_hi(s) if s > 1 else 0.0
     crude = _up(_up(h_naive_hi / 2.0) + silverman_gaps(m.curve).upper_gap)
     ratio = _up(crude / vy)
     if not ratio < _INDEX_SQ_LIMIT - RATIO_MARGIN:

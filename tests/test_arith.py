@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from divpoly_oracle import divisors_up_to
 from ellcert.arith import (
+    _iroot,
     factorize,
     is_prime,
     is_square,
@@ -135,6 +136,77 @@ def test_fourth_power_free_brute():
     for n in range(1, 4000):
         free = all(n % q**4 for q in range(2, 9))
         assert kth_power_free(n, 4) == free, n
+
+
+def _kth_power_free_full_scan(n, k):
+    """The trial division up to n^(1/k) that ``kth_power_free`` replaced."""
+    n = abs(n)
+    q = 2
+    while q**k <= n:
+        if n % q == 0:
+            v = 0
+            while n % q == 0:
+                n //= q
+                v += 1
+            if v >= k:
+                return False
+        q += 1 if q == 2 else 2
+    return True
+
+
+def test_kth_power_free_matches_the_full_scan():
+    """20,000 seeded inputs of 1 to 9 digits, 40 % of them times q^(k-1),
+    q^k or q^(k+1) for a prime q up to 2000.  When the small factor is
+    below q, q^k lies above the n^(1/(k+1)) cut-off and only the cofactor
+    test sees it."""
+    rng = random.Random(20221019)
+    primes = [q for q in range(2, 2000) if is_prime(q)]
+    past_cut_off = 0
+    for _ in range(20_000):
+        k = rng.choice((2, 3, 4, 4, 4, 5))
+        n = rng.randrange(1, 10 ** rng.randint(1, 9))
+        if rng.random() < 0.4:
+            q = rng.choice(primes)
+            n *= q ** rng.choice((k - 1, k, k + 1))
+            past_cut_off += n % q**k == 0 and q ** (k + 1) > n
+        n *= rng.choice((1, -1))
+        assert kth_power_free(n, k) == _kth_power_free_full_scan(n, k), (n, k)
+    assert past_cut_off > 500
+    for n in range(1, 20_000):
+        for k in (2, 3, 4):
+            assert kth_power_free(n, k) == _kth_power_free_full_scan(n, k), (n, k)
+
+
+@pytest.mark.parametrize(
+    "n,free",
+    [
+        (2**4, False),
+        (7**4, False),  # the cofactor 7^4 is above the cut-off 4
+        (7**4 * 2, False),
+        (10007**4, False),
+        (10007**4 * 9973, False),
+        (10007**3 * 9973, True),
+        (10007**5, False),
+        # small primes divided out shrink the cut-off below 10007
+        (2**3 * 3**3 * 10007**4, False),
+        (2**3 * 3**3 * 10007**3 * 9973, True),
+        (-(3**4) * 11, False),
+        (1, True),
+    ],
+)
+def test_kth_power_free_prime_powers_past_the_cut_off(n, free):
+    assert kth_power_free(n, 4) == free
+
+
+def test_iroot():
+    for n in range(0, 3000):
+        for k in range(1, 7):
+            r = _iroot(n, k)
+            assert r**k <= n < (r + 1) ** k, (n, k)
+    for n in (10**60 + 7, 2**200, 3**150 - 1, (10**20 + 39) ** 5):
+        for k in (2, 3, 4, 5, 17):
+            r = _iroot(n, k)
+            assert r**k <= n < (r + 1) ** k, (n, k)
 
 
 @settings(max_examples=200, deadline=None)

@@ -103,6 +103,28 @@ def test_divisibility_refusals(args, reason):
     assert err.value.reason == reason
 
 
+# a BPSW probable prime above psi_13 ~ 3.32e24, so never proved prime
+UNPROVEN_P = 10000000000000000000000013
+
+
+@pytest.mark.parametrize(
+    "certifier,args",
+    [
+        (certify_divisibility, (UNPROVEN_P**2, 1, UNPROVEN_P, 1)),
+        (certify_square_subfamily, (UNPROVEN_P, 1, UNPROVEN_P)),
+        (certify_infinite_instance, (2 * UNPROVEN_P**2, 3, UNPROVEN_P, 1)),
+    ],
+)
+def test_p_above_psi_13_is_refused_before_the_member(monkeypatch, certifier, args):
+    assert arith.primality_info(UNPROVEN_P) == (True, "baillie-psw-probable-prime")
+    built = _count_calls(monkeypatch, certify.member)
+    with pytest.raises(PreconditionFailure) as err:
+        certifier(*args)
+    assert err.value.reason == "p-primality-unproven"
+    assert err.value.detail == f"p={UNPROVEN_P} is only a BPSW probable prime"
+    assert built == []
+
+
 def test_square_subfamily_frozen():
     cert = certify_square_subfamily(2, 25, 5)
     assert cert.theorem == "square-subfamily"

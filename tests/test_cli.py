@@ -197,6 +197,32 @@ def test_search_config_errors(argv, capsys):
     assert err.startswith("config error:")
 
 
+UNPROVEN_P = "10000000000000000000000013"  # BPSW only, above psi_13
+
+
+@pytest.mark.parametrize("mode", ["main", "square_subfamily", "infinite"])
+def test_search_refuses_an_unproven_p_as_a_config_error(mode, capsys):
+    square = str(int(UNPROVEN_P) ** 2)
+    rc, out, err = run(capsys, "search", "--mode", mode, "--p", UNPROVEN_P,
+                       "--max-param", square)
+    assert rc == 2 and out == ""
+    assert err == (
+        f"config error: p-primality-unproven: p={UNPROVEN_P} "
+        "is only a BPSW probable prime\n"
+    )
+
+
+def test_verify_refuses_an_unproven_p(capsys):
+    square = str(int(UNPROVEN_P) ** 2)
+    rc, out, _ = run(capsys, "verify", "--mode", "main", "--p", UNPROVEN_P,
+                     "--s", square, "--t", "1")
+    assert rc == 1
+    assert out.splitlines() == [
+        f"REFUSED at check 'p-primality-unproven': p={UNPROVEN_P} "
+        "is only a BPSW probable prime"
+    ]
+
+
 def test_search_csv_format(tmp_path, capsys):
     out = tmp_path / "t.csv"
     rc, _, _ = run(

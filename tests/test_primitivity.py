@@ -1,17 +1,21 @@
 """Saturation-index certificates: the crude height-ratio lemma, its
-asserted preconditions, and a brute-force no-small-multiple cross-check."""
+asserted preconditions, a brute-force no-small-multiple cross-check, and
+the per-process memo of ln s^2."""
 
+import json
 import math
 from fractions import Fraction
 
 import pytest
 
+from ellcert import heights as heights_module
 from ellcert import primitivity
 from ellcert.arith import is_square, kth_power_free
-from ellcert.certify import member
+from ellcert.certify import certificate_to_jsonl, certify_divisibility, member
+from ellcert.cli import main as cli_main
 from ellcert.curve import base_point, make_family, rational_points_up_to_height, smul, translate_by_torsion
 from ellcert.errors import PreconditionFailure
-from ellcert.heights import _vy_log2_coeff
+from ellcert.heights import _vy_log2_coeff, log_int_bounds
 from ellcert.primitivity import certify_primitive
 
 
@@ -117,3 +121,61 @@ def test_failed_crude_ratio_is_a_soundness_alarm(monkeypatch):
     with pytest.raises(AssertionError, match="crude index bound"):
         certify_primitive(member(2, 5))
 
+
+
+def _grid_outcomes(pairs):
+    """Record or refusal reason of ``certify_divisibility`` at each pair."""
+    out = []
+    for s, t, p in pairs:
+        try:
+            out.append(certificate_to_jsonl(certify_divisibility(s, t, p, 1)))
+        except PreconditionFailure as exc:
+            out.append(exc.reason)
+    return out
+
+
+def test_ln_s_squared_memo_leaves_records_unchanged():
+    """The memo is a pure function of s: certificates over s, t <= 60 and
+    p in {5, 7, 13} agree with it cleared, warm, and filled in reverse."""
+    pairs = [(s, t, p) for p in (5, 7, 13) for s in range(1, 61) for t in range(1, 61)]
+    memo = primitivity._ln_s_squared_hi
+    memo.cache_clear()
+    cold = _grid_outcomes(pairs)
+    assert memo.cache_info().misses > 1
+    warm = _grid_outcomes(pairs)
+    memo.cache_clear()
+    backwards = _grid_outcomes(pairs[::-1])[::-1]
+    assert cold == warm == backwards
+    assert sum(line.startswith("{") for line in cold) > 100
+    # the memo holds exactly what a fresh call gives
+    for s in range(2, 61):
+        assert memo(s) == log_int_bounds(s * s)[1]
+
+
+def test_ln_s_squared_memo_is_bounded():
+    assert primitivity._ln_s_squared_hi.cache_info().maxsize == 4096
+
+
+def test_p13_search_takes_one_ln_s_squared_per_s(monkeypatch, tmp_path, capsys):
+    """Two logarithms per certificate (ln l and ln 64 l^3) plus one per
+    distinct s > 1: 2 * 1,107 + 371.  One per certificate for ln s^2 as
+    well would make 3,319."""
+    calls = []
+    real = heights_module.log_int_bounds
+
+    def counted(n):
+        calls.append(n)
+        return real(n)
+
+    for module in (heights_module, primitivity):
+        monkeypatch.setattr(module, "log_int_bounds", counted)
+    primitivity._ln_s_squared_hi.cache_clear()
+    out = tmp_path / "p13.jsonl"
+    argv = ["search", "--mode", "main", "--p", "13", "--max-param", "400",
+            "--workers", "1", "--out", str(out)]
+    assert cli_main(argv) == 0
+    capsys.readouterr()
+    records = out.read_text().splitlines()
+    distinct_s = {json.loads(line)["subject"]["s"] for line in records} - {"1"}
+    assert (len(records), len(distinct_s)) == (1107, 371)
+    assert len(calls) == 2585
