@@ -524,6 +524,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_selmer_table(args) -> int:
+    if args.ells is None and args.max_ell < 2:
+        print("--max-ell must be at least 2, the smallest prime", file=sys.stderr)
+        return 2
     ells = args.ells or [q for q in range(2, args.max_ell + 1) if is_prime(q)]
     try:
         for ell in ells:

@@ -6,6 +6,12 @@ explicit one-ulp pad in each direction, then converted to floats with a
 two-ulp outward nudge.  Every interval produced here is therefore a true
 enclosure: lo <= exact value <= hi.
 
+The primitivity bound needs ln l (for the height floor) and ln(64 l^3)
+(for the Silverman gap) of one member.  ``ln_ell_lo_and_delta_hi`` takes
+both from a single wider logarithm of l and returns exactly the floats of
+the two direct ``log_int_bounds`` calls, falling back to those calls in
+the rare case where it cannot prove that.
+
 Height convention: hhat = (1/2) * lim h(2^n P) / 4^n, i.e. the canonical
 height of a point with x-coordinate n/d satisfies hhat ~ h/2 where
 h = log max(|n|, |d|).  This is the non-doubled normalization.
@@ -14,7 +20,7 @@ h = log max(|n|, |d|).  This is the non-doubled normalization.
 from __future__ import annotations
 
 import math
-from decimal import Decimal, localcontext
+from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -94,6 +100,63 @@ def log_int_bounds(n: int) -> tuple[float, float]:
 #: Upper bound of h(j) = ln 1728, the j-invariant of every family member.
 LOG1728_HI = log_int_bounds(1728)[1]
 
+# ``ln_ell_lo_and_delta_hi`` works at 60 digits and rounds to 50.  Each
+# context names its own rounding, so an ambient context cannot reach it.
+_WIDE_PREC = 60
+_WIDE = Context(prec=_WIDE_PREC, rounding=ROUND_HALF_EVEN)
+_NARROW = Context(prec=_DEC_PREC, rounding=ROUND_HALF_EVEN)
+_EXACT = Context(prec=_WIDE_PREC + 4, rounding=ROUND_HALF_EVEN)  # exact on +- pads
+_LN64_WIDE = Decimal(64).ln(_WIDE)
+#: Error bounds, in last-place units of the 60-digit value, padded: the
+#: wide ln l is correctly rounded (half an ulp); 3 ln l + ln 64 carries
+#: three times that, half an ulp of ln 64 and half of the fused
+#: multiply-add, 2.5 ulps in all, as the sum is at least each term.
+_LN_ELL_ERR_ULPS = 1
+_LN_DELTA_ERR_ULPS = 10
+
+
+def _round_to_dec_prec(x: Decimal, err_ulps: int) -> Decimal | None:
+    """The 50-digit ``dec_ln_bounds`` centre of a value known to lie within
+    ``err_ulps`` last-place units of the 60-digit ``x``, or None.
+
+    Half-even rounding is monotone, so when both ends of the error interval
+    round to one value, so does the exact logarithm inside it, and that
+    value is the correctly rounded 50-digit ln that ``dec_ln_bounds`` starts
+    from.  Otherwise a rounding boundary lies within the interval and the
+    caller must take the direct logarithm.
+    """
+    err = Decimal(err_ulps).scaleb(x.adjusted() - _WIDE_PREC + 1, _EXACT)
+    lo = _NARROW.plus(_EXACT.subtract(x, err))
+    hi = _NARROW.plus(_EXACT.add(x, err))
+    return lo if lo == hi else None
+
+
+def _dec_ulp(v: Decimal) -> Decimal:
+    """One unit in the last of the 50 digits of ``v``, as in ``dec_ln_bounds``."""
+    return Decimal(1).scaleb(v.adjusted() - _DEC_PREC + 1, _EXACT)
+
+
+def ln_ell_lo_and_delta_hi(ell: int) -> tuple[float, float]:
+    """``(log_int_bounds(ell)[0], log_int_bounds(64 * ell**3)[1])``, the floats
+    bit for bit, from one 60-digit ln of ell in place of two 50-digit logs.
+
+    ln(64 ell^3) is formed as 3 ln ell + ln 64 at 60 digits; each value is
+    kept only if its whole error interval rounds to one 50-digit value (see
+    ``_round_to_dec_prec``), which is then the ``dec_ln_bounds`` centre,
+    padded and converted the same way.  Otherwise, and for ell < 2 or a
+    64 ell^3 that ``log_int_bounds`` would truncate, the two direct calls
+    answer.
+    """
+    if ell >= 2 and (64 * ell**3).bit_length() <= _DIRECT_LN_BITS:
+        ln_ell = Decimal(ell).ln(_WIDE)
+        ell_c = _round_to_dec_prec(ln_ell, _LN_ELL_ERR_ULPS)
+        ln_delta = _WIDE.fma(3, ln_ell, _LN64_WIDE)
+        delta_c = _round_to_dec_prec(ln_delta, _LN_DELTA_ERR_ULPS)
+        if ell_c is not None and delta_c is not None:
+            return (_dn(float(_EXACT.subtract(ell_c, _dec_ulp(ell_c)))),
+                    _up(float(_EXACT.add(delta_c, _dec_ulp(delta_c)))))
+    return log_int_bounds(ell)[0], log_int_bounds(64 * ell**3)[1]
+
 
 def _x_height_int(pt: Point) -> int:
     """max(|num|, den) of the x-coordinate."""
@@ -129,8 +192,12 @@ def silverman_gaps(c: Curve) -> SilvermanBounds:
     # j = 1728 and Delta = -64 a^3 for every y^2 = x^3 + a x
     hdelta = log_int_bounds(64 * abs(c.a) ** 3)[1]
     lower = _up(_up(LOG1728_HI / 8.0 + hdelta / 12.0) + 0.973)
-    upper = _up(_up(LOG1728_HI / 12.0 + hdelta / 12.0) + 1.07)
-    return SilvermanBounds(lower_gap=lower, upper_gap=upper)
+    return SilvermanBounds(lower_gap=lower, upper_gap=_silverman_upper_gap(hdelta))
+
+
+def _silverman_upper_gap(hdelta_hi: float) -> float:
+    """``upper_gap`` of ``silverman_gaps`` from an upper bound of h(Delta)."""
+    return _up(_up(LOG1728_HI / 12.0 + hdelta_hi / 12.0) + 1.07)
 
 
 class HeightInterval(NamedTuple):
@@ -229,14 +296,14 @@ def vy_lower_bound(a: int) -> float:
         raise ValueError("vy_lower_bound: a must be nonzero")
     if not kth_power_free(a, 4):
         raise ValueError(f"vy_lower_bound: a={a} is not fourth-power-free")
-    return _vy_floor(a)
+    return _vy_floor(a, log_int_bounds(abs(a))[0])
 
 
-def _vy_floor(a: int) -> float:
+def _vy_floor(a: int, ln_a_lo: float) -> float:
     """``vy_lower_bound`` for a caller that already knows a is nonzero and
-    fourth-power-free; nothing here checks either."""
+    fourth-power-free and holds ``log_int_bounds(abs(a))[0]`` as ``ln_a_lo``;
+    nothing here checks any of the three."""
     coeff = _vy_log2_coeff(a)
-    ln_a_lo = log_int_bounds(abs(a))[0]
     log2_lo, log2_hi = LOG2_BOUNDS
     c_term = float(coeff) * (log2_lo if coeff > 0 else log2_hi)
     return _dn(_dn(ln_a_lo / 16.0) + _dn(c_term))

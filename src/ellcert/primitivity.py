@@ -21,7 +21,9 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .errors import PreconditionFailure
-from .heights import _up, _vy_floor, log_int_bounds, silverman_gaps
+from .heights import (
+    _silverman_upper_gap, _up, _vy_floor, ln_ell_lo_and_delta_hi, log_int_bounds,
+)
 
 if TYPE_CHECKING:
     from .certify import Member
@@ -65,7 +67,12 @@ def certify_primitive(m: Member) -> float:
     call would, so the ratio, and every record, is the same whatever the
     order in which a process meets its s values, the worker count or a
     resumed run.  A search meets the same s across a whole shell, so
-    many certificates skip one of their three 50-digit logarithms.
+    most certificates take no logarithm of s at all.
+
+    ln l for the floor and h(Delta) = ln(64 l^3) for the gap come from one
+    60-digit logarithm of l (``heights.ln_ell_lo_and_delta_hi``), which
+    returns the very floats the two direct ``log_int_bounds`` calls would.
+    So a certificate costs one Decimal logarithm, plus one per new s.
     """
     s, t, ell = m.s, m.t, m.ell
     if s < 1 or t < 1:
@@ -74,9 +81,10 @@ def certify_primitive(m: Member) -> float:
         f"primitivity lemma preconditions fail at (s,t)=({s},{t})"
     )
 
-    vy = _vy_floor(-ell)
+    ln_ell_lo, h_delta_hi = ln_ell_lo_and_delta_hi(ell)
+    vy = _vy_floor(-ell, ln_ell_lo)
     h_naive_hi = _ln_s_squared_hi(s) if s > 1 else 0.0
-    crude = _up(_up(h_naive_hi / 2.0) + silverman_gaps(m.curve).upper_gap)
+    crude = _up(_up(h_naive_hi / 2.0) + _silverman_upper_gap(h_delta_hi))
     ratio = _up(crude / vy)
     if not ratio < _INDEX_SQ_LIMIT - RATIO_MARGIN:
         raise AssertionError(f"crude index bound {ratio} >= 9 at (s,t)=({s},{t})")

@@ -725,6 +725,15 @@ def test_selmer_table_refuses_an_ell_not_proved_prime(ells, reason, capsys):
     assert len(out.splitlines()) == 1
 
 
+@pytest.mark.parametrize("max_ell", ["1", "0", "-3"])
+def test_selmer_table_max_ell_below_two_is_a_usage_error(max_ell, capsys):
+    # no prime lies below 2, so the table would be a bare header
+    rc, out, err = run(capsys, "selmer-table", "--max-ell", max_ell)
+    assert rc == 2
+    assert out == ""
+    assert "--max-ell must be at least 2" in err
+
+
 def test_selmer_table_non_integer_ell_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["selmer-table", "--ells", "abc"])

@@ -9,9 +9,12 @@ before the theorem registry and the member context replaced the
 per-mode dispatch, so they pin records and reasons byte for byte.
 ``data/selmer_table_3000.csv`` is ``ellcert selmer-table --max-ell 3000``
 as written before ``descent.selmer`` kept one class pattern per residue
-of l mod 16.
+of l mod 16.  The full p = 13 search, with its checkpoint, is compared
+with the benchmark's own goldens (``perfbench/data/goldens.json``, read
+only), which pin all of its 1,107 index-square bounds.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -24,6 +27,7 @@ DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden_records.jsonl"
 LINES = GOLDEN.read_text(encoding="utf-8").splitlines()
 REFUSALS = json.loads((DATA / "golden_refusals.json").read_text(encoding="utf-8"))
+BENCH_GOLDENS = Path(__file__).parent.parent / "perfbench" / "data" / "goldens.json"
 
 
 def _verify_argv(record: dict) -> list[str]:
@@ -95,3 +99,17 @@ def test_selmer_table_matches_the_golden(monkeypatch, capsys):
     assert cli.main(["selmer-table", "--max-ell", "3000"]) == 0
     golden = (DATA / "selmer_table_3000.csv").read_text(encoding="utf-8")
     assert capsys.readouterr().out == golden
+
+
+def test_full_p13_search_matches_the_benchmark_goldens(tmp_path, capsys):
+    golden = json.loads(BENCH_GOLDENS.read_text(encoding="utf-8"))
+    golden = golden["search"]["search-main-p13-ckpt"]["full"]
+    out, ck = tmp_path / "p13.jsonl", tmp_path / "p13.ck"
+    argv = ["search", "--mode", "main", "--p", "13", "--max-param", "400",
+            "--workers", "1", "--out", str(out), "--checkpoint", str(ck)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    records = out.read_text(encoding="utf-8").splitlines()
+    assert len(records) == golden["outcomes"]["certified"]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == golden["sha256"]
+    assert hashlib.sha256(ck.read_bytes()).hexdigest() == golden["checkpoint_sha256"]

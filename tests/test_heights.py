@@ -2,19 +2,25 @@
 higher-precision recomputation or an exact identity."""
 
 import math
-from decimal import Decimal, getcontext
+import random
+from decimal import ROUND_FLOOR, Decimal, getcontext, localcontext
 from fractions import Fraction
 
 import pytest
 
+from ellcert import heights as heights_module
+from ellcert.arith import _iroot
 from ellcert.curve import INFINITY, base_point, curve_from_a, make_family, point, smul
 from ellcert.errors import PreconditionFailure
 from ellcert.heights import (
+    _DIRECT_LN_BITS,
     LOG2_BOUNDS,
     LOG1728_HI,
+    _silverman_upper_gap,
     _vy_floor,
     canonical_height,
     dec_ln_bounds,
+    ln_ell_lo_and_delta_hi,
     log_int_bounds,
     naive_height,
     naive_height_bounds,
@@ -165,7 +171,8 @@ def test_vy_rows_frozen(a, coeff):
     got = vy_lower_bound(a)
     assert got <= expected + 1e-15  # rounded down
     assert abs(got - expected) < 2e-12
-    assert _vy_floor(a) == got  # the unchecked floor a member's caller uses
+    # the unchecked floor a member's caller uses, given the same ln|a|
+    assert _vy_floor(a, log_int_bounds(abs(a))[0]) == got
 
 
 def test_vy_rejections():
@@ -196,3 +203,94 @@ def test_family_avoids_negative_rows():
             ell = s**4 + t**2
             if kth_power_free(ell, 4):
                 assert _vy_log2_coeff(-ell) > 0, (s, t)
+
+
+def _direct_pair(ell):
+    return log_int_bounds(ell)[0], log_int_bounds(64 * ell**3)[1]
+
+
+@pytest.fixture
+def direct_logs(monkeypatch):
+    """Arguments of every ``dec_ln_bounds`` call: the helper's fallback."""
+    calls = []
+    real = heights_module.dec_ln_bounds
+    monkeypatch.setattr(
+        heights_module, "dec_ln_bounds", lambda n: calls.append(n) or real(n)
+    )
+    return calls
+
+
+def test_one_wide_log_matches_the_direct_pair_exhaustively(direct_logs):
+    # the expected pairs are taken first, so only the helper is counted
+    expected = [_direct_pair(ell) for ell in range(2, 5001)]
+    direct_logs.clear()
+    assert [ln_ell_lo_and_delta_hi(ell) for ell in range(2, 5001)] == expected
+    assert direct_logs == []
+
+
+def test_one_wide_log_matches_the_direct_pair_up_to_1e60(direct_logs):
+    rng = random.Random(20261019)
+    ells = [rng.randrange(2, 10 ** rng.randint(1, 60)) for _ in range(3000)]
+    ells += [s**4 + t * t for s, t in ((2, 2), (400, 399), (10**15, 10**30 - 1))]
+    expected = [_direct_pair(ell) for ell in ells]
+    direct_logs.clear()
+    assert [ln_ell_lo_and_delta_hi(ell) for ell in ells] == expected
+    assert direct_logs == []
+
+
+def test_wide_log_rounds_to_the_direct_50_digit_centre():
+    # the floats rarely see one 50-digit ulp, so compare the Decimals
+    rng = random.Random(20261020)
+    ells = list(range(2, 300)) + [rng.randrange(2, 10**60) for _ in range(300)]
+    for ell in ells:
+        ln_ell = Decimal(ell).ln(heights_module._WIDE)
+        ln_delta = heights_module._WIDE.fma(3, ln_ell, heights_module._LN64_WIDE)
+        for x, n, err in ((ln_ell, ell, 1), (ln_delta, 64 * ell**3, 10)):
+            lo, hi = dec_ln_bounds(n)
+            got = heights_module._round_to_dec_prec(x, err)
+            assert got is not None and got - lo == hi - got > 0, (ell, n)
+
+
+def test_one_wide_log_across_the_direct_ln_width():
+    # 64 ell^3 fits in _DIRECT_LN_BITS bits up to edge and no further;
+    # past it log_int_bounds truncates, and so must the helper
+    edge = _iroot((1 << (_DIRECT_LN_BITS - 6)) - 1, 3)
+    ells = range(edge - 3, edge + 4)
+    widths = {(64 * ell**3).bit_length() <= _DIRECT_LN_BITS for ell in ells}
+    assert widths == {True, False}
+    for ell in ells:
+        assert ln_ell_lo_and_delta_hi(ell) == _direct_pair(ell), ell
+
+
+def test_one_wide_log_below_two_is_the_direct_pair():
+    assert ln_ell_lo_and_delta_hi(1) == _direct_pair(1) == (0.0, log_int_bounds(64)[1])
+    with pytest.raises(ValueError):
+        ln_ell_lo_and_delta_hi(0)
+
+
+@pytest.mark.parametrize("err_name", ["_LN_ELL_ERR_ULPS", "_LN_DELTA_ERR_ULPS"])
+def test_a_straddled_rounding_boundary_falls_back(err_name, monkeypatch, direct_logs):
+    ells = [5, 17, 10**40 + 123]
+    expected = [_direct_pair(ell) for ell in ells]
+    # an error interval 20 ulps wide at 50 digits always holds a boundary
+    monkeypatch.setattr(heights_module, err_name, 10**11)
+    direct_logs.clear()
+    assert [ln_ell_lo_and_delta_hi(ell) for ell in ells] == expected
+    assert direct_logs == [n for ell in ells for n in (ell, 64 * ell**3)]
+
+
+def test_one_wide_log_ignores_the_ambient_decimal_context():
+    ells = [2, 5, 641, 3**37, 10**59 + 7]
+    expected = [_direct_pair(ell) for ell in ells]
+    with localcontext() as ctx:
+        ctx.prec = 5
+        ctx.rounding = ROUND_FLOOR
+        got = [ln_ell_lo_and_delta_hi(ell) for ell in ells]
+    assert got == expected
+
+
+def test_upper_gap_from_the_wide_log_is_silvermans():
+    for s, t in ((1, 2), (2, 5), (3, 10), (400, 399)):
+        c = make_family(s, t)
+        h_delta_hi = ln_ell_lo_and_delta_hi(c.ell)[1]
+        assert _silverman_upper_gap(h_delta_hi) == silverman_gaps(c).upper_gap

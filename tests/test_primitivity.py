@@ -4,6 +4,7 @@ the per-process memo of ln s^2."""
 
 import json
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -117,7 +118,7 @@ def test_crude_ratio_lemma_closed_form():
 
 
 def test_failed_crude_ratio_is_a_soundness_alarm(monkeypatch):
-    monkeypatch.setattr(primitivity, "_vy_floor", lambda a: 0.1)
+    monkeypatch.setattr(primitivity, "_vy_floor", lambda a, ln_a_lo: 0.1)
     with pytest.raises(AssertionError, match="crude index bound"):
         certify_primitive(member(2, 5))
 
@@ -157,16 +158,24 @@ def test_ln_s_squared_memo_is_bounded():
 
 
 def test_p13_search_takes_one_ln_s_squared_per_s(monkeypatch, tmp_path, capsys):
-    """Two logarithms per certificate (ln l and ln 64 l^3) plus one per
-    distinct s > 1: 2 * 1,107 + 371.  One per certificate for ln s^2 as
-    well would make 3,319."""
-    calls = []
+    """Decimal logarithms of a p13 search: one wide ln l per certificate,
+    giving both ln l and ln 64 l^3, plus one per distinct s > 1:
+    1,107 + 371.  Two 50-digit logs per certificate would make 2,585, and
+    one more per certificate for ln s^2 3,319.  ``log_int_bounds`` serves
+    only ln s^2: the wide log never fell back to it."""
+    logs, calls = [], []
     real = heights_module.log_int_bounds
+
+    class CountingDecimal(Decimal):
+        def ln(self, context=None):
+            logs.append(self)
+            return super().ln(context)
 
     def counted(n):
         calls.append(n)
         return real(n)
 
+    monkeypatch.setattr(heights_module, "Decimal", CountingDecimal)
     for module in (heights_module, primitivity):
         monkeypatch.setattr(module, "log_int_bounds", counted)
     primitivity._ln_s_squared_hi.cache_clear()
@@ -178,4 +187,5 @@ def test_p13_search_takes_one_ln_s_squared_per_s(monkeypatch, tmp_path, capsys):
     records = out.read_text().splitlines()
     distinct_s = {json.loads(line)["subject"]["s"] for line in records} - {"1"}
     assert (len(records), len(distinct_s)) == (1107, 371)
-    assert len(calls) == 2585
+    assert len(logs) == 1478
+    assert len(calls) == 371
