@@ -22,8 +22,9 @@ emitted after the last checkpoint write are not duplicated.
 Exit codes: 0 success, 1 completed but a hypothesis check failed (or a
 search found nothing, or a stored certificate did not re-verify); a
 refusal prints one line naming the check, such as ``selmer-table``'s
-ell not proved prime or ``heights``' torsion base point.  2 bad usage or
-an unsatisfiable search configuration.
+ell not proved prime, or ``heights``' torsion base point or a doubling
+past its bit budget (``height-digit-budget``).  2 bad usage or an
+unsatisfiable search configuration.
 """
 
 from __future__ import annotations
@@ -454,6 +455,30 @@ def _record_task(stored) -> tuple[str, int, int, int | None, int | None] | None:
     return mode, s, t, p, n
 
 
+def _first_difference(stored, fresh, path: str = "") -> str | None:
+    """Path of the first field where two JSON values differ, such as
+    ``checks[9].witness.index_square_bound``, or None where they are equal.
+    Object keys are walked in the stored order, then the fresh-only ones."""
+    if isinstance(stored, dict) and isinstance(fresh, dict):
+        for key in [*stored, *(k for k in fresh if k not in stored)]:
+            sub = f"{path}.{key}" if path else key
+            if key not in stored or key not in fresh:
+                return sub
+            found = _first_difference(stored[key], fresh[key], sub)
+            if found is not None:
+                return found
+        return None
+    if isinstance(stored, list) and isinstance(fresh, list):
+        for i, (a, b) in enumerate(zip(stored, fresh)):
+            found = _first_difference(a, b, f"{path}[{i}]")
+            if found is not None:
+                return found
+        if len(stored) != len(fresh):
+            return f"{path}[{min(len(stored), len(fresh))}]"
+        return None
+    return None if stored == fresh else path
+
+
 def _verify_file(args) -> int:
     bad = 0
     total = 0
@@ -487,8 +512,11 @@ def _verify_file(args) -> int:
                 print(f"line {lineno}: REFUSED at check '{exc.reason}'")
                 bad += 1
                 continue
-            if theorem.record(fresh) != stored:
-                print(f"line {lineno}: MISMATCH for subject {stored.get('subject')}")
+            record = theorem.record(fresh)
+            if record != stored:
+                where = _first_difference(stored, record)
+                print(f"line {lineno}: MISMATCH for subject "
+                      f"{stored.get('subject')} at {where}")
                 bad += 1
             elif args.verbose:
                 print(f"line {lineno}: ok {fresh.conclusion}")

@@ -8,9 +8,10 @@ enclosure: lo <= exact value <= hi.
 
 The primitivity bound needs ln l (for the height floor) and ln(64 l^3)
 (for the Silverman gap) of one member.  ``ln_ell_lo_and_delta_hi`` takes
-both from a single wider logarithm of l and returns exactly the floats of
-the two direct ``log_int_bounds`` calls, falling back to those calls in
-the rare case where it cannot prove that.
+both from one enclosure of ln l in integers (192 fractional bits, a
+32-entry table of ln(1 + j/32) and an atanh series; no Decimal) and
+returns exactly the floats of the two direct ``log_int_bounds`` calls,
+falling back to those calls in the rare case where it cannot prove that.
 
 Height convention: hhat = (1/2) * lim h(2^n P) / 4^n, i.e. the canonical
 height of a point with x-coordinate n/d satisfies hhat ~ h/2 where
@@ -20,7 +21,7 @@ h = log max(|n|, |d|).  This is the non-doubled normalization.
 from __future__ import annotations
 
 import math
-from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -100,61 +101,143 @@ def log_int_bounds(n: int) -> tuple[float, float]:
 #: Upper bound of h(j) = ln 1728, the j-invariant of every family member.
 LOG1728_HI = log_int_bounds(1728)[1]
 
-# ``ln_ell_lo_and_delta_hi`` works at 60 digits and rounds to 50.  Each
-# context names its own rounding, so an ambient context cannot reach it.
-_WIDE_PREC = 60
-_WIDE = Context(prec=_WIDE_PREC, rounding=ROUND_HALF_EVEN)
-_NARROW = Context(prec=_DEC_PREC, rounding=ROUND_HALF_EVEN)
-_EXACT = Context(prec=_WIDE_PREC + 4, rounding=ROUND_HALF_EVEN)  # exact on +- pads
-_LN64_WIDE = Decimal(64).ln(_WIDE)
-#: Error bounds, in last-place units of the 60-digit value, padded: the
-#: wide ln l is correctly rounded (half an ulp); 3 ln l + ln 64 carries
-#: three times that, half an ulp of ln 64 and half of the fused
-#: multiply-add, 2.5 ulps in all, as the sum is at least each term.
-_LN_ELL_ERR_ULPS = 1
-_LN_DELTA_ERR_ULPS = 10
+# ``ln_ell_lo_and_delta_hi`` encloses ln l in integers, in units of 2^-192.
+_FIX_BITS = 192
+_TOP_BITS = 5
+_SERIES_TERMS = 16
+#: floor(2^192 ln 2) and floor(2^192 ln(1 + j/32)) for j = 0, ..., 31;
+#: the tests recompute every one from a 110-digit Decimal logarithm.
+_LN2_FIX = 4350955369971217654477563090224794165364344896676135745069
+_LN_TOP_FIX = (
+    0,
+    193156832017806172569184991440241400587329761400486845137,
+    380546918811104376948409517351555779880567136396458141078,
+    562504636822781724746974659147897110967624917848875327267,
+    739336097517795880505266504821725180218627987938932619607,
+    911322245941823921694171919304168826587249453828500224941,
+    1078721545980979560918563104604714200081958947766431639089,
+    1241772316760400167972089821153800047967953210504272832839,
+    1400694773194772906941746467053012168950389224798956667313,
+    1555692814537024858550757519260542110543066082228275282299,
+    1706955597372515585296642989618144614808722135357452842292,
+    1854658923500556878000015282141744838969241245145975837203,
+    1998966468244517059555333284141775893160188215769088407868,
+    2140030870712568787447012971874737349169017212737889286921,
+    2277994704218894841745712647957536130356004575474584344507,
+    2412991342332987465407400334876609798871408894923205092127,
+    2545145733744506767491414797523259672791486442307534182338,
+    2674575097227235290088019474414564049398816282775973064977,
+    2801389546389545813883492934106024337900778449597913334626,
+    2925692652555611144439824314874815452672053578703992323417,
+    3047581952987111054958238113855334540540811664872874395569,
+    3167149410693641215435206521619016778582672106099722401950,
+    3284481831262302647996681302344984853010114430246466801946,
+    3399661241439289966497079751194788062110577440568045075182,
+    3512765233599226472282791282319679107381580589726054405023,
+    3623867279725486328409977902127973872873445390073965821428,
+    3733037018083559048254539972441640677572818328213184428689,
+    3840340515388673760875937134177120424947380917225056711264,
+    3945840506939279674433161264576271841741875667106490849652,
+    4049596616901953953675664927369602499555574508256238233412,
+    4151665560684497459373085265267378978866639598822849360670,
+    4252101331117022352788057787141404287600208577664987024631,
+)
+#: Units of 2^-192, beyond one per power of 2, that ``_ln_fixed`` may lose.
+_LN_FIX_ERR = 68
+_DEC_LIMIT = 10**_DEC_PREC
 
 
-def _round_to_dec_prec(x: Decimal, err_ulps: int) -> Decimal | None:
-    """The 50-digit ``dec_ln_bounds`` centre of a value known to lie within
-    ``err_ulps`` last-place units of the 60-digit ``x``, or None.
+def _ln_fixed(ell: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Integer enclosures [lo, hi] of 2^192 ln ell and 2^192 ln(64 ell^3),
+    ell >= 2.
 
-    Half-even rounding is monotone, so when both ends of the error interval
-    round to one value, so does the exact logarithm inside it, and that
-    value is the correctly rounded 50-digit ln that ``dec_ln_bounds`` starts
-    from.  Otherwise a rounding boundary lies within the interval and the
-    caller must take the direct logarithm.
+    The first is [a, a + e + ``_LN_FIX_ERR``] for the a below, and the
+    second follows from ln(64 ell^3) = 3 ln ell + 6 ln 2, its upper end
+    raised by 6 as 6 L2 falls short of 6 S ln 2 by less than that.
+
+    Let S = 2^192 and write ell = 2^e m with m in [1, 2).  Take M =
+    floor(S m), its top five bits after the point as c = 1 + j/32, C = S c
+    and z = (M - C) / (M + C).  Then ln ell = e ln 2 + ln c + 2 atanh z
+    + ln(S m / M) and a = e L2 + L_j + 2 sigma, with L2 and L_j the floors
+    in ``_LN2_FIX`` and ``_LN_TOP_FIX`` and sigma the series below.  So
+    S ln ell - a is a sum of four shortfalls, none negative:
+
+    * S e ln 2 - e L2 < e and S ln c - L_j < 1, as L2 and L_j are floors;
+    * S ln(S m / M) < S (S m - M) / M < 1, as M >= S; it is 0 for
+      e <= 192, where M = S m;
+    * 2 (S atanh z - sigma) < 66.  Here 0 <= z < 2^-6, as M - C < S/32 and
+      M + C >= 2S.  sigma sums floor(P_k / (2k + 1)) over k = 0..15 with
+      P_0 = Z = floor(S z), Z2 = floor(Z^2 / S) and P_k =
+      floor(P_(k-1) Z2 / S).  Each floor of nonnegative numbers rounds
+      down, so P_k <= p_k = S z^(2k+1) and sigma <= S atanh z.  From
+      S z^2 - Z2 < 1 + 2z, d_k = p_k - P_k obeys d_0 < 1 and d_k < 1 +
+      z^(2k-1) (1 + 2z) + z^2 d_(k-1), so d_k < 2 for every k.  Term k of
+      sigma is then short of p_k / (2k + 1) by at most (d_k + 2k) / (2k + 1)
+      < 2, and the tail beyond k = 15 sums below S z^33 / (33 (1 - z^2))
+      < 1, so S atanh z - sigma < 33.
+
+    Adding up, 0 <= S ln ell - a < e + 68.  The loop stops early once a
+    P_k is 0, which changes nothing, as every later term is 0 too.
     """
-    err = Decimal(err_ulps).scaleb(x.adjusted() - _WIDE_PREC + 1, _EXACT)
-    lo = _NARROW.plus(_EXACT.subtract(x, err))
-    hi = _NARROW.plus(_EXACT.add(x, err))
-    return lo if lo == hi else None
+    e = ell.bit_length() - 1
+    m = ell << (_FIX_BITS - e) if e <= _FIX_BITS else ell >> (e - _FIX_BITS)
+    top = m >> (_FIX_BITS - _TOP_BITS)
+    c = top << (_FIX_BITS - _TOP_BITS)
+    z = ((m - c) << _FIX_BITS) // (m + c)
+    z2 = z * z >> _FIX_BITS
+    sigma = p = z
+    for d in range(3, 2 * _SERIES_TERMS, 2):
+        p = p * z2 >> _FIX_BITS
+        if not p:
+            break
+        sigma += p // d
+    a = e * _LN2_FIX + _LN_TOP_FIX[top - (1 << _TOP_BITS)] + 2 * sigma
+    hi = a + e + _LN_FIX_ERR
+    return (a, hi), (3 * a + 6 * _LN2_FIX, 3 * hi + 6 * _LN2_FIX + 6)
 
 
-def _dec_ulp(v: Decimal) -> Decimal:
-    """One unit in the last of the 50 digits of ``v``, as in ``dec_ln_bounds``."""
-    return Decimal(1).scaleb(v.adjusted() - _DEC_PREC + 1, _EXACT)
+def _round_to_dec_prec(lo: int, hi: int) -> tuple[int, int] | None:
+    """``(n, k)`` such that n 10^-k, with n of 50 digits, is the 50-digit
+    nearest rounding of every real in [lo, hi] 2^-192, or None.  Needs
+    lo 2^-192 >= 0.1.
+
+    Nearest rounding is monotone, so when both ends round to one value, so
+    does a logarithm that the enclosure holds, and that value is the
+    correctly rounded 50-digit ln that ``dec_ln_bounds`` starts from.  The
+    ln of an integer >= 2 is irrational, so it is never a tie and the ends'
+    tie rule (half up) does not matter.  Otherwise a rounding boundary lies
+    within the enclosure and the caller must take the direct logarithm.
+    """
+    whole = lo >> _FIX_BITS
+    k = _DEC_PREC - len(str(whole)) if whole else _DEC_PREC
+    scale = 10**k
+    half = 1 << (_FIX_BITS - 1)
+    n = (lo * scale + half) >> _FIX_BITS
+    if n != (hi * scale + half) >> _FIX_BITS or n >= _DEC_LIMIT:
+        return None
+    return n, k
 
 
 def ln_ell_lo_and_delta_hi(ell: int) -> tuple[float, float]:
     """``(log_int_bounds(ell)[0], log_int_bounds(64 * ell**3)[1])``, the floats
-    bit for bit, from one 60-digit ln of ell in place of two 50-digit logs.
+    bit for bit, from one fixed-point ln of ell in place of two Decimal logs.
 
-    ln(64 ell^3) is formed as 3 ln ell + ln 64 at 60 digits; each value is
-    kept only if its whole error interval rounds to one 50-digit value (see
-    ``_round_to_dec_prec``), which is then the ``dec_ln_bounds`` centre,
-    padded and converted the same way.  Otherwise, and for ell < 2 or a
-    64 ell^3 that ``log_int_bounds`` would truncate, the two direct calls
-    answer.
+    ``_ln_fixed`` encloses 2^192 ln ell and 2^192 ln(64 ell^3) in
+    integers.  Each enclosure is kept only if both its ends round to one
+    50-digit value n 10^-k (see ``_round_to_dec_prec``), the
+    ``dec_ln_bounds`` centre.  Its one-ulp pad (n -+ 1) 10^-k becomes a
+    float by integer true division, correctly rounded like
+    ``float(Decimal)``, and gets the same two-ulp nudge.  Otherwise, and for
+    ell < 2 or a 64 ell^3 that ``log_int_bounds`` would truncate, the two
+    direct calls answer.
     """
     if ell >= 2 and (64 * ell**3).bit_length() <= _DIRECT_LN_BITS:
-        ln_ell = Decimal(ell).ln(_WIDE)
-        ell_c = _round_to_dec_prec(ln_ell, _LN_ELL_ERR_ULPS)
-        ln_delta = _WIDE.fma(3, ln_ell, _LN64_WIDE)
-        delta_c = _round_to_dec_prec(ln_delta, _LN_DELTA_ERR_ULPS)
+        ell_enc, delta_enc = _ln_fixed(ell)
+        ell_c = _round_to_dec_prec(*ell_enc)
+        delta_c = _round_to_dec_prec(*delta_enc)
         if ell_c is not None and delta_c is not None:
-            return (_dn(float(_EXACT.subtract(ell_c, _dec_ulp(ell_c)))),
-                    _up(float(_EXACT.add(delta_c, _dec_ulp(delta_c)))))
+            (n_ell, k_ell), (n_delta, k_delta) = ell_c, delta_c
+            return _dn((n_ell - 1) / 10**k_ell), _up((n_delta + 1) / 10**k_delta)
     return log_int_bounds(ell)[0], log_int_bounds(64 * ell**3)[1]
 
 
@@ -226,10 +309,32 @@ def _x_double(a: int, u: int, w: int) -> tuple[int, int]:
     return num // g, den // g
 
 
+#: Bits of max(|u|, w) for x(2^k P) = u/w past which no doubling starts;
+#: (s, t) = (2, 75) reaches 410,604 bits at k = 8 and still takes k = 9.
+_X_BITS_BUDGET = 1 << 21
+
+
 def x_multiple_reduced(c: Curve, pt: Point, doublings: int) -> tuple[int, int]:
-    """Reduced (numerator, denominator) of x(2^k P)."""
+    """Reduced (numerator, denominator) of x(2^k P).
+
+    Each doubling roughly quadruples the bits and costs about 15 times the
+    one before, so a doubling whose result could pass ``_X_BITS_BUDGET``
+    bits is refused (``height-digit-budget``) before it starts.  With u, w
+    and a below 2^bu, 2^bw and 2^ba, |u^2 - a w^2| < 2^(B+1) for B =
+    max(2 bu, ba + 2 bw), and bu + bw <= B, so the numerator
+    (u^2 - a w^2)^2 and the denominator 4 u w (u^2 + a w^2) of x(2Q) are
+    below 2^(2B+3), and the gcd only shrinks them.
+    """
     u, w = pt.x.numerator, pt.x.denominator
-    for _ in range(doublings):
+    a_bits = abs(c.a).bit_length()
+    for k in range(1, doublings + 1):
+        bound = 2 * max(2 * abs(u).bit_length(), a_bits + 2 * w.bit_length()) + 3
+        if bound > _X_BITS_BUDGET:
+            raise PreconditionFailure(
+                "height-digit-budget",
+                f"x(2^{k} P) could reach {bound} bits, past the budget of "
+                f"{_X_BITS_BUDGET}",
+            )
         u, w = _x_double(c.a, u, w)
     return u, w
 

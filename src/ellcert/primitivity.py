@@ -70,9 +70,9 @@ def certify_primitive(m: Member) -> float:
     most certificates take no logarithm of s at all.
 
     ln l for the floor and h(Delta) = ln(64 l^3) for the gap come from one
-    60-digit logarithm of l (``heights.ln_ell_lo_and_delta_hi``), which
-    returns the very floats the two direct ``log_int_bounds`` calls would.
-    So a certificate costs one Decimal logarithm, plus one per new s.
+    fixed-point logarithm of l in integers (``heights.ln_ell_lo_and_delta_hi``),
+    which returns the very floats the two direct ``log_int_bounds`` calls
+    would.  So a certificate takes no Decimal logarithm, save one per new s.
     """
     s, t, ell = m.s, m.t, m.ell
     if s < 1 or t < 1:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import ellcert
-from ellcert import cli, descent
+from ellcert import cli, descent, heights
 from ellcert.cli import SearchConfig, cheap_filter, iter_parameter_pairs, main, run_search
 
 
@@ -354,7 +354,36 @@ def test_verify_file_catches_tampering(tmp_path, capsys):
     rc, out, _ = run(capsys, "verify", "--file", str(rec))
     assert rc == 1
     assert "MISMATCH" in out
+    assert out.splitlines()[0].endswith(" at unramified_rank_lower_bound")
     assert "0/1 certificates verified" in out
+
+
+def test_verify_file_names_a_one_ulp_drift_in_the_index_bound(tmp_path, capsys):
+    rec = tmp_path / "one.jsonl"
+    rc, _, _ = run(
+        capsys, "verify", "--s", "2", "--t", "75", "--p", "5", "--out", str(rec),
+    )
+    assert rc == 0
+    data = json.loads(rec.read_text())
+    witness = data["checks"][9]["witness"]
+    witness["index_square_bound"] = math.nextafter(witness["index_square_bound"], 9.0)
+    rec.write_text(json.dumps(data, separators=(",", ":")) + "\n")
+    rc, out, _ = run(capsys, "verify", "--file", str(rec))
+    assert rc == 1
+    assert out.splitlines()[0] == (
+        "line 1: MISMATCH for subject "
+        "{'s': '2', 't': '75', 'ell': '5641', 'p': '5', 'n': '1'} "
+        "at checks[9].witness.index_square_bound"
+    )
+
+
+def test_first_difference_walks_objects_and_lists():
+    stored = {"a": [1, {"b": 2}], "c": 3}
+    assert cli._first_difference(stored, stored) is None
+    assert cli._first_difference(stored, {"a": [1, {"b": 2.5}], "c": 3}) == "a[1].b"
+    assert cli._first_difference(stored, {"a": [1], "c": 3}) == "a[1]"
+    assert cli._first_difference(stored, {"a": [1, {"b": 2}]}) == "c"
+    assert cli._first_difference(stored, {**stored, "d": 4}) == "d"
 
 
 def test_verify_file_bad_inputs(tmp_path, capsys):
@@ -752,6 +781,17 @@ def test_heights_usage_errors(argv, capsys):
     rc, out, err = run(capsys, "heights", *argv)
     assert rc == 2
     assert out == "" and err
+
+
+def test_heights_refuses_a_doubling_past_the_bit_budget(monkeypatch, capsys):
+    # the real budget refuses (2, 75) at its tenth doubling, after about 5 s
+    monkeypatch.setattr(heights, "_X_BITS_BUDGET", 5000)
+    rc, out, _ = run(capsys, "heights", "--s", "2", "--t", "75", "--iterations", "600")
+    assert rc == 1
+    assert out == (
+        "REFUSED at check 'height-digit-budget': "
+        "x(2^5 P) could reach 6421 bits, past the budget of 5000\n"
+    )
 
 
 @pytest.mark.parametrize("s,t", [("1", "0"), ("0", "1")])

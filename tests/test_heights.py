@@ -93,6 +93,45 @@ def test_ladder_matches_group_law():
             assert Fraction(u, w) == smul(c, 2**k, p0).x, (s, t, k)
 
 
+def test_no_doubling_passes_the_bit_budget(monkeypatch):
+    for s, t in ((1, 2), (2, 5), (2, 75)):
+        c = make_family(s, t)
+        p0 = base_point(c)
+        for budget in range(40, 4000, 97):
+            monkeypatch.setattr(heights_module, "_X_BITS_BUDGET", budget)
+            for k in range(1, 8):
+                try:
+                    u, w = x_multiple_reduced(c, p0, k)
+                except PreconditionFailure as exc:
+                    assert exc.reason == "height-digit-budget"
+                    break
+                assert max(abs(u), w).bit_length() <= budget, (s, t, budget, k)
+            else:
+                raise AssertionError(f"no refusal at ({s}, {t}), budget {budget}")
+
+
+class _NinthDoubling(Exception):
+    pass
+
+
+def test_the_bit_budget_lets_2_75_double_nine_times(monkeypatch):
+    # 8 doublings reach 410,604 bits; the budget must let the ninth start
+    done = []
+    real = heights_module._x_double
+
+    def doubling(a, u, w):
+        if len(done) == 8:
+            raise _NinthDoubling(max(abs(u), w).bit_length())
+        done.append(1)
+        return real(a, u, w)
+
+    monkeypatch.setattr(heights_module, "_x_double", doubling)
+    c = make_family(2, 75)
+    with pytest.raises(_NinthDoubling) as reached:
+        x_multiple_reduced(c, base_point(c), 40)
+    assert reached.value.args == (410604,)
+
+
 def test_canonical_height_nesting_and_width():
     c = make_family(2, 5)
     p0 = base_point(c)
@@ -243,12 +282,12 @@ def test_wide_log_rounds_to_the_direct_50_digit_centre():
     rng = random.Random(20261020)
     ells = list(range(2, 300)) + [rng.randrange(2, 10**60) for _ in range(300)]
     for ell in ells:
-        ln_ell = Decimal(ell).ln(heights_module._WIDE)
-        ln_delta = heights_module._WIDE.fma(3, ln_ell, heights_module._LN64_WIDE)
-        for x, n, err in ((ln_ell, ell, 1), (ln_delta, 64 * ell**3, 10)):
-            lo, hi = dec_ln_bounds(n)
-            got = heights_module._round_to_dec_prec(x, err)
-            assert got is not None and got - lo == hi - got > 0, (ell, n)
+        for (lo, hi), n in zip(heights_module._ln_fixed(ell), (ell, 64 * ell**3)):
+            d_lo, d_hi = dec_ln_bounds(n)
+            centre = heights_module._round_to_dec_prec(lo, hi)
+            assert centre is not None, (ell, n)
+            got = Decimal(f"{centre[0]}E-{centre[1]}")
+            assert got - d_lo == d_hi - got > 0, (ell, n)
 
 
 def test_one_wide_log_across_the_direct_ln_width():
@@ -268,15 +307,97 @@ def test_one_wide_log_below_two_is_the_direct_pair():
         ln_ell_lo_and_delta_hi(0)
 
 
-@pytest.mark.parametrize("err_name", ["_LN_ELL_ERR_ULPS", "_LN_DELTA_ERR_ULPS"])
+# the error bound of each of the helper's two logs, by enclosure index
+_ENCLOSURE_OF = {"_LN_ELL_ERR_ULPS": 0, "_LN_DELTA_ERR_ULPS": 1}
+
+
+@pytest.mark.parametrize("err_name", list(_ENCLOSURE_OF))
 def test_a_straddled_rounding_boundary_falls_back(err_name, monkeypatch, direct_logs):
     ells = [5, 17, 10**40 + 123]
     expected = [_direct_pair(ell) for ell in ells]
-    # an error interval 20 ulps wide at 50 digits always holds a boundary
-    monkeypatch.setattr(heights_module, err_name, 10**11)
+    # one enclosure 2^-12 wider always holds a 50-digit rounding boundary,
+    # and either log without a centre sends both to the direct calls
+    which = _ENCLOSURE_OF[err_name]
+    real = heights_module._ln_fixed
+
+    def widened(ell):
+        encs = list(real(ell))
+        lo, hi = encs[which]
+        encs[which] = (lo, hi + (1 << 180))
+        return tuple(encs)
+
+    monkeypatch.setattr(heights_module, "_ln_fixed", widened)
     direct_logs.clear()
     assert [ln_ell_lo_and_delta_hi(ell) for ell in ells] == expected
     assert direct_logs == [n for ell in ells for n in (ell, 64 * ell**3)]
+
+
+def test_round_to_dec_prec_has_no_centre_across_a_boundary():
+    # an enclosure across the midpoint of two 50-digit neighbours has no
+    # centre; one just inside either side has that side's
+    scale_bits = heights_module._FIX_BITS
+    for ell in (2, 5, 17, 10**40 + 123):
+        for lo, hi in heights_module._ln_fixed(ell):
+            n, k = heights_module._round_to_dec_prec(lo, hi)
+            mid = ((2 * n + 1) << scale_bits) // (2 * 10**k)
+            assert heights_module._round_to_dec_prec(mid - 1, mid + 2) is None
+            assert heights_module._round_to_dec_prec(mid - 1, mid) == (n, k)
+            assert heights_module._round_to_dec_prec(mid + 1, mid + 2) == (n + 1, k)
+    # an enclosure just below 1 whose ends both round up to 1.000... has a
+    # 51-digit n at 10^-50, so it is refused too
+    mid = ((2 * 10**50 - 1) << scale_bits) // (2 * 10**50)
+    assert heights_module._round_to_dec_prec(mid - 1, mid) == (10**50 - 1, 50)
+    assert heights_module._round_to_dec_prec(mid + 1, mid + 2) is None
+
+
+def test_a_widened_error_bound_makes_the_two_direct_calls(monkeypatch, direct_logs):
+    ells = [5, 17, 10**40 + 123]
+    expected = [_direct_pair(ell) for ell in ells]
+    # an enclosure 2^-12 wide always holds a 50-digit rounding boundary
+    monkeypatch.setattr(heights_module, "_LN_FIX_ERR", 1 << 180)
+    direct_logs.clear()
+    assert [ln_ell_lo_and_delta_hi(ell) for ell in ells] == expected
+    assert direct_logs == [n for ell in ells for n in (ell, 64 * ell**3)]
+
+
+def _fixed_point_domain():
+    """ell from 2 to the widest with 64 ell^3 within _DIRECT_LN_BITS bits."""
+    edge = _iroot((1 << (_DIRECT_LN_BITS - 6)) - 1, 3)
+    rng = random.Random(20261021)
+    ells = [2, 3, 4, 31, 32, 33, 63, 64, 65, 2**192 - 1, 2**192 + 1, 2**193 + 3]
+    ells += [edge - 1, edge]
+    ells += [rng.randrange(1 << (b - 1), 1 << b) for b in range(2, edge.bit_length())]
+    return ells
+
+
+def test_fixed_point_ln_encloses_a_90_digit_ln():
+    scale = 1 << heights_module._FIX_BITS
+    for ell in _fixed_point_domain():
+        for (lo, hi), n in zip(heights_module._ln_fixed(ell), (ell, 64 * ell**3)):
+            ref_lo, ref_hi = dec_ln_bounds(n, prec=90)
+            assert Fraction(lo, scale) <= Fraction(ref_lo), (ell, n)
+            assert Fraction(ref_hi) < Fraction(hi, scale), (ell, n)
+            # the enclosure is narrow enough to settle 50 digits
+            assert hi - lo < 2**16, (ell, n)
+
+
+def test_fixed_point_constants_match_a_decimal_reference():
+    ctx = getcontext().copy()
+    ctx.prec = 110
+    scale = Decimal(1 << heights_module._FIX_BITS)  # exact, unlike a power
+    top = 1 << heights_module._TOP_BITS
+
+    def floor_scaled(x):
+        v = ctx.multiply(ctx.ln(x), scale)
+        f = int(v.to_integral_value(rounding=ROUND_FLOOR))
+        assert Decimal("1e-30") < v - f < 1 - Decimal("1e-30")  # not near a jump
+        return f
+
+    assert heights_module._LN2_FIX == floor_scaled(Decimal(2))
+    assert heights_module._LN_TOP_FIX == tuple(
+        floor_scaled(ctx.divide(Decimal(top + j), Decimal(top))) if j else 0
+        for j in range(top)
+    )
 
 
 def test_one_wide_log_ignores_the_ambient_decimal_context():

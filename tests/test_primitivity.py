@@ -158,11 +158,11 @@ def test_ln_s_squared_memo_is_bounded():
 
 
 def test_p13_search_takes_one_ln_s_squared_per_s(monkeypatch, tmp_path, capsys):
-    """Decimal logarithms of a p13 search: one wide ln l per certificate,
-    giving both ln l and ln 64 l^3, plus one per distinct s > 1:
-    1,107 + 371.  Two 50-digit logs per certificate would make 2,585, and
-    one more per certificate for ln s^2 3,319.  ``log_int_bounds`` serves
-    only ln s^2: the wide log never fell back to it."""
+    """Decimal logarithms of a p13 search: one per distinct s > 1, 371.
+    ln l and ln 64 l^3 come from a fixed-point logarithm in integers; two
+    50-digit logs per certificate would make 2,585 (2 x 1,107 + 371).
+    ``log_int_bounds`` serves only ln s^2: the fixed-point log never fell
+    back to it."""
     logs, calls = [], []
     real = heights_module.log_int_bounds
 
@@ -187,5 +187,5 @@ def test_p13_search_takes_one_ln_s_squared_per_s(monkeypatch, tmp_path, capsys):
     records = out.read_text().splitlines()
     distinct_s = {json.loads(line)["subject"]["s"] for line in records} - {"1"}
     assert (len(records), len(distinct_s)) == (1107, 371)
-    assert len(logs) == 1478
+    assert len(logs) == 371
     assert len(calls) == 371

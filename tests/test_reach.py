@@ -74,8 +74,13 @@ print(json.dumps(sorted(
 
 def _cli_runs(tmp: Path) -> list[list[str]]:
     ck, out = str(tmp / "run.ckpt"), str(tmp / "run.jsonl")
+    # a stored record that no longer re-verifies: the MISMATCH names a path
+    drifted = json.loads(GOLDEN.read_text(encoding="utf-8").splitlines()[0])
+    drifted["checks"][-1]["citation"] = "edited"
+    (tmp / "drift.jsonl").write_text(json.dumps(drifted) + "\n", encoding="utf-8")
     return [
         ["verify", "--file", str(GOLDEN)],
+        ["verify", "--file", str(tmp / "drift.jsonl")],
         ["verify", "--mode", "main", "--p", "5", "--s", "2", "--t", "25",
          "--out", str(tmp / "one.jsonl")],
         ["verify", "--mode", "square_subfamily", "--p", "5", "--s", "25", "--t", "2"],
