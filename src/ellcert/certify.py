@@ -14,12 +14,23 @@ Three theorem shapes are produced:
   with p^2 | s tau both points sit deep enough and the exponent doubles.
 * "infinite-family": divisibility plus exact rank 1 plus the ramification
   fingerprint {2, l, p} that separates division fields of distinct members.
+
+A fourth, the "rank-one" fragment, is ``descent.certify_rank_one``'s
+result on its own.  ``certificate_to_dict`` builds the record of all four
+and ``certificate_to_jsonl`` writes it as one compact JSON line.  Each
+witness is built in its record form, where the certifier makes its
+``CheckEntry``: integers as decimal strings (so arbitrary precision
+survives any JSON parser), besides floats, bools, plain strings and lists
+of decimal strings.  The record is then a flat copy of the fields; the
+subject, ``ramified_primes`` and ``distinctness_key`` stay integers on the
+``Certificate``, and ``certificate_to_dict`` writes them as decimal strings.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from typing import NamedTuple
 
 from .arith import is_prime, is_square, kth_power_free, vp
@@ -33,7 +44,7 @@ from .curve import (
     make_family,
     reduction_at,
 )
-from .descent import certify_rank_one, require_proved_prime
+from .descent import RankCert, certify_rank_one, require_proved_prime
 from .errors import PreconditionFailure
 from .localcond import check_local
 from .primitivity import certify_primitive
@@ -81,7 +92,7 @@ def member(s: int, t: int) -> Member:
 class CheckEntry(NamedTuple):
     name: str
     status: str  # "pass" | "cited-assumption"
-    witness: dict
+    witness: dict  # in record form: integers are decimal strings
     citation: str | None = None
 
 
@@ -120,7 +131,7 @@ def cohomology_vanishing_checks(c: Curve, p: int) -> list[CheckEntry]:
         raise PreconditionFailure("p-out-of-range", f"p={p} must be a prime >= 5")
     out = []
     if p >= 13:
-        out.append(CheckEntry("mod-p-image-large-prime", "pass", {"p": p}))
+        out.append(CheckEntry("mod-p-image-large-prime", "pass", {"p": str(p)}))
         return out
     if p == 11:
         j = j_invariant(c)
@@ -129,7 +140,7 @@ def cohomology_vanishing_checks(c: Curve, p: int) -> list[CheckEntry]:
             CheckEntry(
                 "eleven-isogeny-j",
                 "pass",
-                {"j": j, "excluded_j": list(_ELEVEN_ISOGENY_J)},
+                {"j": str(j), "excluded_j": [str(e) for e in _ELEVEN_ISOGENY_J]},
             )
         )
         return out
@@ -137,7 +148,7 @@ def cohomology_vanishing_checks(c: Curve, p: int) -> list[CheckEntry]:
         _require(
             not has_rational_m_torsion(c, 7), "seven-torsion", "rational 7-torsion found"
         )
-        out.append(CheckEntry("seven-torsion-free", "pass", {"ell": c.ell}))
+        out.append(CheckEntry("seven-torsion-free", "pass", {"ell": str(c.ell)}))
         return out
     # p == 5: the relevant quartic twist must avoid rational 5-torsion
     twist = curve_from_a(-25 * c.ell)
@@ -147,13 +158,13 @@ def cohomology_vanishing_checks(c: Curve, p: int) -> list[CheckEntry]:
         "rational 5-torsion on the 25-twist",
     )
     out.append(
-        CheckEntry("twist-five-torsion-free", "pass", {"twist_a": -25 * c.ell})
+        CheckEntry("twist-five-torsion-free", "pass", {"twist_a": str(-25 * c.ell)})
     )
     out.append(
         CheckEntry(
             "mod-five-irreducibility",
             "cited-assumption",
-            {"ell": c.ell},
+            {"ell": str(c.ell)},
             citation=CITATIONS["mod-five-irreducibility"],
         )
     )
@@ -183,8 +194,9 @@ def _checked_member(s: int, t: int, p: int, n: int) -> Member:
 
 def _divisibility_checks(m: Member, p: int, n: int) -> list[CheckEntry]:
     """The ledger for a member whose n, p and gcd checks have passed."""
-    ell, c = m.ell, m.curve
-    checks = [CheckEntry("coprime-parameters", "pass", {"s": m.s, "t": m.t})]
+    c = m.curve
+    ell, p_, n_ = str(m.ell), str(p), str(n)
+    checks = [CheckEntry("coprime-parameters", "pass", {"s": str(m.s), "t": str(m.t)})]
 
     _require(m.fourth_power_free, "fourth-power-free", f"ell={ell}")
     checks.append(CheckEntry("fourth-power-free", "pass", {"ell": ell}))
@@ -197,19 +209,19 @@ def _divisibility_checks(m: Member, p: int, n: int) -> list[CheckEntry]:
         CheckEntry(
             "parameter-depth",
             "pass",
-            {"p": p, "n": n, "flagged": local.flagged, "v_st": local.v_st},
+            {"p": p_, "n": n_, "flagged": local.flagged, "v_st": str(local.v_st)},
         )
     )
-    checks.append(CheckEntry("good-reduction-at-p", "pass", {"p": p}))
-    checks.append(CheckEntry("integral-j", "pass", {"j": j_invariant(c)}))
+    checks.append(CheckEntry("good-reduction-at-p", "pass", {"p": p_}))
+    checks.append(CheckEntry("integral-j", "pass", {"j": str(j_invariant(c))}))
     checks.append(
         CheckEntry(
             "kernel-filtration-depth",
             "pass",
             {
-                "depth": local.depth,
-                "x_doubled_valuation": local.x_doubled_valuation,
-                "y_doubled_valuation": local.y_doubled_valuation,
+                "depth": str(local.depth),
+                "x_doubled_valuation": str(local.x_doubled_valuation),
+                "y_doubled_valuation": str(local.y_doubled_valuation),
                 "order_parity_method": local.order_parity_method,
             },
         )
@@ -229,7 +241,7 @@ def _divisibility_checks(m: Member, p: int, n: int) -> list[CheckEntry]:
         CheckEntry(
             "filtration-to-class-group",
             "cited-assumption",
-            {"p": p, "n": n},
+            {"p": p_, "n": n_},
             citation=CITATIONS["divisibility-criterion"],
         )
     )
@@ -277,7 +289,7 @@ def certify_square_subfamily(s: int, tau: int, p: int) -> Certificate:
             "pass",
             {
                 "point": f"(-{tau}^2, {s}^2*{tau})",
-                "depth": local_swapped.depth,
+                "depth": str(local_swapped.depth),
                 "flagged_parameter": first,
             },
         )
@@ -291,7 +303,7 @@ def certify_square_subfamily(s: int, tau: int, p: int) -> Certificate:
         CheckEntry(
             "independent-points",
             "cited-assumption",
-            {"s": s, "tau": tau, "ell": ell},
+            {"s": str(s), "tau": str(tau), "ell": str(ell)},
             citation=CITATIONS["independent-points"],
         )
     )
@@ -318,10 +330,10 @@ def certify_infinite_instance(s: int, t: int, p: int, n: int) -> Certificate:
             "rank-exactly-one",
             "pass",
             {
-                "ell_mod_16": rank.ell_mod_16,
-                "selmer_forward": list(rank.selmer_report.sel_forward),
-                "selmer_dual": list(rank.selmer_report.sel_dual),
-                "rank_upper": rank.selmer_report.rank_upper,
+                "ell_mod_16": str(rank.ell_mod_16),
+                "selmer_forward": [str(d) for d in rank.selmer_report.sel_forward],
+                "selmer_dual": [str(d) for d in rank.selmer_report.sel_dual],
+                "rank_upper": str(rank.selmer_report.rank_upper),
             },
         )
     )
@@ -336,14 +348,14 @@ def certify_infinite_instance(s: int, t: int, p: int, n: int) -> Certificate:
         CheckEntry(
             "kodaira-type-at-ell",
             "pass",
-            {"ell": ell, "kodaira": red.kodaira, "tamagawa": red.tamagawa},
+            {"ell": str(ell), "kodaira": red.kodaira, "tamagawa": str(red.tamagawa)},
         )
     )
     checks.append(
         CheckEntry(
             "division-field-ramification",
             "cited-assumption",
-            {"ramified": [2, ell, p]},
+            {"ramified": ["2", str(ell), str(p)]},
             citation=CITATIONS["division-field-ramification"],
         )
     )
@@ -371,54 +383,64 @@ def batch_distinctness(certs: list[Certificate]) -> dict:
                 "not-an-infinite-family-certificate", cert.theorem
             )
         keys.append(cert.distinctness_key)
-    dupes = sorted({k for k in keys if keys.count(k) > 1})
+    counts = Counter(keys)
     return {
         "count": len(keys),
-        "distinct": len(set(keys)),
-        "pairwise_distinct": len(set(keys)) == len(keys),
-        "duplicate_keys": dupes,
+        "distinct": len(counts),
+        "pairwise_distinct": len(counts) == len(keys),
+        "duplicate_keys": sorted(k for k, c in counts.items() if c > 1),
     }
 
 
-def _jsonable(value):
-    # record types are NamedTuples, hence tuples: one passed here would be
-    # written as a list, so only witness and subject values may reach it
-    if isinstance(value, bool) or value is None or isinstance(value, (str, float)):
-        return value
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    raise TypeError(f"unserializable witness value {value!r}")
+#: writes a record as one compact line; a record is a tree built here, so
+#: the cycle check is skipped, and non-ASCII text is escaped (the default)
+record_to_jsonl = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 
 
-def certificate_to_dict(cert: Certificate) -> dict:
-    """Stable-order plain dict; every integer becomes a decimal string."""
+def _rank_record(rc: RankCert) -> dict:
+    rep = rc.selmer_report
+    return {
+        "schema": SCHEMA_VERSION,
+        "theorem": "rank-one",
+        "subject": {"s": str(rc.s), "t": str(rc.t), "ell": str(rc.ell)},
+        "ell_mod_16": str(rc.ell_mod_16),
+        "t_mod_8": str(rc.t_mod_8),
+        "selmer": {
+            "dim_forward": str(rep.dim_forward),
+            "dim_dual": str(rep.dim_dual),
+            "rank_upper": str(rep.rank_upper),
+        },
+        "rank": str(rc.rank),
+        "base_point_nontorsion": rc.base_point_nontorsion,
+    }
+
+
+def certificate_to_dict(cert: Certificate | RankCert) -> dict:
+    """The record of a certificate or a rank-one result, in stable order.
+
+    The witnesses are already in record form, so each check is a flat copy
+    of its fields (the witness dict itself is shared, not copied); the
+    integers outside them become decimal strings here.
+    """
+    if isinstance(cert, RankCert):
+        return _rank_record(cert)
+    ram, key = cert.ramified_primes, cert.distinctness_key
     return {
         "schema": SCHEMA_VERSION,
         "theorem": cert.theorem,
-        "subject": _jsonable(cert.subject),
-        "checks": [
-            {
-                "name": ch.name,
-                "status": ch.status,
-                "witness": _jsonable(ch.witness),
-                "citation": ch.citation,
-            }
-            for ch in cert.checks
-        ],
+        "subject": {k: str(v) for k, v in cert.subject.items()},
+        "checks": [{"name": ch.name, "status": ch.status, "witness": ch.witness,
+                    "citation": ch.citation} for ch in cert.checks],
         "conclusion": cert.conclusion,
         "conclusion_basis": cert.conclusion_basis,
         "unramified_rank_lower_bound": str(cert.unramified_rank_lower_bound),
-        "ramified_primes": _jsonable(cert.ramified_primes),
-        "distinctness_key": _jsonable(cert.distinctness_key),
+        "ramified_primes": None if ram is None else [str(q) for q in ram],
+        "distinctness_key": None if key is None else str(key),
     }
 
 
-def certificate_to_jsonl(cert: Certificate) -> str:
-    return json.dumps(certificate_to_dict(cert), separators=(",", ":"))
+def certificate_to_jsonl(cert: Certificate | RankCert) -> str:
+    return record_to_jsonl(certificate_to_dict(cert))
 
 
 def certificate_from_dict(data: dict) -> Certificate:

@@ -40,17 +40,16 @@ from typing import NamedTuple
 from .arith import is_prime
 from .certify import (
     SCHEMA_VERSION,
-    Certificate,
     certificate_to_dict,
     certificate_to_jsonl,
     certify_divisibility,
     certify_infinite_instance,
     certify_square_subfamily,
     check_p,
+    record_to_jsonl,
 )
 from .curve import base_point, make_family
 from .descent import (
-    RankCert,
     certify_rank_one,
     rank_bound_by_residue,
     require_proved_prime,
@@ -121,12 +120,11 @@ def cheap_filter(mode: str, p: int, n: int, s: int, t: int) -> bool:
 def certify_candidate(task: tuple[str, int, int, int, int]) -> str | None:
     """Worker body: full certification, None when a precondition fails."""
     mode, p, n, s, t = task
-    theorem = THEOREMS[mode]
     try:
-        cert = theorem.certify(s, t, p, n)
+        cert = THEOREMS[mode].certify(s, t, p, n)
     except PreconditionFailure:
         return None
-    return theorem.jsonl(cert)
+    return certificate_to_jsonl(cert)
 
 
 def _load_checkpoint(path: str, fingerprint: str):
@@ -334,69 +332,59 @@ def cmd_search(args) -> int:
     return 0 if found > 0 else 1
 
 
-def _print_ledger(cert: Certificate) -> None:
-    print(f"theorem: {cert.theorem}")
-    print("subject: " + " ".join(f"{k}={v}" for k, v in cert.subject.items()))
-    for entry in cert.checks:
-        line = f"  [{entry.status}] {entry.name}"
-        if entry.witness:
-            line += "  " + " ".join(f"{k}={v}" for k, v in entry.witness.items())
-        if entry.citation:
-            line += f"  <- {entry.citation}"
+def _shown(value) -> str:
+    """A record value as the ledger prints it; a list of decimal strings
+    reads as the list of integers it stands for, such as ``[2, 5641, 5]``."""
+    return f"[{', '.join(value)}]" if isinstance(value, list) else str(value)
+
+
+def _print_ledger(record: dict) -> None:
+    print(f"theorem: {record['theorem']}")
+    print("subject: " + " ".join(f"{k}={v}" for k, v in record["subject"].items()))
+    for entry in record["checks"]:
+        line = f"  [{entry['status']}] {entry['name']}"
+        if entry["witness"]:
+            line += "  " + " ".join(
+                f"{k}={_shown(v)}" for k, v in entry["witness"].items())
+        if entry["citation"]:
+            line += f"  <- {entry['citation']}"
         print(line)
-    print(f"conclusion: {cert.conclusion}")
-    print(f"basis: {cert.conclusion_basis}")
-    print(f"unramified rank lower bound: {cert.unramified_rank_lower_bound}")
-    if cert.ramified_primes is not None:
-        joined = ", ".join(str(q) for q in cert.ramified_primes)
-        print(f"division field ramified only at: {joined}")
-    if cert.distinctness_key is not None:
-        print(f"distinctness key: {cert.distinctness_key}")
+    print(f"conclusion: {record['conclusion']}")
+    print(f"basis: {record['conclusion_basis']}")
+    print(f"unramified rank lower bound: {record['unramified_rank_lower_bound']}")
+    if record["ramified_primes"] is not None:
+        print(f"division field ramified only at: {', '.join(record['ramified_primes'])}")
+    if record["distinctness_key"] is not None:
+        print(f"distinctness key: {record['distinctness_key']}")
 
 
-def _rank_fragment_dict(rc: RankCert) -> dict:
-    rep = rc.selmer_report
-    return {
-        "schema": SCHEMA_VERSION,
-        "theorem": "rank-one",
-        "subject": {"s": str(rc.s), "t": str(rc.t), "ell": str(rc.ell)},
-        "ell_mod_16": str(rc.ell_mod_16),
-        "t_mod_8": str(rc.t_mod_8),
-        "selmer": {
-            "dim_forward": str(rep.dim_forward),
-            "dim_dual": str(rep.dim_dual),
-            "rank_upper": str(rep.rank_upper),
-        },
-        "rank": str(rc.rank),
-        "base_point_nontorsion": rc.base_point_nontorsion,
-    }
-
-
-def _print_rank_fragment(rc: RankCert) -> None:
-    rep = rc.selmer_report
+def _print_rank_fragment(record: dict) -> None:
+    sub, sel = record["subject"], record["selmer"]
     print("theorem: rank-one")
-    print(f"subject: s={rc.s} t={rc.t} ell={rc.ell}")
-    print(f"  [pass] residue-classes  ell_mod_16={rc.ell_mod_16} t_mod_8={rc.t_mod_8}")
+    print(f"subject: s={sub['s']} t={sub['t']} ell={sub['ell']}")
+    print(f"  [pass] residue-classes  ell_mod_16={record['ell_mod_16']}"
+          f" t_mod_8={record['t_mod_8']}")
     print(
-        f"  [pass] descent-rank-cap  dim_forward={rep.dim_forward}"
-        f" dim_dual={rep.dim_dual} rank_upper={rep.rank_upper}"
+        f"  [pass] descent-rank-cap  dim_forward={sel['dim_forward']}"
+        f" dim_dual={sel['dim_dual']} rank_upper={sel['rank_upper']}"
     )
-    print(f"  [pass] base-point-nontorsion  {rc.base_point_nontorsion}")
-    print(f"conclusion: {rc.conclusion}")
+    print(f"  [pass] base-point-nontorsion  {record['base_point_nontorsion']}")
+    print(f"conclusion: rank = {record['rank']}")
 
 
 class Theorem(NamedTuple):
-    """What one CLI mode certifies, and how its result is recorded and shown.
+    """What one CLI mode certifies, and how its ledger is shown.
 
     ``certify`` takes (s, t, p, n) in every mode.  It names its certifier
     inside a lambda body, so the name is looked up in this module on every
     call, and rebinding it (a test's monkeypatch, a profiler's wrapper)
-    takes effect here too.
+    takes effect here too.  Every mode's result has its record built by
+    ``certificate_to_dict`` and its line written by ``certificate_to_jsonl``;
+    this module calls both by name, so a wrapper bound here sees every
+    record.  ``show`` prints the ledger from the built record.
     """
 
     certify: Callable
-    record: Callable = lambda cert: certificate_to_dict(cert)
-    jsonl: Callable = lambda cert: certificate_to_jsonl(cert)
     show: Callable = _print_ledger
     needs_p: bool = True
 
@@ -408,8 +396,6 @@ THEOREMS = {
     "infinite": Theorem(lambda s, t, p, n: certify_infinite_instance(s, t, p, n)),
     "rank": Theorem(
         lambda s, t, p, n: certify_rank_one(s, t),
-        record=_rank_fragment_dict,
-        jsonl=lambda rc: json.dumps(_rank_fragment_dict(rc), separators=(",", ":")),
         show=_print_rank_fragment,
         needs_p=False,
     ),
@@ -512,7 +498,7 @@ def _verify_file(args) -> int:
                 print(f"line {lineno}: REFUSED at check '{exc.reason}'")
                 bad += 1
                 continue
-            record = theorem.record(fresh)
+            record = certificate_to_dict(fresh)
             if record != stored:
                 where = _first_difference(stored, record)
                 print(f"line {lineno}: MISMATCH for subject "
@@ -531,8 +517,11 @@ def _refused(exc: PreconditionFailure) -> int:
 
 def cmd_verify(args) -> int:
     if args.file is not None:
-        if args.s is not None or args.t is not None:
-            print("--file replaces --s/--t, not combines with them", file=sys.stderr)
+        given = [flag for flag, value in (("--s", args.s), ("--t", args.t),
+                 ("--p", args.p), ("--out", args.out)) if value is not None]
+        if given:
+            print(f"--file re-verifies stored records; it takes no {'/'.join(given)}",
+                  file=sys.stderr)
             return 2
         return _verify_file(args)
     if args.s is None or args.t is None:
@@ -546,8 +535,9 @@ def cmd_verify(args) -> int:
         cert = theorem.certify(args.s, args.t, args.p, args.n)
     except PreconditionFailure as exc:
         return _refused(exc)
-    theorem.show(cert)
-    _write_record(args.out, theorem.jsonl(cert))
+    record = certificate_to_dict(cert)
+    theorem.show(record)
+    _write_record(args.out, record_to_jsonl(record))
     return 0
 
 

@@ -205,6 +205,34 @@ def test_batch_distinctness():
         batch_distinctness([certify_divisibility(2, 25, 5, 1)])
 
 
+def test_batch_distinctness_is_linear():
+    class Key(int):
+        """An int key that counts the equality tests made on it."""
+
+        compared = 0
+
+        def __eq__(self, other):
+            Key.compared += 1
+            return int(self) == other
+
+        __hash__ = int.__hash__
+
+    def infinite(key):
+        return certify.Certificate("infinite-family", {}, (), "", "", 1,
+                                   distinctness_key=key)
+
+    keys = [Key(k) for k in range(10_000)]
+    certs = [infinite(k) for k in keys] + [infinite(Key(4321))]
+    report = batch_distinctness(certs)
+    assert report == {
+        "count": 10_001, "distinct": 10_000, "pairwise_distinct": False,
+        "duplicate_keys": [4321],
+    }
+    # one lookup per key; counting each key's copies in the list would
+    # take about 10^8 comparisons
+    assert Key.compared < 3 * len(certs)
+
+
 def test_jsonl_round_trip():
     cert = certify_infinite_instance(2, 75, 5, 1)
     line = certificate_to_jsonl(cert)

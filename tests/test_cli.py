@@ -296,6 +296,19 @@ def test_verify_usage_errors(argv, capsys):
     assert err
 
 
+@pytest.mark.parametrize("flag,value", [("--out", "g.jsonl"), ("--p", "5")])
+def test_verify_file_refuses_out_and_p(flag, value, tmp_path, capsys, monkeypatch):
+    # both were silently ignored: the run printed "7/7 certificates
+    # verified", exited 0 and wrote no file
+    monkeypatch.chdir(tmp_path)
+    golden = Path(__file__).parent / "data" / "golden_records.jsonl"
+    rc, out, err = run(capsys, "verify", "--file", str(golden), flag, value)
+    assert rc == 2
+    assert out == ""
+    assert err.count("\n") == 1 and flag in err
+    assert not (tmp_path / "g.jsonl").exists()
+
+
 def test_verify_rank_mode(tmp_path, capsys):
     rec = tmp_path / "rank.jsonl"
     rc, out, _ = run(

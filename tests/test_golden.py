@@ -12,6 +12,12 @@ as written before ``descent.selmer`` kept one class pattern per residue
 of l mod 16.  The full p = 13 search, with its checkpoint, is compared
 with the benchmark's own goldens (``perfbench/data/goldens.json``, read
 only), which pin all of its 1,107 index-square bounds.
+``data/golden_ledgers.txt`` is the full stdout of single-shot ``verify``
+for the subjects of ``golden_records.jsonl``, in order, and
+``SEARCH_SHA256`` the digests of the square-subfamily and infinite-family
+search streams (and a final checkpoint); both were recorded before each
+witness was built in its record form, so the ledger text and the streams
+are pinned against that earlier code, not only against themselves.
 """
 
 import hashlib
@@ -28,6 +34,16 @@ GOLDEN = DATA / "golden_records.jsonl"
 LINES = GOLDEN.read_text(encoding="utf-8").splitlines()
 REFUSALS = json.loads((DATA / "golden_refusals.json").read_text(encoding="utf-8"))
 BENCH_GOLDENS = Path(__file__).parent.parent / "perfbench" / "data" / "goldens.json"
+
+#: search arguments -> sha256 of the stream, and of the final checkpoint
+#: where the search keeps one
+SEARCH_SHA256 = {
+    ("--mode", "square_subfamily", "--p", "5", "--max-param", "120"): (
+        "ea48a049d14f97ee4af2c78c8fe9ff5bc57b7addd5f45903d9b6239917c57c6b", None),
+    ("--mode", "infinite", "--p", "5", "--max-param", "300", "--checkpoint"): (
+        "8d8a2c7bc27a0d634f5c26536a56b23a4d6b624b46a09c993398b898e26ed225",
+        "555f761c0b6b5d46f86be6b046e3ec8f8d194bbbbc0d760cb56e965b755c2f73"),
+}
 
 
 def _verify_argv(record: dict) -> list[str]:
@@ -69,6 +85,32 @@ def test_single_shot_verify_reproduces_each_line(lineno, tmp_path, capsys):
     assert cli.main(argv) == 0
     capsys.readouterr()
     assert out.read_text(encoding="utf-8") == line + "\n"
+
+
+def test_single_shot_verify_prints_the_golden_ledgers(capsys):
+    printed = []
+    for line in LINES:
+        assert cli.main(["verify", *_verify_argv(json.loads(line))]) == 0
+        printed.append(capsys.readouterr().out)
+    golden = (DATA / "golden_ledgers.txt").read_text(encoding="utf-8")
+    assert "".join(printed) == golden
+    # a list witness prints as the integers it holds
+    assert "ramified=[2, 5641, 5]" in golden
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("args", list(SEARCH_SHA256), ids=lambda a: a[1])
+def test_search_streams_match_their_recorded_digests(args, workers, tmp_path, capsys):
+    stream_sha, checkpoint_sha = SEARCH_SHA256[args]
+    out, ck = tmp_path / "out.jsonl", tmp_path / "search.ck"
+    argv = ["search", *args, "--workers", workers, "--out", str(out)]
+    if checkpoint_sha is not None:
+        argv.insert(argv.index("--checkpoint") + 1, str(ck))
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == stream_sha
+    if checkpoint_sha is not None:
+        assert hashlib.sha256(ck.read_bytes()).hexdigest() == checkpoint_sha
 
 
 @pytest.mark.parametrize(

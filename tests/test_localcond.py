@@ -109,5 +109,6 @@ def test_every_field_reaches_the_ledger():
     for ch in cert.checks:
         if ch.name in ("parameter-depth", "kernel-filtration-depth"):
             witnesses.update(ch.witness)
+    # witnesses are in record form: integers as decimal strings
     for field in local._fields:
-        assert witnesses[field] == getattr(local, field), field
+        assert witnesses[field] == str(getattr(local, field)), field

@@ -79,7 +79,8 @@ def _cli_runs(tmp: Path) -> list[list[str]]:
     drifted["checks"][-1]["citation"] = "edited"
     (tmp / "drift.jsonl").write_text(json.dumps(drifted) + "\n", encoding="utf-8")
     return [
-        ["verify", "--file", str(GOLDEN)],
+        # --verbose prints each fresh result's conclusion (RankCert's too)
+        ["verify", "--file", str(GOLDEN), "--verbose"],
         ["verify", "--file", str(tmp / "drift.jsonl")],
         ["verify", "--mode", "main", "--p", "5", "--s", "2", "--t", "25",
          "--out", str(tmp / "one.jsonl")],
