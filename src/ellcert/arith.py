@@ -1,7 +1,7 @@
-"""Exact integer and rational arithmetic helpers.
+"""Exact integer arithmetic helpers.
 
-Everything here is exact: integers are arbitrary precision, rationals are
-``fractions.Fraction`` (always reduced, positive denominator).  The only
+Everything here is exact and runs on integers; only ``is_square`` also
+takes a ``fractions.Fraction``, for the tests' rational oracles.  The only
 floating-point output in the package comes from the heights module, which
 rounds outward.
 
@@ -12,6 +12,7 @@ prime given as an ``int``.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -30,20 +31,20 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_DETERMINISTIC_LIMIT = 3317044064679887385961981
 
 
-def vp(x: Rational, p: int) -> int | float:
-    """p-adic valuation of x.  Returns math.inf for x = 0."""
+def vp(x: int, p: int) -> int | float:
+    """p-adic valuation of the integer x.  Returns math.inf for x = 0.
+
+    Anything but an integer (a ``Fraction`` included) is a TypeError.
+    """
     if not is_prime(p):
         raise ValueError(f"vp: modulus {p} is not prime")
-    num, den = _as_num_den(x)
-    if num == 0:
+    x = operator.index(x)
+    if x == 0:
         return math.inf
     v = 0
-    while num % p == 0:
-        num //= p
+    while x % p == 0:
+        x //= p
         v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
     return v
 
 

@@ -36,7 +36,6 @@ from typing import NamedTuple
 from .arith import is_prime, is_square, kth_power_free, vp
 from .curve import (
     Curve,
-    base_point,
     curve_from_a,
     has_rational_m_torsion,
     is_torsion_point,
@@ -44,7 +43,7 @@ from .curve import (
     make_family,
     reduction_at,
 )
-from .descent import RankCert, certify_rank_one, require_proved_prime
+from .descent import RankCert, SelmerReport, certify_rank_one, require_proved_prime
 from .errors import PreconditionFailure
 from .localcond import check_local
 from .primitivity import certify_primitive
@@ -296,8 +295,8 @@ def certify_square_subfamily(s: int, tau: int, p: int) -> Certificate:
     )
     assert swapped.a == m.curve.a
     # l is not a square here, so the torsion is {O, (0, 0)}, and
-    # x(second) = -tau^2 is not 0 since tau = 0 would force l = 1
-    if is_torsion_point(m.curve, base_point(swapped)):
+    # y(second) = s^2 tau is not 0 since tau = 0 would force l = 1
+    if is_torsion_point(m.curve, (-tau * tau, s * s * tau)):
         raise AssertionError(f"torsion second point at (s,tau)=({s},{tau}), p={p}")
     checks.append(
         CheckEntry(
@@ -443,10 +442,24 @@ def certificate_to_jsonl(cert: Certificate | RankCert) -> str:
     return record_to_jsonl(certificate_to_dict(cert))
 
 
-def certificate_from_dict(data: dict) -> Certificate:
+def certificate_from_dict(data: dict) -> Certificate | RankCert:
+    """The certificate or rank-one result whose record ``data`` is; the
+    inverse of ``certificate_to_dict`` for all four theorems.  A rank-one
+    record holds the Selmer dimensions but not the groups, so the parsed
+    report's ``sel_forward`` and ``sel_dual`` are None."""
     if data.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema {data.get('schema')!r}")
     subject = {k: int(v) for k, v in data["subject"].items()}
+    if data["theorem"] == "rank-one":
+        sel = {k: int(v) for k, v in data["selmer"].items()}
+        return RankCert(
+            **subject,
+            ell_mod_16=int(data["ell_mod_16"]),
+            t_mod_8=int(data["t_mod_8"]),
+            selmer_report=SelmerReport(sel_forward=None, sel_dual=None, **sel),
+            rank=int(data["rank"]),
+            base_point_nontorsion=data["base_point_nontorsion"],
+        )
     checks = tuple(
         CheckEntry(
             name=ch["name"],

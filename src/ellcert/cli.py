@@ -23,8 +23,10 @@ Exit codes: 0 success, 1 completed but a hypothesis check failed (or a
 search found nothing, or a stored certificate did not re-verify); a
 refusal prints one line naming the check, such as ``selmer-table``'s
 ell not proved prime, or ``heights``' torsion base point or a doubling
-past its bit budget (``height-digit-budget``).  2 bad usage or an
-unsatisfiable search configuration.
+past its bit budget (``height-digit-budget``).  2 bad usage, such as
+``verify --file`` with any flag of single-shot ``verify`` (``--s``,
+``--t``, ``--p``, ``--n``, ``--mode`` or ``--out``), or an unsatisfiable
+search configuration.
 """
 
 from __future__ import annotations
@@ -518,7 +520,8 @@ def _refused(exc: PreconditionFailure) -> int:
 def cmd_verify(args) -> int:
     if args.file is not None:
         given = [flag for flag, value in (("--s", args.s), ("--t", args.t),
-                 ("--p", args.p), ("--out", args.out)) if value is not None]
+                 ("--p", args.p), ("--n", args.n), ("--mode", args.mode),
+                 ("--out", args.out)) if value is not None]
         if given:
             print(f"--file re-verifies stored records; it takes no {'/'.join(given)}",
                   file=sys.stderr)
@@ -527,12 +530,13 @@ def cmd_verify(args) -> int:
     if args.s is None or args.t is None:
         print("single-shot verification needs --s and --t (or --file)", file=sys.stderr)
         return 2
-    theorem = THEOREMS[args.mode]
+    mode = args.mode or "main"
+    theorem = THEOREMS[mode]
     if theorem.needs_p and args.p is None:
-        print(f"mode {args.mode} needs --p", file=sys.stderr)
+        print(f"mode {mode} needs --p", file=sys.stderr)
         return 2
     try:
-        cert = theorem.certify(args.s, args.t, args.p, args.n)
+        cert = theorem.certify(args.s, args.t, args.p, 1 if args.n is None else args.n)
     except PreconditionFailure as exc:
         return _refused(exc)
     record = certificate_to_dict(cert)
@@ -629,8 +633,8 @@ def build_parser() -> argparse.ArgumentParser:
     vp_.add_argument("--s", type=int)
     vp_.add_argument("--t", type=int, help="t (or tau in square_subfamily mode)")
     vp_.add_argument("--p", type=int)
-    vp_.add_argument("--n", type=int, default=1)
-    vp_.add_argument("--mode", choices=tuple(THEOREMS), default="main")
+    vp_.add_argument("--n", type=int, help="filtration depth target (default 1)")
+    vp_.add_argument("--mode", choices=tuple(THEOREMS), help="default main")
     vp_.add_argument("--out", default=None, help="append the JSONL record here")
     vp_.add_argument(
         "--file", default=None, help="re-verify a stored JSONL batch instead"

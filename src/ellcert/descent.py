@@ -17,13 +17,12 @@ substitutes l into the classes it found (the proof is in ``selmer``).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 from typing import NamedTuple
 
 from .arith import REAL, is_prime, is_square, jacobi, primality_info, vp
-from .curve import Curve, base_point, is_torsion_point, make_family
+from .curve import Curve, is_torsion_point, make_family
 from .errors import PreconditionFailure
 
 _ODD_P_LOOP_LIMIT = 10**6
@@ -108,14 +107,14 @@ def _soluble_at_odd_prime(alpha: int, beta: int, p: int) -> bool:
     return False
 
 
-def _is_fourth_power_2adic(x: Fraction) -> bool:
-    v = vp(x, 2)
-    if v == float("inf") or v % 4 != 0:
+def _is_fourth_power_2adic(num: int, den: int) -> bool:
+    """Is num / den (den != 0) a 4th power in Q_2?"""
+    if num == 0:
         return False
-    unit = x / Fraction(2) ** int(v)
-    num, den = unit.numerator, unit.denominator
+    v_num, num = _unit_part(num, 2)
+    v_den, den = _unit_part(den, 2)
     # odd unit is a 4th power in Z_2 iff it is 1 mod 16
-    return (num * pow(den, -1, 16)) % 16 == 1
+    return (v_num - v_den) % 4 == 0 and num * pow(den, -1, 16) % 16 == 1
 
 
 @lru_cache(maxsize=None)
@@ -184,7 +183,7 @@ def _soluble_at_two_class(alpha: int, beta: int) -> bool:
     primitive pairs, and a square value of valuation e is certified as
     soon as B >= e + 3.
     """
-    if _is_fourth_power_2adic(Fraction(-beta, alpha)):
+    if _is_fourth_power_2adic(-beta, alpha):
         return True
     bound = 8 + vp(alpha, 2) + vp(beta, 2)
     while True:
@@ -426,7 +425,7 @@ def certify_rank_one(s: int, t: int, c: Curve | None = None) -> RankCert:
     if c is None:
         c = make_family(s, t)
     assert (c.s, c.t) == (s, t)
-    if is_torsion_point(c, base_point(c)):
+    if is_torsion_point(c, (-s * s, s * t)):
         raise AssertionError("base point unexpectedly torsion")
     return RankCert(
         s=s,

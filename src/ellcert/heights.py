@@ -6,12 +6,16 @@ explicit one-ulp pad in each direction, then converted to floats with a
 two-ulp outward nudge.  Every interval produced here is therefore a true
 enclosure: lo <= exact value <= hi.
 
-The primitivity bound needs ln l (for the height floor) and ln(64 l^3)
-(for the Silverman gap) of one member.  ``ln_ell_lo_and_delta_hi`` takes
-both from one enclosure of ln l in integers (192 fractional bits, a
-32-entry table of ln(1 + j/32) and an atanh series; no Decimal) and
-returns exactly the floats of the two direct ``log_int_bounds`` calls,
-falling back to those calls in the rare case where it cannot prove that.
+The primitivity bound needs ln s^2 (for h(P)), ln l (for the height
+floor) and ln(64 l^3) (for the Silverman gap) of one member.
+``ln_square_hi`` and ``ln_ell_lo_and_delta_hi`` take them from enclosures
+of ln s and ln l in integers (``_ln_fixed``: 192 fractional bits, a
+32-entry table of ln(1 + j/32) and an atanh series; no Decimal), and
+``_fixed_log_bounds`` rounds each to exactly the floats of the direct
+``log_int_bounds`` call, which answers instead in the rare case where
+the rounding cannot be proved.  So a certificate takes no Decimal
+logarithm; the Decimal path serves the ``heights`` report and that
+fallback.
 
 Height convention: hhat = (1/2) * lim h(2^n P) / 4^n, i.e. the canonical
 height of a point with x-coordinate n/d satisfies hhat ~ h/2 where
@@ -22,7 +26,6 @@ from __future__ import annotations
 
 import math
 from decimal import Decimal, localcontext
-from fractions import Fraction
 from typing import NamedTuple
 
 from .arith import kth_power_free
@@ -218,27 +221,54 @@ def _round_to_dec_prec(lo: int, hi: int) -> tuple[int, int] | None:
     return n, k
 
 
+def _fixed_log_bounds(lo: int, hi: int) -> tuple[float, float] | None:
+    """``log_int_bounds(n)`` from an enclosure [lo, hi] 2^-192 of ln n, the
+    floats bit for bit, or None when its ends round apart.
+
+    Both ends must round to one 50-digit value n 10^-k (see
+    ``_round_to_dec_prec``), the ``dec_ln_bounds`` centre.  Its one-ulp pad
+    (n -+ 1) 10^-k becomes a float by integer true division, correctly
+    rounded like ``float(Decimal)``, and gets the same two-ulp nudge.
+    """
+    centre = _round_to_dec_prec(lo, hi)
+    if centre is None:
+        return None
+    n, k = centre
+    scale = 10**k
+    return _dn((n - 1) / scale), _up((n + 1) / scale)
+
+
 def ln_ell_lo_and_delta_hi(ell: int) -> tuple[float, float]:
     """``(log_int_bounds(ell)[0], log_int_bounds(64 * ell**3)[1])``, the floats
     bit for bit, from one fixed-point ln of ell in place of two Decimal logs.
 
     ``_ln_fixed`` encloses 2^192 ln ell and 2^192 ln(64 ell^3) in
-    integers.  Each enclosure is kept only if both its ends round to one
-    50-digit value n 10^-k (see ``_round_to_dec_prec``), the
-    ``dec_ln_bounds`` centre.  Its one-ulp pad (n -+ 1) 10^-k becomes a
-    float by integer true division, correctly rounded like
-    ``float(Decimal)``, and gets the same two-ulp nudge.  Otherwise, and for
-    ell < 2 or a 64 ell^3 that ``log_int_bounds`` would truncate, the two
-    direct calls answer.
+    integers, and ``_fixed_log_bounds`` rounds each.  If either is
+    undecided, and for ell < 2 or a 64 ell^3 that ``log_int_bounds`` would
+    truncate, the two direct calls answer.
     """
     if ell >= 2 and (64 * ell**3).bit_length() <= _DIRECT_LN_BITS:
         ell_enc, delta_enc = _ln_fixed(ell)
-        ell_c = _round_to_dec_prec(*ell_enc)
-        delta_c = _round_to_dec_prec(*delta_enc)
-        if ell_c is not None and delta_c is not None:
-            (n_ell, k_ell), (n_delta, k_delta) = ell_c, delta_c
-            return _dn((n_ell - 1) / 10**k_ell), _up((n_delta + 1) / 10**k_delta)
+        ell_b = _fixed_log_bounds(*ell_enc)
+        delta_b = _fixed_log_bounds(*delta_enc)
+        if ell_b is not None and delta_b is not None:
+            return ell_b[0], delta_b[1]
     return log_int_bounds(ell)[0], log_int_bounds(64 * ell**3)[1]
+
+
+def ln_square_hi(s: int) -> float:
+    """``log_int_bounds(s * s)[1]``, the float bit for bit, for s >= 2.
+
+    2 ln s is enclosed by twice ``_ln_fixed``'s enclosure of ln s and
+    rounded by ``_fixed_log_bounds``; if that is undecided, or s^2 is
+    wider than ``_DIRECT_LN_BITS``, the direct call answers.
+    """
+    if (s * s).bit_length() <= _DIRECT_LN_BITS:
+        lo, hi = _ln_fixed(s)[0]
+        bounds = _fixed_log_bounds(2 * lo, 2 * hi)
+        if bounds is not None:
+            return bounds[1]
+    return log_int_bounds(s * s)[1]
 
 
 def _x_height_int(pt: Point) -> int:
@@ -361,8 +391,7 @@ def canonical_height(c: Curve, pt: PointLike, iterations: int = 5) -> HeightInte
     return HeightInterval(lo=lo, hi=hi, iterations=iterations)
 
 
-#: Residue rows of the canonical-height floor for y^2 = x^3 + a x, keyed by
-#: sign of a; each entry is (numerator of c in units of log2 / 16).
+#: Residue rows of the canonical-height floor for y^2 = x^3 + a x with a < 0.
 #: [Voutier-Yabuta, sharp lower bounds for quartic twists]
 _VY_ROW_A = frozenset({1, 5, 7, 9, 13, 15})  # a mod 16
 _VY_ROW_B16 = frozenset({2, 3, 6, 8, 10, 11, 12, 14})  # a mod 16
@@ -370,24 +399,19 @@ _VY_ROW_B64 = frozenset({20, 36})  # a mod 64
 _VY_ROW_C64 = frozenset({4, 52})  # a mod 64
 
 
-def _vy_log2_coeff(a: int) -> Fraction:
-    r16 = a % 16
-    r64 = a % 64
-    if a > 0:
-        if r16 in _VY_ROW_A:
-            return Fraction(8, 16)
-        if r64 in _VY_ROW_B64 or r16 in _VY_ROW_B16:
-            return Fraction(4, 16)
-        if r64 in _VY_ROW_C64:
-            return Fraction(-2, 16)
-    else:
-        if r16 in _VY_ROW_A:
-            return Fraction(9, 16)
-        if r64 in _VY_ROW_B64 or r16 in _VY_ROW_B16:
-            return Fraction(5, 16)
-        if r64 in _VY_ROW_C64:
-            return Fraction(-1, 16)
-    raise ValueError(f"vy_lower_bound: residue table does not cover a={a}")
+def _vy_log2_coeff(a: int) -> int:
+    """The floor's c(a) in units of log 2 / 16, for a < 0 not divisible by 16.
+
+    Only the rows of negative a are carried: every member has a = -l.
+    """
+    assert a < 0, f"no height-floor row is carried for a={a} >= 0"
+    r16, r64 = a % 16, a % 64
+    if r16 in _VY_ROW_A:
+        return 9
+    if r64 in _VY_ROW_B64 or r16 in _VY_ROW_B16:
+        return 5
+    assert r64 in _VY_ROW_C64, f"16 divides a={a}, so it is not fourth-power-free"
+    return -1
 
 
 def vy_lower_bound(a: int) -> float:
@@ -395,20 +419,21 @@ def vy_lower_bound(a: int) -> float:
 
     Value (1/16) log|a| + c(a) with c(a) a residue-class multiple of log 2;
     c(a) may be negative and is not clamped.  Rounded down, so the returned
-    float is itself a valid lower bound.  Requires a fourth-power-free.
+    float is itself a valid lower bound.  Requires a negative and
+    fourth-power-free.
     """
-    if a == 0:
-        raise ValueError("vy_lower_bound: a must be nonzero")
+    if a >= 0:
+        raise ValueError("vy_lower_bound: a must be negative")
     if not kth_power_free(a, 4):
         raise ValueError(f"vy_lower_bound: a={a} is not fourth-power-free")
     return _vy_floor(a, log_int_bounds(abs(a))[0])
 
 
 def _vy_floor(a: int, ln_a_lo: float) -> float:
-    """``vy_lower_bound`` for a caller that already knows a is nonzero and
+    """``vy_lower_bound`` for a caller that already knows a is negative and
     fourth-power-free and holds ``log_int_bounds(abs(a))[0]`` as ``ln_a_lo``;
     nothing here checks any of the three."""
     coeff = _vy_log2_coeff(a)
     log2_lo, log2_hi = LOG2_BOUNDS
-    c_term = float(coeff) * (log2_lo if coeff > 0 else log2_hi)
+    c_term = coeff / 16 * (log2_lo if coeff > 0 else log2_hi)
     return _dn(_dn(ln_a_lo / 16.0) + _dn(c_term))

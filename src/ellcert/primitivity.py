@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 from .errors import PreconditionFailure
 from .heights import (
-    _silverman_upper_gap, _up, _vy_floor, ln_ell_lo_and_delta_hi, log_int_bounds,
+    _silverman_upper_gap, _up, _vy_floor, ln_ell_lo_and_delta_hi, ln_square_hi,
 )
 
 if TYPE_CHECKING:
@@ -32,10 +32,8 @@ RATIO_MARGIN = 1e-6
 _INDEX_SQ_LIMIT = 9.0  # first odd index to exclude is 3
 
 
-@lru_cache(maxsize=4096)
-def _ln_s_squared_hi(s: int) -> float:
-    """Upper end of ``log_int_bounds(s * s)``, that is of h(P) = ln s^2."""
-    return log_int_bounds(s * s)[1]
+#: Upper end of ``log_int_bounds(s * s)``, that is of h(P) = ln s^2, s >= 2.
+_ln_s_squared_hi = lru_cache(maxsize=4096)(ln_square_hi)
 
 
 def certify_primitive(m: Member) -> float:
@@ -61,18 +59,15 @@ def certify_primitive(m: Member) -> float:
     |s t| >= 25 and l != 2.  A negative s or t passes all of these, so
     ``degenerate-parameters`` is refused here, before the assertion.
 
-    The upper bound of h(P) = ln s^2 is memoized per process, keyed by s
-    (bounded, so a long search cannot grow it without limit).  It is a
-    pure function of s: a hit returns the float a fresh ``log_int_bounds``
-    call would, so the ratio, and every record, is the same whatever the
-    order in which a process meets its s values, the worker count or a
-    resumed run.  A search meets the same s across a whole shell, so
-    most certificates take no logarithm of s at all.
-
+    The upper bound of h(P) = ln s^2 comes from a fixed-point logarithm
+    of s in integers (``heights.ln_square_hi``), memoized per process,
+    keyed by s (bounded, so a long search cannot grow it without limit).
     ln l for the floor and h(Delta) = ln(64 l^3) for the gap come from one
-    fixed-point logarithm of l in integers (``heights.ln_ell_lo_and_delta_hi``),
-    which returns the very floats the two direct ``log_int_bounds`` calls
-    would.  So a certificate takes no Decimal logarithm, save one per new s.
+    fixed-point logarithm of l (``heights.ln_ell_lo_and_delta_hi``).  Each
+    returns the very float the direct ``log_int_bounds`` call would, so
+    the ratio, and every record, is the same whatever the order in which
+    a process meets its s values, the worker count or a resumed run, and
+    a certificate takes no Decimal logarithm.
     """
     s, t, ell = m.s, m.t, m.ell
     if s < 1 or t < 1:

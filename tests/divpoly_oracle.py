@@ -1,8 +1,11 @@
-"""Division polynomials of y^2 = x^3 + a x and a rational-root torsion search.
+"""Division polynomials of y^2 = x^3 + a x, a rational-root torsion search,
+and the rational torsion subgroup listed point by point.
 
-A test oracle, independent of the reduction witness that
-``ellcert.curve.has_rational_m_torsion`` uses: rational m-torsion (m odd)
-has its x-coordinate among the rational roots of the m-division polynomial.
+Test oracles.  The root search is independent of the reduction witness
+that ``ellcert.curve.has_rational_m_torsion`` uses: rational m-torsion
+(m odd) has its x-coordinate among the rational roots of the m-division
+polynomial.  ``torsion`` lists the group that
+``ellcert.curve.is_torsion_point``'s closed form decides membership of.
 
 Dense coefficient lists over Z, index = degree.  psi_n = f_n for odd n and
 psi_n = 2*y*f_n for even n, after reducing y^2 = x^3 + a x.
@@ -13,7 +16,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from ellcert.arith import factorize, is_square
+from typing import NamedTuple
+
+from ellcert.arith import factorize, is_square, vp
+from ellcert.curve import INFINITY, Curve, Point, PointLike
 
 
 def divisors_up_to(factors: dict[int, int], limit: int) -> list[int]:
@@ -166,3 +172,37 @@ def has_rational_m_torsion_by_roots(a: int, m: int) -> bool:
         if is_square(x0**3 + a * x0):
             return True
     return False
+
+
+def vp_rational(x: Fraction, p: int) -> int | float:
+    """p-adic valuation of a rational: that of its numerator less that of
+    its denominator (``ellcert.arith.vp`` takes integers only)."""
+    return vp(x.numerator, p) - vp(x.denominator, p)
+
+
+class TorsionInfo(NamedTuple):
+    structure: str
+    order: int
+    generators: tuple[Point, ...]
+    points: tuple[PointLike, ...]
+
+
+def torsion(c: Curve) -> TorsionInfo:
+    """Rational torsion of y^2 = x^3 + a x (a != 0).
+
+    Z/2 x Z/2 when -a is a perfect square, Z/4 when a = 4 u^4 (generated
+    by (2 u^2, 4 u^3); the curve is the model u^4 of a = 4), else Z/2
+    generated by (0, 0).  [Silverman AEC, X.6.1 for fourth-power-free a]
+    """
+    zero = Fraction(0)
+    origin = Point(zero, zero)
+    if is_square(-c.a):
+        r = Fraction(math.isqrt(-c.a))
+        pts = (INFINITY, origin, Point(r, zero), Point(-r, zero))
+        return TorsionInfo("Z/2 x Z/2", 4, (origin, Point(r, zero)), pts)
+    u = math.isqrt(math.isqrt(c.a // 4)) if c.a > 0 else 0  # floor((a/4)^(1/4))
+    if u and 4 * u**4 == c.a:
+        gen = Point(Fraction(2 * u * u), Fraction(4 * u**3))
+        pts = (INFINITY, gen, origin, Point(gen.x, -gen.y))
+        return TorsionInfo("Z/4", 4, (gen,), pts)
+    return TorsionInfo("Z/2", 2, (origin,), (INFINITY, origin))

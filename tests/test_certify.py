@@ -3,10 +3,13 @@ round-trips, and batch distinctness."""
 
 import json
 import sys
+from decimal import Decimal
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from ellcert import arith, certify
+from ellcert import arith, certify, cli, descent, heights, primitivity
 from ellcert import curve as curve_module
 from ellcert.certify import (
     SCHEMA_VERSION,
@@ -255,6 +258,53 @@ def test_jsonl_round_trip():
     assert data["distinctness_key"] == "5641"
     rebuilt = certificate_from_dict(certificate_to_dict(cert))
     assert certificate_to_dict(rebuilt) == certificate_to_dict(cert)
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden_records.jsonl"
+
+
+def test_every_golden_record_round_trips_through_the_parse():
+    # all four theorems, the rank-one fragment included
+    lines = GOLDEN.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 7
+    for line in lines:
+        assert certificate_to_jsonl(certificate_from_dict(json.loads(line))) == line
+
+
+def _clear_memos():
+    for module in (arith, curve_module, descent, heights, primitivity):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+    descent._SELMER_CLASSES.clear()
+
+
+def test_golden_subjects_certify_in_integers_only(monkeypatch):
+    """From cold memos, every golden subject certifies with no Fraction
+    made and no Decimal logarithm taken, to the golden record."""
+    lines = GOLDEN.read_text(encoding="utf-8").splitlines()
+    tasks = [cli._record_task(json.loads(line)) for line in lines]
+    logs = []
+
+    class CountingDecimal(Decimal):
+        def ln(self, context=None):
+            logs.append(self)
+            return super().ln(context)
+
+    def no_fraction(cls, *args, **kwargs):
+        raise AssertionError(f"Fraction{args} made on the certificate path")
+
+    _clear_memos()
+    monkeypatch.setattr(heights, "Decimal", CountingDecimal)
+    monkeypatch.setattr(Fraction, "__new__", no_fraction)
+    with pytest.raises(AssertionError):
+        Fraction(1, 2)
+    got = [certificate_to_jsonl(cli.THEOREMS[mode].certify(s, t, p, n))
+           for mode, s, t, p, n in tasks]
+    monkeypatch.undo()
+    assert got == lines
+    assert logs == []
+    assert Fraction(1, 2) * 2 == 1
 
 
 def test_from_dict_rejects_unknown_schema():

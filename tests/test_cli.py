@@ -309,6 +309,29 @@ def test_verify_file_refuses_out_and_p(flag, value, tmp_path, capsys, monkeypatc
     assert not (tmp_path / "g.jsonl").exists()
 
 
+@pytest.mark.parametrize(
+    "flags", [("--mode", "rank"), ("--n", "5"), ("--mode", "rank", "--n", "5"),
+              ("--mode", "main"), ("--n", "1")])
+def test_verify_file_refuses_mode_and_n(flags, capsys):
+    # both were silently ignored: "--mode rank --n 5" printed "7/7
+    # certificates verified" and exited 0; the default values are refused
+    # too, since a stored record names its own theorem and depth
+    golden = Path(__file__).parent / "data" / "golden_records.jsonl"
+    rc, out, err = run(capsys, "verify", "--file", str(golden), *flags)
+    assert rc == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert all(flag in err for flag in flags[::2])
+
+
+def test_single_shot_verify_defaults_to_main_mode_and_depth_one(capsys):
+    implicit = run(capsys, "verify", "--p", "5", "--s", "2", "--t", "25")
+    explicit = run(capsys, "verify", "--p", "5", "--s", "2", "--t", "25",
+                   "--mode", "main", "--n", "1")
+    assert implicit == explicit
+    assert implicit[0] == 0 and "theorem: divisibility" in implicit[1]
+
+
 def test_verify_rank_mode(tmp_path, capsys):
     rec = tmp_path / "rank.jsonl"
     rc, out, _ = run(

@@ -26,14 +26,18 @@ from ellcert.curve import (
     rational_points_up_to_height,
     reduction_at,
     smul,
-    torsion,
     translate_by_torsion,
 )
 import ellcert.curve as curve_mod
 from ellcert.arith import is_prime
 from ellcert.errors import PreconditionFailure
 
-from divpoly_oracle import _rational_roots, division_poly_x, has_rational_m_torsion_by_roots
+from divpoly_oracle import (
+    _rational_roots,
+    division_poly_x,
+    has_rational_m_torsion_by_roots,
+    torsion,
+)
 
 
 # ---- independent chord-tangent oracle over Q -------------------------------
@@ -244,8 +248,10 @@ def test_torsion_structures():
     assert four.structure == "Z/2 x Z/2" and four.order == 4
     cyc4 = torsion(curve_from_a(4))
     assert cyc4.structure == "Z/4" and cyc4.order == 4
+    # y^2 = x^3 + 64 x is the model 2^4 of a = 4: (8, 32) has order 4
+    assert torsion(curve_from_a(64)).generators == (point(curve_from_a(64), 8, 32),)
     # every reported point really is torsion of the reported group order
-    for a in (-5, -4, 4, -36):
+    for a in (-5, -4, 4, -36, 64, 324):
         c = curve_from_a(a)
         info = torsion(c)
         for pt in info.points:
@@ -257,6 +263,48 @@ def test_is_torsion_point():
     assert is_torsion_point(c, point(c, 0, 0))
     assert is_torsion_point(c, INFINITY)
     assert not is_torsion_point(c, base_point(c))
+    # the certifiers pass the integer base point
+    assert not is_torsion_point(c, (-1, 2))
+    assert is_torsion_point(c, (0, 0))
+
+
+def _family_base_points(a):
+    """(-s^2, s t) for every (s, t) with s, t >= 1 and s^4 + t^2 = -a."""
+    return [(-s * s, s * t) for s in range(1, 5) for t in range(1, 21)
+            if s**4 + t * t == -a]
+
+
+def test_torsion_closed_form_matches_the_oracle():
+    # every torsion point, every small point and every family base point
+    # of each curve with 0 < |a| <= 400
+    checked = nontorsion = 0
+    for a in range(-400, 401):
+        if a == 0:
+            continue
+        c = curve_from_a(a)
+        info = torsion(c)
+        points = set(info.points) | set(rational_points_up_to_height(c, math.log(30)))
+        points |= {point(c, x, y) for x, y in _family_base_points(a)}
+        for pt in points:
+            assert on_curve(c, pt)
+            assert is_torsion_point(c, pt) == (pt in info.points), (a, pt)
+            checked += 1
+            nontorsion += pt not in info.points
+        for x, y in _family_base_points(a):
+            assert not is_torsion_point(c, (x, y)), (a, x, y)
+    assert checked > 2000 and nontorsion > 500
+
+
+def test_make_family_integer_check_is_on_curve():
+    # the integer identity make_family asserts is the Fraction on_curve test
+    for s in range(-12, 13):
+        for t in range(-12, 13):
+            if s == 0 and t == 0:
+                continue
+            c = make_family(s, t)
+            x = -s * s
+            assert (s * t) ** 2 == x**3 + c.a * x
+            assert on_curve(c, base_point(c))
 
 
 def test_reduction_frozen():

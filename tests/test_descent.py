@@ -3,6 +3,7 @@ against the known residue tables, Selmer groups, and the rank-1 pipeline."""
 
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -12,6 +13,7 @@ from ellcert.certify import certify_infinite_instance
 from ellcert.descent import (
     Torsor,
     _exact_selmer,
+    _is_fourth_power_2adic,
     _soluble_at_odd_prime,
     _soluble_at_two,
     _soluble_at_two_class,
@@ -287,3 +289,31 @@ def test_certify_rank_one_refusals(s, t, reason):
     with pytest.raises(PreconditionFailure) as err:
         certify_rank_one(s, t)
     assert err.value.reason == reason
+
+
+def _is_fourth_power_2adic_by_fractions(x):
+    """The reference: x = 2^v u with v = 0 mod 4 and the odd unit u = 1
+    mod 16, worked out in Fractions."""
+    if x == 0:
+        return False
+    v = 0
+    while x.numerator % 2 == 0:
+        x /= 2
+        v += 1
+    while x.denominator % 2 == 0:
+        x *= 2
+        v -= 1
+    return v % 4 == 0 and x.numerator * pow(x.denominator, -1, 16) % 16 == 1
+
+
+def test_integer_fourth_power_test_matches_the_fraction_one():
+    values = [*range(-80, 81), *(2**e * u for e in range(13) for u in (1, -15, 17, 81))]
+    agree = 0
+    for num in values:
+        for den in values:
+            if den == 0:
+                continue
+            want = _is_fourth_power_2adic_by_fractions(Fraction(num, den))
+            assert _is_fourth_power_2adic(num, den) == want, (num, den)
+            agree += want
+    assert agree > 300

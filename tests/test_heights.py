@@ -18,9 +18,11 @@ from ellcert.heights import (
     LOG1728_HI,
     _silverman_upper_gap,
     _vy_floor,
+    _vy_log2_coeff,
     canonical_height,
     dec_ln_bounds,
     ln_ell_lo_and_delta_hi,
+    ln_square_hi,
     log_int_bounds,
     naive_height,
     naive_height_bounds,
@@ -189,7 +191,8 @@ def test_family_constant():
         assert gaps.lower_gap > gaps.upper_gap  # 0.973 + h(j)/8 wins over 1.07 + h(j)/12
 
 
-# frozen copy of the residue rows, used as oracle: (a values, log2 multiple)
+# frozen copy of the residue rows, used as oracle: (a values, log2 multiple);
+# only the rows of negative a are carried, as every member has a = -l
 _VY_CASES = [
     (17, Fraction(8, 16)),
     (33, Fraction(8, 16)),
@@ -206,12 +209,20 @@ _VY_CASES = [
 
 @pytest.mark.parametrize("a,coeff", _VY_CASES)
 def test_vy_rows_frozen(a, coeff):
+    if a > 0:
+        with pytest.raises(ValueError):
+            vy_lower_bound(a)
+        with pytest.raises(AssertionError):
+            _vy_log2_coeff(a)
+        return
     expected = math.log(abs(a)) / 16 + float(coeff) * math.log(2)
     got = vy_lower_bound(a)
     assert got <= expected + 1e-15  # rounded down
     assert abs(got - expected) < 2e-12
     # the unchecked floor a member's caller uses, given the same ln|a|
     assert _vy_floor(a, log_int_bounds(abs(a))[0]) == got
+    # the row as an integer numerator over 16
+    assert Fraction(_vy_log2_coeff(a), 16) == coeff
 
 
 def test_vy_rejections():
@@ -219,6 +230,8 @@ def test_vy_rejections():
         vy_lower_bound(0)
     with pytest.raises(ValueError):
         vy_lower_bound(16)
+    with pytest.raises(AssertionError):  # 16 | a: not fourth-power-free
+        _vy_log2_coeff(-48)
     with pytest.raises(ValueError):
         vy_lower_bound(-162)  # 2 * 3^4
 
@@ -235,7 +248,6 @@ def test_vy_floor_below_canonical():
 def test_family_avoids_negative_rows():
     # -ell = 12 mod 16 would need ell = 4 mod 16, impossible for s^4 + t^2
     from ellcert.arith import kth_power_free
-    from ellcert.heights import _vy_log2_coeff
 
     for s in range(1, 13):
         for t in range(1, 13):
@@ -415,3 +427,57 @@ def test_upper_gap_from_the_wide_log_is_silvermans():
         c = make_family(s, t)
         h_delta_hi = ln_ell_lo_and_delta_hi(c.ell)[1]
         assert _silverman_upper_gap(h_delta_hi) == silverman_gaps(c).upper_gap
+
+
+def _decimal_centre(n):
+    """The correctly rounded 50-digit ln n as (digits, k): ln n ~ digits 10^-k."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        sign, digits, exponent = Decimal(n).ln().as_tuple()
+    assert sign == 0 and len(digits) == 50
+    return int("".join(map(str, digits))), -exponent
+
+
+def test_ln_s_squared_rounds_to_the_50_digit_centre_up_to_5000():
+    # the centre itself, not only the float: a float rarely sees the 50th digit
+    for s in range(2, 5001):
+        lo, hi = heights_module._ln_fixed(s)[0]
+        assert heights_module._round_to_dec_prec(2 * lo, 2 * hi) == _decimal_centre(s * s), s
+        assert ln_square_hi(s) == log_int_bounds(s * s)[1], s
+
+
+def test_ln_s_squared_matches_the_direct_call_up_to_1e60(direct_logs):
+    rng = random.Random(20261022)
+    ss = [rng.randrange(2, 10 ** rng.randint(1, 60)) for _ in range(2000)]
+    expected = [log_int_bounds(s * s)[1] for s in ss]
+    direct_logs.clear()
+    assert [ln_square_hi(s) for s in ss] == expected
+    assert direct_logs == []
+
+
+def test_ln_s_squared_across_the_direct_ln_width(monkeypatch):
+    # s^2 fits in _DIRECT_LN_BITS bits up to edge and no further; past it
+    # log_int_bounds truncates, and ln_square_hi calls it
+    edge = math.isqrt((1 << _DIRECT_LN_BITS) - 1)
+    ss = range(edge - 3, edge + 4)
+    assert {(s * s).bit_length() <= _DIRECT_LN_BITS for s in ss} == {True, False}
+    expected = [log_int_bounds(s * s)[1] for s in ss]
+    calls = []
+    monkeypatch.setattr(heights_module, "log_int_bounds",
+                        lambda n: calls.append(n) or log_int_bounds(n))
+    assert [ln_square_hi(s) for s in ss] == expected
+    assert calls == [s * s for s in ss if s > edge]
+
+
+def test_undecided_rounding_falls_back_to_the_direct_calls(monkeypatch, direct_logs):
+    # every fixed-point log falls back when no centre is proved, to the floats
+    ints = [2, 3, 5, 17, 641, 5641, 10**40 + 123]
+    want_sq = [log_int_bounds(s * s)[1] for s in ints]
+    want_pair = [_direct_pair(ell) for ell in ints]
+    monkeypatch.setattr(heights_module, "_round_to_dec_prec", lambda lo, hi: None)
+    direct_logs.clear()
+    assert [ln_square_hi(s) for s in ints] == want_sq
+    assert direct_logs == [s * s for s in ints]
+    direct_logs.clear()
+    assert [ln_ell_lo_and_delta_hi(ell) for ell in ints] == want_pair
+    assert direct_logs == [n for ell in ints for n in (ell, 64 * ell**3)]

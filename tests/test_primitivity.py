@@ -5,7 +5,6 @@ the per-process memo of ln s^2."""
 import json
 import math
 from decimal import Decimal
-from fractions import Fraction
 
 import pytest
 
@@ -98,7 +97,8 @@ def test_crude_ratio_lemma_exhaustive():
             if ell == 2 or not kth_power_free(ell, 4) or is_square(ell):
                 continue
             eligible += 1
-            assert _vy_log2_coeff(-ell) in (Fraction(5, 16), Fraction(9, 16)), (s, t)
+            # c(-l) in units of log 2 / 16: 5/16 or 9/16
+            assert _vy_log2_coeff(-ell) in (5, 9), (s, t)
             ratio = certify_primitive(member(s, t))
             assert ratio <= _lemma_bound(s, ell) + 1e-9, (s, t)
             worst = max(worst, ratio)
@@ -157,12 +157,12 @@ def test_ln_s_squared_memo_is_bounded():
     assert primitivity._ln_s_squared_hi.cache_info().maxsize == 4096
 
 
-def test_p13_search_takes_one_ln_s_squared_per_s(monkeypatch, tmp_path, capsys):
-    """Decimal logarithms of a p13 search: one per distinct s > 1, 371.
-    ln l and ln 64 l^3 come from a fixed-point logarithm in integers; two
-    50-digit logs per certificate would make 2,585 (2 x 1,107 + 371).
-    ``log_int_bounds`` serves only ln s^2: the fixed-point log never fell
-    back to it."""
+def test_p13_search_takes_no_decimal_log(monkeypatch, tmp_path, capsys):
+    """A p13 search takes no Decimal logarithm and calls no
+    ``log_int_bounds``: ln s^2, ln l and ln 64 l^3 all come from
+    fixed-point logarithms in integers, and none fell back.  With ln s^2
+    from a Decimal log it took 371, one per distinct s > 1; with two
+    50-digit logs per certificate as well it would take 2,585."""
     logs, calls = [], []
     real = heights_module.log_int_bounds
 
@@ -176,8 +176,7 @@ def test_p13_search_takes_one_ln_s_squared_per_s(monkeypatch, tmp_path, capsys):
         return real(n)
 
     monkeypatch.setattr(heights_module, "Decimal", CountingDecimal)
-    for module in (heights_module, primitivity):
-        monkeypatch.setattr(module, "log_int_bounds", counted)
+    monkeypatch.setattr(heights_module, "log_int_bounds", counted)
     primitivity._ln_s_squared_hi.cache_clear()
     out = tmp_path / "p13.jsonl"
     argv = ["search", "--mode", "main", "--p", "13", "--max-param", "400",
@@ -187,5 +186,5 @@ def test_p13_search_takes_one_ln_s_squared_per_s(monkeypatch, tmp_path, capsys):
     records = out.read_text().splitlines()
     distinct_s = {json.loads(line)["subject"]["s"] for line in records} - {"1"}
     assert (len(records), len(distinct_s)) == (1107, 371)
-    assert len(logs) == 371
-    assert len(calls) == 371
+    assert logs == []
+    assert calls == []
