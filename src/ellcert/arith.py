@@ -1,9 +1,7 @@
 """Exact integer arithmetic helpers.
 
-Everything here is exact and runs on integers; only ``is_square`` also
-takes a ``fractions.Fraction``, for the tests' rational oracles.  The only
-floating-point output in the package comes from the heights module, which
-rounds outward.
+Everything here is exact and runs on integers.  The only floating-point
+output in the package comes from the heights module, which rounds outward.
 
 Places are either the real place (the module constant ``REAL``) or a finite
 prime given as an ``int``.
@@ -13,12 +11,9 @@ from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 from functools import lru_cache
 
 REAL = "R"
-
-Rational = Fraction | int
 
 #: Deterministic Miller-Rabin base set.  The first 13 prime bases 2..41
 #: decide every n below psi_13 ~ 3.32e24, the least strong pseudoprime to
@@ -27,8 +22,24 @@ Rational = Fraction | int
 #: s <= 4e4 and t <= 1e12.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
-#: psi_13; itself a strong pseudoprime to every base above.
-_MR_DETERMINISTIC_LIMIT = 3317044064679887385961981
+#: (psi_k, k): the first k bases decide every n < psi_k, the least strong
+#: pseudoprime to all k of them (OEIS A014233).  psi_1..psi_8 are from
+#: Jaeschke, "On strong pseudoprimes to several bases", Math. Comp. 61
+#: (1993); psi_9..psi_13 from Sorenson-Webster.  psi_8 = psi_7 and psi_9 =
+#: psi_10 = psi_11, so those counts have no row of their own.  The last
+#: row, psi_13, is a strong pseudoprime to every base above.
+_MR_TIERS = (
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+    (318665857834031151167461, 12),
+    (3317044064679887385961981, 13),
+)
 
 
 def vp(x: int, p: int) -> int | float:
@@ -46,14 +57,6 @@ def vp(x: int, p: int) -> int | float:
         x //= p
         v += 1
     return v
-
-
-def _as_num_den(x: Rational) -> tuple[int, int]:
-    if isinstance(x, Fraction):
-        return x.numerator, x.denominator
-    if isinstance(x, int):
-        return x, 1
-    raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
 def _miller_rabin_round(n: int, d: int, s: int, base: int) -> bool:
@@ -116,12 +119,18 @@ def primality_info(n: int) -> tuple[bool, str]:
     """Primality verdict plus which decision procedure produced it.
 
     Methods: "small-table" (n < 2), trial lookups for tiny n,
-    "deterministic-miller-rabin" for n < psi_13 ~ 3.32e24 (bases 2..41),
-    and "baillie-psw-probable-prime" from psi_13 up (MR base 2 plus strong
+    "deterministic-miller-rabin" for n < psi_13 ~ 3.32e24, and
+    "baillie-psw-probable-prime" from psi_13 up (MR base 2 plus strong
     Lucas).  A BPSW "composite" is a proof; a BPSW "prime" is only a
     probable prime, with no counterexample known.  No record field says
     which method decided, so ``certify_rank_one`` refuses an ell whose
     verdict is a BPSW "prime" (``ell-primality-unproven``).
+
+    Below psi_13 the proof runs only the first k bases, for the least k
+    with n < psi_k (``_MR_TIERS``).  No odd composite below psi_k is a
+    strong probable prime to all of them, and the trial division by every
+    base has already left n odd, above 41 and coprime to each base.  So an
+    ell below 3.2e9 takes at most four rounds, not 13.
 
     Verdicts are cached (bounded), so a certifier that proves ell prime
     and its later re-checks of the same ell pay for one proof.
@@ -139,11 +148,12 @@ def primality_info(n: int) -> tuple[bool, str]:
     while d % 2 == 0:
         d //= 2
         s += 1
-    if n < _MR_DETERMINISTIC_LIMIT:
-        for base in _MR_BASES:
-            if not _miller_rabin_round(n, d, s, base):
-                return False, "deterministic-miller-rabin"
-        return True, "deterministic-miller-rabin"
+    for limit, k in _MR_TIERS:
+        if n < limit:
+            for base in _MR_BASES[:k]:
+                if not _miller_rabin_round(n, d, s, base):
+                    return False, "deterministic-miller-rabin"
+            return True, "deterministic-miller-rabin"
     if not _miller_rabin_round(n, d, s, 2):
         return False, "baillie-psw-probable-prime"
     if is_square(n):
@@ -203,16 +213,12 @@ def kth_power_free(n: int, k: int) -> bool:
     return n == 1 or _iroot(n, k) ** k != n
 
 
-def is_square(x: Rational) -> bool:
-    """Exact perfect-square test for integers and rationals."""
-    num, den = _as_num_den(x)
-    if num < 0:
+def is_square(n: int) -> bool:
+    """Exact perfect-square test for an integer."""
+    if n < 0:
         return False
-    r = math.isqrt(num)
-    if r * r != num:
-        return False
-    r = math.isqrt(den)
-    return r * r == den
+    r = math.isqrt(n)
+    return r * r == n
 
 
 def jacobi(a: int, n: int) -> int:

@@ -7,18 +7,22 @@ General Weierstrass models (b != 0) are out of scope.
 What the certifiers use runs on integers: the base point's check in
 ``make_family``, the torsion closed form, reduction data and point
 counts.  ``Point``, with ``Fraction`` coordinates, serves the ``heights``
-report and the exact group law, a reference oracle for the tests.
+report and the exact group law, a reference oracle for the tests; the
+functions that make ``Fraction``s import ``fractions`` themselves, so a
+certificate run never loads it.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .arith import Rational, is_prime
+from .arith import is_prime
 from .errors import PreconditionFailure
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class Curve(NamedTuple):
@@ -72,6 +76,8 @@ def base_point(c: Curve) -> Point:
     """The obvious rational point (-s^2, s t) of a family curve."""
     if not c.is_family:
         raise PreconditionFailure("not-family-tagged", f"curve a={c.a}")
+    from fractions import Fraction
+
     return Point(Fraction(-c.s * c.s), Fraction(c.s * c.t))
 
 
@@ -81,8 +87,10 @@ def on_curve(c: Curve, pt: PointLike) -> bool:
     return pt.y * pt.y == pt.x**3 + c.a * pt.x
 
 
-def point(c: Curve, x: Rational, y: Rational) -> Point:
+def point(c: Curve, x: Fraction | int, y: Fraction | int) -> Point:
     """Validated point constructor."""
+    from fractions import Fraction
+
     pt = Point(Fraction(x), Fraction(y))
     if not on_curve(c, pt):
         raise ValueError(f"({x}, {y}) is not on y^2 = x^3 + {c.a}x")
@@ -139,6 +147,8 @@ def smul(c: Curve, k: int, pt: PointLike) -> PointLike:
 
 def translate_by_torsion(c: Curve, pt: PointLike) -> PointLike:
     """P + (0,0).  For P affine with x != 0 the x-coordinate is a/x(P)."""
+    from fractions import Fraction
+
     two_torsion = Point(Fraction(0), Fraction(0))
     out = add(c, pt, two_torsion)
     if pt is not INFINITY and pt.x != 0 and out is not INFINITY:
@@ -261,6 +271,8 @@ def rational_points_up_to_height(c: Curve, log_bound: float) -> list[Point]:
     x = u/w^2 in lowest terms with max(|u|, w^2) <= exp(log_bound); then
     y^2 = (u^3 + a u w^4) / w^6, so the numerator must be a perfect square.
     """
+    from fractions import Fraction
+
     bound = math.floor(math.exp(log_bound)) + 1
     out: list[Point] = []
     w = 1

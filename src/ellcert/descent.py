@@ -9,9 +9,10 @@ Selmer groups and cap the Mordell-Weil rank.
 Only the real place and the primes 2 and l can obstruct: at any other
 odd prime the torsor coefficients are units, the reduced curve is a
 smooth genus-1 curve with a point by Hasse-Weil, and Hensel lifts it.
-Local verdicts at 2 are cached per pair of classes in Q_2^*/(Q_2^*)^4,
-and the surviving classes depend on l only through l mod 16, so
-``selmer`` runs the exact local computation once per residue class and
+Over Q_2 a torsor is decided by Hensel's lemma on a stack of 2-adic
+disks (``_soluble_at_two_class``), once per pair of classes in
+Q_2^*/(Q_2^*)^4.  The surviving classes depend on l only through l mod
+16, so ``selmer`` runs the exact local computation once per residue class and
 substitutes l into the classes it found (the proof is in ``selmer``).
 """
 
@@ -21,7 +22,7 @@ from functools import lru_cache
 from math import isqrt
 from typing import NamedTuple
 
-from .arith import REAL, is_prime, is_square, jacobi, primality_info, vp
+from .arith import REAL, is_prime, is_square, jacobi, primality_info
 from .curve import Curve, is_torsion_point, make_family
 from .errors import PreconditionFailure
 
@@ -107,38 +108,6 @@ def _soluble_at_odd_prime(alpha: int, beta: int, p: int) -> bool:
     return False
 
 
-def _is_fourth_power_2adic(num: int, den: int) -> bool:
-    """Is num / den (den != 0) a 4th power in Q_2?"""
-    if num == 0:
-        return False
-    v_num, num = _unit_part(num, 2)
-    v_den, den = _unit_part(den, 2)
-    # odd unit is a 4th power in Z_2 iff it is 1 mod 16
-    return (v_num - v_den) % 4 == 0 and num * pow(den, -1, 16) % 16 == 1
-
-
-@lru_cache(maxsize=None)
-def _fourth_powers_mod(modulus: int) -> tuple[int, ...]:
-    """Distinct values of x^4 mod 2^B over odd x; x mod 2^(B-2) suffices."""
-    quarter = modulus // 4
-    return tuple(sorted({pow(x, 4, modulus) for x in range(1, 2 * quarter, 2)}))
-
-
-@lru_cache(maxsize=None)
-def _square_class_table(bound: int) -> bytes:
-    """Residue classifier mod 2^bound: 1 = certainly the class of a
-    2-adic square, 2 = too deep to decide at this bound, 0 = neither."""
-    out = bytearray(1 << bound)
-    out[0] = 2
-    for x in range(1, 1 << bound):
-        e = (x & -x).bit_length() - 1
-        if e > bound - 3:
-            out[x] = 2
-        elif e % 2 == 0 and (x >> e) % 8 == 1:
-            out[x] = 1
-    return bytes(out)
-
-
 def _fourth_power_class_2adic(x: int, name: str) -> int:
     """Representative 2^(v_2(x) mod 4) * (odd part of x mod 16) of x in
     Q_2^*/(Q_2^*)^4."""
@@ -159,8 +128,9 @@ def _soluble_at_two(alpha: int, beta: int) -> bool:
     w^2 = alpha' u^4 + beta' v^4.  Each coefficient is therefore replaced by
     the representative 2^(v_2 mod 4) * (odd part mod 16): 2^v differs from
     2^(v mod 4) by the 4th power 2^(4 floor(v/4)), and an odd unit differs
-    from its residue mod 16 by a unit that is 1 mod 16, which is a 2-adic
-    4th power (the criterion of _is_fourth_power_2adic).  That leaves at
+    from its residue mod 16 by a unit u = 1 mod 16, which is a 2-adic 4th
+    power: u = r^2 for a unit r, as u = 1 mod 8, and r^2 = 1 mod 16 makes
+    r = +-1 mod 8, so -r or r is 1 mod 8 and a square.  That leaves at
     most 32 x 32 pairs, each decided by _soluble_at_two_class.
     """
     return _soluble_at_two_class(
@@ -168,46 +138,70 @@ def _soluble_at_two(alpha: int, beta: int) -> bool:
     )
 
 
+def _v2(n: int) -> int:
+    """v_2(n) for n != 0."""
+    return (n & -n).bit_length() - 1
+
+
 @lru_cache(maxsize=None)
 def _soluble_at_two_class(alpha: int, beta: int) -> bool:
     """Exact solubility of w^2 = alpha u^4 + beta v^4 over Q_2, for any
-    nonzero alpha and beta; __wrapped__ is the uncached algorithm.
+    nonzero alpha and beta, by recursion on 2-adic disks; __wrapped__ is
+    the uncached algorithm.
 
-    First the w = 0 case: soluble iff -beta/alpha is a 2-adic 4th power.
-    Otherwise any solution can be scaled primitive (u or v a unit), and
-    alpha u^4 + beta v^4 is enumerated through 4th-power value sets mod
-    2^B.  A sum f with v_2(f) <= B-3 pins down its valuation and its unit
-    mod 8, so squareness of the exact value is decided; sums deeper than
-    that are reconsidered at a larger B.  Termination: with the w = 0
-    case excluded, v_2 of the sum is bounded on the compact set of
-    primitive pairs, and a square value of valuation e is certified as
-    soon as B >= e + 3.
+    A nontrivial point can be scaled so that u and v are in Z_2 and one
+    of them is a unit.  If v is a unit, x = u / v is in Z_2 and
+    g(x) = alpha x^4 + beta must be a square or 0; otherwise u is a unit,
+    y = v / u is in 2 Z_2 and alpha + beta y^4 must be.  So the torsor is
+    soluble exactly when one of these two quartics, f(x) = a x^4 + b,
+    takes a square or zero value on its disk, Z_2 = 0 + 2^0 Z_2 or
+    2 Z_2 = 0 + 2^1 Z_2.  A stack of disks x0 + 2^k Z_2 is worked off.
+    With f(x0 + 2^k z) = f(x0) + sum_i c_i 2^(k i) z^i (i = 1..4, c_i =
+    f^(i)(x0) / i! in Z), lambda = v_2(f(x0)) and mu = v_2(f'(x0)):
+
+    * f(x0) = 0: the point (u, v, w) = (x0, 1, 0) on the first chart, or
+      (1, x0, 0) on the second.
+    * Every term of degree i >= 1 has v_2(c_i 2^(k i)) >= lambda + 3.
+      Then every f(x) on the disk is f(x0) times a unit that is 1 mod 8,
+      and none is 0.  A nonzero 2-adic number is a square exactly when its
+      valuation is even and its unit part is 1 mod 8, so the whole disk
+      takes square values when lambda is even and f(x0) / 2^lambda = 1
+      mod 8, and none otherwise.
+    * lambda > 2 mu and lambda - mu >= k: by Hensel's lemma f has a root
+      xi with v_2(xi - x0) >= lambda - mu >= k, which is in the disk, and
+      w = 0 there.
+    * Otherwise the disk splits into x0 + 2^(k+1) Z_2 and
+      x0 + 2^k + 2^(k+1) Z_2.
+
+    Every outcome is exact, so the verdict is.  Termination: otherwise
+    some chain of nested disks never resolves, by Konig's lemma on the
+    binary tree, and its centres x_k tend to some xi in Z_2.  If f(xi) !=
+    0, v_2(f(x_k)) = v_2(f(xi)) = L for large k, and once k >= L + 3
+    every term c_i 2^(k i) has valuation at least k, so the disk is of
+    one class.  If f(xi) = 0, then xi != 0 as f(0) = b != 0, and f'(xi)
+    != 0 as f is separable (alpha beta != 0, so f and f' = 4 a x^3 share
+    no root).  For large k, x_k != 0 and v_2(f'(x_k)) = M = v_2(f'(xi)).
+    Once k > M, either x_k = xi, a zero value, or v_2(f(x_k)) =
+    v_2(x_k - xi) + M >= k + M, as the terms of f(x_k) - f(xi) beyond
+    f'(xi) (x_k - xi) have valuation at least 2 v_2(x_k - xi); that is the
+    root case.  Either way the chain resolves, a contradiction.
     """
-    if _is_fourth_power_2adic(-beta, alpha):
-        return True
-    bound = 8 + vp(alpha, 2) + vp(beta, 2)
-    while True:
-        modulus = 1 << bound
-        mask = modulus - 1
-        odd = _fourth_powers_mod(modulus)
-        full = sorted({0, *((q << (4 * m)) & mask for m in range((bound + 3) // 4) for q in odd)})
-        table = _square_class_table(bound)
-        undetermined = False
-        for us, vs in ((odd, full), (full, odd)):
-            scaled_u = sorted({(alpha * q) & mask for q in us})
-            scaled_v = sorted({(beta * q) & mask for q in vs})
-            for a in scaled_u:
-                for b in scaled_v:
-                    cls = table[(a + b) & mask]
-                    if cls == 1:
-                        return True
-                    if cls == 2:
-                        undetermined = True
-        if not undetermined:
-            return False
-        bound += 2
-        if bound > 24:
-            raise AssertionError("2-adic solubility failed to stabilize")
+    stack = [(alpha, beta, 0, 0), (beta, alpha, 0, 1)]
+    while stack:
+        a, b, x0, k = stack.pop()
+        f0 = a * x0**4 + b
+        if f0 == 0:
+            return True
+        lam = _v2(f0)
+        taylor = (4 * a * x0**3, 6 * a * x0 * x0, 4 * a * x0, a)
+        if all(c == 0 or _v2(c) + k * i >= lam + 3 for i, c in enumerate(taylor, 1)):
+            if lam % 2 == 0 and (f0 >> lam) % 8 == 1:
+                return True
+            continue
+        if x0 and lam > 2 * _v2(taylor[0]) and lam - _v2(taylor[0]) >= k:
+            return True
+        stack += [(a, b, x0, k + 1), (a, b, x0 + (1 << k), k + 1)]
+    return False
 
 
 def _soluble_at(t: Torsor, place) -> bool:

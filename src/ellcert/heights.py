@@ -13,9 +13,11 @@ of ln s and ln l in integers (``_ln_fixed``: 192 fractional bits, a
 32-entry table of ln(1 + j/32) and an atanh series; no Decimal), and
 ``_fixed_log_bounds`` rounds each to exactly the floats of the direct
 ``log_int_bounds`` call, which answers instead in the rare case where
-the rounding cannot be proved.  So a certificate takes no Decimal
-logarithm; the Decimal path serves the ``heights`` report and that
-fallback.
+the rounding cannot be proved.  ``LOG2_BOUNDS`` and ``LOG1728_HI`` come
+the same way.  So a certificate takes no Decimal logarithm, and a
+certificate run never imports ``decimal``: the two functions that take
+Decimal logarithms, for the ``heights`` report and that fallback, import
+it themselves.
 
 Height convention: hhat = (1/2) * lim h(2^n P) / 4^n, i.e. the canonical
 height of a point with x-coordinate n/d satisfies hhat ~ h/2 where
@@ -25,12 +27,14 @@ h = log max(|n|, |d|).  This is the non-doubled normalization.
 from __future__ import annotations
 
 import math
-from decimal import Decimal, localcontext
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import kth_power_free
 from .curve import Curve, Point, PointLike, INFINITY, is_torsion_point, on_curve
 from .errors import PreconditionFailure
+
+if TYPE_CHECKING:
+    from decimal import Decimal
 
 _INF = math.inf
 
@@ -54,6 +58,8 @@ def dec_ln_bounds(n: int, prec: int = _DEC_PREC) -> tuple[Decimal, Decimal]:
     decimal's ln is correctly rounded (error <= 0.5 ulp) but ignores the
     context rounding direction, so pad one ulp outward by hand.
     """
+    from decimal import Decimal, localcontext
+
     if n < 1:
         raise ValueError("dec_ln_bounds: n must be >= 1")
     if n == 1:
@@ -69,10 +75,6 @@ def dec_ln_bounds(n: int, prec: int = _DEC_PREC) -> tuple[Decimal, Decimal]:
         return v - ulp, v + ulp
 
 
-_LN2_LO, _LN2_HI = dec_ln_bounds(2)
-LOG2_BOUNDS = (_dn(float(_LN2_LO)), _up(float(_LN2_HI)))
-
-
 def log_int_bounds(n: int) -> tuple[float, float]:
     """Float enclosure of ln(n) for n >= 1, safe for huge integers.
 
@@ -80,6 +82,8 @@ def log_int_bounds(n: int) -> tuple[float, float]:
     m * 2^shift <= n <= (m+1) * 2^shift pins ln(n) between two cheap
     logarithms, avoiding any full-precision conversion.
     """
+    from decimal import Decimal, localcontext
+
     if n < 1:
         raise ValueError("log_int_bounds: n must be >= 1")
     if n == 1:
@@ -90,19 +94,17 @@ def log_int_bounds(n: int) -> tuple[float, float]:
     else:
         shift = bits - 256
         m = n >> shift
+        ln2_lo, ln2_hi = dec_ln_bounds(2)
         with localcontext() as ctx:
             ctx.prec = _DEC_PREC
-            lo_d = dec_ln_bounds(m)[0] + shift * _LN2_LO
-            hi_d = dec_ln_bounds(m + 1)[1] + shift * _LN2_HI
+            lo_d = dec_ln_bounds(m)[0] + shift * ln2_lo
+            hi_d = dec_ln_bounds(m + 1)[1] + shift * ln2_hi
         # the two context-rounded additions cost at most one ulp each
         pad = Decimal(1).scaleb(hi_d.adjusted() - _DEC_PREC + 3)
         lo_d -= pad
         hi_d += pad
     return _dn(float(lo_d)), _up(float(hi_d))
 
-
-#: Upper bound of h(j) = ln 1728, the j-invariant of every family member.
-LOG1728_HI = log_int_bounds(1728)[1]
 
 # ``ln_ell_lo_and_delta_hi`` encloses ln l in integers, in units of 2^-192.
 _FIX_BITS = 192
@@ -236,6 +238,12 @@ def _fixed_log_bounds(lo: int, hi: int) -> tuple[float, float] | None:
     n, k = centre
     scale = 10**k
     return _dn((n - 1) / scale), _up((n + 1) / scale)
+
+
+#: ``log_int_bounds(2)``, and the upper end of ``log_int_bounds(1728)``,
+#: an upper bound of h(j) = ln 1728 for the j-invariant of every member.
+LOG2_BOUNDS = _fixed_log_bounds(*_ln_fixed(2)[0])
+LOG1728_HI = _fixed_log_bounds(*_ln_fixed(1728)[0])[1]
 
 
 def ln_ell_lo_and_delta_hi(ell: int) -> tuple[float, float]:

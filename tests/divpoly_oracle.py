@@ -9,13 +9,19 @@ polynomial.  ``torsion`` lists the group that
 
 Dense coefficient lists over Z, index = degree.  psi_n = f_n for odd n and
 psi_n = 2*y*f_n for even n, after reducing y^2 = x^3 + a x.
+
+Two rational and 2-adic oracles live here as well: ``is_square_rational``
+(``ellcert.arith.is_square`` takes integers only), and
+``soluble_at_two_by_value_sets``, a second algorithm for the solubility of
+w^2 = alpha u^4 + beta v^4 over Q_2, against which the disk recursion of
+``ellcert.descent._soluble_at_two_class`` is checked.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-
+from functools import lru_cache
 from typing import NamedTuple
 
 from ellcert.arith import factorize, is_square, vp
@@ -169,7 +175,7 @@ def has_rational_m_torsion_by_roots(a: int, m: int) -> bool:
     """
     fm = division_poly_x(a, m)
     for x0 in _rational_roots(fm, a_hint=a):
-        if is_square(x0**3 + a * x0):
+        if is_square_rational(x0**3 + a * x0):
             return True
     return False
 
@@ -206,3 +212,90 @@ def torsion(c: Curve) -> TorsionInfo:
         pts = (INFINITY, gen, origin, Point(gen.x, -gen.y))
         return TorsionInfo("Z/4", 4, (gen,), pts)
     return TorsionInfo("Z/2", 2, (origin,), (INFINITY, origin))
+
+
+def is_square_rational(x: Fraction | int) -> bool:
+    """Is the rational x the square of a rational?"""
+    x = Fraction(x)
+    return is_square(x.numerator) and is_square(x.denominator)
+
+
+def _unit_part_2(n: int) -> tuple[int, int]:
+    """(v_2(n), n / 2^v_2(n)) for n != 0."""
+    v = 0
+    while n % 2 == 0:
+        n //= 2
+        v += 1
+    return v, n
+
+
+def is_fourth_power_2adic(num: int, den: int) -> bool:
+    """Is num / den (den != 0) a 4th power in Q_2?"""
+    if num == 0:
+        return False
+    v_num, num = _unit_part_2(num)
+    v_den, den = _unit_part_2(den)
+    # odd unit is a 4th power in Z_2 iff it is 1 mod 16
+    return (v_num - v_den) % 4 == 0 and num * pow(den, -1, 16) % 16 == 1
+
+
+@lru_cache(maxsize=None)
+def _fourth_powers_mod(modulus: int) -> tuple[int, ...]:
+    """Distinct values of x^4 mod 2^B over odd x; x mod 2^(B-2) suffices."""
+    quarter = modulus // 4
+    return tuple(sorted({pow(x, 4, modulus) for x in range(1, 2 * quarter, 2)}))
+
+
+@lru_cache(maxsize=None)
+def _square_class_table(bound: int) -> bytes:
+    """Residue classifier mod 2^bound: 1 = certainly the class of a
+    2-adic square, 2 = too deep to decide at this bound, 0 = neither."""
+    out = bytearray(1 << bound)
+    out[0] = 2
+    for x in range(1, 1 << bound):
+        e = (x & -x).bit_length() - 1
+        if e > bound - 3:
+            out[x] = 2
+        elif e % 2 == 0 and (x >> e) % 8 == 1:
+            out[x] = 1
+    return bytes(out)
+
+
+def soluble_at_two_by_value_sets(alpha: int, beta: int) -> bool:
+    """Solubility of w^2 = alpha u^4 + beta v^4 over Q_2 (alpha, beta
+    nonzero), from 4th-power value sets mod 2^B.
+
+    First the w = 0 case: soluble iff -beta/alpha is a 2-adic 4th power.
+    Otherwise any solution can be scaled primitive (u or v a unit), and
+    alpha u^4 + beta v^4 is enumerated through 4th-power value sets mod
+    2^B.  A sum f with v_2(f) <= B-3 pins down its valuation and its unit
+    mod 8, so squareness of the exact value is decided; sums deeper than
+    that are reconsidered at a larger B.  The tables have 2^B entries, with
+    B from 8 + v_2(alpha) + v_2(beta) up to 24, so keep both valuations
+    small (below 4 for a class representative).
+    """
+    if is_fourth_power_2adic(-beta, alpha):
+        return True
+    bound = 8 + _unit_part_2(alpha)[0] + _unit_part_2(beta)[0]
+    while True:
+        modulus = 1 << bound
+        mask = modulus - 1
+        odd = _fourth_powers_mod(modulus)
+        full = sorted({0, *((q << (4 * m)) & mask for m in range((bound + 3) // 4) for q in odd)})
+        table = _square_class_table(bound)
+        undetermined = False
+        for us, vs in ((odd, full), (full, odd)):
+            scaled_u = sorted({(alpha * q) & mask for q in us})
+            scaled_v = sorted({(beta * q) & mask for q in vs})
+            for a in scaled_u:
+                for b in scaled_v:
+                    cls = table[(a + b) & mask]
+                    if cls == 1:
+                        return True
+                    if cls == 2:
+                        undetermined = True
+        if not undetermined:
+            return False
+        bound += 2
+        if bound > 24:
+            raise AssertionError("2-adic solubility failed to stabilize")

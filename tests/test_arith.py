@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divpoly_oracle import divisors_up_to
+from divpoly_oracle import divisors_up_to, is_square_rational
 from ellcert.arith import (
+    _MR_BASES,
+    _MR_TIERS,
     _iroot,
     factorize,
     is_prime,
@@ -106,6 +108,56 @@ def test_psi_13_takes_the_baillie_psw_path():
     # just below it the fixed bases still decide (PSI_13 - 2, - 4 and - 6
     # have a factor up to 41)
     assert primality_info(PSI_13 - 8)[1] == "deterministic-miller-rabin"
+
+
+def _thirteen_bases(n):
+    """``primality_info`` as it was before the tiers: trial division by
+    the 13 bases, then all 13 strong tests below psi_13."""
+    if n < 2:
+        return False, "small-table"
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q, "small-table"
+    return all(_strong_probable_prime(n, a) for a in _MR_BASES), "deterministic-miller-rabin"
+
+
+def test_each_tier_limit_is_the_pseudoprime_it_names():
+    # psi_k passes the first k bases; where the next row needs more bases
+    # it fails the first of those, which proves it composite
+    assert [psi for psi, _ in _MR_TIERS] == sorted(psi for psi, _ in _MR_TIERS)
+    for (psi, k), (_, next_k) in zip(_MR_TIERS, _MR_TIERS[1:]):
+        assert all(_strong_probable_prime(psi, a) for a in _MR_BASES[: next_k - 1]), psi
+        assert not _strong_probable_prime(psi, _MR_BASES[next_k - 1]), psi
+    assert _MR_TIERS[-1] == (PSI_13, 13) and (PSI_12, 12) in _MR_TIERS
+    assert all(_strong_probable_prime(PSI_13, a) for a in _MR_BASES)
+
+
+def test_tiers_agree_with_thirteen_bases_below_two_million():
+    # the 13-base verdict is exact below psi_13, so the sieve stands in for
+    # it on this dense range; the method is "small-table" exactly where
+    # trial division by a base decides
+    limit = 2 * 10**6
+    prime = _sieve(limit - 1)
+    small = bytearray(limit)
+    small[0:2] = b"\x01\x01"
+    for q in _MR_BASES:
+        small[q::q] = b"\x01" * len(range(q, limit, q))
+    got = list(map(primality_info.__wrapped__, range(limit)))
+    want = [(bool(f), "small-table" if m else "deterministic-miller-rabin")
+            for f, m in zip(prime, small)]
+    assert got == want
+
+
+def test_tiers_agree_with_thirteen_bases_around_each_limit_and_at_random():
+    rng = random.Random(0x7E5)
+    primality = primality_info.__wrapped__
+    lower = 0
+    for psi, _ in _MR_TIERS:
+        window = range(max(psi - 2000, 0), psi + 2000) if psi < PSI_13 else range(psi - 2000, psi)
+        sampled = [rng.randrange(lower, psi) for _ in range(200)]
+        for n in (*window, *sampled):
+            assert primality(n) == _thirteen_bases(n), n
+        lower = psi
 
 
 def test_infinite_family_ell_above_two_to_the_64_is_decided_exactly():
@@ -219,15 +271,19 @@ def test_iroot():
 @given(st.integers(0, 10**12))
 def test_square_detection(m):
     assert is_square(m * m)
-    assert is_square(Fraction(m * m, 49))
+    assert is_square_rational(Fraction(m * m, 49))
     r = math.isqrt(m)
     assert is_square(m) == (r * r == m)
 
 
 def test_square_negatives_and_rationals():
     assert not is_square(-4)
-    assert is_square(Fraction(9, 16))
-    assert not is_square(Fraction(9, 15))
+    # integers only: rational squareness is the oracle's
+    with pytest.raises(TypeError):
+        is_square(Fraction(9, 16))
+    assert is_square_rational(Fraction(9, 16))
+    assert not is_square_rational(Fraction(9, 15))
+    assert not is_square_rational(Fraction(-9, 16))
 
 
 def test_jacobi_euler_criterion():

@@ -1,6 +1,7 @@
 """Certificate assembly: frozen ledgers, refusal reasons, serialization
 round-trips, and batch distinctness."""
 
+import decimal
 import json
 import sys
 from decimal import Decimal
@@ -295,7 +296,9 @@ def test_golden_subjects_certify_in_integers_only(monkeypatch):
         raise AssertionError(f"Fraction{args} made on the certificate path")
 
     _clear_memos()
-    monkeypatch.setattr(heights, "Decimal", CountingDecimal)
+    # heights imports decimal when it takes a logarithm, and reads
+    # decimal.Decimal then
+    monkeypatch.setattr(decimal, "Decimal", CountingDecimal)
     monkeypatch.setattr(Fraction, "__new__", no_fraction)
     with pytest.raises(AssertionError):
         Fraction(1, 2)

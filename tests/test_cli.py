@@ -716,14 +716,21 @@ def test_module_runs_as_script(tmp_path):
     assert json.loads(out.read_text().splitlines()[0])["theorem"] == "divisibility"
 
 
-def test_verify_file_loads_no_pool_hashlib_or_dataclasses():
-    # -S keeps site-packages hooks from loading modules of their own
+def test_verify_file_loads_no_pool_hashlib_or_dataclasses(tmp_path):
+    # -S keeps site-packages hooks from loading modules of their own; no
+    # certificate takes a Fraction or a Decimal logarithm, so neither a
+    # verify --file run nor a one-worker search loads fractions or decimal
     golden = Path(__file__).parent / "data" / "golden_records.jsonl"
+    out = tmp_path / "p13.jsonl"
+    search = ["search", "--mode", "main", "--p", "13", "--max-param", "200",
+              "--workers", "1", "--out", str(out)]
     script = (
         "import json, sys\n"
         "import ellcert.cli\n"
         f"rc = ellcert.cli.main(['verify', '--file', {str(golden)!r}])\n"
-        "heavy = ('concurrent.futures', 'multiprocessing', 'hashlib', 'dataclasses')\n"
+        f"rc += ellcert.cli.main({search!r})\n"
+        "heavy = ('concurrent.futures', 'multiprocessing', 'hashlib', 'dataclasses',\n"
+        "         'fractions', 'decimal', 'numbers')\n"
         "print(json.dumps([rc, [m for m in heavy if m in sys.modules]]))\n"
     )
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
@@ -735,6 +742,7 @@ def test_verify_file_loads_no_pool_hashlib_or_dataclasses():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
+    assert len(out.read_text(encoding="utf-8").splitlines()) > 0
 
 
 def test_checkpoint_fingerprints_are_stable():

@@ -3,17 +3,19 @@ against the known residue tables, Selmer groups, and the rank-1 pipeline."""
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
+from divpoly_oracle import is_fourth_power_2adic, soluble_at_two_by_value_sets
 from ellcert import arith, descent
 from ellcert.arith import REAL, is_prime, primality_info
 from ellcert.certify import certify_infinite_instance
 from ellcert.descent import (
     Torsor,
     _exact_selmer,
-    _is_fourth_power_2adic,
+    _fourth_power_class_2adic,
     _soluble_at_odd_prime,
     _soluble_at_two,
     _soluble_at_two_class,
@@ -87,7 +89,8 @@ FOURTH_POWER_MULTIPLIERS = [3**4 * 17, 5**4 * 33, 7**4 * 49, 3**4 * 5**4 * 65]
 
 def test_two_adic_verdict_depends_only_on_fourth_power_classes():
     # the cached verdict on a non-representative member of each class must
-    # match the uncached algorithm run on that member itself
+    # match the uncached algorithm, and the value-set oracle, run on that
+    # member itself
     pairs = itertools.product(SIGNED_CLASS_REPS, repeat=2)
     for i, (a, b) in enumerate(pairs):
         alpha = a * FOURTH_POWER_MULTIPLIERS[i % 4]
@@ -96,6 +99,33 @@ def test_two_adic_verdict_depends_only_on_fourth_power_classes():
             alpha *= 2**4  # exercise the valuation reduction where it is cheap
         uncached = _soluble_at_two_class.__wrapped__(alpha, beta)
         assert _soluble_at_two(alpha, beta) == uncached, (a, b)
+        assert soluble_at_two_by_value_sets(alpha, beta) == uncached, (a, b)
+
+
+def test_disk_recursion_matches_the_value_set_oracle_on_every_class_pair():
+    # w^2 = alpha u^4 + beta v^4 and w^2 = beta u^4 + alpha v^4 swap u and
+    # v, so the oracle runs once per unordered pair
+    soluble = 0
+    for a, b in itertools.combinations_with_replacement(SIGNED_CLASS_REPS, 2):
+        want = soluble_at_two_by_value_sets(a, b)
+        assert _soluble_at_two_class.__wrapped__(a, b) == want, (a, b)
+        assert _soluble_at_two_class.__wrapped__(b, a) == want, (b, a)
+        soluble += want * (1 if a == b else 2)
+    assert 0 < soluble < len(SIGNED_CLASS_REPS) ** 2
+
+
+def test_disk_recursion_on_deep_coefficients_matches_the_oracle():
+    # seeded alpha, beta with 2-adic valuations up to 12 and both signs go
+    # to the disk recursion as they are; the oracle, whose tables grow with
+    # the valuations, gets their classes in Q_2^*/(Q_2^*)^4 instead
+    rng = random.Random(0x2AD1C)
+    for _ in range(400):
+        alpha, beta = (rng.choice((1, -1)) * rng.randrange(1, 2**16, 2) << rng.randrange(13)
+                       for _ in range(2))
+        want = soluble_at_two_by_value_sets(
+            _fourth_power_class_2adic(alpha, "alpha"), _fourth_power_class_2adic(beta, "beta")
+        )
+        assert _soluble_at_two_class.__wrapped__(alpha, beta) == want, (alpha, beta)
 
 
 @pytest.mark.parametrize("alpha,beta,name", [(0, 5, "alpha"), (5, 0, "beta")])
@@ -192,7 +222,7 @@ def test_certify_rank_one_proves_ell_prime_once(monkeypatch):
     )
     arith.primality_info.cache_clear()
     certify_infinite_instance(2, 75, 5, 1)
-    assert rounds.count(5641) == 13  # one deterministic run over bases 2..41
+    assert rounds.count(5641) == 2  # one deterministic run; 5641 < psi_2 needs bases 2, 3
 
 
 def test_locally_soluble_rejects_composite_place():
@@ -314,6 +344,6 @@ def test_integer_fourth_power_test_matches_the_fraction_one():
             if den == 0:
                 continue
             want = _is_fourth_power_2adic_by_fractions(Fraction(num, den))
-            assert _is_fourth_power_2adic(num, den) == want, (num, den)
+            assert is_fourth_power_2adic(num, den) == want, (num, den)
             agree += want
     assert agree > 300

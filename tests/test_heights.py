@@ -47,6 +47,8 @@ def test_dec_ln_bounds_enclose():
 
 
 def test_log2_bounds():
+    # the fixed-point enclosure gives the Decimal path's floats
+    assert LOG2_BOUNDS == log_int_bounds(2)
     lo, hi = LOG2_BOUNDS
     assert lo <= math.log(2) <= hi
     assert hi - lo < 1e-12

@@ -2,6 +2,7 @@
 asserted preconditions, a brute-force no-small-multiple cross-check, and
 the per-process memo of ln s^2."""
 
+import decimal
 import json
 import math
 from decimal import Decimal
@@ -175,7 +176,9 @@ def test_p13_search_takes_no_decimal_log(monkeypatch, tmp_path, capsys):
         calls.append(n)
         return real(n)
 
-    monkeypatch.setattr(heights_module, "Decimal", CountingDecimal)
+    # heights imports decimal when it takes a logarithm, and reads
+    # decimal.Decimal then
+    monkeypatch.setattr(decimal, "Decimal", CountingDecimal)
     monkeypatch.setattr(heights_module, "log_int_bounds", counted)
     primitivity._ln_s_squared_hi.cache_clear()
     out = tmp_path / "p13.jsonl"
