@@ -16,14 +16,22 @@ Three theorem shapes are produced:
   fingerprint {2, l, p} that separates division fields of distinct members.
 
 A fourth, the "rank-one" fragment, is ``descent.certify_rank_one``'s
-result on its own.  ``certificate_to_dict`` builds the record of all four
-and ``certificate_to_jsonl`` writes it as one compact JSON line.  Each
-witness is built in its record form, where the certifier makes its
-``CheckEntry``: integers as decimal strings (so arbitrary precision
-survives any JSON parser), besides floats, bools, plain strings and lists
-of decimal strings.  The record is then a flat copy of the fields; the
-subject, ``ramified_primes`` and ``distinctness_key`` stay integers on the
-``Certificate``, and ``certificate_to_dict`` writes them as decimal strings.
+result on its own.
+
+Records.  Each ledger check is declared once, as a module-level ``Check``:
+its name, status, citation and witness keys, each key with the kind of
+value it holds (a decimal integer, a string, a float, a list of decimal
+integers or a bool).  A certifier records (check, values) pairs holding
+the raw values, so it builds no witness dict and no decimal string.  Each
+ledger shape (a theorem, its subject keys and its checks, in order) gets
+one record template on first use: the checks' constant JSON text encoded
+once, ``%`` escaped, with one ``%`` slot per value.  ``certificate_to_jsonl``
+fills the shape's template in one ``%``: it is the one writer of the
+compact JSON line, for all four theorems.  Integers become decimal strings
+there, so arbitrary precision survives any JSON parser.
+``certificate_to_dict`` is that line parsed, so the dict and the line
+cannot disagree, and ``certificate_from_dict`` reads a record back through
+``CHECKS``, the registry of declared checks by name.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
+from functools import lru_cache
 from typing import NamedTuple
 
 from .arith import is_prime, is_square, kth_power_free, vp
@@ -88,17 +97,116 @@ def member(s: int, t: int) -> Member:
     )
 
 
-class CheckEntry(NamedTuple):
-    name: str
-    status: str  # "pass" | "cited-assumption"
-    witness: dict  # in record form: integers are decimal strings
-    citation: str | None = None
+#: The kinds of witness value a check slot holds.
+INT, STR, FLOAT, INTS, BOOL = "int", "str", "float", "ints", "bool"
+
+_encode_str = json.encoder.encode_basestring_ascii  # the quoted, escaped text
+_JSON_BOOL = {True: "true", False: "false"}
+
+
+def _encode_ints(values) -> str:
+    """The items of a JSON list of decimal strings."""
+    return '"%s"' % '","'.join(map(str, values)) if values else ""
+
+
+#: kind -> (its slot in a template, the converter a value goes through
+#: first, or None where ``%`` formats the value itself).  A float slot
+#: takes a finite float, whose repr is its JSON text.
+_SLOTS = {
+    INT: ('"%d"', None),
+    STR: ("%s", _encode_str),
+    FLOAT: ("%r", None),
+    INTS: ("[%s]", _encode_ints),
+    BOOL: ("%s", _JSON_BOOL.__getitem__),
+}
+
+
+def _const(value) -> str:
+    """A constant's JSON text, with ``%`` escaped for a template."""
+    return json.dumps(value).replace("%", "%%")
+
+
+def _object(fields) -> str:
+    """The template of a JSON object from (key, template text) pairs."""
+    return "{%s}" % ",".join([f"{_const(key)}:{text}" for key, text in fields])
+
+
+class Check:
+    """One ledger check, declared once: its name, status and citation, and
+    its witness keys in record order, each with the kind of value its slot
+    takes (``key=KIND``).  A check is a constant shared by every
+    certificate, so its attributes cannot be set."""
+
+    __slots__ = ("name", "status", "citation", "witness")
+
+    def __init__(self, name: str, status: str, citation: str | None = None, **witness: str):
+        for attr, value in (("name", name), ("status", status), ("citation", citation),
+                            ("witness", tuple(witness.items()))):
+            object.__setattr__(self, attr, value)
+
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"a Check is immutable: cannot set {attr!r}")
+
+    def template(self) -> str:
+        """The check's JSON object with one ``%`` slot per witness value."""
+        return _object([
+            ("name", _const(self.name)),
+            ("status", _const(self.status)),
+            ("witness", _object([(key, _SLOTS[kind][0]) for key, kind in self.witness])),
+            ("citation", _const(self.citation)),
+        ])
+
+
+PASS, CITED = "pass", "cited-assumption"
+COPRIME_PARAMETERS = Check("coprime-parameters", PASS, s=INT, t=INT)
+FOURTH_POWER_FREE = Check("fourth-power-free", PASS, ell=INT)
+NONSQUARE_ELL = Check("nonsquare-ell", PASS, ell=INT)
+PARAMETER_DEPTH = Check("parameter-depth", PASS, p=INT, n=INT, flagged=STR, v_st=INT)
+GOOD_REDUCTION_AT_P = Check("good-reduction-at-p", PASS, p=INT)
+INTEGRAL_J = Check("integral-j", PASS, j=INT)
+KERNEL_FILTRATION_DEPTH = Check(
+    "kernel-filtration-depth", PASS, depth=INT, x_doubled_valuation=INT,
+    y_doubled_valuation=INT, order_parity_method=STR)
+MOD_P_IMAGE_LARGE_PRIME = Check("mod-p-image-large-prime", PASS, p=INT)
+ELEVEN_ISOGENY_J = Check("eleven-isogeny-j", PASS, j=INT, excluded_j=INTS)
+SEVEN_TORSION_FREE = Check("seven-torsion-free", PASS, ell=INT)
+TWIST_FIVE_TORSION_FREE = Check("twist-five-torsion-free", PASS, twist_a=INT)
+MOD_FIVE_IRREDUCIBILITY = Check(
+    "mod-five-irreducibility", CITED, CITATIONS["mod-five-irreducibility"], ell=INT)
+PRIMITIVE_POINT = Check("primitive-point", PASS, method=STR, index_square_bound=FLOAT)
+FILTRATION_TO_CLASS_GROUP = Check(
+    "filtration-to-class-group", CITED, CITATIONS["divisibility-criterion"], p=INT, n=INT)
+SECOND_POINT_DEPTH = Check(
+    "second-point-depth", PASS, point=STR, depth=INT, flagged_parameter=STR)
+INDEPENDENT_POINTS = Check(
+    "independent-points", CITED, CITATIONS["independent-points"], s=INT, tau=INT, ell=INT)
+RANK_EXACTLY_ONE = Check(
+    "rank-exactly-one", PASS, ell_mod_16=INT, selmer_forward=INTS, selmer_dual=INTS,
+    rank_upper=INT)
+KODAIRA_TYPE_AT_ELL = Check("kodaira-type-at-ell", PASS, ell=INT, kodaira=STR, tamagawa=INT)
+DIVISION_FIELD_RAMIFICATION = Check(
+    "division-field-ramification", CITED, CITATIONS["division-field-ramification"],
+    ramified=INTS)
+
+#: name -> declared check: the registry ``certificate_from_dict`` reads
+#: a record's entries through.
+CHECKS = {check.name: check for check in (
+    COPRIME_PARAMETERS, FOURTH_POWER_FREE, NONSQUARE_ELL, PARAMETER_DEPTH,
+    GOOD_REDUCTION_AT_P, INTEGRAL_J, KERNEL_FILTRATION_DEPTH,
+    MOD_P_IMAGE_LARGE_PRIME, ELEVEN_ISOGENY_J, SEVEN_TORSION_FREE,
+    TWIST_FIVE_TORSION_FREE, MOD_FIVE_IRREDUCIBILITY, PRIMITIVE_POINT,
+    FILTRATION_TO_CLASS_GROUP, SECOND_POINT_DEPTH, INDEPENDENT_POINTS,
+    RANK_EXACTLY_ONE, KODAIRA_TYPE_AT_ELL, DIVISION_FIELD_RAMIFICATION,
+)}
+
+#: One ledger entry: a declared check and its raw witness values.
+Entry = tuple[Check, tuple]
 
 
 class Certificate(NamedTuple):
     theorem: str  # "divisibility" | "square-subfamily" | "infinite-family"
-    subject: dict
-    checks: tuple[CheckEntry, ...]
+    subject: dict  # integers, in the order of the theorem's record
+    ledger: tuple[Entry, ...]
     conclusion: str
     conclusion_basis: str
     unramified_rank_lower_bound: int
@@ -111,7 +219,7 @@ def _require(ok: bool, name: str, detail: str) -> None:
         raise PreconditionFailure(name, detail)
 
 
-def cohomology_vanishing_checks(c: Curve, p: int) -> list[CheckEntry]:
+def cohomology_vanishing_checks(c: Curve, p: int) -> list[Entry]:
     """Mod-p image conditions on the family curve c that feed the
     divisibility criterion.
 
@@ -130,24 +238,18 @@ def cohomology_vanishing_checks(c: Curve, p: int) -> list[CheckEntry]:
         raise PreconditionFailure("p-out-of-range", f"p={p} must be a prime >= 5")
     out = []
     if p >= 13:
-        out.append(CheckEntry("mod-p-image-large-prime", "pass", {"p": str(p)}))
+        out.append((MOD_P_IMAGE_LARGE_PRIME, (p,)))
         return out
     if p == 11:
         j = j_invariant(c)
         _require(j not in _ELEVEN_ISOGENY_J, "eleven-isogeny-j", f"j={j}")
-        out.append(
-            CheckEntry(
-                "eleven-isogeny-j",
-                "pass",
-                {"j": str(j), "excluded_j": [str(e) for e in _ELEVEN_ISOGENY_J]},
-            )
-        )
+        out.append((ELEVEN_ISOGENY_J, (j, _ELEVEN_ISOGENY_J)))
         return out
     if p == 7:
         _require(
             not has_rational_m_torsion(c, 7), "seven-torsion", "rational 7-torsion found"
         )
-        out.append(CheckEntry("seven-torsion-free", "pass", {"ell": str(c.ell)}))
+        out.append((SEVEN_TORSION_FREE, (c.ell,)))
         return out
     # p == 5: the relevant quartic twist must avoid rational 5-torsion
     twist = curve_from_a(-25 * c.ell)
@@ -156,17 +258,8 @@ def cohomology_vanishing_checks(c: Curve, p: int) -> list[CheckEntry]:
         "twist-five-torsion",
         "rational 5-torsion on the 25-twist",
     )
-    out.append(
-        CheckEntry("twist-five-torsion-free", "pass", {"twist_a": str(-25 * c.ell)})
-    )
-    out.append(
-        CheckEntry(
-            "mod-five-irreducibility",
-            "cited-assumption",
-            {"ell": str(c.ell)},
-            citation=CITATIONS["mod-five-irreducibility"],
-        )
-    )
+    out.append((TWIST_FIVE_TORSION_FREE, (twist.a,)))
+    out.append((MOD_FIVE_IRREDUCIBILITY, (c.ell,)))
     return out
 
 
@@ -191,59 +284,29 @@ def _checked_member(s: int, t: int, p: int, n: int) -> Member:
     return member(s, t)
 
 
-def _divisibility_checks(m: Member, p: int, n: int) -> list[CheckEntry]:
+def _divisibility_checks(m: Member, p: int, n: int) -> list[Entry]:
     """The ledger for a member whose n, p and gcd checks have passed."""
     c = m.curve
-    ell, p_, n_ = str(m.ell), str(p), str(n)
-    checks = [CheckEntry("coprime-parameters", "pass", {"s": str(m.s), "t": str(m.t)})]
+    ell = m.ell
+    checks = [(COPRIME_PARAMETERS, (m.s, m.t))]
 
     _require(m.fourth_power_free, "fourth-power-free", f"ell={ell}")
-    checks.append(CheckEntry("fourth-power-free", "pass", {"ell": ell}))
+    checks.append((FOURTH_POWER_FREE, (ell,)))
 
     _require(not m.ell_is_square, "nonsquare-ell", f"ell={ell}")
-    checks.append(CheckEntry("nonsquare-ell", "pass", {"ell": ell}))
+    checks.append((NONSQUARE_ELL, (ell,)))
 
     local = check_local(c, p, n)  # raises with its own reasons if violated
-    checks.append(
-        CheckEntry(
-            "parameter-depth",
-            "pass",
-            {"p": p_, "n": n_, "flagged": local.flagged, "v_st": str(local.v_st)},
-        )
+    checks += (
+        (PARAMETER_DEPTH, (p, n, local.flagged, local.v_st)),
+        (GOOD_REDUCTION_AT_P, (p,)),
+        (INTEGRAL_J, (j_invariant(c),)),
+        (KERNEL_FILTRATION_DEPTH, (local.depth, local.x_doubled_valuation,
+                                   local.y_doubled_valuation, local.order_parity_method)),
     )
-    checks.append(CheckEntry("good-reduction-at-p", "pass", {"p": p_}))
-    checks.append(CheckEntry("integral-j", "pass", {"j": str(j_invariant(c))}))
-    checks.append(
-        CheckEntry(
-            "kernel-filtration-depth",
-            "pass",
-            {
-                "depth": str(local.depth),
-                "x_doubled_valuation": str(local.x_doubled_valuation),
-                "y_doubled_valuation": str(local.y_doubled_valuation),
-                "order_parity_method": local.order_parity_method,
-            },
-        )
-    )
-    checks.extend(cohomology_vanishing_checks(c, p))
-
-    ratio = certify_primitive(m)
-    checks.append(
-        CheckEntry(
-            "primitive-point",
-            "pass",
-            {"method": "height-ratio", "index_square_bound": ratio},
-        )
-    )
-
-    checks.append(
-        CheckEntry(
-            "filtration-to-class-group",
-            "cited-assumption",
-            {"p": p_, "n": n_},
-            citation=CITATIONS["divisibility-criterion"],
-        )
-    )
+    checks += cohomology_vanishing_checks(c, p)
+    checks.append((PRIMITIVE_POINT, ("height-ratio", certify_primitive(m))))
+    checks.append((FILTRATION_TO_CLASS_GROUP, (p, n)))
     return checks
 
 
@@ -254,7 +317,7 @@ def certify_divisibility(s: int, t: int, p: int, n: int) -> Certificate:
     return Certificate(
         theorem="divisibility",
         subject={"s": s, "t": t, "ell": m.ell, "p": p, "n": n},
-        checks=tuple(checks),
+        ledger=tuple(checks),
         conclusion=f"{p}^{2 * n} divides h(Q(E[{p}^{n}]))",
         conclusion_basis="verified checks plus the cited criterion",
         unramified_rank_lower_bound=1,
@@ -282,34 +345,18 @@ def certify_square_subfamily(s: int, tau: int, p: int) -> Certificate:
     swapped = make_family(tau, s * s)
     local_swapped = check_local(swapped, p, 1)
     first = "s" if vp(s, p) > 0 else "tau"
-    checks.append(
-        CheckEntry(
-            "second-point-depth",
-            "pass",
-            {
-                "point": f"(-{tau}^2, {s}^2*{tau})",
-                "depth": str(local_swapped.depth),
-                "flagged_parameter": first,
-            },
-        )
-    )
+    checks.append((SECOND_POINT_DEPTH,
+                   (f"(-{tau}^2, {s}^2*{tau})", local_swapped.depth, first)))
     assert swapped.a == m.curve.a
     # l is not a square here, so the torsion is {O, (0, 0)}, and
     # y(second) = s^2 tau is not 0 since tau = 0 would force l = 1
     if is_torsion_point(m.curve, (-tau * tau, s * s * tau)):
         raise AssertionError(f"torsion second point at (s,tau)=({s},{tau}), p={p}")
-    checks.append(
-        CheckEntry(
-            "independent-points",
-            "cited-assumption",
-            {"s": str(s), "tau": str(tau), "ell": str(ell)},
-            citation=CITATIONS["independent-points"],
-        )
-    )
+    checks.append((INDEPENDENT_POINTS, (s, tau, ell)))
     return Certificate(
         theorem="square-subfamily",
         subject={"s": s, "tau": tau, "t": t, "ell": ell, "p": p, "n": 1},
-        checks=tuple(checks),
+        ledger=tuple(checks),
         conclusion=f"{p}^4 divides h(Q(E[{p}]))",
         conclusion_basis="two independent deep points double the exponent",
         unramified_rank_lower_bound=2,
@@ -324,18 +371,9 @@ def certify_infinite_instance(s: int, t: int, p: int, n: int) -> Certificate:
     ell = m.ell
     # enforces s even, t = +-3 mod 8, l prime
     rank = certify_rank_one(s, t, m.curve)
-    checks.append(
-        CheckEntry(
-            "rank-exactly-one",
-            "pass",
-            {
-                "ell_mod_16": str(rank.ell_mod_16),
-                "selmer_forward": [str(d) for d in rank.selmer_report.sel_forward],
-                "selmer_dual": [str(d) for d in rank.selmer_report.sel_dual],
-                "rank_upper": str(rank.selmer_report.rank_upper),
-            },
-        )
-    )
+    rep = rank.selmer_report
+    checks.append((RANK_EXACTLY_ONE, (rank.ell_mod_16, rep.sel_forward, rep.sel_dual,
+                                      rep.rank_upper)))
     # l is a prime = 9 mod 16, so l does not divide 48, v_l(c4) = 1 and
     # v_l(Delta) = 3: the table always gives type III with Tamagawa number 2
     red = reduction_at(m.curve, ell)
@@ -343,25 +381,12 @@ def certify_infinite_instance(s: int, t: int, p: int, n: int) -> Certificate:
         raise AssertionError(
             f"kodaira={red.kodaira} at ell={ell}, (s,t)=({s},{t}), p={p}"
         )
-    checks.append(
-        CheckEntry(
-            "kodaira-type-at-ell",
-            "pass",
-            {"ell": str(ell), "kodaira": red.kodaira, "tamagawa": str(red.tamagawa)},
-        )
-    )
-    checks.append(
-        CheckEntry(
-            "division-field-ramification",
-            "cited-assumption",
-            {"ramified": ["2", str(ell), str(p)]},
-            citation=CITATIONS["division-field-ramification"],
-        )
-    )
+    checks.append((KODAIRA_TYPE_AT_ELL, (ell, red.kodaira, red.tamagawa)))
+    checks.append((DIVISION_FIELD_RAMIFICATION, ((2, ell, p),)))
     return Certificate(
         theorem="infinite-family",
         subject={"s": s, "t": t, "ell": ell, "p": p, "n": n},
-        checks=tuple(checks),
+        ledger=tuple(checks),
         conclusion=(
             f"{p}^{2 * n} divides h(Q(E[{p}^{n}])), rank E(Q) = 1, "
             f"and the division field is ramified exactly at 2, {ell}, {p}"
@@ -391,62 +416,75 @@ def batch_distinctness(certs: list[Certificate]) -> dict:
     }
 
 
-#: writes a record as one compact line; a record is a tree built here, so
-#: the cycle check is skipped, and non-ASCII text is escaped (the default)
-record_to_jsonl = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
+def _head(theorem: str, subject: tuple[str, ...]) -> str:
+    """A record's template up to the end of its subject, whose integers
+    are slots."""
+    return '{"schema":"%s","theorem":"%s","subject":{%s}' % (
+        SCHEMA_VERSION, theorem, ",".join(f'"{key}":"%d"' for key in subject))
 
 
-def _rank_record(rc: RankCert) -> dict:
-    rep = rc.selmer_report
-    return {
-        "schema": SCHEMA_VERSION,
-        "theorem": "rank-one",
-        "subject": {"s": str(rc.s), "t": str(rc.t), "ell": str(rc.ell)},
-        "ell_mod_16": str(rc.ell_mod_16),
-        "t_mod_8": str(rc.t_mod_8),
-        "selmer": {
-            "dim_forward": str(rep.dim_forward),
-            "dim_dual": str(rep.dim_dual),
-            "rank_upper": str(rep.rank_upper),
-        },
-        "rank": str(rc.rank),
-        "base_point_nontorsion": rc.base_point_nontorsion,
-    }
+_RANK_ONE = _head("rank-one", ("s", "t", "ell")) + (
+    ',"ell_mod_16":"%d","t_mod_8":"%d","selmer":{"dim_forward":"%d","dim_dual":"%d",'
+    '"rank_upper":"%d"},"rank":"%d","base_point_nontorsion":%s}')
+#: a certificate record after its checks: the encoded conclusion and
+#: basis, the rank bound, and the JSON texts of the ramified primes and of
+#: the distinctness key
+_TAIL = ('],"conclusion":%s,"conclusion_basis":%s,"unramified_rank_lower_bound":"%d",'
+         '"ramified_primes":%s,"distinctness_key":%s}')
 
 
-def certificate_to_dict(cert: Certificate | RankCert) -> dict:
-    """The record of a certificate or a rank-one result, in stable order.
-
-    The witnesses are already in record form, so each check is a flat copy
-    of its fields (the witness dict itself is shared, not copied); the
-    integers outside them become decimal strings here.
-    """
-    if isinstance(cert, RankCert):
-        return _rank_record(cert)
-    ram, key = cert.ramified_primes, cert.distinctness_key
-    return {
-        "schema": SCHEMA_VERSION,
-        "theorem": cert.theorem,
-        "subject": {k: str(v) for k, v in cert.subject.items()},
-        "checks": [{"name": ch.name, "status": ch.status, "witness": ch.witness,
-                    "citation": ch.citation} for ch in cert.checks],
-        "conclusion": cert.conclusion,
-        "conclusion_basis": cert.conclusion_basis,
-        "unramified_rank_lower_bound": str(cert.unramified_rank_lower_bound),
-        "ramified_primes": None if ram is None else [str(q) for q in ram],
-        "distinctness_key": None if key is None else str(key),
-    }
+@lru_cache(maxsize=64)
+def _ledger_shape(theorem: str, subject: tuple[str, ...], *checks: Check) -> tuple[str, tuple]:
+    """The template of a whole record of ``theorem`` with these subject
+    keys whose ledger holds ``checks`` in this order, the checks' templates
+    joined into it, and the (value index, converter) pairs of its slots; a
+    certifier makes a handful of such shapes, one per cohomology branch."""
+    template = (_head(theorem, subject) + ',"checks":['
+                + ",".join([check.template() for check in checks]) + _TAIL)
+    kinds = [INT] * len(subject) + [kind for check in checks for _, kind in check.witness]
+    kinds += [STR, STR]  # the conclusion and its basis
+    return template, tuple((i, _SLOTS[kind][1]) for i, kind in enumerate(kinds)
+                           if _SLOTS[kind][1] is not None)
 
 
 def certificate_to_jsonl(cert: Certificate | RankCert) -> str:
-    return record_to_jsonl(certificate_to_dict(cert))
+    """The record of a certificate or a rank-one result as one compact JSON
+    line, the same text as ``json.dumps(record, separators=(",", ":"))``:
+    the template of its ledger's shape, filled with its values."""
+    if isinstance(cert, RankCert):
+        rep = cert.selmer_report
+        return _RANK_ONE % (
+            cert.s, cert.t, cert.ell, cert.ell_mod_16, cert.t_mod_8, rep.dim_forward,
+            rep.dim_dual, rep.rank_upper, cert.rank, _JSON_BOOL[cert.base_point_nontorsion])
+    subject, ledger = cert.subject, cert.ledger
+    ram, key = cert.ramified_primes, cert.distinctness_key
+    template, convert = _ledger_shape(cert.theorem, tuple(subject),
+                                      *[check for check, _ in ledger])
+    values = [
+        *subject.values(),
+        *[value for _, values in ledger for value in values],
+        cert.conclusion,
+        cert.conclusion_basis,
+        cert.unramified_rank_lower_bound,
+        "null" if ram is None else "[%s]" % _encode_ints(ram),
+        "null" if key is None else '"%d"' % key,
+    ]
+    for i, f in convert:
+        values[i] = f(values[i])
+    return template % tuple(values)
+
+
+def certificate_to_dict(cert: Certificate | RankCert) -> dict:
+    """The record of a certificate or a rank-one result: its line, parsed."""
+    return json.loads(certificate_to_jsonl(cert))
 
 
 def certificate_from_dict(data: dict) -> Certificate | RankCert:
     """The certificate or rank-one result whose record ``data`` is; the
     inverse of ``certificate_to_dict`` for all four theorems.  A rank-one
     record holds the Selmer dimensions but not the groups, so the parsed
-    report's ``sel_forward`` and ``sel_dual`` are None."""
+    report's ``sel_forward`` and ``sel_dual`` are None.  Each check is read
+    back through ``CHECKS``, so an unknown one raises KeyError."""
     if data.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema {data.get('schema')!r}")
     subject = {k: int(v) for k, v in data["subject"].items()}
@@ -460,21 +498,19 @@ def certificate_from_dict(data: dict) -> Certificate | RankCert:
             rank=int(data["rank"]),
             base_point_nontorsion=data["base_point_nontorsion"],
         )
-    checks = tuple(
-        CheckEntry(
-            name=ch["name"],
-            status=ch["status"],
-            witness=ch["witness"],
-            citation=ch.get("citation"),
-        )
-        for ch in data["checks"]
-    )
+    ledger = []
+    for ch in data["checks"]:
+        check, witness = CHECKS[ch["name"]], ch["witness"]
+        ledger.append((check, tuple(
+            int(witness[k]) if kind == INT else
+            tuple(map(int, witness[k])) if kind == INTS else witness[k]
+            for k, kind in check.witness)))
     ram = data.get("ramified_primes")
     key = data.get("distinctness_key")
     return Certificate(
         theorem=data["theorem"],
         subject=subject,
-        checks=checks,
+        ledger=tuple(ledger),
         conclusion=data["conclusion"],
         conclusion_basis=data["conclusion_basis"],
         unramified_rank_lower_bound=int(data["unramified_rank_lower_bound"]),

@@ -5,8 +5,16 @@ lexicographically within each shell, so runs are reproducible; results
 are emitted in enumeration order regardless of worker count.  Only the
 pairs where p^depth divides s or t are generated, each with its index in
 the full enumeration, because a coprime pair carries its whole p-adic
-depth in one parameter.  Certificates are written and flushed one at a
-time; nothing is buffered.
+depth in one parameter.  A worker returns each certificate's finished
+output line in the requested format (``--format`` jsonl, csv or pretty,
+the last two read off the certificate, with no record written or
+parsed); lines are written and flushed one at a time, and nothing is
+buffered.
+
+``verify --file`` compares each stored line with the fresh record's line
+first, and parses and compares the two as dicts only when the texts
+differ, so a record stored with another key order or spacing still
+verifies, and a MISMATCH names the first differing field.
 
 Start-up is kept lean, since ``verify --file`` and short searches pay it
 on every invocation: the process pool (and the multiprocessing machinery
@@ -48,7 +56,6 @@ from .certify import (
     certify_infinite_instance,
     certify_square_subfamily,
     check_p,
-    record_to_jsonl,
 )
 from .curve import base_point, make_family
 from .descent import (
@@ -71,9 +78,10 @@ class SearchConfig(NamedTuple):
     max_param: int
     target_count: int
     workers: int
+    fmt: str = "jsonl"  # the line format of each certificate
 
     def fingerprint(self) -> str:
-        # target_count deliberately excluded: extending a finished run
+        # target_count and fmt deliberately excluded: extending a finished run
         # with a higher target must reuse the same checkpoint
         import hashlib
 
@@ -119,14 +127,22 @@ def cheap_filter(mode: str, p: int, n: int, s: int, t: int) -> bool:
     return True
 
 
-def certify_candidate(task: tuple[str, int, int, int, int]) -> str | None:
-    """Worker body: full certification, None when a precondition fails."""
-    mode, p, n, s, t = task
+def certify_candidate(task: tuple[str, int, int, int, int, str]) -> str | None:
+    """Worker body: full certification, then the certificate's output line
+    in the task's format (jsonl, csv or pretty); None when a precondition
+    fails.  The csv and pretty lines are read off the certificate itself,
+    so no record is written or parsed for them."""
+    mode, p, n, s, t, fmt = task
     try:
         cert = THEOREMS[mode].certify(s, t, p, n)
     except PreconditionFailure:
         return None
-    return certificate_to_jsonl(cert)
+    if fmt == "jsonl":
+        return certificate_to_jsonl(cert)
+    sub = cert.subject
+    if fmt == "csv":
+        return f"{sub['s']},{sub['t']},{sub['ell']},{sub['p']},{sub['n']},{cert.theorem}"
+    return f"s={sub['s']} t={sub['t']} ell={sub['ell']}: {cert.conclusion} [{cert.theorem}]"
 
 
 def _load_checkpoint(path: str, fingerprint: str):
@@ -194,7 +210,7 @@ def run_search(cfg: SearchConfig, emit, checkpoint: str | None = None) -> int:
     # only pairs where p^depth divides s or t can pass the filter
     q = cfg.p ** _required_depth(cfg.mode, cfg.n)
     candidates = (
-        (idx, (cfg.mode, cfg.p, cfg.n, s, t))
+        (idx, (cfg.mode, cfg.p, cfg.n, s, t, cfg.fmt))
         for idx, s, t in iter_parameter_pairs(cfg.max_param, q)
         if idx >= start_index and cheap_filter(cfg.mode, cfg.p, cfg.n, s, t)
     )
@@ -288,6 +304,7 @@ def cmd_search(args) -> int:
         max_param=args.max_param,
         target_count=args.target_count,
         workers=args.workers,
+        fmt=args.format,
     )
     resuming = bool(args.checkpoint and os.path.exists(args.checkpoint))
     header_lines = 1 if args.format == "csv" else 0
@@ -300,24 +317,7 @@ def cmd_search(args) -> int:
     stream, close_me = _open_out(args.out, append=resuming)
 
     def emit(line: str):
-        if args.format == "jsonl":
-            stream.write(line + "\n")
-        else:
-            data = json.loads(line)
-            sub = data["subject"]
-            if args.format == "csv":
-                stream.write(
-                    ",".join(
-                        [sub["s"], sub["t"], sub["ell"], sub["p"], sub["n"],
-                         data["theorem"]]
-                    )
-                    + "\n"
-                )
-            else:
-                stream.write(
-                    f"s={sub['s']} t={sub['t']} ell={sub['ell']}: "
-                    f"{data['conclusion']} [{data['theorem']}]\n"
-                )
+        stream.write(line + "\n")
         stream.flush()
 
     if header_lines and not kept:
@@ -380,10 +380,11 @@ class Theorem(NamedTuple):
     ``certify`` takes (s, t, p, n) in every mode.  It names its certifier
     inside a lambda body, so the name is looked up in this module on every
     call, and rebinding it (a test's monkeypatch, a profiler's wrapper)
-    takes effect here too.  Every mode's result has its record built by
-    ``certificate_to_dict`` and its line written by ``certificate_to_jsonl``;
-    this module calls both by name, so a wrapper bound here sees every
-    record.  ``show`` prints the ledger from the built record.
+    takes effect here too.  Every mode's result has its line written by
+    ``certificate_to_jsonl``, the one record writer, which this module
+    calls by name, so a wrapper bound here sees every line that search,
+    ``verify --out`` and ``verify --file`` write or compare.  ``show``
+    prints the ledger from the parsed record (``certificate_to_dict``).
     """
 
     certify: Callable
@@ -500,9 +501,11 @@ def _verify_file(args) -> int:
                 print(f"line {lineno}: REFUSED at check '{exc.reason}'")
                 bad += 1
                 continue
-            record = certificate_to_dict(fresh)
-            if record != stored:
-                where = _first_difference(stored, record)
+            # a record stored with another key order or spacing still
+            # matches as a dict
+            line = certificate_to_jsonl(fresh)
+            where = None if line == raw else _first_difference(stored, json.loads(line))
+            if where is not None:
                 print(f"line {lineno}: MISMATCH for subject "
                       f"{stored.get('subject')} at {where}")
                 bad += 1
@@ -539,9 +542,8 @@ def cmd_verify(args) -> int:
         cert = theorem.certify(args.s, args.t, args.p, 1 if args.n is None else args.n)
     except PreconditionFailure as exc:
         return _refused(exc)
-    record = certificate_to_dict(cert)
-    theorem.show(record)
-    _write_record(args.out, record_to_jsonl(record))
+    theorem.show(certificate_to_dict(cert))
+    _write_record(args.out, certificate_to_jsonl(cert))
     return 0
 
 

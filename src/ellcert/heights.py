@@ -352,6 +352,29 @@ def _x_double(a: int, u: int, w: int) -> tuple[int, int]:
 _X_BITS_BUDGET = 1 << 21
 
 
+def _first_doubling_past_budget(height: int, ahead: int, gaps: SilvermanBounds
+                                ) -> tuple[int, float] | None:
+    """The least m <= ``ahead`` whose proven lower bound on log2 max(|u|, w)
+    of x(2^m Q) = u/w puts the bound of the doubling after it past
+    ``_X_BITS_BUDGET``, with that lower bound; None if no m does.
+
+    From H = max(|num|, den) of x(Q): hhat(Q) >= ln(H)/2 - lower_gap,
+    hhat(2^m Q) = 4^m hhat(Q), and ln max(|u|, w) >= 2 (hhat(2^m Q) -
+    upper_gap), each step rounded down.  The lower bound grows fourfold in
+    m once it is positive, so the search ends long before ``ahead``.
+    """
+    log2_lo, log2_hi = LOG2_BOUNDS
+    margin = _dn(_dn(_dn((height.bit_length() - 1) * log2_lo) / 2.0) - gaps.lower_gap)
+    if margin <= 0.0:
+        return None
+    for m in range(1, ahead + 1):
+        hhat = math.ldexp(margin, 2 * m)  # exact: margin times 4^m
+        bits = _dn(2.0 * _dn(hhat - gaps.upper_gap) / log2_hi)
+        if 4.0 * bits > _X_BITS_BUDGET - 3:
+            return m, bits
+    return None
+
+
 def x_multiple_reduced(c: Curve, pt: Point, doublings: int) -> tuple[int, int]:
     """Reduced (numerator, denominator) of x(2^k P).
 
@@ -362,9 +385,18 @@ def x_multiple_reduced(c: Curve, pt: Point, doublings: int) -> tuple[int, int]:
     max(2 bu, ba + 2 bw), and bu + bw <= B, so the numerator
     (u^2 - a w^2)^2 and the denominator 4 u w (u^2 + a w^2) of x(2Q) are
     below 2^(2B+3), and the gcd only shrinks them.
+
+    That bound, 2B + 3, is above 4 log2 max(|u|, w) + 3.  So before each
+    doubling the later ones are checked as well, through the proven lower
+    bounds of ``_first_doubling_past_budget``: when one of them passes the
+    budget, the refusal comes at once, not after the doublings in between,
+    whose results it would discard.  The stepwise check above would refuse
+    the doubling it names, or an earlier one, so the outcome is the same; a
+    request the budget admits does every doubling as before.
     """
     u, w = pt.x.numerator, pt.x.denominator
     a_bits = abs(c.a).bit_length()
+    gaps = silverman_gaps(c) if doublings > 1 else None
     for k in range(1, doublings + 1):
         bound = 2 * max(2 * abs(u).bit_length(), a_bits + 2 * w.bit_length()) + 3
         if bound > _X_BITS_BUDGET:
@@ -372,6 +404,16 @@ def x_multiple_reduced(c: Curve, pt: Point, doublings: int) -> tuple[int, int]:
                 "height-digit-budget",
                 f"x(2^{k} P) could reach {bound} bits, past the budget of "
                 f"{_X_BITS_BUDGET}",
+            )
+        past = k < doublings and _first_doubling_past_budget(
+            max(abs(u), w), doublings - k, gaps)
+        if past:
+            last = k + past[0]
+            raise PreconditionFailure(
+                "height-digit-budget",
+                f"the doubling to x(2^{last} P) could pass the budget of "
+                f"{_X_BITS_BUDGET} bits: by the height gaps and hhat(2^k P) = "
+                f"4^k hhat(P), x(2^{last - 1} P) has more than {past[1]:.7g} bits",
             )
         u, w = _x_double(c.a, u, w)
     return u, w

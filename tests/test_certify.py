@@ -4,11 +4,14 @@ round-trips, and batch distinctness."""
 import decimal
 import json
 import sys
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ellcert import arith, certify, cli, descent, heights, primitivity
 from ellcert import curve as curve_module
@@ -46,9 +49,9 @@ def test_divisibility_frozen_ledger():
     cert = certify_divisibility(2, 25, 5, 1)
     assert cert.theorem == "divisibility"
     assert cert.subject == {"s": 2, "t": 25, "ell": 641, "p": 5, "n": 1}
-    assert [c.name for c in cert.checks] == MAIN_CHECK_NAMES
-    assert all(c.status in ("pass", "cited-assumption") for c in cert.checks)
-    cited = {c.name for c in cert.checks if c.status == "cited-assumption"}
+    assert [check.name for check, _ in cert.ledger] == MAIN_CHECK_NAMES
+    assert all(check.status in ("pass", "cited-assumption") for check, _ in cert.ledger)
+    cited = {check.name for check, _ in cert.ledger if check.status == "cited-assumption"}
     assert cited == {"mod-five-irreducibility", "filtration-to-class-group"}
     assert cert.conclusion == "5^2 divides h(Q(E[5^1]))"
     assert cert.unramified_rank_lower_bound == 1
@@ -72,13 +75,13 @@ def test_divisibility_depth_two():
 )
 def test_larger_p_branches(s, t, p, expected_entry):
     cert = certify_divisibility(s, t, p, 1)
-    assert expected_entry in {c.name for c in cert.checks}
+    assert expected_entry in {check.name for check, _ in cert.ledger}
     assert cert.conclusion == f"{p}^2 divides h(Q(E[{p}^1]))"
 
 
 def test_cohomology_checks_standalone():
     entries = cohomology_vanishing_checks(make_family(2, 25), 5)
-    assert [e.name for e in entries] == [
+    assert [check.name for check, _ in entries] == [
         "twist-five-torsion-free",
         "mod-five-irreducibility",
     ]
@@ -135,10 +138,10 @@ def test_square_subfamily_frozen():
     assert cert.subject["tau"] == 25 and cert.subject["t"] == 625
     assert cert.conclusion == "5^4 divides h(Q(E[5]))"
     assert cert.unramified_rank_lower_bound == 2
-    names = [c.name for c in cert.checks]
+    names = [check.name for check, _ in cert.ledger]
     assert "second-point-depth" in names
     assert "independent-points" in names
-    second = next(c for c in cert.checks if c.name == "second-point-depth")
+    second = next(check for check, _ in cert.ledger if check.name == "second-point-depth")
     assert second.status == "pass"
 
 
@@ -163,7 +166,7 @@ def test_infinite_instance_frozen():
     assert cert.subject["ell"] == 5641
     assert cert.ramified_primes == (2, 5641, 5)
     assert cert.distinctness_key == 5641
-    names = [c.name for c in cert.checks]
+    names = [check.name for check, _ in cert.ledger]
     for needed in ("rank-exactly-one", "kodaira-type-at-ell", "division-field-ramification"):
         assert needed in names
     assert "rank E(Q) = 1" in cert.conclusion
@@ -330,10 +333,12 @@ def test_member_facts():
 def test_records_are_immutable_values():
     cert = certify_divisibility(2, 25, 5, 1)
     m = member(2, 25)
-    for obj, field in ((cert, "theorem"), (cert.checks[0], "status"),
+    for obj, field in ((cert, "theorem"), (cert.ledger[0][0], "status"),
                        (m, "ell"), (m.curve, "a")):
         with pytest.raises(AttributeError):
             setattr(obj, field, None)
+    # a ledger entry is a (check, values) pair of tuples
+    assert all(type(entry) is tuple and type(entry[1]) is tuple for entry in cert.ledger)
     assert certify_divisibility(2, 25, 5, 1) == cert
     assert hash(member(2, 25).curve) == hash(m.curve)
 
@@ -385,3 +390,154 @@ def test_square_subfamily_counts_points_at_p_once(monkeypatch):
     assert at_p == [-(2**4 + 625**2)] * 2
     info = curve_module._count_points.cache_info()
     assert info.misses == len({(c.a % p, p) for c, p in counts}) < len(counts)
+
+
+#: The encoder that wrote every record before the per-check templates;
+#: kept here as the oracle of the template writer.
+OLD_ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
+
+
+def _old_value(kind, value):
+    """A witness value in record form, as the certifiers once built it."""
+    if kind == certify.INT:
+        return str(value)
+    if kind == certify.INTS:
+        return [str(v) for v in value]
+    return value
+
+
+def _old_entry(check, values) -> dict:
+    return {
+        "name": check.name,
+        "status": check.status,
+        "witness": {key: _old_value(kind, v) for (key, kind), v in zip(check.witness, values)},
+        "citation": check.citation,
+    }
+
+
+def _old_record(cert) -> dict:
+    """The record as the old ``certificate_to_dict`` built it, field by
+    field from the certificate, with ``str`` for every integer."""
+    if isinstance(cert, descent.RankCert):
+        rep = cert.selmer_report
+        return {
+            "schema": SCHEMA_VERSION, "theorem": "rank-one",
+            "subject": {"s": str(cert.s), "t": str(cert.t), "ell": str(cert.ell)},
+            "ell_mod_16": str(cert.ell_mod_16), "t_mod_8": str(cert.t_mod_8),
+            "selmer": {"dim_forward": str(rep.dim_forward), "dim_dual": str(rep.dim_dual),
+                       "rank_upper": str(rep.rank_upper)},
+            "rank": str(cert.rank), "base_point_nontorsion": cert.base_point_nontorsion,
+        }
+    ram, key = cert.ramified_primes, cert.distinctness_key
+    return {
+        "schema": SCHEMA_VERSION,
+        "theorem": cert.theorem,
+        "subject": {k: str(v) for k, v in cert.subject.items()},
+        "checks": [_old_entry(check, values) for check, values in cert.ledger],
+        "conclusion": cert.conclusion,
+        "conclusion_basis": cert.conclusion_basis,
+        "unramified_rank_lower_bound": str(cert.unramified_rank_lower_bound),
+        "ramified_primes": None if ram is None else [str(q) for q in ram],
+        "distinctness_key": None if key is None else str(key),
+    }
+
+
+_AWKWARD_TEXT = ['', '"', "\\", '%', '%s%%d%(x)s', "\x00\x1f\x7f", "tab\there\nnew",
+                 "é ü ñ", " ", "日本", "😀", '{"a":[1]}', "null"]
+_AWKWARD_FLOATS = [1e-07, 5e+16, -0.0, 0.1, 5.4755797146897915, 1.7976931348623157e308,
+                   5e-324, -2.5, 1e22, 123456789.0]
+
+
+def _one_check_lines(check, values, conclusion="c"):
+    """The line of a record whose ledger is the one check, written by the
+    templates and by the compact ``json.dumps`` of its old record form."""
+    cert = certify.Certificate(
+        "divisibility", dict(zip(("s", "t", "ell", "p", "n"), (1, -2, 10**30, 4, 5))),
+        ((check, values),), conclusion, conclusion[::-1], -1, (2, -3), 7)
+    return certificate_to_jsonl(cert), json.dumps(_old_record(cert), separators=(",", ":"))
+
+
+def test_template_kernel_on_awkward_constants_and_values():
+    for text in _AWKWARD_TEXT:
+        witness = {"i": certify.INT, "s": certify.STR, "f": certify.FLOAT, "l": certify.INTS,
+                   "b": certify.BOOL, "k" + text: certify.STR}
+        check = certify.Check(f"n{text}", text, text or None, **witness)
+        for x in _AWKWARD_FLOATS:
+            values = (-(10**40) - 7, text, x, (-3, 0, 10**30), x > 0, text[::-1])
+            got, want = _one_check_lines(check, values, conclusion=text)
+            assert got == want, (text, x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.text(), st.text(), st.text(),
+    st.integers(), st.text(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.lists(st.integers(), max_size=4), st.booleans(),
+)
+def test_template_kernel_is_the_compact_encoder(name, key, citation, i, s, f, ints, b):
+    check = certify.Check(name, "pass", citation, **{
+        key + "i": certify.INT, key + "s": certify.STR, key + "f": certify.FLOAT,
+        key + "l": certify.INTS, key + "b": certify.BOOL})
+    got, want = _one_check_lines(check, (i, s, f, tuple(ints), b), conclusion=s)
+    assert got == want
+
+
+def _grid_certificates():
+    """Every certificate of the four modes over s, t in [1, 40] and p in
+    {5, 7, 11, 13}, then every golden record's and every pool record's."""
+    for mode, theorem in cli.THEOREMS.items():
+        for p in (5, 7, 11, 13) if theorem.needs_p else (None,):
+            for s in range(1, 41):
+                for t in range(1, 41):
+                    try:
+                        yield theorem.certify(s, t, p, 1)
+                    except PreconditionFailure:
+                        pass
+    for line in GOLDEN.read_text(encoding="utf-8").splitlines() + POOL.read_text(
+            encoding="utf-8").splitlines():
+        mode, s, t, p, n = cli._record_task(json.loads(line))
+        yield cli.THEOREMS[mode].certify(s, t, p, n)
+
+
+POOL = Path(__file__).parent.parent / "perfbench" / "data" / "pool.jsonl"
+
+
+def test_every_grid_certificate_is_the_old_encoders_line():
+    theorems = Counter()
+    for cert in _grid_certificates():
+        line = certificate_to_jsonl(cert)
+        record = json.loads(line)
+        assert OLD_ENCODER(record) == line
+        assert OLD_ENCODER(_old_record(cert)) == line
+        assert certificate_to_dict(cert) == record
+        assert certificate_to_jsonl(certificate_from_dict(record)) == line
+        theorems[record["theorem"]] += 1
+    assert set(theorems) == {"divisibility", "square-subfamily", "infinite-family", "rank-one"}
+    assert sum(theorems.values()) > 177 + 520
+
+
+def test_every_check_of_the_registry_is_written_somewhere():
+    names = set()
+    for line in POOL.read_text(encoding="utf-8").splitlines():
+        names.update(ch["name"] for ch in json.loads(line).get("checks", ()))
+    assert names == set(certify.CHECKS)
+    assert all(name == check.name for name, check in certify.CHECKS.items())
+
+
+def test_a_certificate_writes_no_witness_dict_and_no_decimal_string(monkeypatch):
+    # a certifier records raw values; only the writer makes decimal text
+    cert = certify_divisibility(2, 169, 13, 1)
+    values = [v for _, vs in cert.ledger for v in vs]
+    assert not any(isinstance(v, dict) for v in values)
+    assert [v for v in values if isinstance(v, str)] == ["t", "counted", "height-ratio"]
+    assert 28577 in values and 13 in values
+
+
+def test_from_dict_reads_each_check_through_the_registry():
+    data = certificate_to_dict(certify_divisibility(2, 25, 5, 1))
+    cert = certificate_from_dict(data)
+    assert all(check is certify.CHECKS[check.name] for check, _ in cert.ledger)
+    data["checks"][0]["name"] = "no-such-check"
+    with pytest.raises(KeyError):
+        certificate_from_dict(data)

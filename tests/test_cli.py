@@ -96,7 +96,7 @@ def _stub_certifier(calls):
     # names the task so the emitted sequence shows which ones were handled
     def certify(task):
         calls.append(task)
-        _, _, _, s, t = task
+        _, _, _, s, t, _ = task
         return None if (s + t) % 3 == 0 else json.dumps(task)
 
     return certify
@@ -115,7 +115,7 @@ def test_search_matches_filter_all_oracle(mode, p, n, tmp_path, monkeypatch):
     last = None
     for idx, s, t in _all_pairs(max_param):
         if cheap_filter(mode, p, n, s, t):
-            line = oracle((mode, p, n, s, t))
+            line = oracle((mode, p, n, s, t, "jsonl"))
             if line is not None:
                 oracle_records.append(line)
             last = idx
@@ -413,6 +413,65 @@ def test_verify_file_names_a_one_ulp_drift_in_the_index_bound(tmp_path, capsys):
     )
 
 
+GOLDEN = Path(__file__).parent / "data" / "golden_records.jsonl"
+
+
+@pytest.mark.parametrize(
+    "rewrite",
+    [
+        lambda d: json.dumps(dict(reversed(d.items()))),  # keys in another order
+        lambda d: json.dumps(d, indent=None),  # ", " and ": " separators
+        lambda d: " " + json.dumps(d, separators=(",", ":")) + "  ",  # padded
+    ],
+    ids=["reordered-keys", "spaced", "padded"],
+)
+@pytest.mark.parametrize("ending", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_verify_file_accepts_other_spellings_of_a_record(rewrite, ending, tmp_path, capsys):
+    lines = GOLDEN.read_text(encoding="utf-8").splitlines()
+    batch = tmp_path / "batch.jsonl"
+    batch.write_bytes("".join(rewrite(json.loads(line)) + ending for line in lines).encode())
+    rc, out, _ = run(capsys, "verify", "--file", str(batch), "--verbose")
+    assert rc == 0
+    assert [row.split(": ok ")[0] for row in out.splitlines()[:-1]] == [
+        f"line {i}" for i in range(1, len(lines) + 1)]
+    assert out.endswith(f"{len(lines)}/{len(lines)} certificates verified\n")
+
+
+def test_verify_file_parses_a_fresh_line_only_when_it_differs(monkeypatch, tmp_path, capsys):
+    lines = GOLDEN.read_text(encoding="utf-8").splitlines()
+    parsed = []
+    real = json.loads
+    monkeypatch.setattr(json, "loads", lambda text, **kw: parsed.append(text) or real(text, **kw))
+    rc, _, _ = run(capsys, "verify", "--file", str(GOLDEN))
+    assert rc == 0
+    assert parsed == lines  # the stored lines, and no fresh one
+    spaced = tmp_path / "spaced.jsonl"
+    spaced.write_text(json.dumps(real(lines[0])) + "\n", encoding="utf-8")
+    parsed.clear()
+    rc, _, _ = run(capsys, "verify", "--file", str(spaced))
+    assert rc == 0
+    assert parsed[1:] == [lines[0]]  # the fresh line, parsed to compare as a dict
+
+
+@pytest.mark.parametrize("fmt", ["csv", "pretty"])
+def test_search_writes_csv_and_pretty_lines_without_a_record(fmt, monkeypatch, tmp_path, capsys):
+    # each line is read off the certificate; no record is written or parsed
+    want = tmp_path / "want.txt"
+    assert main(["search", "--mode", "infinite", "--max-param", "120", "--workers", "1",
+                 "--format", fmt, "--out", str(want)]) == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a record was written or parsed")
+    monkeypatch.setattr(cli, "certificate_to_jsonl", refuse)
+    monkeypatch.setattr(json, "loads", refuse)
+    got = tmp_path / "got.txt"
+    assert main(["search", "--mode", "infinite", "--max-param", "120", "--workers", "1",
+                 "--format", fmt, "--out", str(got)]) == 0
+    capsys.readouterr()
+    assert got.read_bytes() == want.read_bytes()
+    assert len(got.read_text().splitlines()) > 5
+
+
 def test_first_difference_walks_objects_and_lists():
     stored = {"a": [1, {"b": 2}], "c": 3}
     assert cli._first_difference(stored, stored) is None
@@ -530,7 +589,7 @@ def test_registry_looks_each_certifier_up_by_name(mode, name, s, t, p, monkeypat
         return real(*args)
 
     monkeypatch.setattr(cli, name, spy)
-    line = cli.certify_candidate((mode, p, 1, s, t))
+    line = cli.certify_candidate((mode, p, 1, s, t, "jsonl"))
     argv = ["verify", "--mode", mode, "--s", str(s), "--t", str(t)]
     rc, out, _ = run(capsys, *argv, *(["--p", str(p)] if p else []))
     assert rc == 0 and out.splitlines()[-1] == line
@@ -828,14 +887,41 @@ def test_heights_usage_errors(argv, capsys):
 
 
 def test_heights_refuses_a_doubling_past_the_bit_budget(monkeypatch, capsys):
-    # the real budget refuses (2, 75) at its tenth doubling, after about 5 s
+    # the real budget refuses (2, 75) at its tenth doubling; the proven
+    # lower bound on h(2^k P) refuses before the doublings in between
     monkeypatch.setattr(heights, "_X_BITS_BUDGET", 5000)
     rc, out, _ = run(capsys, "heights", "--s", "2", "--t", "75", "--iterations", "600")
     assert rc == 1
     assert out == (
         "REFUSED at check 'height-digit-budget': "
-        "x(2^5 P) could reach 6421 bits, past the budget of 5000\n"
+        "the doubling to x(2^6 P) could pass the budget of 5000 bits: by the height "
+        "gaps and hhat(2^k P) = 4^k hhat(P), x(2^5 P) has more than 2873.758 bits\n"
     )
+
+
+def test_heights_refuses_the_next_doubling_by_its_own_bound(monkeypatch, capsys):
+    # where the lower bound does not reach the budget, the bound of the
+    # next doubling refuses it just before it starts
+    monkeypatch.setattr(heights, "_X_BITS_BUDGET", 6250)
+    rc, out, _ = run(capsys, "heights", "--s", "2", "--t", "75", "--iterations", "5")
+    assert rc == 1
+    assert out == (
+        "REFUSED at check 'height-digit-budget': "
+        "x(2^5 P) could reach 6421 bits, past the budget of 6250\n"
+    )
+
+
+def test_heights_2_75_at_40_iterations_refuses_after_one_doubling(capsys, monkeypatch):
+    # the tenth doubling would pass 2^21 bits; a check of each bound just
+    # before its doubling let nine doublings (about 5 s) run first
+    done = []
+    real = heights._x_double
+    monkeypatch.setattr(heights, "_x_double", lambda a, u, w: done.append(1) or real(a, u, w))
+    rc, out, _ = run(capsys, "heights", "--s", "2", "--t", "75", "--iterations", "40")
+    assert rc == 1
+    assert out.startswith("REFUSED at check 'height-digit-budget': "
+                          "the doubling to x(2^10 P) could pass")
+    assert len(done) == 1
 
 
 @pytest.mark.parametrize("s,t", [("1", "0"), ("0", "1")])

@@ -18,6 +18,9 @@ for the subjects of ``golden_records.jsonl``, in order, and
 search streams (and a final checkpoint); both were recorded before each
 witness was built in its record form, so the ledger text and the streams
 are pinned against that earlier code, not only against themselves.
+``FORMAT_SHA256`` pins the ``--format csv`` and ``--format pretty``
+output the same way, recorded before those lines were read off the
+certificate instead of its parsed record.
 """
 
 import hashlib
@@ -43,6 +46,22 @@ SEARCH_SHA256 = {
     ("--mode", "infinite", "--p", "5", "--max-param", "300", "--checkpoint"): (
         "8d8a2c7bc27a0d634f5c26536a56b23a4d6b624b46a09c993398b898e26ed225",
         "555f761c0b6b5d46f86be6b046e3ec8f8d194bbbbc0d760cb56e965b755c2f73"),
+}
+
+
+#: search arguments -> sha256 of the ``--format csv`` and ``--format
+#: pretty`` output, recorded while each line was still read back from its
+#: JSON record; the same at one and two workers
+FORMAT_SHA256 = {
+    ("--mode", "main", "--p", "5", "--max-param", "60"): (
+        "878bcf5c410eec344ec0cd7d923b9308ce379a7d240bfbdbbdc89cb6d77c08ec",
+        "2c57dd4fccabdc156b348dc32fda578af2c8f57c99bd17583c9bac6c67f300f1"),
+    ("--mode", "infinite", "--p", "5", "--max-param", "300"): (
+        "e478339d6e0c61a8c5184049ab79627cb4572d0a5aa2c133a948efc7662e970a",
+        "c33a934bf951926ae1ae33dec5c4c4d79add10c6aa92a2162a89f91157fbf88c"),
+    ("--mode", "square_subfamily", "--p", "5", "--max-param", "120"): (
+        "2dc866a8df8fde452fe8941891293f6809d5282886d415cda2eaff54e898093c",
+        "4793f40f3f30526eab2843ca60a133d8ac6ccb098096876bceebd2de582470e6"),
 }
 
 
@@ -111,6 +130,18 @@ def test_search_streams_match_their_recorded_digests(args, workers, tmp_path, ca
     assert hashlib.sha256(out.read_bytes()).hexdigest() == stream_sha
     if checkpoint_sha is not None:
         assert hashlib.sha256(ck.read_bytes()).hexdigest() == checkpoint_sha
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("fmt", ["csv", "pretty"])
+@pytest.mark.parametrize("args", list(FORMAT_SHA256), ids=lambda a: a[1])
+def test_csv_and_pretty_match_their_recorded_digests(args, fmt, workers, tmp_path, capsys):
+    out = tmp_path / "out.txt"
+    argv = ["search", *args, "--format", fmt, "--workers", workers, "--out", str(out)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    want = FORMAT_SHA256[args][fmt == "pretty"]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == want
 
 
 @pytest.mark.parametrize(

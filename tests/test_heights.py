@@ -1,13 +1,17 @@
 """Directed-rounding height enclosures: every bound is checked against a
 higher-precision recomputation or an exact identity."""
 
+import hashlib
+import json
 import math
 import random
 from decimal import ROUND_FLOOR, Decimal, getcontext, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from ellcert import cli
 from ellcert import heights as heights_module
 from ellcert.arith import _iroot
 from ellcert.curve import INFINITY, base_point, curve_from_a, make_family, point, smul
@@ -118,22 +122,89 @@ class _NinthDoubling(Exception):
     pass
 
 
-def test_the_bit_budget_lets_2_75_double_nine_times(monkeypatch):
-    # 8 doublings reach 410,604 bits; the budget must let the ninth start
+def _count_doublings(monkeypatch, stop_at=None) -> list:
+    """Count the doublings; raise _NinthDoubling with the bits of x at the
+    doubling numbered ``stop_at``, before it runs."""
     done = []
     real = heights_module._x_double
 
     def doubling(a, u, w):
-        if len(done) == 8:
+        if len(done) == stop_at:
             raise _NinthDoubling(max(abs(u), w).bit_length())
         done.append(1)
         return real(a, u, w)
 
     monkeypatch.setattr(heights_module, "_x_double", doubling)
+    return done
+
+
+def test_the_bit_budget_lets_2_75_double_nine_times(monkeypatch):
+    # 8 doublings reach 410,604 bits; the budget must let the ninth start
+    _count_doublings(monkeypatch, stop_at=8)
     c = make_family(2, 75)
     with pytest.raises(_NinthDoubling) as reached:
-        x_multiple_reduced(c, base_point(c), 40)
+        x_multiple_reduced(c, base_point(c), 9)
     assert reached.value.args == (410604,)
+
+
+@pytest.mark.parametrize("doublings", [10, 40, 10**6])
+def test_the_bit_budget_refuses_2_75_before_the_doublings_it_would_discard(
+        doublings, monkeypatch):
+    # the tenth doubling would pass 2^21 bits; the proven lower bound on
+    # h(2^k P) says so after one doubling, not after nine
+    done = _count_doublings(monkeypatch)
+    c = make_family(2, 75)
+    with pytest.raises(PreconditionFailure) as err:
+        x_multiple_reduced(c, base_point(c), doublings)
+    assert err.value.reason == "height-digit-budget"
+    assert err.value.detail.startswith("the doubling to x(2^10 P) could pass")
+    assert len(done) == 1
+
+
+def _x_multiple_stepwise(c, pt, doublings):
+    """``x_multiple_reduced`` before the early refusal, which checked each
+    doubling's bound only just before that doubling: the oracle."""
+    u, w = pt.x.numerator, pt.x.denominator
+    a_bits = abs(c.a).bit_length()
+    for k in range(1, doublings + 1):
+        bound = 2 * max(2 * abs(u).bit_length(), a_bits + 2 * w.bit_length()) + 3
+        if bound > heights_module._X_BITS_BUDGET:
+            raise PreconditionFailure(
+                "height-digit-budget",
+                f"x(2^{k} P) could reach {bound} bits, past the budget of "
+                f"{heights_module._X_BITS_BUDGET}",
+            )
+        u, w = heights_module._x_double(c.a, u, w)
+    return u, w
+
+
+def _heights_outcome(s, t, iterations, capsys):
+    """The ``heights`` report, or the reason of its refusal."""
+    rc = cli.main(["heights", "--s", str(s), "--t", str(t), "--iterations", str(iterations)])
+    out = capsys.readouterr().out
+    return (rc, out) if rc == 0 else (rc, out.split("': ")[0])
+
+
+_HEIGHTS_GRID = [(s, t) for s in (1, 2, 3) for t in (1, 2, 3, 5, 75)] + [
+    (-2, 3), (1, -4), (6, 1), (1, 0)]
+
+
+@pytest.mark.parametrize("budget", [1 << 10, 1 << 12, 1 << 14, 1 << 16])
+def test_the_early_refusal_gives_the_stepwise_outcome(budget, monkeypatch, capsys):
+    monkeypatch.setattr(heights_module, "_X_BITS_BUDGET", budget)
+    early = 0
+    for s, t in _HEIGHTS_GRID:
+        for iterations in range(1, 13):
+            got = _heights_outcome(s, t, iterations, capsys)
+            with monkeypatch.context() as m:
+                m.setattr(heights_module, "x_multiple_reduced", _x_multiple_stepwise)
+                assert _heights_outcome(s, t, iterations, capsys) == got, (s, t, iterations)
+            try:
+                x_multiple_reduced(make_family(s, t), base_point(make_family(s, t)),
+                                   iterations)
+            except PreconditionFailure as exc:
+                early += exc.detail.startswith("the doubling")
+    assert early > 20
 
 
 def test_canonical_height_nesting_and_width():
@@ -483,3 +554,54 @@ def test_undecided_rounding_falls_back_to_the_direct_calls(monkeypatch, direct_l
     direct_logs.clear()
     assert [ln_ell_lo_and_delta_hi(ell) for ell in ints] == want_pair
     assert direct_logs == [n for ell in ints for n in (ell, 64 * ell**3)]
+
+
+#: "s,t,iterations" -> sha256 of the ``heights`` report, or the refusal up
+#: to its reason, recorded at the real budget from the stepwise check
+HEIGHTS_GRID = json.loads(
+    (Path(__file__).parent / "data" / "heights_grid.json").read_text(encoding="utf-8"))
+
+
+def test_heights_grid_matches_the_recorded_outcomes(capsys):
+    # a report past 7 doublings takes from 0.1 s to 6 s, so those are left out
+    refused = 0
+    for key, want in HEIGHTS_GRID.items():
+        s, t, iterations = map(int, key.split(","))
+        if iterations > 7 and not want.startswith("REFUSED"):
+            continue
+        rc, out = _heights_outcome(s, t, iterations, capsys)
+        assert (out if rc else hashlib.sha256(out.encode()).hexdigest()) == want, key
+        refused += rc
+    assert refused == 40
+
+
+def _bits_after(height: int, m: int, gaps) -> Decimal:
+    """2 (4^m (ln(H')/2 - lower_gap) - upper_gap) / ln 2 at 60 digits, with
+    H' = 2^(bit_length(H) - 1): the lower bound on log2 max(|u|, w) of
+    x(2^m Q) that ``_first_doubling_past_budget`` rounds down."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        ln2 = Decimal(2).ln()
+        half_h = (height.bit_length() - 1) * ln2 / 2
+        return 2 * (4**m * (half_h - Decimal(gaps.lower_gap)) - Decimal(gaps.upper_gap)) / ln2
+
+
+@pytest.mark.parametrize("budget", [5000, 1 << 21])
+def test_the_doubling_lower_bound_is_the_height_gap_formula_rounded_down(budget, monkeypatch):
+    monkeypatch.setattr(heights_module, "_X_BITS_BUDGET", budget)
+    found = 0
+    for s, t in ((1, 2), (2, 75), (3, 5)):
+        gaps = silverman_gaps(make_family(s, t))
+        for height in (5, 2**20 + 1, 3**200, 7**1000):
+            for ahead in (1, 3, 12):
+                exact = [_bits_after(height, m, gaps) for m in range(1, ahead + 1)]
+                past = [m for m, bits in enumerate(exact, 1) if 4 * bits > budget - 3]
+                got = heights_module._first_doubling_past_budget(height, ahead, gaps)
+                if not past:
+                    assert got is None, (s, t, height, ahead)
+                    continue
+                m, bits = got
+                assert m == past[0], (s, t, height, ahead)
+                assert exact[m - 1] * (1 - Decimal("1e-12")) <= Decimal(bits) <= exact[m - 1]
+                found += 1
+    assert found > 5

@@ -7,7 +7,7 @@ import pytest
 
 from divpoly_oracle import vp_rational
 from ellcert import localcond
-from ellcert.certify import certify_divisibility
+from ellcert.certify import certificate_to_dict, certify_divisibility
 from ellcert.curve import base_point, make_family, smul
 from ellcert.errors import PreconditionFailure
 from ellcert.localcond import check_local
@@ -106,9 +106,9 @@ def test_every_field_reaches_the_ledger():
     cert = certify_divisibility(2, 25, 5, 1)
     local = check_local(make_family(2, 25), 5, 1)
     witnesses = {}
-    for ch in cert.checks:
-        if ch.name in ("parameter-depth", "kernel-filtration-depth"):
-            witnesses.update(ch.witness)
+    for ch in certificate_to_dict(cert)["checks"]:
+        if ch["name"] in ("parameter-depth", "kernel-filtration-depth"):
+            witnesses.update(ch["witness"])
     # witnesses are in record form: integers as decimal strings
     for field in local._fields:
         assert witnesses[field] == str(getattr(local, field)), field

@@ -34,6 +34,8 @@ ALLOWED = {
     ("arith", "factorize"): "factoring oracle; the benchmark tracer binds it",
     ("certify", "certificate_from_dict"): (
         "parse oracle of the record round trip; the benchmark tracer binds it"),
+    ("certify", "__setattr__"): (
+        "Check's write guard: a declared check is shared by every certificate"),
     # the public, checked entry points of the descent, whose unchecked
     # cores (_torsors, _soluble_at) the certifiers call directly
     ("descent", "make_torsors"): "descent oracle: checks that ell is prime",
