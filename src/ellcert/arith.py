@@ -181,8 +181,15 @@ def _iroot(n: int, k: int) -> int:
         x = y
 
 
-def kth_power_free(n: int, k: int) -> bool:
+def kth_power_free(n: int, k: int, step: int = 2) -> bool:
     """True when no prime q has q^k dividing n.  Sign of n is ignored.
+
+    After 2, the trial divisors are 1 + step, 1 + 2 step, ...: every odd
+    number for the default step.  A caller that knows every odd prime
+    factor of n to be 1 mod 4 may pass step 4, about half the divisions;
+    ``certify.member`` does, for n = s^4 + t^2 with s, t coprime.  A
+    composite trial divisor never divides what is left, as its prime
+    factors are smaller and already divided out.
 
     Trial division stops at B = floor(m^(1/(k+1))), where m is what is
     left of |n| once the primes found so far are divided out (B shrinks
@@ -209,7 +216,7 @@ def kth_power_free(n: int, k: int) -> bool:
             if v >= k:
                 return False
             bound = _iroot(n, k + 1)
-        q += 1 if q == 2 else 2
+        q = q + step if q > 2 else 1 + step
     return n == 1 or _iroot(n, k) ** k != n
 
 

@@ -85,14 +85,19 @@ class Member(NamedTuple):
 
 
 def member(s: int, t: int) -> Member:
-    """The member for (s, t); (0, 0) raises ValueError, as make_family does."""
+    """The member for (s, t); (0, 0) raises ValueError, as make_family does.
+
+    For coprime s, t an odd prime q dividing ell divides neither s nor t, so
+    (t / s^2)^2 is -1 mod q and q is 1 mod 4; the fourth-power test then
+    tries only 2 and 5, 9, 13, ... (``kth_power_free`` with step 4).
+    """
     c = make_family(s, t)
     return Member(
         s=s,
         t=t,
         ell=c.ell,
         curve=c,
-        fourth_power_free=kth_power_free(c.ell, 4),
+        fourth_power_free=kth_power_free(c.ell, 4, 4 if math.gcd(s, t) == 1 else 2),
         ell_is_square=is_square(c.ell),
     )
 

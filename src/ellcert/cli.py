@@ -11,10 +11,12 @@ the last two read off the certificate, with no record written or
 parsed); lines are written and flushed one at a time, and nothing is
 buffered.
 
-``verify --file`` compares each stored line with the fresh record's line
-first, and parses and compares the two as dicts only when the texts
-differ, so a record stored with another key order or spacing still
-verifies, and a MISMATCH names the first differing field.
+``verify --file`` reads only the theorem and subject from the fixed head
+of each stored line, and compares the line with the fresh record's line
+first.  It parses the whole line, and compares the two as dicts, only
+when the texts differ or before any outcome but ok, so a record stored
+with another key order or spacing still verifies, a MISMATCH names the
+first differing field, and a line that is no record is named as such.
 
 Start-up is kept lean, since ``verify --file`` and short searches pay it
 on every invocation: the process pool (and the multiprocessing machinery
@@ -468,6 +470,62 @@ def _first_difference(stored, fresh, path: str = "") -> str | None:
     return None if stored == fresh else path
 
 
+#: The head of a written record, up to its subject, for each theorem.
+_RECORD_HEADS = {
+    f'{{"schema":"{SCHEMA_VERSION}","theorem":"{t}","subject":': t for t in RECORD_MODES}
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _head_task(raw: str) -> tuple[str, int, int, int | None, int | None] | None:
+    """``_record_task`` of a line that begins as a written record does, read
+    from its theorem and subject alone, or None where the head is another
+    shape or names no task.  The rest of the line is not parsed: a caller
+    trusts this only when the fresh record's line equals ``raw``."""
+    end = raw.find(',"subject":') + len(',"subject":')
+    theorem = _RECORD_HEADS.get(raw[:end])
+    try:
+        return theorem and _record_task(
+            {"schema": SCHEMA_VERSION, "theorem": theorem, "subject": _raw_decode(raw, end)[0]})
+    except ValueError:  # JSONDecodeError included
+        return None
+
+
+def _recompute(task) -> tuple:
+    """The fresh certificate for a record task and its line, or the refusal
+    it ends in and None."""
+    try:
+        cert = THEOREMS[task[0]].certify(*task[1:])
+    except PreconditionFailure as exc:
+        return exc, None
+    return cert, certificate_to_jsonl(cert)
+
+
+def _check_line(raw: str) -> tuple[bool, str]:
+    """Whether a stored line re-verifies, and what ``verify --file`` says
+    of it.  A line the fresh record writes again is ok, whatever its head
+    would parse to in full; any other outcome parses the line first."""
+    head = _head_task(raw)
+    fresh, line = _recompute(head) if head else (None, None)
+    if line != raw:
+        try:
+            stored = json.loads(raw)
+            task = _record_task(stored)
+        except ValueError as exc:  # JSONDecodeError included
+            return False, f"not a certificate record ({exc})"
+        if task is None:
+            return False, f"unknown theorem {stored.get('theorem')}"
+        if task != head:
+            fresh, line = _recompute(task)
+        if line is None:
+            return False, f"REFUSED at check '{fresh.reason}'"
+        # a record stored with another key order or spacing still matches
+        # as a dict
+        where = _first_difference(stored, json.loads(line))
+        if where is not None:
+            return False, f"MISMATCH for subject {stored.get('subject')} at {where}"
+    return True, f"ok {fresh.conclusion}"
+
+
 def _verify_file(args) -> int:
     bad = 0
     total = 0
@@ -482,35 +540,10 @@ def _verify_file(args) -> int:
             if not raw:
                 continue
             total += 1
-            try:
-                stored = json.loads(raw)
-                task = _record_task(stored)
-            except ValueError as exc:  # JSONDecodeError included
-                print(f"line {lineno}: not a certificate record ({exc})")
-                bad += 1
-                continue
-            if task is None:
-                print(f"line {lineno}: unknown theorem {stored.get('theorem')}")
-                bad += 1
-                continue
-            mode, s, t, p, n = task
-            theorem = THEOREMS[mode]
-            try:
-                fresh = theorem.certify(s, t, p, n)
-            except PreconditionFailure as exc:
-                print(f"line {lineno}: REFUSED at check '{exc.reason}'")
-                bad += 1
-                continue
-            # a record stored with another key order or spacing still
-            # matches as a dict
-            line = certificate_to_jsonl(fresh)
-            where = None if line == raw else _first_difference(stored, json.loads(line))
-            if where is not None:
-                print(f"line {lineno}: MISMATCH for subject "
-                      f"{stored.get('subject')} at {where}")
-                bad += 1
-            elif args.verbose:
-                print(f"line {lineno}: ok {fresh.conclusion}")
+            ok, said = _check_line(raw)
+            bad += not ok
+            if not ok or args.verbose:
+                print(f"line {lineno}: {said}")
     print(f"{total - bad}/{total} certificates verified")
     return 0 if bad == 0 and total > 0 else 1
 

@@ -9,12 +9,13 @@ enclosure: lo <= exact value <= hi.
 The primitivity bound needs ln s^2 (for h(P)), ln l (for the height
 floor) and ln(64 l^3) (for the Silverman gap) of one member.
 ``ln_square_hi`` and ``ln_ell_lo_and_delta_hi`` take them from enclosures
-of ln s and ln l in integers (``_ln_fixed``: 192 fractional bits, a
-32-entry table of ln(1 + j/32) and an atanh series; no Decimal), and
-``_fixed_log_bounds`` rounds each to exactly the floats of the direct
-``log_int_bounds`` call, which answers instead in the rare case where
-the rounding cannot be proved.  ``LOG2_BOUNDS`` and ``LOG1728_HI`` come
-the same way.  So a certificate takes no Decimal logarithm, and a
+of ln s and ln l in integers (``_ln_fixed``: 96 fractional bits, a
+32-entry table of ln(1 + j/32) and an atanh series; no Decimal).
+``_lo_float`` and ``_hi_float`` round each enclosure straight to the float
+the direct ``log_int_bounds`` call gives, when every real in it rounds to
+that one float; in the rare case where the enclosure does not decide it,
+``log_int_bounds`` itself answers.  ``LOG2_BOUNDS`` and ``LOG1728_HI``
+come the same way.  So a certificate takes no Decimal logarithm, and a
 certificate run never imports ``decimal``: the two functions that take
 Decimal logarithms, for the ``heights`` report and that fallback, import
 it themselves.
@@ -106,86 +107,82 @@ def log_int_bounds(n: int) -> tuple[float, float]:
     return _dn(float(lo_d)), _up(float(hi_d))
 
 
-# ``ln_ell_lo_and_delta_hi`` encloses ln l in integers, in units of 2^-192.
-_FIX_BITS = 192
+# ``_ln_fixed`` encloses ln n in integers, in units of 2^-96.
+_FIX_BITS = 96
+_FIX_ULP = 2.0**-_FIX_BITS
 _TOP_BITS = 5
-_SERIES_TERMS = 16
-#: floor(2^192 ln 2) and floor(2^192 ln(1 + j/32)) for j = 0, ..., 31;
-#: the tests recompute every one from a 110-digit Decimal logarithm.
-_LN2_FIX = 4350955369971217654477563090224794165364344896676135745069
+_SERIES_TERMS = 8
+#: floor(2^96 ln 2) and floor(2^96 ln(1 + j/32)) for j = 0, ..., 31;
+#: the tests recompute every one from a 60-digit Decimal logarithm.
+_LN2_FIX = 54916777467707473351141471128
 _LN_TOP_FIX = (
     0,
-    193156832017806172569184991440241400587329761400486845137,
-    380546918811104376948409517351555779880567136396458141078,
-    562504636822781724746974659147897110967624917848875327267,
-    739336097517795880505266504821725180218627987938932619607,
-    911322245941823921694171919304168826587249453828500224941,
-    1078721545980979560918563104604714200081958947766431639089,
-    1241772316760400167972089821153800047967953210504272832839,
-    1400694773194772906941746467053012168950389224798956667313,
-    1555692814537024858550757519260542110543066082228275282299,
-    1706955597372515585296642989618144614808722135357452842292,
-    1854658923500556878000015282141744838969241245145975837203,
-    1998966468244517059555333284141775893160188215769088407868,
-    2140030870712568787447012971874737349169017212737889286921,
-    2277994704218894841745712647957536130356004575474584344507,
-    2412991342332987465407400334876609798871408894923205092127,
-    2545145733744506767491414797523259672791486442307534182338,
-    2674575097227235290088019474414564049398816282775973064977,
-    2801389546389545813883492934106024337900778449597913334626,
-    2925692652555611144439824314874815452672053578703992323417,
-    3047581952987111054958238113855334540540811664872874395569,
-    3167149410693641215435206521619016778582672106099722401950,
-    3284481831262302647996681302344984853010114430246466801946,
-    3399661241439289966497079751194788062110577440568045075182,
-    3512765233599226472282791282319679107381580589726054405023,
-    3623867279725486328409977902127973872873445390073965821428,
-    3733037018083559048254539972441640677572818328213184428689,
-    3840340515388673760875937134177120424947380917225056711264,
-    3945840506939279674433161264576271841741875667106490849652,
-    4049596616901953953675664927369602499555574508256238233412,
-    4151665560684497459373085265267378978866639598822849360670,
-    4252101331117022352788057787141404287600208577664987024631,
+    2437981973683031897270060273,
+    4803177389638314950708738231,
+    7099806671920577301408496109,
+    9331733490407339481906020321,
+    11502503870107404337692598787,
+    13615380083903437530024121358,
+    15673370142048036580898171505,
+    17679253547532294036705525221,
+    19635603870744017016491661423,
+    21544808603445689681226716612,
+    23409086676302025342222363156,
+    25230503962333098831887785676,
+    27010987037939633518611545543,
+    28752335431340614804114067435,
+    30456232553652238021229151296,
+    32124255479057406416523745725,
+    33757883716484039880547412902,
+    35358507095064588073411050443,
+    36927432868695721367232483956,
+    38465892130698103515515896908,
+    39975045617439678339513773047,
+    41455988969464745898429766046,
+    42909757509865392868593310898,
+    44337330592095756615844442015,
+    45739635562960843946547867083,
+    47117551380943088119399649195,
+    48471911925222979207299269046,
+    49803509026589700453229270947,
+    51113095247827557626490273079,
+    52401386438023554980861278381,
+    53669064082503096097750462337,
 )
-#: Units of 2^-192, beyond one per power of 2, that ``_ln_fixed`` may lose.
-_LN_FIX_ERR = 68
-_DEC_LIMIT = 10**_DEC_PREC
+#: Units of 2^-96, beyond one per power of 2, that ``_ln_fixed`` may lose.
+_LN_FIX_ERR = 36
 
 
-def _ln_fixed(ell: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Integer enclosures [lo, hi] of 2^192 ln ell and 2^192 ln(64 ell^3),
-    ell >= 2.
+def _ln_fixed(n: int) -> tuple[int, int]:
+    """Integer enclosure [a, a + e + ``_LN_FIX_ERR``] of 2^96 ln n, n >= 2,
+    with e and a as below.
 
-    The first is [a, a + e + ``_LN_FIX_ERR``] for the a below, and the
-    second follows from ln(64 ell^3) = 3 ln ell + 6 ln 2, its upper end
-    raised by 6 as 6 L2 falls short of 6 S ln 2 by less than that.
-
-    Let S = 2^192 and write ell = 2^e m with m in [1, 2).  Take M =
+    Let S = 2^96 and write n = 2^e m with m in [1, 2).  Take M =
     floor(S m), its top five bits after the point as c = 1 + j/32, C = S c
-    and z = (M - C) / (M + C).  Then ln ell = e ln 2 + ln c + 2 atanh z
+    and z = (M - C) / (M + C).  Then ln n = e ln 2 + ln c + 2 atanh z
     + ln(S m / M) and a = e L2 + L_j + 2 sigma, with L2 and L_j the floors
     in ``_LN2_FIX`` and ``_LN_TOP_FIX`` and sigma the series below.  So
-    S ln ell - a is a sum of four shortfalls, none negative:
+    S ln n - a is a sum of four shortfalls, none negative:
 
     * S e ln 2 - e L2 < e and S ln c - L_j < 1, as L2 and L_j are floors;
     * S ln(S m / M) < S (S m - M) / M < 1, as M >= S; it is 0 for
-      e <= 192, where M = S m;
-    * 2 (S atanh z - sigma) < 66.  Here 0 <= z < 2^-6, as M - C < S/32 and
-      M + C >= 2S.  sigma sums floor(P_k / (2k + 1)) over k = 0..15 with
+      e <= 96, where M = S m;
+    * 2 (S atanh z - sigma) < 34.  Here 0 <= z < 2^-6, as M - C < S/32 and
+      M + C >= 2S.  sigma sums floor(P_k / (2k + 1)) over k = 0..7 with
       P_0 = Z = floor(S z), Z2 = floor(Z^2 / S) and P_k =
       floor(P_(k-1) Z2 / S).  Each floor of nonnegative numbers rounds
       down, so P_k <= p_k = S z^(2k+1) and sigma <= S atanh z.  From
       S z^2 - Z2 < 1 + 2z, d_k = p_k - P_k obeys d_0 < 1 and d_k < 1 +
       z^(2k-1) (1 + 2z) + z^2 d_(k-1), so d_k < 2 for every k.  Term k of
       sigma is then short of p_k / (2k + 1) by at most (d_k + 2k) / (2k + 1)
-      < 2, and the tail beyond k = 15 sums below S z^33 / (33 (1 - z^2))
-      < 1, so S atanh z - sigma < 33.
+      < 2, and the tail beyond k = 7 sums below S z^17 / (17 (1 - z^2))
+      < 1, so S atanh z - sigma < 8 * 2 + 1 = 17.
 
-    Adding up, 0 <= S ln ell - a < e + 68.  The loop stops early once a
+    Adding up, 0 <= S ln n - a < e + 36.  The loop stops early once a
     P_k is 0, which changes nothing, as every later term is 0 too.
     """
-    e = ell.bit_length() - 1
-    m = ell << (_FIX_BITS - e) if e <= _FIX_BITS else ell >> (e - _FIX_BITS)
+    e = n.bit_length() - 1
+    m = n << (_FIX_BITS - e) if e <= _FIX_BITS else n >> (e - _FIX_BITS)
     top = m >> (_FIX_BITS - _TOP_BITS)
     c = top << (_FIX_BITS - _TOP_BITS)
     z = ((m - c) << _FIX_BITS) // (m + c)
@@ -197,70 +194,57 @@ def _ln_fixed(ell: int) -> tuple[tuple[int, int], tuple[int, int]]:
             break
         sigma += p // d
     a = e * _LN2_FIX + _LN_TOP_FIX[top - (1 << _TOP_BITS)] + 2 * sigma
-    hi = a + e + _LN_FIX_ERR
-    return (a, hi), (3 * a + 6 * _LN2_FIX, 3 * hi + 6 * _LN2_FIX + 6)
+    return a, a + e + _LN_FIX_ERR
 
 
-def _round_to_dec_prec(lo: int, hi: int) -> tuple[int, int] | None:
-    """``(n, k)`` such that n 10^-k, with n of 50 digits, is the 50-digit
-    nearest rounding of every real in [lo, hi] 2^-192, or None.  Needs
-    lo 2^-192 >= 0.1.
+def _lo_float(lo: int, hi: int) -> float | None:
+    """``log_int_bounds(n)[0]``, the float bit for bit, from an enclosure
+    [lo, hi] 2^-96 of ln n with n >= 2 of at most ``_DIRECT_LN_BITS`` bits;
+    None when the enclosure does not decide it.
 
-    Nearest rounding is monotone, so when both ends round to one value, so
-    does a logarithm that the enclosure holds, and that value is the
-    correctly rounded 50-digit ln that ``dec_ln_bounds`` starts from.  The
-    ln of an integer >= 2 is irrational, so it is never a tie and the ends'
-    tie rule (half up) does not matter.  Otherwise a rounding boundary lies
-    within the enclosure and the caller must take the direct logarithm.
+    ``log_int_bounds`` rounds v - u to the nearest float and nudges it down,
+    where v is the correctly rounded 50-digit ln n and u its last digit's
+    unit: |v - ln n| <= u/2, and u <= 10^-46 as ln n < 10^4, so 3u/2 <
+    2^-96 and v - u lies in ((lo - 1) 2^-96, hi 2^-96).  Rounding to
+    nearest (ties to even, in ``float(Decimal)`` and ``float(int)`` alike)
+    is monotone, so when both ends round to one float D, so does v - u.
+    ``float(int)`` rounds correctly and 2^-96 scales exactly, so the test
+    compares the integers' floats (Ziv's rounding test, ACM TOMS 17(3),
+    1991).
     """
-    whole = lo >> _FIX_BITS
-    k = _DEC_PREC - len(str(whole)) if whole else _DEC_PREC
-    scale = 10**k
-    half = 1 << (_FIX_BITS - 1)
-    n = (lo * scale + half) >> _FIX_BITS
-    if n != (hi * scale + half) >> _FIX_BITS or n >= _DEC_LIMIT:
-        return None
-    return n, k
+    d = float(hi)
+    return _dn(d * _FIX_ULP) if float(lo - 1) == d else None
 
 
-def _fixed_log_bounds(lo: int, hi: int) -> tuple[float, float] | None:
-    """``log_int_bounds(n)`` from an enclosure [lo, hi] 2^-192 of ln n, the
-    floats bit for bit, or None when its ends round apart.
-
-    Both ends must round to one 50-digit value n 10^-k (see
-    ``_round_to_dec_prec``), the ``dec_ln_bounds`` centre.  Its one-ulp pad
-    (n -+ 1) 10^-k becomes a float by integer true division, correctly
-    rounded like ``float(Decimal)``, and gets the same two-ulp nudge.
-    """
-    centre = _round_to_dec_prec(lo, hi)
-    if centre is None:
-        return None
-    n, k = centre
-    scale = 10**k
-    return _dn((n - 1) / scale), _up((n + 1) / scale)
+def _hi_float(lo: int, hi: int) -> float | None:
+    """``log_int_bounds(n)[1]`` as ``_lo_float`` gives the lower end: v + u
+    lies in (lo 2^-96, (hi + 1) 2^-96)."""
+    d = float(lo)
+    return _up(d * _FIX_ULP) if float(hi + 1) == d else None
 
 
 #: ``log_int_bounds(2)``, and the upper end of ``log_int_bounds(1728)``,
 #: an upper bound of h(j) = ln 1728 for the j-invariant of every member.
-LOG2_BOUNDS = _fixed_log_bounds(*_ln_fixed(2)[0])
-LOG1728_HI = _fixed_log_bounds(*_ln_fixed(1728)[0])[1]
+LOG2_BOUNDS = _lo_float(*_ln_fixed(2)), _hi_float(*_ln_fixed(2))
+LOG1728_HI = _hi_float(*_ln_fixed(1728))
 
 
 def ln_ell_lo_and_delta_hi(ell: int) -> tuple[float, float]:
     """``(log_int_bounds(ell)[0], log_int_bounds(64 * ell**3)[1])``, the floats
     bit for bit, from one fixed-point ln of ell in place of two Decimal logs.
 
-    ``_ln_fixed`` encloses 2^192 ln ell and 2^192 ln(64 ell^3) in
-    integers, and ``_fixed_log_bounds`` rounds each.  If either is
-    undecided, and for ell < 2 or a 64 ell^3 that ``log_int_bounds`` would
-    truncate, the two direct calls answer.
+    ``_ln_fixed`` encloses 2^96 ln ell as [lo, hi], so 2^96 ln(64 ell^3) =
+    3 (2^96 ln ell) + 6 (2^96 ln 2) lies in [3 lo + 6 L2, 3 hi + 6 L2 + 6],
+    as 6 L2 falls short of 6 S ln 2 by less than 6.  Only the two ends
+    returned are rounded.  If either is undecided, and for ell < 2 or a
+    64 ell^3 that ``log_int_bounds`` would truncate, the two direct calls
+    answer.
     """
     if ell >= 2 and (64 * ell**3).bit_length() <= _DIRECT_LN_BITS:
-        ell_enc, delta_enc = _ln_fixed(ell)
-        ell_b = _fixed_log_bounds(*ell_enc)
-        delta_b = _fixed_log_bounds(*delta_enc)
-        if ell_b is not None and delta_b is not None:
-            return ell_b[0], delta_b[1]
+        lo, hi = _ln_fixed(ell)
+        pair = _lo_float(lo, hi), _hi_float(3 * lo + 6 * _LN2_FIX, 3 * hi + 6 * _LN2_FIX + 6)
+        if None not in pair:
+            return pair
     return log_int_bounds(ell)[0], log_int_bounds(64 * ell**3)[1]
 
 
@@ -268,26 +252,22 @@ def ln_square_hi(s: int) -> float:
     """``log_int_bounds(s * s)[1]``, the float bit for bit, for s >= 2.
 
     2 ln s is enclosed by twice ``_ln_fixed``'s enclosure of ln s and
-    rounded by ``_fixed_log_bounds``; if that is undecided, or s^2 is
-    wider than ``_DIRECT_LN_BITS``, the direct call answers.
+    rounded by ``_hi_float``; if that is undecided, or s^2 is wider than
+    ``_DIRECT_LN_BITS``, the direct call answers.
     """
     if (s * s).bit_length() <= _DIRECT_LN_BITS:
-        lo, hi = _ln_fixed(s)[0]
-        bounds = _fixed_log_bounds(2 * lo, 2 * hi)
-        if bounds is not None:
-            return bounds[1]
+        lo, hi = _ln_fixed(s)
+        bound = _hi_float(2 * lo, 2 * hi)
+        if bound is not None:
+            return bound
     return log_int_bounds(s * s)[1]
 
 
-def _x_height_int(pt: Point) -> int:
-    """max(|num|, den) of the x-coordinate."""
-    return max(abs(pt.x.numerator), pt.x.denominator)
-
-
 def naive_height_bounds(pt: PointLike) -> tuple[float, float]:
+    """Enclosure of ln max(|num|, den) of the x-coordinate; 0 at infinity."""
     if pt is INFINITY:
         return 0.0, 0.0
-    return log_int_bounds(_x_height_int(pt))
+    return log_int_bounds(max(abs(pt.x.numerator), pt.x.denominator))
 
 
 def naive_height(pt: PointLike) -> float:

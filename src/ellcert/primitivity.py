@@ -64,10 +64,11 @@ def certify_primitive(m: Member) -> float:
     keyed by s (bounded, so a long search cannot grow it without limit).
     ln l for the floor and h(Delta) = ln(64 l^3) for the gap come from one
     fixed-point logarithm of l (``heights.ln_ell_lo_and_delta_hi``).  Each
-    returns the very float the direct ``log_int_bounds`` call would, so
-    the ratio, and every record, is the same whatever the order in which
-    a process meets its s values, the worker count or a resumed run, and
-    a certificate takes no Decimal logarithm.
+    is rounded straight from its 96-bit integer enclosure to the very float
+    the direct ``log_int_bounds`` call would return, so the ratio, and
+    every record, is the same whatever the order in which a process meets
+    its s values, the worker count or a resumed run, and a certificate
+    takes no Decimal logarithm.
     """
     s, t, ell = m.s, m.t, m.ell
     if s < 1 or t < 1:

@@ -235,6 +235,21 @@ def test_kth_power_free_matches_the_full_scan():
             assert kth_power_free(n, k) == _kth_power_free_full_scan(n, k), (n, k)
 
 
+def test_step_four_is_the_full_test_for_coprime_family_parameters():
+    # for coprime s, t only 2 and primes 1 mod 4 divide s^4 + t^2
+    not_free = 0
+    for s in range(300):
+        for t in range(300):
+            if math.gcd(s, t) == 1:
+                ell = s**4 + t * t
+                free = kth_power_free(ell, 4)
+                assert kth_power_free(ell, 4, 4) == free, (s, t)
+                not_free += not free
+    assert not_free > 100
+    ell = 25000075**4 + 7**2  # the 30-digit member
+    assert kth_power_free(ell, 4, 4) is kth_power_free(ell, 4) is True
+
+
 @pytest.mark.parametrize(
     "n,free",
     [

@@ -327,6 +327,8 @@ def test_member_facts():
     assert m.curve == make_family(2, 25)
     assert m.fourth_power_free and not m.ell_is_square
     assert not member(1, 182).fourth_power_free  # 5^4 * 53
+    # 3 divides both parameters, so 3 mod 4 primes are tried too: 3^4 * 5
+    assert not member(3, 18).fourth_power_free
     assert member(2, 3).ell_is_square  # 25
 
 
@@ -375,9 +377,10 @@ def test_member_facts_are_worked_out_once(certify, args, curves, monkeypatch):
     fourth = _count_calls(monkeypatch, arith.kth_power_free)
     certify(*args)
     assert made == curves
-    # once for the member; the height floor trusts its verdict
+    # once for the member, with the coprime family's step; the height floor
+    # trusts its verdict
     ell = curves[0][0] ** 4 + curves[0][1] ** 2
-    assert fourth == [(ell, 4)]
+    assert fourth == [(ell, 4, 4)]
 
 
 def test_square_subfamily_counts_points_at_p_once(monkeypatch):

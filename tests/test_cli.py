@@ -444,7 +444,7 @@ def test_verify_file_parses_a_fresh_line_only_when_it_differs(monkeypatch, tmp_p
     monkeypatch.setattr(json, "loads", lambda text, **kw: parsed.append(text) or real(text, **kw))
     rc, _, _ = run(capsys, "verify", "--file", str(GOLDEN))
     assert rc == 0
-    assert parsed == lines  # the stored lines, and no fresh one
+    assert parsed == []  # each head is read alone; no line in full, no fresh one
     spaced = tmp_path / "spaced.jsonl"
     spaced.write_text(json.dumps(real(lines[0])) + "\n", encoding="utf-8")
     parsed.clear()
@@ -542,6 +542,27 @@ def test_verify_file_names_a_refused_line(tmp_path, capsys):
     assert rc == 1
     assert out.splitlines() == [
         "line 1: REFUSED at check 'insufficient-depth'",
+        "0/1 certificates verified",
+    ]
+
+
+@pytest.mark.parametrize("cut", [lambda line: line[:-1], lambda line: line + "]"],
+                         ids=["tail-cut-short", "tail-with-extra-data"])
+@pytest.mark.parametrize("t", ["25", "5"], ids=["valid-head", "refused-subject"])
+def test_verify_file_parses_a_broken_tail_before_any_outcome_but_ok(t, cut, tmp_path, capsys):
+    # the head alone names a task that certifies (t = 25) or is refused
+    # (t = 5); the line is still named as no record, as a full parse names it
+    line = GOLDEN.read_text(encoding="utf-8").splitlines()[0]
+    assert '"t":"25"' in line
+    broken = cut(line.replace('"t":"25"', f'"t":"{t}"', 1))
+    with pytest.raises(json.JSONDecodeError) as parse_error:
+        json.loads(broken)
+    batch = tmp_path / "broken.jsonl"
+    batch.write_text(broken + "\n")
+    rc, out, _ = run(capsys, "verify", "--file", str(batch), "--verbose")
+    assert rc == 1
+    assert out.splitlines() == [
+        f"line 1: not a certificate record ({parse_error.value})",
         "0/1 certificates verified",
     ]
 

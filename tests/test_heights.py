@@ -362,17 +362,22 @@ def test_one_wide_log_matches_the_direct_pair_up_to_1e60(direct_logs):
     assert direct_logs == []
 
 
-def test_wide_log_rounds_to_the_direct_50_digit_centre():
-    # the floats rarely see one 50-digit ulp, so compare the Decimals
+def _delta_enclosure(lo, hi):
+    """The enclosure of 2^96 ln(64 ell^3) that ``ln_ell_lo_and_delta_hi``
+    forms from [lo, hi] 2^-96 of ln ell."""
+    six_l2 = 6 * heights_module._LN2_FIX
+    return 3 * lo + six_l2, 3 * hi + six_l2 + 6
+
+
+def test_wide_log_rounds_both_ends_to_the_direct_floats():
+    # every end of both enclosures is decided, not only the two returned
     rng = random.Random(20261020)
     ells = list(range(2, 300)) + [rng.randrange(2, 10**60) for _ in range(300)]
     for ell in ells:
-        for (lo, hi), n in zip(heights_module._ln_fixed(ell), (ell, 64 * ell**3)):
-            d_lo, d_hi = dec_ln_bounds(n)
-            centre = heights_module._round_to_dec_prec(lo, hi)
-            assert centre is not None, (ell, n)
-            got = Decimal(f"{centre[0]}E-{centre[1]}")
-            assert got - d_lo == d_hi - got > 0, (ell, n)
+        enc = heights_module._ln_fixed(ell)
+        for (lo, hi), n in zip((enc, _delta_enclosure(*enc)), (ell, 64 * ell**3)):
+            got = heights_module._lo_float(lo, hi), heights_module._hi_float(lo, hi)
+            assert got == log_int_bounds(n), (ell, n)
 
 
 def test_one_wide_log_across_the_direct_ln_width():
@@ -392,54 +397,47 @@ def test_one_wide_log_below_two_is_the_direct_pair():
         ln_ell_lo_and_delta_hi(0)
 
 
-# the error bound of each of the helper's two logs, by enclosure index
-_ENCLOSURE_OF = {"_LN_ELL_ERR_ULPS": 0, "_LN_DELTA_ERR_ULPS": 1}
+# the rounding of each of the helper's two logs, keyed by parameter id
+_ROUNDING_OF = {"_LN_ELL_ERR_ULPS": "_lo_float", "_LN_DELTA_ERR_ULPS": "_hi_float"}
 
 
-@pytest.mark.parametrize("err_name", list(_ENCLOSURE_OF))
+@pytest.mark.parametrize("err_name", list(_ROUNDING_OF))
 def test_a_straddled_rounding_boundary_falls_back(err_name, monkeypatch, direct_logs):
     ells = [5, 17, 10**40 + 123]
     expected = [_direct_pair(ell) for ell in ells]
-    # one enclosure 2^-12 wider always holds a 50-digit rounding boundary,
-    # and either log without a centre sends both to the direct calls
-    which = _ENCLOSURE_OF[err_name]
-    real = heights_module._ln_fixed
-
-    def widened(ell):
-        encs = list(real(ell))
-        lo, hi = encs[which]
-        encs[which] = (lo, hi + (1 << 180))
-        return tuple(encs)
-
-    monkeypatch.setattr(heights_module, "_ln_fixed", widened)
+    # one enclosure 2^-12 wider always holds a float rounding boundary, and
+    # either log left undecided sends both to the direct calls
+    name = _ROUNDING_OF[err_name]
+    real = getattr(heights_module, name)
+    monkeypatch.setattr(heights_module, name, lambda lo, hi: real(lo, hi + (1 << 84)))
     direct_logs.clear()
     assert [ln_ell_lo_and_delta_hi(ell) for ell in ells] == expected
     assert direct_logs == [n for ell in ells for n in (ell, 64 * ell**3)]
 
 
-def test_round_to_dec_prec_has_no_centre_across_a_boundary():
-    # an enclosure across the midpoint of two 50-digit neighbours has no
-    # centre; one just inside either side has that side's
-    scale_bits = heights_module._FIX_BITS
-    for ell in (2, 5, 17, 10**40 + 123):
-        for lo, hi in heights_module._ln_fixed(ell):
-            n, k = heights_module._round_to_dec_prec(lo, hi)
-            mid = ((2 * n + 1) << scale_bits) // (2 * 10**k)
-            assert heights_module._round_to_dec_prec(mid - 1, mid + 2) is None
-            assert heights_module._round_to_dec_prec(mid - 1, mid) == (n, k)
-            assert heights_module._round_to_dec_prec(mid + 1, mid + 2) == (n + 1, k)
-    # an enclosure just below 1 whose ends both round up to 1.000... has a
-    # 51-digit n at 10^-50, so it is refused too
-    mid = ((2 * 10**50 - 1) << scale_bits) // (2 * 10**50)
-    assert heights_module._round_to_dec_prec(mid - 1, mid) == (10**50 - 1, 50)
-    assert heights_module._round_to_dec_prec(mid + 1, mid + 2) is None
+def test_an_enclosure_across_a_float_midpoint_is_undecided():
+    # mid is the midpoint of two neighbouring floats d < d', in units of
+    # 2^-96: an end whose padded enclosure holds mid is undecided, and one
+    # just beside it rounds to that side's float
+    lo_float, hi_float = heights_module._lo_float, heights_module._hi_float
+    up, dn = heights_module._up, heights_module._dn
+    scale = 2.0**heights_module._FIX_BITS  # exact, unlike a power of an int
+    for n in (2, 5, 17, 1728, 10**40 + 123, 64 * 641**3):
+        d = up(lo_float(*heights_module._ln_fixed(n)))  # before the nudge
+        d_next = math.nextafter(d, math.inf)
+        mid = (int(d * scale) + int(d_next * scale)) // 2
+        assert Fraction(mid, 2**96) == (Fraction(d) + Fraction(d_next)) / 2, n
+        assert lo_float(mid, mid + 1) is None and hi_float(mid - 1, mid) is None
+        assert lo_float(mid - 3, mid - 1) == dn(d) and hi_float(mid - 3, mid - 2) == up(d)
+        assert lo_float(mid + 2, mid + 3) == dn(d_next)
+        assert hi_float(mid + 1, mid + 2) == up(d_next)
 
 
 def test_a_widened_error_bound_makes_the_two_direct_calls(monkeypatch, direct_logs):
     ells = [5, 17, 10**40 + 123]
     expected = [_direct_pair(ell) for ell in ells]
-    # an enclosure 2^-12 wide always holds a 50-digit rounding boundary
-    monkeypatch.setattr(heights_module, "_LN_FIX_ERR", 1 << 180)
+    # an enclosure 2^-12 wide always holds a float rounding boundary
+    monkeypatch.setattr(heights_module, "_LN_FIX_ERR", 1 << 84)
     direct_logs.clear()
     assert [ln_ell_lo_and_delta_hi(ell) for ell in ells] == expected
     assert direct_logs == [n for ell in ells for n in (ell, 64 * ell**3)]
@@ -449,7 +447,8 @@ def _fixed_point_domain():
     """ell from 2 to the widest with 64 ell^3 within _DIRECT_LN_BITS bits."""
     edge = _iroot((1 << (_DIRECT_LN_BITS - 6)) - 1, 3)
     rng = random.Random(20261021)
-    ells = [2, 3, 4, 31, 32, 33, 63, 64, 65, 2**192 - 1, 2**192 + 1, 2**193 + 3]
+    ells = [2, 3, 4, 31, 32, 33, 63, 64, 65, 2**96 - 1, 2**96 + 1, 2**97 + 3]
+    ells += [2**192 - 1, 2**192 + 1, 2**193 + 3]
     ells += [edge - 1, edge]
     ells += [rng.randrange(1 << (b - 1), 1 << b) for b in range(2, edge.bit_length())]
     return ells
@@ -458,17 +457,44 @@ def _fixed_point_domain():
 def test_fixed_point_ln_encloses_a_90_digit_ln():
     scale = 1 << heights_module._FIX_BITS
     for ell in _fixed_point_domain():
-        for (lo, hi), n in zip(heights_module._ln_fixed(ell), (ell, 64 * ell**3)):
+        enc = heights_module._ln_fixed(ell)
+        assert enc[1] - enc[0] == ell.bit_length() - 1 + heights_module._LN_FIX_ERR
+        for (lo, hi), n in zip((enc, _delta_enclosure(*enc)), (ell, 64 * ell**3)):
             ref_lo, ref_hi = dec_ln_bounds(n, prec=90)
             assert Fraction(lo, scale) <= Fraction(ref_lo), (ell, n)
             assert Fraction(ref_hi) < Fraction(hi, scale), (ell, n)
-            # the enclosure is narrow enough to settle 50 digits
-            assert hi - lo < 2**16, (ell, n)
+
+
+def test_the_delta_enclosure_holds_a_90_digit_ln_from_the_tightest_ell_one(monkeypatch):
+    # with ln ell enclosed as tightly as integers allow, the enclosure of
+    # ln(64 ell^3) that ln_ell_lo_and_delta_hi rounds must still hold it
+    scale = 1 << heights_module._FIX_BITS
+    ctx = getcontext().copy()
+    ctx.prec = 90
+
+    def tightest(n):
+        v = ctx.multiply(ctx.ln(Decimal(n)), Decimal(scale))
+        f = int(v.to_integral_value(rounding=ROUND_FLOOR))
+        return f, f + 1
+
+    rounded = []
+    real = heights_module._hi_float
+    monkeypatch.setattr(heights_module, "_ln_fixed", tightest)
+    monkeypatch.setattr(heights_module, "_hi_float",
+                        lambda lo, hi: rounded.append((lo, hi)) or real(lo, hi))
+    rng = random.Random(20261023)
+    for ell in _fixed_point_domain() + [rng.randrange(2, 10**60) for _ in range(300)]:
+        rounded.clear()
+        ln_ell_lo_and_delta_hi(ell)
+        (lo, hi), = rounded
+        ref_lo, ref_hi = dec_ln_bounds(64 * ell**3, prec=90)
+        assert Fraction(lo, scale) <= Fraction(ref_lo), ell
+        assert Fraction(ref_hi) < Fraction(hi, scale), ell
 
 
 def test_fixed_point_constants_match_a_decimal_reference():
     ctx = getcontext().copy()
-    ctx.prec = 110
+    ctx.prec = 60
     scale = Decimal(1 << heights_module._FIX_BITS)  # exact, unlike a power
     top = 1 << heights_module._TOP_BITS
 
@@ -502,21 +528,18 @@ def test_upper_gap_from_the_wide_log_is_silvermans():
         assert _silverman_upper_gap(h_delta_hi) == silverman_gaps(c).upper_gap
 
 
-def _decimal_centre(n):
-    """The correctly rounded 50-digit ln n as (digits, k): ln n ~ digits 10^-k."""
-    with localcontext() as ctx:
-        ctx.prec = 50
-        sign, digits, exponent = Decimal(n).ln().as_tuple()
-    assert sign == 0 and len(digits) == 50
-    return int("".join(map(str, digits))), -exponent
-
-
-def test_ln_s_squared_rounds_to_the_50_digit_centre_up_to_5000():
-    # the centre itself, not only the float: a float rarely sees the 50th digit
+def test_ln_s_squared_matches_the_direct_call_up_to_5000(direct_logs):
+    # both ends of the doubled enclosure are decided, not only the upper one
+    expected = [log_int_bounds(s * s) for s in range(2, 5001)]
+    direct_logs.clear()
+    got = []
     for s in range(2, 5001):
-        lo, hi = heights_module._ln_fixed(s)[0]
-        assert heights_module._round_to_dec_prec(2 * lo, 2 * hi) == _decimal_centre(s * s), s
-        assert ln_square_hi(s) == log_int_bounds(s * s)[1], s
+        lo, hi = heights_module._ln_fixed(s)
+        got.append((heights_module._lo_float(2 * lo, 2 * hi),
+                    heights_module._hi_float(2 * lo, 2 * hi)))
+        assert ln_square_hi(s) == got[-1][1], s
+    assert got == expected
+    assert direct_logs == []
 
 
 def test_ln_s_squared_matches_the_direct_call_up_to_1e60(direct_logs):
@@ -543,11 +566,13 @@ def test_ln_s_squared_across_the_direct_ln_width(monkeypatch):
 
 
 def test_undecided_rounding_falls_back_to_the_direct_calls(monkeypatch, direct_logs):
-    # every fixed-point log falls back when no centre is proved, to the floats
+    # every fixed-point log falls back when its rounding is not decided, to
+    # the Decimal reference's floats
     ints = [2, 3, 5, 17, 641, 5641, 10**40 + 123]
     want_sq = [log_int_bounds(s * s)[1] for s in ints]
     want_pair = [_direct_pair(ell) for ell in ints]
-    monkeypatch.setattr(heights_module, "_round_to_dec_prec", lambda lo, hi: None)
+    for name in ("_lo_float", "_hi_float"):
+        monkeypatch.setattr(heights_module, name, lambda lo, hi: None)
     direct_logs.clear()
     assert [ln_square_hi(s) for s in ints] == want_sq
     assert direct_logs == [s * s for s in ints]
