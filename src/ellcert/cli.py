@@ -35,8 +35,10 @@ refusal prints one line naming the check, such as ``selmer-table``'s
 ell not proved prime, or ``heights``' torsion base point or a doubling
 past its bit budget (``height-digit-budget``).  2 bad usage, such as
 ``verify --file`` with any flag of single-shot ``verify`` (``--s``,
-``--t``, ``--p``, ``--n``, ``--mode`` or ``--out``), or an unsatisfiable
-search configuration.
+``--t``, ``--p``, ``--n``, ``--mode`` or ``--out``), a flag or value the
+mode's theorem does not take (``--p`` or ``--n`` for rank, an ``--n``
+other than 1 for the square subfamily), or an unsatisfiable search
+configuration.
 """
 
 from __future__ import annotations
@@ -283,13 +285,20 @@ def _search_config_error(args) -> str | None:
         check_p(args.p)
     except PreconditionFailure as exc:
         return f"{exc.reason}: {exc.detail}"
+    problem = _flag_error(args.mode, {"n": args.n})
+    if problem is not None:
+        return problem
     # the p-adic depth lands entirely inside one parameter (the pair is
-    # coprime), so that parameter must reach p^depth within the range
+    # coprime), so that parameter must reach p^depth within the range.
+    # p^depth >= 2^(depth (bits(p) - 1)), so a depth that puts this
+    # exponent at max_param's bit length or past it is refused unbuilt; a
+    # power that is built has fewer than twice max_param's bits
     depth = _required_depth(args.mode, args.n)
-    if args.p**depth > args.max_param:
+    if (depth * (args.p.bit_length() - 1) >= args.max_param.bit_length()
+            or args.p**depth > args.max_param):
         return (
             f"unsatisfiable: no parameter up to {args.max_param} can carry "
-            f"{args.p}-adic valuation {depth} (needs {args.p}^{depth} = {args.p**depth})"
+            f"{args.p}-adic valuation {depth}, as {args.p}^{depth} > {args.max_param}"
         )
     return None
 
@@ -387,24 +396,45 @@ class Theorem(NamedTuple):
     calls by name, so a wrapper bound here sees every line that search,
     ``verify --out`` and ``verify --file`` write or compare.  ``show``
     prints the ledger from the parsed record (``certificate_to_dict``).
+    ``flags`` names what the mode takes besides s and t, each with the one
+    value it accepts or None for any: its record's subject carries them,
+    and search and verify refuse any other flag or value.
     """
 
     certify: Callable
     show: Callable = _print_ledger
-    needs_p: bool = True
+    flags: tuple[tuple[str, int | None], ...] = (("p", None), ("n", None))
 
 
 #: CLI mode -> theorem; search, verify and verify --file all dispatch here.
 THEOREMS = {
     "main": Theorem(lambda s, t, p, n: certify_divisibility(s, t, p, n)),
-    "square_subfamily": Theorem(lambda s, t, p, n: certify_square_subfamily(s, t, p)),
+    # two points of depth 1 each: the subfamily certifies n = 1 only
+    "square_subfamily": Theorem(lambda s, t, p, n: certify_square_subfamily(s, t, p),
+                                flags=(("p", None), ("n", 1))),
     "infinite": Theorem(lambda s, t, p, n: certify_infinite_instance(s, t, p, n)),
     "rank": Theorem(
         lambda s, t, p, n: certify_rank_one(s, t),
         show=_print_rank_fragment,
-        needs_p=False,
+        flags=(),
     ),
 }
+
+
+def _flag_error(mode: str, given: dict[str, int | None]) -> str | None:
+    """Why the flags ``given`` (name -> value, None where not given) do not
+    fit ``mode``'s theorem: flags it takes no value for, or a value other
+    than the one it accepts; None when they fit."""
+    takes = dict(THEOREMS[mode].flags)
+    given = {name: value for name, value in given.items() if value is not None}
+    extra = "/".join(f"--{name}" for name in given if name not in takes)
+    if extra:
+        return f"mode {mode} takes no {extra}"
+    for name, value in given.items():
+        if takes[name] not in (None, value):
+            return f"mode {mode} takes --{name} {takes[name]} only, not --{name} {value}"
+    return None
+
 
 #: A record's theorem -> its CLI mode and the subject key of its second
 #: parameter.
@@ -436,7 +466,7 @@ def _record_task(stored) -> tuple[str, int, int, int | None, int | None] | None:
     if not isinstance(theorem, str) or theorem not in RECORD_MODES:
         return None
     mode, second = RECORD_MODES[theorem]
-    keys = ("s", second, "p", "n") if THEOREMS[mode].needs_p else ("s", second)
+    keys = ("s", second, *(name for name, _ in THEOREMS[mode].flags))
     subject = stored.get("subject")
     values = [subject.get(k) for k in keys] if isinstance(subject, dict) else [None]
     if not all(isinstance(v, str) for v in values):
@@ -568,8 +598,11 @@ def cmd_verify(args) -> int:
         return 2
     mode = args.mode or "main"
     theorem = THEOREMS[mode]
-    if theorem.needs_p and args.p is None:
-        print(f"mode {mode} needs --p", file=sys.stderr)
+    problem = _flag_error(mode, {"p": args.p, "n": args.n})
+    if problem is None and args.p is None and "p" in dict(theorem.flags):
+        problem = f"mode {mode} needs --p"
+    if problem is not None:
+        print(problem, file=sys.stderr)
         return 2
     try:
         cert = theorem.certify(args.s, args.t, args.p, 1 if args.n is None else args.n)

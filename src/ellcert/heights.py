@@ -1,24 +1,18 @@
 """Naive and canonical heights with rigorous outward-rounded intervals.
 
 All height computations run on exact integers until the final logarithms.
-Those are taken through ``decimal`` (whose ln is correctly rounded) with an
-explicit one-ulp pad in each direction, then converted to floats with a
-two-ulp outward nudge.  Every interval produced here is therefore a true
-enclosure: lo <= exact value <= hi.
+Each of those comes from one integer enclosure: ``_ln_fixed`` puts 2^96
+ln n in [lo, hi] for every n >= 2, at any width (96 fractional bits, a
+32-entry table of ln(1 + j/32) and an atanh series), and ``_round_out``
+rounds each end to the nearest float and nudges it two floats outward.
+``log_int_bounds`` is that pair, so every interval produced here is a
+true enclosure: lo <= exact value <= hi.  No other logarithm is taken and
+``decimal`` is never imported; the tests hold the floats to a Decimal
+oracle.
 
 The primitivity bound needs ln s^2 (for h(P)), ln l (for the height
-floor) and ln(64 l^3) (for the Silverman gap) of one member.
-``ln_square_hi`` and ``ln_ell_lo_and_delta_hi`` take them from enclosures
-of ln s and ln l in integers (``_ln_fixed``: 96 fractional bits, a
-32-entry table of ln(1 + j/32) and an atanh series; no Decimal).
-``_lo_float`` and ``_hi_float`` round each enclosure straight to the float
-the direct ``log_int_bounds`` call gives, when every real in it rounds to
-that one float; in the rare case where the enclosure does not decide it,
-``log_int_bounds`` itself answers.  ``LOG2_BOUNDS`` and ``LOG1728_HI``
-come the same way.  So a certificate takes no Decimal logarithm, and a
-certificate run never imports ``decimal``: the two functions that take
-Decimal logarithms, for the ``heights`` report and that fallback, import
-it themselves.
+floor) and ln(64 l^3) (for the Silverman gap) of one member;
+``ln_ell_lo_and_delta_hi`` takes the last two from one enclosure of ln l.
 
 Height convention: hhat = (1/2) * lim h(2^n P) / 4^n, i.e. the canonical
 height of a point with x-coordinate n/d satisfies hhat ~ h/2 where
@@ -28,14 +22,11 @@ h = log max(|n|, |d|).  This is the non-doubled normalization.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .arith import kth_power_free
 from .curve import Curve, Point, PointLike, INFINITY, is_torsion_point, on_curve
 from .errors import PreconditionFailure
-
-if TYPE_CHECKING:
-    from decimal import Decimal
 
 _INF = math.inf
 
@@ -46,65 +37,6 @@ def _up(x: float) -> float:
 
 def _dn(x: float) -> float:
     return math.nextafter(math.nextafter(x, -_INF), -_INF)
-
-
-_DEC_PREC = 50
-#: Integers wider than this go through the shift-truncation path below.
-_DIRECT_LN_BITS = 4096
-
-
-def dec_ln_bounds(n: int, prec: int = _DEC_PREC) -> tuple[Decimal, Decimal]:
-    """Enclosure of ln(n) as Decimals, n >= 1.
-
-    decimal's ln is correctly rounded (error <= 0.5 ulp) but ignores the
-    context rounding direction, so pad one ulp outward by hand.
-    """
-    from decimal import Decimal, localcontext
-
-    if n < 1:
-        raise ValueError("dec_ln_bounds: n must be >= 1")
-    if n == 1:
-        zero = Decimal(0)
-        return zero, zero
-    with localcontext() as ctx:
-        ctx.prec = prec
-        v = Decimal(n).ln()
-        ulp = Decimal(1).scaleb(v.adjusted() - prec + 1)
-        # widen so the +- 1 ulp is exact; the ambient 28-digit context
-        # would otherwise round the pad away again
-        ctx.prec = prec + 2
-        return v - ulp, v + ulp
-
-
-def log_int_bounds(n: int) -> tuple[float, float]:
-    """Float enclosure of ln(n) for n >= 1, safe for huge integers.
-
-    Wide integers are truncated to their top 256 bits: with m = n >> shift,
-    m * 2^shift <= n <= (m+1) * 2^shift pins ln(n) between two cheap
-    logarithms, avoiding any full-precision conversion.
-    """
-    from decimal import Decimal, localcontext
-
-    if n < 1:
-        raise ValueError("log_int_bounds: n must be >= 1")
-    if n == 1:
-        return 0.0, 0.0
-    bits = n.bit_length()
-    if bits <= _DIRECT_LN_BITS:
-        lo_d, hi_d = dec_ln_bounds(n)
-    else:
-        shift = bits - 256
-        m = n >> shift
-        ln2_lo, ln2_hi = dec_ln_bounds(2)
-        with localcontext() as ctx:
-            ctx.prec = _DEC_PREC
-            lo_d = dec_ln_bounds(m)[0] + shift * ln2_lo
-            hi_d = dec_ln_bounds(m + 1)[1] + shift * ln2_hi
-        # the two context-rounded additions cost at most one ulp each
-        pad = Decimal(1).scaleb(hi_d.adjusted() - _DEC_PREC + 3)
-        lo_d -= pad
-        hi_d += pad
-    return _dn(float(lo_d)), _up(float(hi_d))
 
 
 # ``_ln_fixed`` encloses ln n in integers, in units of 2^-96.
@@ -197,70 +129,61 @@ def _ln_fixed(n: int) -> tuple[int, int]:
     return a, a + e + _LN_FIX_ERR
 
 
-def _lo_float(lo: int, hi: int) -> float | None:
-    """``log_int_bounds(n)[0]``, the float bit for bit, from an enclosure
-    [lo, hi] 2^-96 of ln n with n >= 2 of at most ``_DIRECT_LN_BITS`` bits;
-    None when the enclosure does not decide it.
+def _round_out(lo: int, hi: int) -> tuple[float, float]:
+    """Floats lo' <= lo 2^-96 and hi' >= hi 2^-96: each end rounded to
+    nearest and nudged two floats outward.
 
-    ``log_int_bounds`` rounds v - u to the nearest float and nudges it down,
-    where v is the correctly rounded 50-digit ln n and u its last digit's
-    unit: |v - ln n| <= u/2, and u <= 10^-46 as ln n < 10^4, so 3u/2 <
-    2^-96 and v - u lies in ((lo - 1) 2^-96, hi 2^-96).  Rounding to
-    nearest (ties to even, in ``float(Decimal)`` and ``float(int)`` alike)
-    is monotone, so when both ends round to one float D, so does v - u.
-    ``float(int)`` rounds correctly and 2^-96 scales exactly, so the test
-    compares the integers' floats (Ziv's rounding test, ACM TOMS 17(3),
-    1991).
+    ``float(int)`` rounds correctly and 2^-96 scales exactly, so D =
+    float(lo) 2^-96 is lo 2^-96 rounded to nearest.  A real that rounds to
+    D lies above the midpoint of D and the float below it, so one step
+    down is already below lo 2^-96; the upper end likewise, and the second
+    step is slack.  For n of up to 4,096 bits these are the floats of the
+    tests' Decimal oracle (a correctly rounded 50-digit ln n, padded one
+    digit, then rounded and nudged the same way), which every record was
+    first written from, whenever all of [(lo - 1) 2^-96, (hi + 1) 2^-96]
+    rounds to one float: the oracle's padded ends lie in there, and
+    rounding is monotone.  Otherwise (about 2^-40 of inputs, none on the
+    test grids) an end may be one float from the oracle's, and is still a
+    proved bound.
     """
-    d = float(hi)
-    return _dn(d * _FIX_ULP) if float(lo - 1) == d else None
+    return _dn(float(lo) * _FIX_ULP), _up(float(hi) * _FIX_ULP)
 
 
-def _hi_float(lo: int, hi: int) -> float | None:
-    """``log_int_bounds(n)[1]`` as ``_lo_float`` gives the lower end: v + u
-    lies in (lo 2^-96, (hi + 1) 2^-96)."""
-    d = float(lo)
-    return _up(d * _FIX_ULP) if float(hi + 1) == d else None
+def log_int_bounds(n: int) -> tuple[float, float]:
+    """Float enclosure of ln(n) for n >= 1, of any width.
+
+    ``_ln_fixed``'s enclosure is (e + 36) 2^-96 wide for n of e + 1 bits,
+    below 2^-60 for n of fewer than 2^35 bits, and floats near ln n >= ln 2
+    are at least 2^-53 apart: the two ends are at most five floats apart.
+    """
+    if n < 1:
+        raise ValueError("log_int_bounds: n must be >= 1")
+    if n == 1:
+        return 0.0, 0.0
+    return _round_out(*_ln_fixed(n))
 
 
 #: ``log_int_bounds(2)``, and the upper end of ``log_int_bounds(1728)``,
 #: an upper bound of h(j) = ln 1728 for the j-invariant of every member.
-LOG2_BOUNDS = _lo_float(*_ln_fixed(2)), _hi_float(*_ln_fixed(2))
-LOG1728_HI = _hi_float(*_ln_fixed(1728))
+LOG2_BOUNDS = log_int_bounds(2)
+LOG1728_HI = log_int_bounds(1728)[1]
 
 
 def ln_ell_lo_and_delta_hi(ell: int) -> tuple[float, float]:
-    """``(log_int_bounds(ell)[0], log_int_bounds(64 * ell**3)[1])``, the floats
-    bit for bit, from one fixed-point ln of ell in place of two Decimal logs.
+    """Lower bound of ln ell and upper bound of ln(64 ell^3), from one
+    fixed-point ln of ell.
 
     ``_ln_fixed`` encloses 2^96 ln ell as [lo, hi], so 2^96 ln(64 ell^3) =
     3 (2^96 ln ell) + 6 (2^96 ln 2) lies in [3 lo + 6 L2, 3 hi + 6 L2 + 6],
-    as 6 L2 falls short of 6 S ln 2 by less than 6.  Only the two ends
-    returned are rounded.  If either is undecided, and for ell < 2 or a
-    64 ell^3 that ``log_int_bounds`` would truncate, the two direct calls
-    answer.
+    as 6 L2 falls short of 6 S ln 2 by less than 6.  Each end is rounded
+    out by ``_round_out``: the first is ``log_int_bounds(ell)[0]``, and the
+    second is ``log_int_bounds(64 * ell**3)[1]`` wherever both enclosures
+    decide its rounding.  ell = 1 takes the two direct calls.
     """
-    if ell >= 2 and (64 * ell**3).bit_length() <= _DIRECT_LN_BITS:
-        lo, hi = _ln_fixed(ell)
-        pair = _lo_float(lo, hi), _hi_float(3 * lo + 6 * _LN2_FIX, 3 * hi + 6 * _LN2_FIX + 6)
-        if None not in pair:
-            return pair
-    return log_int_bounds(ell)[0], log_int_bounds(64 * ell**3)[1]
-
-
-def ln_square_hi(s: int) -> float:
-    """``log_int_bounds(s * s)[1]``, the float bit for bit, for s >= 2.
-
-    2 ln s is enclosed by twice ``_ln_fixed``'s enclosure of ln s and
-    rounded by ``_hi_float``; if that is undecided, or s^2 is wider than
-    ``_DIRECT_LN_BITS``, the direct call answers.
-    """
-    if (s * s).bit_length() <= _DIRECT_LN_BITS:
-        lo, hi = _ln_fixed(s)
-        bound = _hi_float(2 * lo, 2 * hi)
-        if bound is not None:
-            return bound
-    return log_int_bounds(s * s)[1]
+    if ell < 2:
+        return log_int_bounds(ell)[0], log_int_bounds(64 * ell**3)[1]
+    lo, hi = _ln_fixed(ell)
+    return _round_out(lo, 3 * hi + 6 * _LN2_FIX + 6)
 
 
 def naive_height_bounds(pt: PointLike) -> tuple[float, float]:

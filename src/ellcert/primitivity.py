@@ -13,6 +13,9 @@ torsion.  Two exact facts combine into the proof:
 Floor ratio below 9 plus odd parity forces m = 1.  For every member
 with l fourth-power-free, not a square and not 2, the crude bound
 h(P)/2 + upper_gap already gives that ratio (see ``certify_primitive``).
+Its three logarithms, of s^2, l and 64 l^3, are floats rounded outward
+from one proved integer enclosure (``heights._ln_fixed``), so the ratio
+is itself a proved upper bound.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import TYPE_CHECKING
 
 from .errors import PreconditionFailure
 from .heights import (
-    _silverman_upper_gap, _up, _vy_floor, ln_ell_lo_and_delta_hi, ln_square_hi,
+    _silverman_upper_gap, _up, _vy_floor, ln_ell_lo_and_delta_hi, log_int_bounds,
 )
 
 if TYPE_CHECKING:
@@ -32,8 +35,10 @@ RATIO_MARGIN = 1e-6
 _INDEX_SQ_LIMIT = 9.0  # first odd index to exclude is 3
 
 
-#: Upper end of ``log_int_bounds(s * s)``, that is of h(P) = ln s^2, s >= 2.
-_ln_s_squared_hi = lru_cache(maxsize=4096)(ln_square_hi)
+@lru_cache(maxsize=4096)
+def _ln_s_squared_hi(s: int) -> float:
+    """Upper end of ``log_int_bounds(s * s)``, that is of h(P) = ln s^2."""
+    return log_int_bounds(s * s)[1]
 
 
 def certify_primitive(m: Member) -> float:
@@ -59,16 +64,15 @@ def certify_primitive(m: Member) -> float:
     |s t| >= 25 and l != 2.  A negative s or t passes all of these, so
     ``degenerate-parameters`` is refused here, before the assertion.
 
-    The upper bound of h(P) = ln s^2 comes from a fixed-point logarithm
-    of s in integers (``heights.ln_square_hi``), memoized per process,
-    keyed by s (bounded, so a long search cannot grow it without limit).
-    ln l for the floor and h(Delta) = ln(64 l^3) for the gap come from one
-    fixed-point logarithm of l (``heights.ln_ell_lo_and_delta_hi``).  Each
-    is rounded straight from its 96-bit integer enclosure to the very float
-    the direct ``log_int_bounds`` call would return, so the ratio, and
-    every record, is the same whatever the order in which a process meets
-    its s values, the worker count or a resumed run, and a certificate
-    takes no Decimal logarithm.
+    The upper bound of h(P) = ln s^2 is ``log_int_bounds(s * s)[1]``,
+    memoized per process, keyed by s (bounded, so a long search cannot
+    grow it without limit).  ln l for the floor and h(Delta) = ln(64 l^3)
+    for the gap come from one enclosure of ln l
+    (``heights.ln_ell_lo_and_delta_hi``).  Each float is rounded outward
+    from ``heights._ln_fixed``'s proved 96-bit integer enclosure, the one
+    logarithm in the package, and is a pure function of its argument, so
+    the ratio, and every record, is the same whatever the order in which a
+    process meets its s values, the worker count or a resumed run.
     """
     s, t, ell = m.s, m.t, m.ell
     if s < 1 or t < 1:

@@ -189,12 +189,60 @@ def test_search_empty_range_exits_one(tmp_path, capsys):
         ("search", "--max-param", "60", "--p", "4"),
         ("search", "--max-param", "60", "--p", "3"),
         ("search", "--max-param", "60", "--n", "0"),
+        # 5^7001 has 4,894 digits: its str() raised past Python's digit limit
+        ("search", "--max-param", "100", "--n", "7000"),
+        ("search", "--mode", "square_subfamily", "--max-param", "100", "--n", "2"),
     ],
 )
 def test_search_config_errors(argv, capsys):
     rc, _, err = run(capsys, *argv)
     assert rc == 2
     assert err.startswith("config error:")
+    assert err.count("\n") == 1 and len(err) < 200
+
+
+def test_search_refuses_a_huge_depth_without_building_its_power():
+    # 5^(10^9 + 1) was built to compare it with max-param: still running
+    # after 60 s
+    proc = subprocess.run(
+        [sys.executable, "-m", "ellcert.cli", "search", "--max-param", "100",
+         "--n", str(10**9)],
+        env=dict(os.environ, PYTHONPATH=str(Path(ellcert.__file__).parent.parent)),
+        capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == (
+        "config error: unsatisfiable: no parameter up to 100 can carry "
+        "5-adic valuation 1000000001, as 5^1000000001 > 100\n")
+
+
+def test_search_depth_gate_is_the_exact_power_comparison():
+    # the gate refuses exactly when p^depth > max-param, at the edges of
+    # its bit-length shortcut and of the power itself
+    for p in (5, 7, 13):
+        for depth in range(2, 12):
+            edges = {p**depth - 1, p**depth, 2 ** (depth * (p.bit_length() - 1))}
+            for max_param in {m + d for m in edges for d in (-1, 0, 1)}:
+                args = cli.build_parser().parse_args(
+                    ["search", "--p", str(p), "--n", str(depth - 1),
+                     "--max-param", str(max_param)])
+                problem = cli._search_config_error(args)
+                assert (problem is not None) == (p**depth > max_param), (p, depth, max_param)
+
+
+@pytest.mark.parametrize("argv,named", [
+    (("--mode", "square_subfamily", "--p", "5", "--s", "25", "--t", "2", "--n", "3"),
+     "--n 1 only"),
+    (("--mode", "rank", "--s", "2", "--t", "5", "--p", "7", "--n", "4"), "--p/--n"),
+    (("--mode", "rank", "--s", "2", "--t", "5", "--n", "1"), "--n"),
+    (("--mode", "rank", "--s", "2", "--t", "5", "--p", "5"), "--p"),
+], ids=["square-n-3", "rank-p-n", "rank-n", "rank-p"])
+def test_verify_refuses_a_flag_its_theorem_does_not_take(argv, named, capsys):
+    # each was dropped: the square subfamily certified n = 1 for --n 3, and
+    # rank ignored --p and --n
+    rc, out, err = run(capsys, "verify", *argv)
+    assert rc == 2 and out == ""
+    assert err.count("\n") == 1 and named in err
 
 
 UNPROVEN_P = "10000000000000000000000013"  # BPSW only, above psi_13

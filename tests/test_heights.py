@@ -11,22 +11,21 @@ from pathlib import Path
 
 import pytest
 
+import ln_oracle
 from ellcert import cli
 from ellcert import heights as heights_module
+from ellcert import primitivity
 from ellcert.arith import _iroot
 from ellcert.curve import INFINITY, base_point, curve_from_a, make_family, point, smul
 from ellcert.errors import PreconditionFailure
 from ellcert.heights import (
-    _DIRECT_LN_BITS,
     LOG2_BOUNDS,
     LOG1728_HI,
     _silverman_upper_gap,
     _vy_floor,
     _vy_log2_coeff,
     canonical_height,
-    dec_ln_bounds,
     ln_ell_lo_and_delta_hi,
-    ln_square_hi,
     log_int_bounds,
     naive_height,
     naive_height_bounds,
@@ -34,6 +33,9 @@ from ellcert.heights import (
     vy_lower_bound,
     x_multiple_reduced,
 )
+
+#: Integers wider than this are truncated to their top bits by the oracle.
+_DIRECT_LN_BITS = ln_oracle.DIRECT_LN_BITS
 
 
 def _ref_ln(n, prec=90):
@@ -43,16 +45,17 @@ def _ref_ln(n, prec=90):
 
 
 def test_dec_ln_bounds_enclose():
-    for n in (2, 3, 10, 97, 1728, 5641, 10**30 + 7):
-        lo, hi = dec_ln_bounds(n)
+    # the oracle's Decimal enclosure, on both of its paths
+    for n in (2, 3, 10, 97, 1728, 5641, 10**30 + 7, 7**1500):
+        lo, hi = ln_oracle.dec_ln_bounds(n)
         ref = _ref_ln(n)
         assert lo <= ref <= hi, n
         assert hi - lo < Decimal("1e-40")
+    assert (7**1500).bit_length() > _DIRECT_LN_BITS
 
 
 def test_log2_bounds():
-    # the fixed-point enclosure gives the Decimal path's floats
-    assert LOG2_BOUNDS == log_int_bounds(2)
+    assert LOG2_BOUNDS == log_int_bounds(2) == ln_oracle.log_int_bounds(2)
     lo, hi = LOG2_BOUNDS
     assert lo <= math.log(2) <= hi
     assert hi - lo < 1e-12
@@ -60,7 +63,7 @@ def test_log2_bounds():
 
 def test_log1728_constant_is_the_computed_bound():
     # silverman_gaps reads the constant instead of recomputing it per curve
-    assert LOG1728_HI == log_int_bounds(1728)[1]
+    assert LOG1728_HI == log_int_bounds(1728)[1] == ln_oracle.log_int_bounds(1728)[1]
     assert math.log(1728) <= LOG1728_HI
 
 
@@ -69,15 +72,32 @@ def test_log_int_bounds_small():
         lo, hi = log_int_bounds(n)
         assert lo <= math.log(n) <= hi
         assert hi - lo < 1e-10
+    with pytest.raises(ValueError):
+        log_int_bounds(0)
 
 
 def test_log_int_bounds_huge():
-    # 7^3000 exceeds the direct-evaluation bit cutoff
+    # 7^3000 is past the oracle's direct-evaluation bit cutoff
     n = 7**3000
     lo, hi = log_int_bounds(n)
     ref = 3000 * _ref_ln(7)
     assert Decimal(lo) <= ref <= Decimal(hi)
     assert hi - lo < 1e-8
+
+
+def test_log_int_bounds_gives_the_oracle_floats():
+    # the floats every record was first written from, on both of the
+    # oracle's paths: direct up to _DIRECT_LN_BITS, truncated past it
+    rng = random.Random(20261024)
+    ns = list(range(1, 5001))
+    ns += [rng.randrange(2, 10 ** rng.randint(1, 60)) for _ in range(2000)]
+    ns += [rng.getrandbits(rng.randint(2, _DIRECT_LN_BITS)) | 2 for _ in range(300)]
+    ns += [(1 << _DIRECT_LN_BITS) - 1, 1 << _DIRECT_LN_BITS, (1 << _DIRECT_LN_BITS) + 1]
+    wide = [rng.getrandbits(b) | (1 << (b - 1)) for b in range(_DIRECT_LN_BITS + 1, 20001, 331)]
+    ns += wide + [7**k for k in range(1, 3000)]
+    assert len(wide) > 40
+    for n in ns:
+        assert log_int_bounds(n) == ln_oracle.log_int_bounds(n), n
 
 
 def test_naive_height_frozen():
@@ -330,36 +350,21 @@ def test_family_avoids_negative_rows():
 
 
 def _direct_pair(ell):
-    return log_int_bounds(ell)[0], log_int_bounds(64 * ell**3)[1]
+    """The oracle's lower end of ln ell and upper end of ln(64 ell^3)."""
+    return ln_oracle.log_int_bounds(ell)[0], ln_oracle.log_int_bounds(64 * ell**3)[1]
 
 
-@pytest.fixture
-def direct_logs(monkeypatch):
-    """Arguments of every ``dec_ln_bounds`` call: the helper's fallback."""
-    calls = []
-    real = heights_module.dec_ln_bounds
-    monkeypatch.setattr(
-        heights_module, "dec_ln_bounds", lambda n: calls.append(n) or real(n)
-    )
-    return calls
+def test_one_wide_log_matches_the_direct_pair_exhaustively():
+    assert [ln_ell_lo_and_delta_hi(ell) for ell in range(2, 5001)] == [
+        _direct_pair(ell) for ell in range(2, 5001)]
 
 
-def test_one_wide_log_matches_the_direct_pair_exhaustively(direct_logs):
-    # the expected pairs are taken first, so only the helper is counted
-    expected = [_direct_pair(ell) for ell in range(2, 5001)]
-    direct_logs.clear()
-    assert [ln_ell_lo_and_delta_hi(ell) for ell in range(2, 5001)] == expected
-    assert direct_logs == []
-
-
-def test_one_wide_log_matches_the_direct_pair_up_to_1e60(direct_logs):
+def test_one_wide_log_matches_the_direct_pair_up_to_1e60():
     rng = random.Random(20261019)
     ells = [rng.randrange(2, 10 ** rng.randint(1, 60)) for _ in range(3000)]
     ells += [s**4 + t * t for s, t in ((2, 2), (400, 399), (10**15, 10**30 - 1))]
-    expected = [_direct_pair(ell) for ell in ells]
-    direct_logs.clear()
-    assert [ln_ell_lo_and_delta_hi(ell) for ell in ells] == expected
-    assert direct_logs == []
+    assert [ln_ell_lo_and_delta_hi(ell) for ell in ells] == [
+        _direct_pair(ell) for ell in ells]
 
 
 def _delta_enclosure(lo, hi):
@@ -370,19 +375,19 @@ def _delta_enclosure(lo, hi):
 
 
 def test_wide_log_rounds_both_ends_to_the_direct_floats():
-    # every end of both enclosures is decided, not only the two returned
+    # every end of both enclosures rounds to the oracle's float, not only
+    # the two returned
     rng = random.Random(20261020)
     ells = list(range(2, 300)) + [rng.randrange(2, 10**60) for _ in range(300)]
     for ell in ells:
         enc = heights_module._ln_fixed(ell)
         for (lo, hi), n in zip((enc, _delta_enclosure(*enc)), (ell, 64 * ell**3)):
-            got = heights_module._lo_float(lo, hi), heights_module._hi_float(lo, hi)
-            assert got == log_int_bounds(n), (ell, n)
+            assert heights_module._round_out(lo, hi) == ln_oracle.log_int_bounds(n), (ell, n)
 
 
 def test_one_wide_log_across_the_direct_ln_width():
     # 64 ell^3 fits in _DIRECT_LN_BITS bits up to edge and no further;
-    # past it log_int_bounds truncates, and so must the helper
+    # past it the oracle truncates, and the pair is still the oracle's
     edge = _iroot((1 << (_DIRECT_LN_BITS - 6)) - 1, 3)
     ells = range(edge - 3, edge + 4)
     widths = {(64 * ell**3).bit_length() <= _DIRECT_LN_BITS for ell in ells}
@@ -397,50 +402,24 @@ def test_one_wide_log_below_two_is_the_direct_pair():
         ln_ell_lo_and_delta_hi(0)
 
 
-# the rounding of each of the helper's two logs, keyed by parameter id
-_ROUNDING_OF = {"_LN_ELL_ERR_ULPS": "_lo_float", "_LN_DELTA_ERR_ULPS": "_hi_float"}
-
-
-@pytest.mark.parametrize("err_name", list(_ROUNDING_OF))
-def test_a_straddled_rounding_boundary_falls_back(err_name, monkeypatch, direct_logs):
-    ells = [5, 17, 10**40 + 123]
-    expected = [_direct_pair(ell) for ell in ells]
-    # one enclosure 2^-12 wider always holds a float rounding boundary, and
-    # either log left undecided sends both to the direct calls
-    name = _ROUNDING_OF[err_name]
-    real = getattr(heights_module, name)
-    monkeypatch.setattr(heights_module, name, lambda lo, hi: real(lo, hi + (1 << 84)))
-    direct_logs.clear()
-    assert [ln_ell_lo_and_delta_hi(ell) for ell in ells] == expected
-    assert direct_logs == [n for ell in ells for n in (ell, 64 * ell**3)]
-
-
-def test_an_enclosure_across_a_float_midpoint_is_undecided():
+def test_an_enclosure_across_a_float_midpoint_rounds_each_end_outward():
     # mid is the midpoint of two neighbouring floats d < d', in units of
-    # 2^-96: an end whose padded enclosure holds mid is undecided, and one
-    # just beside it rounds to that side's float
-    lo_float, hi_float = heights_module._lo_float, heights_module._hi_float
+    # 2^-96: an enclosure holding it has its ends rounded apart, each to a
+    # proved bound, and one just beside it rounds both ends to that side
     up, dn = heights_module._up, heights_module._dn
+    round_out = heights_module._round_out
     scale = 2.0**heights_module._FIX_BITS  # exact, unlike a power of an int
-    for n in (2, 5, 17, 1728, 10**40 + 123, 64 * 641**3):
-        d = up(lo_float(*heights_module._ln_fixed(n)))  # before the nudge
+    for n in (2, 5, 17, 1728, 10**40 + 123, 64 * 641**3, 7**3000):
+        d = up(round_out(*heights_module._ln_fixed(n))[0])  # before the nudge
         d_next = math.nextafter(d, math.inf)
         mid = (int(d * scale) + int(d_next * scale)) // 2
         assert Fraction(mid, 2**96) == (Fraction(d) + Fraction(d_next)) / 2, n
-        assert lo_float(mid, mid + 1) is None and hi_float(mid - 1, mid) is None
-        assert lo_float(mid - 3, mid - 1) == dn(d) and hi_float(mid - 3, mid - 2) == up(d)
-        assert lo_float(mid + 2, mid + 3) == dn(d_next)
-        assert hi_float(mid + 1, mid + 2) == up(d_next)
-
-
-def test_a_widened_error_bound_makes_the_two_direct_calls(monkeypatch, direct_logs):
-    ells = [5, 17, 10**40 + 123]
-    expected = [_direct_pair(ell) for ell in ells]
-    # an enclosure 2^-12 wide always holds a float rounding boundary
-    monkeypatch.setattr(heights_module, "_LN_FIX_ERR", 1 << 84)
-    direct_logs.clear()
-    assert [ln_ell_lo_and_delta_hi(ell) for ell in ells] == expected
-    assert direct_logs == [n for ell in ells for n in (ell, 64 * ell**3)]
+        assert round_out(mid - 1, mid + 1) == (dn(d), up(d_next))
+        for lo, hi in ((mid - 1, mid + 1), (mid, mid), (mid - 40, mid + 40)):
+            got_lo, got_hi = round_out(lo, hi)
+            assert Fraction(got_lo) < Fraction(lo, 2**96) <= Fraction(hi, 2**96) < Fraction(got_hi)
+        assert round_out(mid - 3, mid - 1) == (dn(d), up(d))
+        assert round_out(mid + 1, mid + 3) == (dn(d_next), up(d_next))
 
 
 def _fixed_point_domain():
@@ -460,14 +439,32 @@ def test_fixed_point_ln_encloses_a_90_digit_ln():
         enc = heights_module._ln_fixed(ell)
         assert enc[1] - enc[0] == ell.bit_length() - 1 + heights_module._LN_FIX_ERR
         for (lo, hi), n in zip((enc, _delta_enclosure(*enc)), (ell, 64 * ell**3)):
-            ref_lo, ref_hi = dec_ln_bounds(n, prec=90)
+            ref_lo, ref_hi = ln_oracle.dec_ln_bounds(n, prec=90)
             assert Fraction(lo, scale) <= Fraction(ref_lo), (ell, n)
             assert Fraction(ref_hi) < Fraction(hi, scale), (ell, n)
 
 
+def test_the_enclosure_holds_a_90_digit_ln_up_to_2_21_bits():
+    # the heights report takes ln max(|u|, w) of x(2^k P) up to the bit
+    # budget; past _DIRECT_LN_BITS the oracle pins ln n to within 2^-250
+    scale = 1 << heights_module._FIX_BITS
+    rng = random.Random(20261025)
+    widths = [_DIRECT_LN_BITS - 1, _DIRECT_LN_BITS, _DIRECT_LN_BITS + 1, 5000, 2**13,
+              10**4, 2**14 + 3, 10**5, 2**17, 2**19 - 1, 2**20, 2**21 - 1, 2**21]
+    assert heights_module._X_BITS_BUDGET == 2**21
+    for b in widths:
+        top = 1 << (b - 1)
+        for n in (top, top + 1, rng.getrandbits(b) | top, (top << 1) - 1):
+            lo, hi = heights_module._ln_fixed(n)
+            assert hi - lo == b - 1 + heights_module._LN_FIX_ERR
+            ref_lo, ref_hi = ln_oracle.dec_ln_bounds(n, prec=90)
+            assert Fraction(lo, scale) <= Fraction(ref_lo), (b, n - top)
+            assert Fraction(ref_hi) < Fraction(hi, scale), (b, n - top)
+
+
 def test_the_delta_enclosure_holds_a_90_digit_ln_from_the_tightest_ell_one(monkeypatch):
-    # with ln ell enclosed as tightly as integers allow, the enclosure of
-    # ln(64 ell^3) that ln_ell_lo_and_delta_hi rounds must still hold it
+    # with ln ell enclosed as tightly as integers allow, the upper end of
+    # ln(64 ell^3) that ln_ell_lo_and_delta_hi rounds must still bound it
     scale = 1 << heights_module._FIX_BITS
     ctx = getcontext().copy()
     ctx.prec = 90
@@ -478,17 +475,16 @@ def test_the_delta_enclosure_holds_a_90_digit_ln_from_the_tightest_ell_one(monke
         return f, f + 1
 
     rounded = []
-    real = heights_module._hi_float
+    real = heights_module._round_out
     monkeypatch.setattr(heights_module, "_ln_fixed", tightest)
-    monkeypatch.setattr(heights_module, "_hi_float",
-                        lambda lo, hi: rounded.append((lo, hi)) or real(lo, hi))
+    monkeypatch.setattr(heights_module, "_round_out",
+                        lambda lo, hi: rounded.append(hi) or real(lo, hi))
     rng = random.Random(20261023)
     for ell in _fixed_point_domain() + [rng.randrange(2, 10**60) for _ in range(300)]:
         rounded.clear()
         ln_ell_lo_and_delta_hi(ell)
-        (lo, hi), = rounded
-        ref_lo, ref_hi = dec_ln_bounds(64 * ell**3, prec=90)
-        assert Fraction(lo, scale) <= Fraction(ref_lo), ell
+        hi, = rounded
+        ref_hi = ln_oracle.dec_ln_bounds(64 * ell**3, prec=90)[1]
         assert Fraction(ref_hi) < Fraction(hi, scale), ell
 
 
@@ -511,16 +507,6 @@ def test_fixed_point_constants_match_a_decimal_reference():
     )
 
 
-def test_one_wide_log_ignores_the_ambient_decimal_context():
-    ells = [2, 5, 641, 3**37, 10**59 + 7]
-    expected = [_direct_pair(ell) for ell in ells]
-    with localcontext() as ctx:
-        ctx.prec = 5
-        ctx.rounding = ROUND_FLOOR
-        got = [ln_ell_lo_and_delta_hi(ell) for ell in ells]
-    assert got == expected
-
-
 def test_upper_gap_from_the_wide_log_is_silvermans():
     for s, t in ((1, 2), (2, 5), (3, 10), (400, 399)):
         c = make_family(s, t)
@@ -528,57 +514,30 @@ def test_upper_gap_from_the_wide_log_is_silvermans():
         assert _silverman_upper_gap(h_delta_hi) == silverman_gaps(c).upper_gap
 
 
-def test_ln_s_squared_matches_the_direct_call_up_to_5000(direct_logs):
-    # both ends of the doubled enclosure are decided, not only the upper one
-    expected = [log_int_bounds(s * s) for s in range(2, 5001)]
-    direct_logs.clear()
-    got = []
+def test_ln_s_squared_matches_the_direct_call_up_to_5000():
+    # both ends of log_int_bounds(s * s) are the oracle's, and the memo
+    # holds the upper one
     for s in range(2, 5001):
-        lo, hi = heights_module._ln_fixed(s)
-        got.append((heights_module._lo_float(2 * lo, 2 * hi),
-                    heights_module._hi_float(2 * lo, 2 * hi)))
-        assert ln_square_hi(s) == got[-1][1], s
-    assert got == expected
-    assert direct_logs == []
+        want = ln_oracle.log_int_bounds(s * s)
+        assert log_int_bounds(s * s) == want, s
+        assert primitivity._ln_s_squared_hi(s) == want[1], s
 
 
-def test_ln_s_squared_matches_the_direct_call_up_to_1e60(direct_logs):
+def test_ln_s_squared_matches_the_direct_call_up_to_1e60():
     rng = random.Random(20261022)
     ss = [rng.randrange(2, 10 ** rng.randint(1, 60)) for _ in range(2000)]
-    expected = [log_int_bounds(s * s)[1] for s in ss]
-    direct_logs.clear()
-    assert [ln_square_hi(s) for s in ss] == expected
-    assert direct_logs == []
+    expected = [ln_oracle.log_int_bounds(s * s)[1] for s in ss]
+    assert [primitivity._ln_s_squared_hi(s) for s in ss] == expected
 
 
-def test_ln_s_squared_across_the_direct_ln_width(monkeypatch):
+def test_ln_s_squared_across_the_direct_ln_width():
     # s^2 fits in _DIRECT_LN_BITS bits up to edge and no further; past it
-    # log_int_bounds truncates, and ln_square_hi calls it
+    # the oracle truncates, and the memo still holds its float
     edge = math.isqrt((1 << _DIRECT_LN_BITS) - 1)
     ss = range(edge - 3, edge + 4)
     assert {(s * s).bit_length() <= _DIRECT_LN_BITS for s in ss} == {True, False}
-    expected = [log_int_bounds(s * s)[1] for s in ss]
-    calls = []
-    monkeypatch.setattr(heights_module, "log_int_bounds",
-                        lambda n: calls.append(n) or log_int_bounds(n))
-    assert [ln_square_hi(s) for s in ss] == expected
-    assert calls == [s * s for s in ss if s > edge]
-
-
-def test_undecided_rounding_falls_back_to_the_direct_calls(monkeypatch, direct_logs):
-    # every fixed-point log falls back when its rounding is not decided, to
-    # the Decimal reference's floats
-    ints = [2, 3, 5, 17, 641, 5641, 10**40 + 123]
-    want_sq = [log_int_bounds(s * s)[1] for s in ints]
-    want_pair = [_direct_pair(ell) for ell in ints]
-    for name in ("_lo_float", "_hi_float"):
-        monkeypatch.setattr(heights_module, name, lambda lo, hi: None)
-    direct_logs.clear()
-    assert [ln_square_hi(s) for s in ints] == want_sq
-    assert direct_logs == [s * s for s in ints]
-    direct_logs.clear()
-    assert [ln_ell_lo_and_delta_hi(ell) for ell in ints] == want_pair
-    assert direct_logs == [n for ell in ints for n in (ell, 64 * ell**3)]
+    expected = [ln_oracle.log_int_bounds(s * s)[1] for s in ss]
+    assert [primitivity._ln_s_squared_hi(s) for s in ss] == expected
 
 
 #: "s,t,iterations" -> sha256 of the ``heights`` report, or the refusal up

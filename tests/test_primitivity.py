@@ -2,14 +2,12 @@
 asserted preconditions, a brute-force no-small-multiple cross-check, and
 the per-process memo of ln s^2."""
 
-import decimal
 import json
 import math
-from decimal import Decimal
+import sys
 
 import pytest
 
-from ellcert import heights as heights_module
 from ellcert import primitivity
 from ellcert.arith import is_square, kth_power_free
 from ellcert.certify import certificate_to_jsonl, certify_divisibility, member
@@ -159,27 +157,15 @@ def test_ln_s_squared_memo_is_bounded():
 
 
 def test_p13_search_takes_no_decimal_log(monkeypatch, tmp_path, capsys):
-    """A p13 search takes no Decimal logarithm and calls no
-    ``log_int_bounds``: ln s^2, ln l and ln 64 l^3 all come from
-    fixed-point logarithms in integers, and none fell back.  With ln s^2
-    from a Decimal log it took 371, one per distinct s > 1; with two
-    50-digit logs per certificate as well it would take 2,585."""
-    logs, calls = [], []
-    real = heights_module.log_int_bounds
-
-    class CountingDecimal(Decimal):
-        def ln(self, context=None):
-            logs.append(self)
-            return super().ln(context)
-
-    def counted(n):
-        calls.append(n)
-        return real(n)
-
-    # heights imports decimal when it takes a logarithm, and reads
-    # decimal.Decimal then
-    monkeypatch.setattr(decimal, "Decimal", CountingDecimal)
-    monkeypatch.setattr(heights_module, "log_int_bounds", counted)
+    """A p13 search runs with ``decimal`` unimportable, and takes one
+    ``log_int_bounds`` per distinct s > 1, from the ln s^2 memo: ln l and
+    ln 64 l^3 come from one integer enclosure per member.  With ln s^2
+    from a Decimal log it took 371 of those; with two 50-digit logs per
+    certificate as well it would take 2,585."""
+    calls = []
+    real = primitivity.log_int_bounds
+    monkeypatch.setitem(sys.modules, "decimal", None)
+    monkeypatch.setattr(primitivity, "log_int_bounds", lambda n: calls.append(n) or real(n))
     primitivity._ln_s_squared_hi.cache_clear()
     out = tmp_path / "p13.jsonl"
     argv = ["search", "--mode", "main", "--p", "13", "--max-param", "400",
@@ -189,5 +175,4 @@ def test_p13_search_takes_no_decimal_log(monkeypatch, tmp_path, capsys):
     records = out.read_text().splitlines()
     distinct_s = {json.loads(line)["subject"]["s"] for line in records} - {"1"}
     assert (len(records), len(distinct_s)) == (1107, 371)
-    assert logs == []
-    assert calls == []
+    assert sorted(calls) == sorted(int(s) ** 2 for s in distinct_s)

@@ -5,6 +5,9 @@ The CLI runs happen in a fresh interpreter, so warm ``lru_cache``s and
 the Selmer memo left by earlier tests cannot hide a function that only
 runs on a cache miss.  A function that no run enters and no allow-list
 entry names is dead code: delete it, or say here why it stays.
+
+An import guard sits beside it: no module in the package imports
+``decimal``, whose logarithm is only the tests' oracle (``ln_oracle``).
 """
 
 import ast
@@ -136,3 +139,22 @@ def test_every_function_is_reached_or_an_allowed_oracle(tmp_path):
     assert unreached - set(ALLOWED) == set(), "functions no CLI run enters"
     # an oracle that a run does enter is no longer test-only
     assert reached & set(ALLOWED) == set(), "allow-list entries the CLI reaches"
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """Top-level names of the absolute imports in one source file."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+def test_no_module_imports_decimal():
+    # every logarithm is the integer enclosure in heights; a lazy import
+    # inside a function counts as well
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert {"math", "json"} <= set().union(*map(_imported_modules, sources))
+    assert [p.name for p in sources if "decimal" in _imported_modules(p)] == []
