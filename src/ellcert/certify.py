@@ -42,17 +42,16 @@ from collections import Counter
 from functools import lru_cache
 from typing import NamedTuple
 
-from .arith import is_prime, is_square, kth_power_free, vp
+from .arith import is_prime, is_square, kth_power_free, primality_info, vp
 from .curve import (
     Curve,
-    curve_from_a,
     has_rational_m_torsion,
     is_torsion_point,
     j_invariant,
     make_family,
     reduction_at,
 )
-from .descent import RankCert, SelmerReport, certify_rank_one, require_proved_prime
+from .descent import RankCert, SelmerReport, certify_rank_one
 from .errors import PreconditionFailure
 from .localcond import check_local
 from .primitivity import certify_primitive
@@ -73,13 +72,14 @@ _ELEVEN_ISOGENY_J = (-32768, -24729001)
 
 
 class Member(NamedTuple):
-    """One family member E_{s,t} with the facts about ell that its ledger
-    checks consume, each worked out once."""
+    """One family member E_{s,t}: the one holder of its parameters s, t
+    and ell = s^4 + t^2, with the facts about ell that its ledger checks
+    consume, each worked out once."""
 
     s: int
     t: int
     ell: int
-    curve: Curve  # family-tagged, so it carries s, t and ell as well
+    curve: Curve  # y^2 = x^3 - ell x
     fourth_power_free: bool
     ell_is_square: bool
 
@@ -92,13 +92,14 @@ def member(s: int, t: int) -> Member:
     tries only 2 and 5, 9, 13, ... (``kth_power_free`` with step 4).
     """
     c = make_family(s, t)
+    ell = -c.a
     return Member(
         s=s,
         t=t,
-        ell=c.ell,
+        ell=ell,
         curve=c,
-        fourth_power_free=kth_power_free(c.ell, 4, 4 if math.gcd(s, t) == 1 else 2),
-        ell_is_square=is_square(c.ell),
+        fourth_power_free=kth_power_free(ell, 4, 4 if math.gcd(s, t) == 1 else 2),
+        ell_is_square=is_square(ell),
     )
 
 
@@ -224,48 +225,37 @@ def _require(ok: bool, name: str, detail: str) -> None:
         raise PreconditionFailure(name, detail)
 
 
-def cohomology_vanishing_checks(c: Curve, p: int) -> list[Entry]:
-    """Mod-p image conditions on the family curve c that feed the
-    divisibility criterion.
+def cohomology_vanishing_checks(m: Member, p: int) -> list[Entry]:
+    """Mod-p image conditions on the member's curve that feed the
+    divisibility criterion, for a p that ``check_p`` has passed.
 
     p >= 13 needs nothing beyond the prime itself; 11 is settled by
     comparing j = 1728 against the two rational-11-isogeny j-invariants;
     7 by the absence of rational 7-torsion; 5 by the same check on the
     quartic twist by 25 together with a cited irreducibility theorem.
 
-    The torsion checks use a supersingular-reduction witness: a prime
-    q = 3 (mod 4) not dividing 2a has #E(F_q) = q + 1, recounted at run
-    time, and torsion of order prime to q injects into E(F_q) under good
-    reduction [Silverman AEC, VII.3.1], so m not dividing q + 1 leaves no
-    rational m-torsion (see ``has_rational_m_torsion``).
+    None of these can fail.  The torsion checks use a supersingular-
+    reduction witness: a prime q = 3 (mod 4) not dividing 2a has #E(F_q)
+    = q + 1, recounted at run time, and torsion of order prime to q
+    injects into E(F_q) under good reduction [Silverman AEC, VII.3.1], so
+    m not dividing q + 1 leaves no rational m-torsion.
+    ``has_rational_m_torsion`` returns False or raises AssertionError, a
+    soundness alarm, as does a j among the 11-isogeny ones.
     """
-    if p < 5 or not is_prime(p):
-        raise PreconditionFailure("p-out-of-range", f"p={p} must be a prime >= 5")
-    out = []
+    assert p >= 5 and is_prime(p), p
     if p >= 13:
-        out.append((MOD_P_IMAGE_LARGE_PRIME, (p,)))
-        return out
+        return [(MOD_P_IMAGE_LARGE_PRIME, (p,))]
     if p == 11:
-        j = j_invariant(c)
-        _require(j not in _ELEVEN_ISOGENY_J, "eleven-isogeny-j", f"j={j}")
-        out.append((ELEVEN_ISOGENY_J, (j, _ELEVEN_ISOGENY_J)))
-        return out
+        j = j_invariant(m.curve)
+        assert j not in _ELEVEN_ISOGENY_J, j
+        return [(ELEVEN_ISOGENY_J, (j, _ELEVEN_ISOGENY_J))]
     if p == 7:
-        _require(
-            not has_rational_m_torsion(c, 7), "seven-torsion", "rational 7-torsion found"
-        )
-        out.append((SEVEN_TORSION_FREE, (c.ell,)))
-        return out
+        has_rational_m_torsion(m.curve, 7)
+        return [(SEVEN_TORSION_FREE, (m.ell,))]
     # p == 5: the relevant quartic twist must avoid rational 5-torsion
-    twist = curve_from_a(-25 * c.ell)
-    _require(
-        not has_rational_m_torsion(twist, 5),
-        "twist-five-torsion",
-        "rational 5-torsion on the 25-twist",
-    )
-    out.append((TWIST_FIVE_TORSION_FREE, (twist.a,)))
-    out.append((MOD_FIVE_IRREDUCIBILITY, (c.ell,)))
-    return out
+    twist = Curve(-25 * m.ell)
+    has_rational_m_torsion(twist, 5)
+    return [(TWIST_FIVE_TORSION_FREE, (twist.a,)), (MOD_FIVE_IRREDUCIBILITY, (m.ell,))]
 
 
 def check_p(p: int) -> None:
@@ -277,8 +267,10 @@ def check_p(p: int) -> None:
     probable prime, and the parameters such a p forces (p^(n+1) | s t)
     make ell too large to test for fourth powers in any useful time.
     """
-    _require(p >= 5 and is_prime(p), "p-out-of-range", f"p={p} must be a prime >= 5")
-    require_proved_prime(p, "p")
+    prime, method = primality_info(p)
+    _require(p >= 5 and prime, "p-out-of-range", f"p={p} must be a prime >= 5")
+    _require(method != "baillie-psw-probable-prime", "p-primality-unproven",
+             f"p={p} is only a BPSW probable prime")
 
 
 def _checked_member(s: int, t: int, p: int, n: int) -> Member:
@@ -291,7 +283,6 @@ def _checked_member(s: int, t: int, p: int, n: int) -> Member:
 
 def _divisibility_checks(m: Member, p: int, n: int) -> list[Entry]:
     """The ledger for a member whose n, p and gcd checks have passed."""
-    c = m.curve
     ell = m.ell
     checks = [(COPRIME_PARAMETERS, (m.s, m.t))]
 
@@ -301,15 +292,15 @@ def _divisibility_checks(m: Member, p: int, n: int) -> list[Entry]:
     _require(not m.ell_is_square, "nonsquare-ell", f"ell={ell}")
     checks.append((NONSQUARE_ELL, (ell,)))
 
-    local = check_local(c, p, n)  # raises with its own reasons if violated
+    local = check_local(m.s, m.t, p, n)  # raises with its own reasons if violated
     checks += (
         (PARAMETER_DEPTH, (p, n, local.flagged, local.v_st)),
         (GOOD_REDUCTION_AT_P, (p,)),
-        (INTEGRAL_J, (j_invariant(c),)),
+        (INTEGRAL_J, (j_invariant(m.curve),)),
         (KERNEL_FILTRATION_DEPTH, (local.depth, local.x_doubled_valuation,
                                    local.y_doubled_valuation, local.order_parity_method)),
     )
-    checks += cohomology_vanishing_checks(c, p)
+    checks += cohomology_vanishing_checks(m, p)
     checks.append((PRIMITIVE_POINT, ("height-ratio", certify_primitive(m))))
     checks.append((FILTRATION_TO_CLASS_GROUP, (p, n)))
     return checks
@@ -332,10 +323,11 @@ def certify_divisibility(s: int, t: int, p: int, n: int) -> Certificate:
 def certify_square_subfamily(s: int, tau: int, p: int) -> Certificate:
     """t = tau^2 member with two deep points: p^4 divides h(Q(E[p])).
 
-    The curve for (s, tau^2) equals the one for (tau, s^2), and the two
-    parametrizations contribute the two rational points (-s^2, s tau^2)
-    and (-tau^2, s^2 tau).  Their independence is the cited rank result;
-    both filtration depths are machine-checked through the swap.
+    The curve for (s, tau^2) equals the one for (tau, s^2), as s^4 + tau^4
+    is symmetric, and the two parametrizations contribute the two rational
+    points (-s^2, s tau^2) and (-tau^2, s^2 tau).  Their independence is
+    the cited rank result; both filtration depths are machine-checked, the
+    second as the base point's of the parameters (tau, s^2).
     """
     _require(math.gcd(s, tau) == 1, "coprime-parameters", f"gcd({s},{tau}) != 1")
     check_p(p)
@@ -347,12 +339,9 @@ def certify_square_subfamily(s: int, tau: int, p: int) -> Certificate:
     _require(depth >= 2, "square-depth", f"v_p(s*tau)={depth} < 2")
 
     checks = _divisibility_checks(m, p, 1)
-    swapped = make_family(tau, s * s)
-    local_swapped = check_local(swapped, p, 1)
+    second = check_local(tau, s * s, p, 1)
     first = "s" if vp(s, p) > 0 else "tau"
-    checks.append((SECOND_POINT_DEPTH,
-                   (f"(-{tau}^2, {s}^2*{tau})", local_swapped.depth, first)))
-    assert swapped.a == m.curve.a
+    checks.append((SECOND_POINT_DEPTH, (f"(-{tau}^2, {s}^2*{tau})", second.depth, first)))
     # l is not a square here, so the torsion is {O, (0, 0)}, and
     # y(second) = s^2 tau is not 0 since tau = 0 would force l = 1
     if is_torsion_point(m.curve, (-tau * tau, s * s * tau)):
@@ -375,7 +364,7 @@ def certify_infinite_instance(s: int, t: int, p: int, n: int) -> Certificate:
     checks = _divisibility_checks(m, p, n)
     ell = m.ell
     # enforces s even, t = +-3 mod 8, l prime
-    rank = certify_rank_one(s, t, m.curve)
+    rank = certify_rank_one(s, t)
     rep = rank.selmer_report
     checks.append((RANK_EXACTLY_ONE, (rank.ell_mod_16, rep.sel_forward, rep.sel_dual,
                                       rep.rank_upper)))
@@ -421,11 +410,17 @@ def batch_distinctness(certs: list[Certificate]) -> dict:
     }
 
 
+def record_head(theorem: str) -> str:
+    """The text every record of ``theorem`` begins with, up to the colon
+    before its subject; ``verify --file`` reads a stored line's theorem
+    off it."""
+    return '{"schema":"%s","theorem":"%s","subject":' % (SCHEMA_VERSION, theorem)
+
+
 def _head(theorem: str, subject: tuple[str, ...]) -> str:
     """A record's template up to the end of its subject, whose integers
     are slots."""
-    return '{"schema":"%s","theorem":"%s","subject":{%s}' % (
-        SCHEMA_VERSION, theorem, ",".join(f'"{key}":"%d"' for key in subject))
+    return record_head(theorem) + "{%s}" % ",".join(f'"{key}":"%d"' for key in subject)
 
 
 _RANK_ONE = _head("rank-one", ("s", "t", "ell")) + (

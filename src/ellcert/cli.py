@@ -60,6 +60,7 @@ from .certify import (
     certify_infinite_instance,
     certify_square_subfamily,
     check_p,
+    record_head,
 )
 from .curve import base_point, make_family
 from .descent import (
@@ -501,8 +502,7 @@ def _first_difference(stored, fresh, path: str = "") -> str | None:
 
 
 #: The head of a written record, up to its subject, for each theorem.
-_RECORD_HEADS = {
-    f'{{"schema":"{SCHEMA_VERSION}","theorem":"{t}","subject":': t for t in RECORD_MODES}
+_RECORD_HEADS = {record_head(theorem): theorem for theorem in RECORD_MODES}
 _raw_decode = json.JSONDecoder().raw_decode
 
 
@@ -643,18 +643,18 @@ def cmd_heights(args) -> int:
         print("--iterations must be at least 1", file=sys.stderr)
         return 2
     c = make_family(args.s, args.t)
-    p0 = base_point(c)
+    p0 = base_point(args.s, args.t)
     try:
         h = canonical_height(c, p0, args.iterations)
     except PreconditionFailure as exc:
         return _refused(exc)
     gaps = silverman_gaps(c)
-    print(f"ell = {c.ell}")
+    print(f"ell = {-c.a}")
     print(f"naive height h(P) = {naive_height(p0):.6f}")
     print(f"canonical height in [{h.lo:.9f}, {h.hi:.9f}] ({h.iterations} doublings)")
     print(f"height gaps: -{gaps.lower_gap:.6f} / +{gaps.upper_gap:.6f}")
     try:
-        floor = vy_lower_bound(-c.ell)
+        floor = vy_lower_bound(c.a)
         print(f"height floor = {floor:.6f}")
         print(f"index bound m^2 <= {h.hi / floor:.4f}")
     except ValueError as exc:

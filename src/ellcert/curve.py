@@ -1,15 +1,17 @@
 """Curves y^2 = x^3 + a*x over Q.
 
-The family of interest is a = -(s^4 + t^2) with its obvious rational point
-(-s^2, s*t); general a is supported so twists and test curves work too.
-General Weierstrass models (b != 0) are out of scope.
+A curve is its coefficient a alone.  The family of interest is
+a = -(s^4 + t^2) with its obvious rational point (-s^2, s*t); a member's
+parameters s, t and ell live in ``certify.Member``, never on the curve.
+General a is supported so twists and test curves work too.  General
+Weierstrass models (b != 0) are out of scope.
 
-What the certifiers use runs on integers: the base point's check in
-``make_family``, the torsion closed form, reduction data and point
-counts.  ``Point``, with ``Fraction`` coordinates, serves the ``heights``
-report and the exact group law, a reference oracle for the tests; the
-functions that make ``Fraction``s import ``fractions`` themselves, so a
-certificate run never loads it.
+What the certifiers and the ``heights`` report use runs on integers: the
+base point and its check in ``make_family``, the torsion closed form,
+reduction data and point counts.  ``Point`` also takes ``Fraction``
+coordinates for the exact group law, a reference oracle for the tests;
+the functions that make ``Fraction``s import ``fractions`` themselves, so
+no CLI command loads it.
 """
 
 from __future__ import annotations
@@ -18,35 +20,21 @@ import math
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
-from .arith import is_prime
-from .errors import PreconditionFailure
+from .arith import is_prime, vp
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
 
 class Curve(NamedTuple):
-    """y^2 = x^3 + a*x, with optional family tags (s, t)."""
+    """y^2 = x^3 + a*x."""
 
     a: int
-    s: int | None = None
-    t: int | None = None
-
-    @property
-    def is_family(self) -> bool:
-        return self.s is not None and self.t is not None
-
-    @property
-    def ell(self) -> int:
-        """The twist parameter s^4 + t^2 of a family-tagged curve."""
-        if not self.is_family:
-            raise PreconditionFailure("not-family-tagged", f"curve a={self.a}")
-        return -self.a
 
 
 class Point(NamedTuple):
-    x: Fraction
-    y: Fraction
+    x: Fraction | int
+    y: Fraction | int
 
 
 #: The point at infinity (group identity).
@@ -55,30 +43,21 @@ INFINITY = None
 PointLike = Point | None
 
 
-def curve_from_a(a: int) -> Curve:
-    if a == 0:
-        raise ValueError("curve_from_a: a = 0 is singular for this family shape")
-    return Curve(a=a)
-
-
 def make_family(s: int, t: int) -> Curve:
-    """Family curve y^2 = x^3 - (s^4 + t^2) x with its base point attached."""
+    """The family curve y^2 = x^3 - (s^4 + t^2) x, checked to carry the
+    base point (-s^2, s t)."""
     if s == 0 and t == 0:
         raise ValueError("make_family: (0, 0) gives a degenerate curve")
-    c = Curve(a=-(s**4 + t**2), s=s, t=t)
+    a = -(s**4 + t**2)
     # construction identity: (-s^2)^3 - (s^4+t^2)(-s^2) = (s t)^2
     x = -s * s
-    assert (s * t) ** 2 == x**3 + c.a * x
-    return c
+    assert (s * t) ** 2 == x**3 + a * x
+    return Curve(a)
 
 
-def base_point(c: Curve) -> Point:
-    """The obvious rational point (-s^2, s t) of a family curve."""
-    if not c.is_family:
-        raise PreconditionFailure("not-family-tagged", f"curve a={c.a}")
-    from fractions import Fraction
-
-    return Point(Fraction(-c.s * c.s), Fraction(c.s * c.t))
+def base_point(s: int, t: int) -> Point:
+    """The obvious rational point (-s^2, s t) of E_{s,t}, in integers."""
+    return Point(-s * s, s * t)
 
 
 def on_curve(c: Curve, pt: PointLike) -> bool:
@@ -200,34 +179,20 @@ class ReductionData(NamedTuple):
 
 
 def reduction_at(c: Curve, q: int) -> ReductionData:
-    """Reduction type of a family curve at the prime q.
+    """Reduction type of y^2 = x^3 + a x at the prime q.
 
-    Good iff q does not divide 2(s^4 + t^2).  At an odd prime q >= 5 with
-    (v_q(c4), v_q(Delta)) = (1, 3) the standard reduction table for residue
-    characteristic >= 5 gives Kodaira type III with Tamagawa number 2; the
-    equation is minimal there since v_q(Delta) < 12.  Everything else bad is
-    reported unclassified.
+    Good iff q does not divide 2a, as Delta = -64 a^3.  At an odd prime
+    q >= 5 with (v_q(c4), v_q(Delta)) = (1, 3), where c4 = -48 a, the
+    standard reduction table for residue characteristic >= 5 gives Kodaira
+    type III with Tamagawa number 2; the equation is minimal there since
+    v_q(Delta) < 12.  Everything else bad is reported unclassified.
     """
-    if not c.is_family:
-        raise PreconditionFailure("not-family-tagged", "reduction_at needs s, t")
     if not is_prime(q):
         raise ValueError(f"reduction_at: {q} is not prime")
-    ell = c.ell
-    if (2 * ell) % q != 0:
+    if (2 * c.a) % q != 0:
         return ReductionData(True, None, None)
-    if q >= 5:
-        c4 = -48 * c.a  # = 48 ell
-        disc = -64 * c.a**3  # = 64 ell^3
-        v_c4 = 0
-        while c4 % q == 0:
-            c4 //= q
-            v_c4 += 1
-        v_disc = 0
-        while disc % q == 0:
-            disc //= q
-            v_disc += 1
-        if v_c4 == 1 and v_disc == 3:
-            return ReductionData(False, "III", 2)
+    if q >= 5 and vp(-48 * c.a, q) == 1 and vp(-64 * c.a**3, q) == 3:
+        return ReductionData(False, "III", 2)
     return ReductionData(False, "unclassified", None)
 
 

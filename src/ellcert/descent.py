@@ -23,7 +23,7 @@ from math import isqrt
 from typing import NamedTuple
 
 from .arith import REAL, is_prime, is_square, jacobi, primality_info
-from .curve import Curve, is_torsion_point, make_family
+from .curve import Curve, is_torsion_point
 from .errors import PreconditionFailure
 
 _ODD_P_LOOP_LIMIT = 10**6
@@ -374,20 +374,19 @@ class RankCert(NamedTuple):
         return f"rank = {self.rank}"
 
 
-def require_proved_prime(n: int, name: str = "ell") -> None:
-    """Refuse an n that is not prime (``<name>-not-prime``) or that only
-    passed BPSW, above psi_13 (``<name>-primality-unproven``); ``name`` is
-    the parameter n stands for, ell or p."""
-    prime, method = primality_info(n)
+def require_proved_prime(ell: int) -> None:
+    """Refuse an ell that is not prime (``ell-not-prime``) or that only
+    passed BPSW, above psi_13 (``ell-primality-unproven``)."""
+    prime, method = primality_info(ell)
     if not prime:
-        raise PreconditionFailure(f"{name}-not-prime", f"{name}={n}")
+        raise PreconditionFailure("ell-not-prime", f"ell={ell}")
     if method == "baillie-psw-probable-prime":
         raise PreconditionFailure(
-            f"{name}-primality-unproven", f"{name}={n} is only a BPSW probable prime"
+            "ell-primality-unproven", f"ell={ell} is only a BPSW probable prime"
         )
 
 
-def certify_rank_one(s: int, t: int, c: Curve | None = None) -> RankCert:
+def certify_rank_one(s: int, t: int) -> RankCert:
     """Prove rank E_{s,t}(Q) = 1 for s even, t = +-3 mod 8, l = s^4 + t^2 prime.
 
     Those congruences force l = 9 mod 16, where the forward Selmer group
@@ -402,9 +401,6 @@ def certify_rank_one(s: int, t: int, c: Curve | None = None) -> RankCert:
     BPSW probable prime, and that is refused as ``ell-primality-unproven``.
     The proof is cached, so the re-checks in ``selmer`` and in
     ``reduction_at(c, l)`` cost nothing.
-
-    ``c`` is the family curve of (s, t) when the caller has built it
-    already; otherwise it is built once the cheap checks pass.
     """
     ell = s**4 + t**2
     if s <= 0 or s % 2 != 0:
@@ -416,10 +412,7 @@ def certify_rank_one(s: int, t: int, c: Curve | None = None) -> RankCert:
     report = selmer(ell)
     if report.rank_upper != 1:
         raise AssertionError(f"descent gave rank cap {report.rank_upper}, expected 1")
-    if c is None:
-        c = make_family(s, t)
-    assert (c.s, c.t) == (s, t)
-    if is_torsion_point(c, (-s * s, s * t)):
+    if is_torsion_point(Curve(-ell), (-s * s, s * t)):
         raise AssertionError("base point unexpectedly torsion")
     return RankCert(
         s=s,

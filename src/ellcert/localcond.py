@@ -30,12 +30,19 @@ class LocalCert(NamedTuple):
     order_parity_method: str  # "counted" or "rational-two-torsion"
 
 
-def check_local(c: Curve, p: int, n: int) -> LocalCert:
+def check_local(s: int, t: int, p: int, n: int) -> LocalCert:
     """Verify v_p(z(2P)) >= n+1 for the base point P = (-s^2, s t) of the
-    family curve c = E_{s,t}, which carries s and t.
+    family curve E_{s,t}: y^2 = x^3 + a x, a = -(s^4 + t^2).
 
-    Requires p an odd prime dividing exactly one of s and t, with
-    p^(n+1) | s t.  The doubled point has the closed form
+    The caller's contract is n >= 1, p an odd prime and s, t nonzero.
+    Every certifier refuses any other input first: n as ``depth-target``
+    and p as ``p-out-of-range`` before the member is built, and a zero s
+    or t as ``nonsquare-ell``, since it makes l = t^2 or s^4 a square.  So
+    a breach is an AssertionError, a soundness alarm.  Refused here is a p
+    that divides both or neither of s and t, or too few times.
+
+    With p dividing exactly one of s and t, and p^(n+1) | s t, the
+    doubled point has the closed form
 
         2P = (X / (4 s^2 t^2), -Y / (8 s^3 t^3)),
         X = u^2,  Y = u w,  u = 2s^4 + t^2,  w = 4s^8 + 4s^4 t^2 - t^4,
@@ -54,13 +61,7 @@ def check_local(c: Curve, p: int, n: int) -> LocalCert:
     a property of the candidate, so it is a soundness alarm and never a
     refusal.
     """
-    if n < 1:
-        raise PreconditionFailure("depth-target", f"n={n} must be >= 1")
-    if p == 2 or not is_prime(p):
-        raise PreconditionFailure("p-not-odd-prime", f"p={p}")
-    s, t = c.s, c.t
-    if s == 0 or t == 0:
-        raise PreconditionFailure("degenerate-parameters", f"(s,t)=({s},{t})")
+    assert n >= 1 and p != 2 and is_prime(p) and s and t, (s, t, p, n)
     v_s = vp(s, p)
     v_t = vp(t, p)
     if (v_s > 0) == (v_t > 0):
@@ -75,10 +76,11 @@ def check_local(c: Curve, p: int, n: int) -> LocalCert:
         )
 
     s4, t2 = s**4, t * t
+    a = -(s4 + t2)
     u = 2 * s4 + t2
     x_num, y_num = u * u, u * (4 * s4 * s4 + 4 * s4 * t2 - t2 * t2)
     x_den = 4 * s * s * t2
-    assert y_num * y_num == x_num**3 + c.a * x_num * x_den * x_den, (s, t)
+    assert y_num * y_num == x_num**3 + a * x_num * x_den * x_den, (s, t)
     # p is odd, so the constants 4 and 8 of the denominators are units
     xv = vp(x_num, p) - 2 * v_st
     yv = vp(y_num, p) - 3 * v_st
@@ -89,7 +91,7 @@ def check_local(c: Curve, p: int, n: int) -> LocalCert:
 
     # even by structure (see above); for small p the count re-checks it
     if p <= _COUNT_LIMIT:
-        if count_points_mod_p(c, p) % 2:
+        if count_points_mod_p(Curve(a), p) % 2:
             raise AssertionError(f"odd #E(F_p) at (s,t)=({s},{t}), p={p}")
         parity_method = "counted"
     else:

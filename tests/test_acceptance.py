@@ -22,6 +22,7 @@ from ellcert.cli import SearchConfig, main, run_search
 from ellcert.curve import (
     base_point,
     make_family,
+    point,
     rational_points_up_to_height,
     smul,
     translate_by_torsion,
@@ -183,14 +184,14 @@ def test_criterion_5_height_intervals():
         for _ in range(50):
             s, t = rng.randint(1, 30), rng.randint(1, 30)
             c = make_family(s, t)
-            p0 = base_point(c)
+            p0 = base_point(s, t)
             h5 = canonical_height(c, p0, 5)
             h6 = canonical_height(c, p0, 6)
             assert h6.lo >= h5.lo - 1e-12 and h6.hi <= h5.hi + 1e-12
             gaps = silverman_gaps(c)
             width = h5.hi - h5.lo
             assert abs(width - (gaps.lower_gap + gaps.upper_gap) / 4**5) < 1e-9
-            assert abs((gaps.upper_gap - math.log(c.ell) / 4) - 2.03781) < 1e-4
+            assert abs((gaps.upper_gap - math.log(-c.a) / 4) - 2.03781) < 1e-4
 
 
 def test_criterion_6_primitivity_sweep():
@@ -208,7 +209,7 @@ def test_criterion_6_primitivity_sweep():
             if (s, t) != (1, 1):
                 assert certify_primitive(member(s, t)) < 9.0, (s, t)
             c = make_family(s, t)
-            p0 = base_point(c)
+            p0 = point(c, *base_point(s, t))
             targets = {p0.x, translate_by_torsion(c, p0).x}
             for q in rational_points_up_to_height(c, 3.0):
                 for m in (2, 3, 5):
@@ -229,7 +230,7 @@ def test_criterion_7_duplication_valuations():
                 continue
             s, t = (carrier, other) if rng.random() < 0.5 else (other, carrier)
             c = make_family(s, t)
-            doubled = smul(c, 2, base_point(c))
+            doubled = smul(c, 2, point(c, *base_point(s, t)))
             assert doubled.x == Fraction(2 * s**4 + t * t, 2 * s * t) ** 2
             d = vp(s * t, p)
             assert vp_rational(doubled.x, p) == -2 * d

@@ -78,15 +78,16 @@ def test_larger_p_branches(s, t, p, expected_entry):
 
 
 def test_cohomology_checks_standalone():
-    entries = cohomology_vanishing_checks(make_family(2, 25), 5)
+    entries = cohomology_vanishing_checks(member(2, 25), 5)
     assert [check.name for check, _ in entries] == [
         "twist-five-torsion-free",
         "mod-five-irreducibility",
     ]
-    with pytest.raises(PreconditionFailure):
-        cohomology_vanishing_checks(make_family(2, 25), 3)
-    with pytest.raises(PreconditionFailure):
-        cohomology_vanishing_checks(make_family(2, 25), 9)
+    # check_p refuses these first in every certifier: a soundness alarm here
+    with pytest.raises(AssertionError):
+        cohomology_vanishing_checks(member(2, 25), 3)
+    with pytest.raises(AssertionError):
+        cohomology_vanishing_checks(member(2, 25), 9)
 
 
 @pytest.mark.parametrize(
@@ -355,9 +356,8 @@ def _count_calls(monkeypatch, fn):
     [
         (certify_divisibility, (2, 25, 5, 1), [(2, 25)]),
         (certify_divisibility, (2, 169, 13, 1), [(2, 169)]),
-        # the swapped pair (tau, s^2) carries the second point
-        (certify_square_subfamily, (25, 2, 5), [(25, 4), (2, 625)]),
-        # certify_rank_one reuses the member's curve
+        # the second point's depth is read off (tau, s^2), with no second curve
+        (certify_square_subfamily, (25, 2, 5), [(25, 4)]),
         (certify_infinite_instance, (2, 75, 5, 1), [(2, 75)]),
     ],
 )
@@ -373,8 +373,8 @@ def test_member_facts_are_worked_out_once(certify, args, curves, monkeypatch):
 
 
 def test_square_subfamily_counts_points_at_p_once(monkeypatch):
-    # the member (s, tau^2) and the swap (tau, s^2) have the same a, so
-    # their counts at p share one character sum
+    # the base points of (s, tau^2) and of (tau, s^2) lie on the same
+    # curve, so their counts at p share one character sum
     curve_module._count_points.cache_clear()
     counts = _count_calls(monkeypatch, curve_module.count_points_mod_p)
     certify_square_subfamily(2, 25, 5)

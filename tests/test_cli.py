@@ -873,6 +873,25 @@ def test_verify_file_loads_no_pool_hashlib_or_dataclasses(tmp_path):
     assert len(out.read_text(encoding="utf-8").splitlines()) > 0
 
 
+def test_heights_report_loads_no_fractions():
+    # the base point (-s^2, s t) is integral, and so is every doubling
+    script = (
+        "import json, sys\n"
+        "import ellcert.cli\n"
+        "rc = ellcert.cli.main(['heights', '--s', '2', '--t', '75', '--iterations', '7'])\n"
+        "print(json.dumps([rc, [m for m in ('fractions', 'decimal') if m in sys.modules]]))\n"
+    )
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    src = str(Path(ellcert.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
+
+
 def test_checkpoint_fingerprints_are_stable():
     # checkpoints written by earlier releases must still resume
     assert SearchConfig("main", 5, 1, 25, 1, 1).fingerprint() == "ea044ea46dc9c413"

@@ -15,7 +15,6 @@ from ellcert.curve import (
     add,
     base_point,
     count_points_mod_p,
-    curve_from_a,
     has_rational_m_torsion,
     is_torsion_point,
     j_invariant,
@@ -30,7 +29,6 @@ from ellcert.curve import (
 )
 import ellcert.curve as curve_mod
 from ellcert.arith import is_prime
-from ellcert.errors import PreconditionFailure
 
 from divpoly_oracle import (
     _rational_roots,
@@ -65,9 +63,9 @@ def _as_tuple(pt):
 
 def test_make_family_frozen():
     c = make_family(1, 2)
-    assert (c.a, c.s, c.t, c.ell) == (-5, 1, 2, 5)
-    p0 = base_point(c)
-    assert (p0.x, p0.y) == (-1, 2)
+    assert c == Curve(-5) and c._fields == ("a",)
+    p0 = base_point(1, 2)
+    assert (p0.x, p0.y) == (-1, 2) and type(p0.x) is type(p0.y) is int
     assert on_curve(c, p0)
     assert j_invariant(c) == 1728
 
@@ -75,20 +73,22 @@ def test_make_family_frozen():
 def test_group_law_against_oracle():
     rng = random.Random(7)
     for _ in range(25):
-        c = make_family(rng.randrange(1, 6), rng.randrange(1, 9))
-        p0 = _as_tuple(base_point(c))
+        s, t = rng.randrange(1, 6), rng.randrange(1, 9)
+        c = make_family(s, t)
+        p1 = point(c, *base_point(s, t))
+        p0 = _as_tuple(p1)
         # walk a chain of multiples with the oracle, compare every step
         acc_o, acc = None, INFINITY
         for k in range(1, 9):
             acc_o = _oracle_add(c.a, acc_o, p0)
-            acc = add(c, acc, base_point(c))
+            acc = add(c, acc, p1)
             assert _as_tuple(acc) == acc_o, (c, k)
-            assert _as_tuple(smul(c, k, base_point(c))) == acc_o
+            assert _as_tuple(smul(c, k, p1)) == acc_o
 
 
 def test_add_special_cases():
     c = make_family(1, 2)
-    p0 = base_point(c)
+    p0 = point(c, *base_point(1, 2))
     assert add(c, p0, neg(p0)) is INFINITY
     assert add(c, INFINITY, p0) == p0
     t2 = point(c, 0, 0)
@@ -99,11 +99,12 @@ def test_add_special_cases():
 
 def test_translate_by_torsion_frozen():
     c = make_family(1, 2)
-    shifted = translate_by_torsion(c, base_point(c))
+    p0 = point(c, *base_point(1, 2))
+    shifted = translate_by_torsion(c, p0)
     assert (shifted.x, shifted.y) == (5, 10)
     assert on_curve(c, shifted)
     # translation is addition of (0, 0)
-    assert add(c, base_point(c), point(c, 0, 0)) == shifted
+    assert add(c, p0, point(c, 0, 0)) == shifted
     assert translate_by_torsion(c, point(c, 0, 0)) is INFINITY
 
 
@@ -181,7 +182,7 @@ def test_division_poly_roots_are_torsion_x(p, m):
 def test_no_rational_odd_torsion_on_family_shape():
     # CM by i limits rational torsion to 2-power groups, so these must all fail
     for a in (-5, -20, -41, 4, -4, -641):
-        c = curve_from_a(a)
+        c = Curve(a)
         for m in (3, 5, 7):
             assert not has_rational_m_torsion(c, m), (a, m)
 
@@ -197,7 +198,7 @@ def test_torsion_witness_matches_division_poly_oracle():
             if math.gcd(s, t) != 1:
                 continue
             c = make_family(s, t)
-            for curve in (c, curve_from_a(-25 * c.ell)):
+            for curve in (c, Curve(25 * c.a)):
                 for m in (3, 5, 7):
                     assert has_rational_m_torsion(curve, m) == has_rational_m_torsion_by_roots(
                         curve.a, m
@@ -208,7 +209,7 @@ def test_supersingular_count_every_small_q():
     # #E(F_q) = q + 1 at each good q = 3 mod 4, the fact the witness rests on
     rng = random.Random(13)
     curves = [make_family(rng.randrange(1, 40), rng.randrange(1, 40)) for _ in range(12)]
-    curves += [curve_from_a(a) for a in (-5, 4, -4, -36, -25 * 641)]
+    curves += [Curve(a) for a in (-5, 4, -4, -36, -25 * 641)]
     for c in curves:
         for q in range(3, 200, 4):
             if is_prime(q) and (2 * c.a) % q != 0:
@@ -224,35 +225,35 @@ def test_torsion_witness_prime_and_recount(monkeypatch):
     for a in (-5, -35, -231, 4, -(3 * 7 * 11 * 19 * 23 * 31)):
         for m in (3, 5, 7):
             seen.clear()
-            assert not has_rational_m_torsion(curve_from_a(a), m)
+            assert not has_rational_m_torsion(Curve(a), m)
             [q] = seen
             assert is_prime(q) and q % 4 == 3 and q != m, (a, m, q)
             assert (2 * a) % q != 0 and (q + 1) % m != 0, (a, m, q)
     # the recount is a live check: a wrong point count is an alarm, not a pass
     monkeypatch.setattr(curve_mod, "count_points_mod_p", lambda c, q: q)
     with pytest.raises(AssertionError, match="not supersingular"):
-        has_rational_m_torsion(curve_from_a(-5), 7)
+        has_rational_m_torsion(Curve(-5), 7)
 
 
 def test_torsion_witness_on_huge_twist():
     # the root search overflowed its float magnitude bound here
-    assert not has_rational_m_torsion(curve_from_a(-25 * (10**60 + 7)), 5)
+    assert not has_rational_m_torsion(Curve(-25 * (10**60 + 7)), 5)
     with pytest.raises(ValueError):
-        has_rational_m_torsion(curve_from_a(-5), 11)
+        has_rational_m_torsion(Curve(-5), 11)
 
 
 def test_torsion_structures():
-    assert torsion(curve_from_a(-5)).structure == "Z/2"
-    assert torsion(curve_from_a(-5)).order == 2
-    four = torsion(curve_from_a(-4))
+    assert torsion(Curve(-5)).structure == "Z/2"
+    assert torsion(Curve(-5)).order == 2
+    four = torsion(Curve(-4))
     assert four.structure == "Z/2 x Z/2" and four.order == 4
-    cyc4 = torsion(curve_from_a(4))
+    cyc4 = torsion(Curve(4))
     assert cyc4.structure == "Z/4" and cyc4.order == 4
     # y^2 = x^3 + 64 x is the model 2^4 of a = 4: (8, 32) has order 4
-    assert torsion(curve_from_a(64)).generators == (point(curve_from_a(64), 8, 32),)
+    assert torsion(Curve(64)).generators == (point(Curve(64), 8, 32),)
     # every reported point really is torsion of the reported group order
     for a in (-5, -4, 4, -36, 64, 324):
-        c = curve_from_a(a)
+        c = Curve(a)
         info = torsion(c)
         for pt in info.points:
             assert smul(c, info.order, pt) is INFINITY
@@ -262,8 +263,9 @@ def test_is_torsion_point():
     c = make_family(1, 2)
     assert is_torsion_point(c, point(c, 0, 0))
     assert is_torsion_point(c, INFINITY)
-    assert not is_torsion_point(c, base_point(c))
+    assert not is_torsion_point(c, point(c, -1, 2))
     # the certifiers pass the integer base point
+    assert not is_torsion_point(c, base_point(1, 2))
     assert not is_torsion_point(c, (-1, 2))
     assert is_torsion_point(c, (0, 0))
 
@@ -281,7 +283,7 @@ def test_torsion_closed_form_matches_the_oracle():
     for a in range(-400, 401):
         if a == 0:
             continue
-        c = curve_from_a(a)
+        c = Curve(a)
         info = torsion(c)
         points = set(info.points) | set(rational_points_up_to_height(c, math.log(30)))
         points |= {point(c, x, y) for x, y in _family_base_points(a)}
@@ -296,7 +298,7 @@ def test_torsion_closed_form_matches_the_oracle():
 
 
 def test_make_family_integer_check_is_on_curve():
-    # the integer identity make_family asserts is the Fraction on_curve test
+    # the integer identity make_family asserts is the on_curve test
     for s in range(-12, 13):
         for t in range(-12, 13):
             if s == 0 and t == 0:
@@ -304,7 +306,8 @@ def test_make_family_integer_check_is_on_curve():
             c = make_family(s, t)
             x = -s * s
             assert (s * t) ** 2 == x**3 + c.a * x
-            assert on_curve(c, base_point(c))
+            assert on_curve(c, base_point(s, t))
+            assert on_curve(c, point(c, *base_point(s, t)))
 
 
 def test_reduction_frozen():
@@ -315,8 +318,11 @@ def test_reduction_frozen():
     assert not reduction_at(c, 2).good
     with pytest.raises(ValueError):
         reduction_at(c, 10)
-    with pytest.raises(PreconditionFailure):
-        reduction_at(curve_from_a(-5), 3)  # no (s, t) tag
+    # any a: good iff q does not divide 2a; a = -5 has c4 = 240, Delta = 8000
+    assert reduction_at(Curve(-5), 3).good
+    assert reduction_at(Curve(-5), 5) == (False, "III", 2)
+    assert reduction_at(Curve(-25 * 5641), 5) == (False, "unclassified", None)
+    assert reduction_at(Curve(4), 2) == (False, "unclassified", None)
 
 
 def test_count_points_matches_brute():
@@ -345,7 +351,7 @@ def test_cached_count_matches_brute_force_below_200():
             want = _brute_count(a, p)
             # every a of the residue class shares one cache entry
             for rep in (a, a - p, a + 7 * p):
-                assert count_points_mod_p(curve_from_a(rep), p) == want, (rep, p)
+                assert count_points_mod_p(Curve(rep), p) == want, (rep, p)
 
 
 def test_count_points_hasse():

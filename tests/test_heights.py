@@ -16,7 +16,7 @@ from ellcert import cli
 from ellcert import heights as heights_module
 from ellcert import primitivity
 from ellcert.arith import _iroot
-from ellcert.curve import INFINITY, base_point, curve_from_a, make_family, point, smul
+from ellcert.curve import INFINITY, base_point, make_family, point, smul
 from ellcert.errors import PreconditionFailure
 from ellcert.heights import (
     LOG2_BOUNDS,
@@ -102,10 +102,10 @@ def test_log_int_bounds_gives_the_oracle_floats():
 
 def test_naive_height_frozen():
     c = make_family(1, 2)
-    p0 = base_point(c)
+    p0 = base_point(1, 2)
     assert naive_height(p0) == 0.0  # x = -1
     assert naive_height(INFINITY) == 0.0
-    two_p = smul(c, 2, p0)
+    two_p = smul(c, 2, point(c, *p0))
     assert two_p.x == Fraction(9, 4)
     lo, hi = naive_height_bounds(two_p)
     assert lo <= math.log(9) <= hi
@@ -115,16 +115,16 @@ def test_naive_height_frozen():
 def test_ladder_matches_group_law():
     for s, t in ((1, 2), (2, 5), (3, 4)):
         c = make_family(s, t)
-        p0 = base_point(c)
+        p0 = base_point(s, t)
         for k in (1, 2, 3, 4, 5, 6):
             u, w = x_multiple_reduced(c, p0, k)
-            assert Fraction(u, w) == smul(c, 2**k, p0).x, (s, t, k)
+            assert Fraction(u, w) == smul(c, 2**k, point(c, *p0)).x, (s, t, k)
 
 
 def test_no_doubling_passes_the_bit_budget(monkeypatch):
     for s, t in ((1, 2), (2, 5), (2, 75)):
         c = make_family(s, t)
-        p0 = base_point(c)
+        p0 = base_point(s, t)
         for budget in range(40, 4000, 97):
             monkeypatch.setattr(heights_module, "_X_BITS_BUDGET", budget)
             for k in range(1, 8):
@@ -163,7 +163,7 @@ def test_the_bit_budget_lets_2_75_double_nine_times(monkeypatch):
     _count_doublings(monkeypatch, stop_at=8)
     c = make_family(2, 75)
     with pytest.raises(_NinthDoubling) as reached:
-        x_multiple_reduced(c, base_point(c), 9)
+        x_multiple_reduced(c, base_point(2, 75), 9)
     assert reached.value.args == (410604,)
 
 
@@ -175,7 +175,7 @@ def test_the_bit_budget_refuses_2_75_before_the_doublings_it_would_discard(
     done = _count_doublings(monkeypatch)
     c = make_family(2, 75)
     with pytest.raises(PreconditionFailure) as err:
-        x_multiple_reduced(c, base_point(c), doublings)
+        x_multiple_reduced(c, base_point(2, 75), doublings)
     assert err.value.reason == "height-digit-budget"
     assert err.value.detail.startswith("the doubling to x(2^10 P) could pass")
     assert len(done) == 1
@@ -220,7 +220,7 @@ def test_the_early_refusal_gives_the_stepwise_outcome(budget, monkeypatch, capsy
                 m.setattr(heights_module, "x_multiple_reduced", _x_multiple_stepwise)
                 assert _heights_outcome(s, t, iterations, capsys) == got, (s, t, iterations)
             try:
-                x_multiple_reduced(make_family(s, t), base_point(make_family(s, t)),
+                x_multiple_reduced(make_family(s, t), base_point(s, t),
                                    iterations)
             except PreconditionFailure as exc:
                 early += exc.detail.startswith("the doubling")
@@ -229,7 +229,7 @@ def test_the_early_refusal_gives_the_stepwise_outcome(budget, monkeypatch, capsy
 
 def test_canonical_height_nesting_and_width():
     c = make_family(2, 5)
-    p0 = base_point(c)
+    p0 = base_point(2, 5)
     gaps = silverman_gaps(c)
     prev = None
     for k in range(2, 8):
@@ -245,9 +245,9 @@ def test_canonical_height_nesting_and_width():
 
 def test_canonical_height_quadratic():
     c = make_family(1, 2)
-    p0 = base_point(c)
+    p0 = base_point(1, 2)
     h1 = canonical_height(c, p0, iterations=7)
-    h2 = canonical_height(c, smul(c, 2, p0), iterations=7)
+    h2 = canonical_height(c, smul(c, 2, point(c, *p0)), iterations=7)
     # hhat(2P) = 4 hhat(P): the two enclosures must overlap after scaling
     assert h2.lo <= 4 * h1.hi and 4 * h1.lo <= h2.hi
 
@@ -255,11 +255,11 @@ def test_canonical_height_quadratic():
 def test_canonical_height_translation_invariant_enough():
     # P and P + (0,0) differ by torsion, so their heights agree
     c = make_family(2, 5)
-    p0 = base_point(c)
+    p0 = base_point(2, 5)
     from ellcert.curve import translate_by_torsion
 
     h1 = canonical_height(c, p0, iterations=7)
-    h2 = canonical_height(c, translate_by_torsion(c, p0), iterations=7)
+    h2 = canonical_height(c, translate_by_torsion(c, point(c, *p0)), iterations=7)
     assert h1.lo <= h2.hi and h2.lo <= h1.hi
 
 
@@ -268,7 +268,7 @@ def test_canonical_height_rejections():
     with pytest.raises(ValueError):
         canonical_height(c, INFINITY)
     with pytest.raises(ValueError):
-        canonical_height(c, base_point(c), iterations=0)
+        canonical_height(c, base_point(1, 2), iterations=0)
     with pytest.raises(PreconditionFailure):
         canonical_height(c, point(c, 0, 0))
 
@@ -280,7 +280,7 @@ def test_family_constant():
     for s, t in ((1, 2), (2, 5), (2, 25)):
         c = make_family(s, t)
         gaps = silverman_gaps(c)
-        assert abs(gaps.upper_gap - math.log(c.ell) / 4 - specialized) < 1e-9
+        assert abs(gaps.upper_gap - math.log(-c.a) / 4 - specialized) < 1e-9
         assert gaps.lower_gap > gaps.upper_gap  # 0.973 + h(j)/8 wins over 1.07 + h(j)/12
 
 
@@ -332,9 +332,9 @@ def test_vy_rejections():
 def test_vy_floor_below_canonical():
     for s, t in ((1, 2), (2, 5), (3, 10)):
         c = make_family(s, t)
-        floor = vy_lower_bound(-c.ell)
+        floor = vy_lower_bound(c.a)
         assert floor > 0
-        h = canonical_height(c, base_point(c), iterations=7)
+        h = canonical_height(c, base_point(s, t), iterations=7)
         assert floor <= h.hi
 
 
@@ -510,7 +510,7 @@ def test_fixed_point_constants_match_a_decimal_reference():
 def test_upper_gap_from_the_wide_log_is_silvermans():
     for s, t in ((1, 2), (2, 5), (3, 10), (400, 399)):
         c = make_family(s, t)
-        h_delta_hi = ln_ell_lo_and_delta_hi(c.ell)[1]
+        h_delta_hi = ln_ell_lo_and_delta_hi(-c.a)[1]
         assert _silverman_upper_gap(h_delta_hi) == silverman_gaps(c).upper_gap
 
 

@@ -1,6 +1,7 @@
 """Kernel-of-reduction depth certificates vs direct valuation computations."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,13 +9,13 @@ import pytest
 from divpoly_oracle import vp_rational
 from ellcert import localcond
 from ellcert.certify import certificate_to_dict, certify_divisibility
-from ellcert.curve import base_point, make_family, smul
+from ellcert.curve import base_point, make_family, point, smul
 from ellcert.errors import PreconditionFailure
 from ellcert.localcond import check_local
 
 
 def test_frozen_deep_member():
-    cert = check_local(make_family(2, 25), 5, 1)
+    cert = check_local(2, 25, 5, 1)
     assert cert.flagged == "t"
     assert cert.v_st == 2
     assert cert.x_doubled_valuation == -4
@@ -25,41 +26,47 @@ def test_frozen_deep_member():
 
 
 def test_flag_swaps_to_s():
-    cert = check_local(make_family(25, 2), 5, 1)
+    cert = check_local(25, 2, 5, 1)
     assert cert.flagged == "s"
     assert cert.depth == 2 and cert.depth >= 1 + 1
 
 
 def test_deeper_member():
-    cert = check_local(make_family(2, 125), 5, 2)
+    cert = check_local(2, 125, 5, 2)
     assert cert.depth == 3 and cert.depth >= 2 + 1
     # same pair at the shallower target also holds
-    assert check_local(make_family(2, 125), 5, 1).depth >= 1 + 1
+    assert check_local(2, 125, 5, 1).depth >= 1 + 1
 
 
 @pytest.mark.parametrize(
-    "args,reason",
+    "args,outcome",
     [
-        ((2, 25, 5, 0), "depth-target"),
-        ((2, 25, 4, 1), "p-not-odd-prime"),
-        ((2, 25, 2, 1), "p-not-odd-prime"),
-        ((0, 25, 5, 1), "degenerate-parameters"),
+        # outside the caller's contract (n >= 1, p an odd prime, s and t
+        # nonzero): every certifier refuses these first (golden_refusals),
+        # so here they are soundness alarms
+        ((2, 25, 5, 0), AssertionError),
+        ((2, 25, 4, 1), AssertionError),
+        ((2, 25, 2, 1), AssertionError),
+        ((0, 25, 5, 1), AssertionError),
         ((1, 2, 5, 1), "p-divides-exactly-one"),
         ((5, 25, 5, 1), "p-divides-exactly-one"),
         ((2, 5, 5, 1), "insufficient-depth"),
         ((2, 125, 5, 3), "insufficient-depth"),
     ],
 )
-def test_refusals(args, reason):
+def test_refusals(args, outcome):
+    if outcome is AssertionError:
+        with pytest.raises(AssertionError, match=re.escape(repr(args))):
+            check_local(*args)
+        return
     with pytest.raises(PreconditionFailure) as err:
-        s, t, p, n = args
-        check_local(make_family(s, t), p, n)
-    assert err.value.reason == reason
+        check_local(*args)
+    assert err.value.reason == outcome
 
 
 def test_structural_parity_above_counting_range():
     p = 10007
-    cert = check_local(make_family(2, p * p), p, 1)
+    cert = check_local(2, p * p, p, 1)
     assert cert.order_parity_method == "rational-two-torsion"
     assert cert.depth >= 1 + 1
 
@@ -84,8 +91,8 @@ def test_valuations_against_group_law():
         if gcd(s, t) != 1:
             continue
         c = make_family(s, t)
-        cert = check_local(c, p, 1)
-        doubled = smul(c, 2, base_point(c))
+        cert = check_local(s, t, p, 1)
+        doubled = smul(c, 2, point(c, *base_point(s, t)))
         assert vp_rational(doubled.x, p) == -2 * e == cert.x_doubled_valuation
         assert vp_rational(doubled.y, p) == -3 * e == cert.y_doubled_valuation
         assert vp_rational(-doubled.x / doubled.y, p) == e == cert.depth  # z = -x/y
@@ -99,12 +106,12 @@ def test_odd_point_count_is_a_soundness_alarm(monkeypatch):
     # the code, never a refusal of the candidate
     monkeypatch.setattr(localcond, "count_points_mod_p", lambda c, p: 2 * p + 1)
     with pytest.raises(AssertionError, match=r"\(s,t\)=\(2,25\), p=5"):
-        check_local(make_family(2, 25), 5, 1)
+        check_local(2, 25, 5, 1)
 
 
 def test_every_field_reaches_the_ledger():
     cert = certify_divisibility(2, 25, 5, 1)
-    local = check_local(make_family(2, 25), 5, 1)
+    local = check_local(2, 25, 5, 1)
     witnesses = {}
     for ch in certificate_to_dict(cert)["checks"]:
         if ch["name"] in ("parameter-depth", "kernel-filtration-depth"):

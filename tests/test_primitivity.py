@@ -12,7 +12,9 @@ from ellcert import primitivity
 from ellcert.arith import is_square, kth_power_free
 from ellcert.certify import certificate_to_jsonl, certify_divisibility, member
 from ellcert.cli import main as cli_main
-from ellcert.curve import base_point, make_family, rational_points_up_to_height, smul, translate_by_torsion
+from ellcert.curve import (
+    base_point, make_family, point, rational_points_up_to_height, smul, translate_by_torsion,
+)
 from ellcert.errors import PreconditionFailure
 from ellcert.heights import _vy_log2_coeff, log_int_bounds
 from ellcert.primitivity import certify_primitive
@@ -62,7 +64,7 @@ def test_no_small_odd_multiple_brute(s, t):
     """Independent corroboration: no rational point in a big x-height
     window maps onto P or P + (0,0) under multiplication by 3, 5, or 7."""
     c = make_family(s, t)
-    p0 = base_point(c)
+    p0 = point(c, *base_point(s, t))
     targets = {p0.x, translate_by_torsion(c, p0).x}
     for q in rational_points_up_to_height(c, 4.5):
         for m in (3, 5, 7):

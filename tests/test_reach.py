@@ -8,6 +8,13 @@ entry names is dead code: delete it, or say here why it stays.
 
 An import guard sits beside it: no module in the package imports
 ``decimal``, whose logarithm is only the tests' oracle (``ln_oracle``).
+
+A third guard does for refusal reasons what the first does for
+functions: every reason the package can raise is met by some input, in
+the outcome grid (``test_outcome_grid.py``), in ``golden_refusals.json``
+or in a CLI test that ``REFUSAL_TESTS`` names.  A reason no input meets
+is a re-check of what a caller has already refused: make it an
+assertion of the caller's contract, or delete it.
 """
 
 import ast
@@ -20,12 +27,14 @@ from pathlib import Path
 import ellcert
 
 PACKAGE = Path(ellcert.__file__).resolve().parent
-GOLDEN = Path(__file__).parent / "data" / "golden_records.jsonl"
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "golden_records.jsonl"
 
 #: (module, function) -> why it stays although no CLI run enters it.
 ALLOWED = {
     # the group law and the small-point search: oracles that the tests
-    # use to cross-check the closed forms (2P, torsion, primitivity)
+    # use to cross-check the closed forms (2P, torsion, primitivity); no
+    # command builds a Fraction point, the heights report included
     ("curve", "point"): "group-law oracle",
     ("curve", "neg"): "group-law oracle",
     ("curve", "_add_raw"): "group-law oracle",
@@ -158,3 +167,66 @@ def test_no_module_imports_decimal():
     sources = sorted(PACKAGE.glob("*.py"))
     assert {"math", "json"} <= set().union(*map(_imported_modules, sources))
     assert [p.name for p in sources if "decimal" in _imported_modules(p)] == []
+
+
+#: reason -> the test that meets it, where neither the outcome grid nor
+#: golden_refusals.json does
+REFUSAL_TESTS = {
+    "ell-primality-unproven": "test_cli.py::test_verify_rank_mode_refuses_an_unproven_ell",
+    "p-primality-unproven": "test_cli.py::test_verify_refuses_an_unproven_p",
+    "height-digit-budget": (
+        "test_cli.py::test_heights_2_75_at_40_iterations_refuses_after_one_doubling"),
+    "torsion-point": "test_cli.py::test_heights_refuses_a_torsion_base_point",
+    # batch_distinctness is an allowed oracle above, with no CLI path yet
+    "not-an-infinite-family-certificate": "test_certify.py::test_batch_distinctness",
+}
+
+#: reasons that re-checked what every caller refuses first, and the
+#: refusals that could never fail; they are assertions now, or gone
+RETIRED_REASONS = {
+    "not-family-tagged", "p-not-odd-prime", "p-not-prime", "seven-torsion",
+    "twist-five-torsion", "eleven-isogeny-j",
+}
+
+
+def _refusal_reasons() -> set[str]:
+    """Every reason that the package passes to ``PreconditionFailure`` or
+    ``_require``; each must be a string literal, so the scan sees it."""
+    reasons = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "_require":
+                node.body = []  # it passes its caller's reason on
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                position = {"PreconditionFailure": 0, "_require": 1}.get(node.func.id)
+                if position is None or len(node.args) <= position:
+                    continue
+                arg = node.args[position]
+                assert isinstance(arg, ast.Constant) and isinstance(arg.value, str), (
+                    f"{path.name}:{node.lineno} passes a reason that is no literal")
+                reasons.add(arg.value)
+    return reasons
+
+
+def test_every_refusal_reason_is_reached():
+    grid = json.loads((DATA / "outcome_grid.json").read_text(encoding="utf-8"))
+    met = {reason for box in grid.values() for reason in box["refusals"]}
+    golden = json.loads((DATA / "golden_refusals.json").read_text(encoding="utf-8"))
+    met |= {row["reason"] for row in golden}
+    reasons = _refusal_reasons()
+    assert reasons - met - set(REFUSAL_TESTS) == set(), "reasons no input meets"
+    # an entry names a live reason that only its test meets, and a test
+    # that exists
+    assert set(REFUSAL_TESTS) <= reasons - met
+    for where in REFUSAL_TESTS.values():
+        module, name = where.split("::")
+        assert f"def {name}(" in (Path(__file__).parent / module).read_text(encoding="utf-8")
+
+
+def test_retired_reasons_are_gone():
+    assert _refusal_reasons() & RETIRED_REASONS == set()
+    text = "".join(p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py")))
+    for reason in RETIRED_REASONS - {"eleven-isogeny-j"}:  # also a check's name
+        assert f'"{reason}"' not in text, reason
