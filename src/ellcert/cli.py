@@ -48,6 +48,7 @@ import json
 import os
 import sys
 from collections.abc import Callable
+from contextlib import ExitStack
 from itertools import islice
 from typing import NamedTuple
 
@@ -204,8 +205,11 @@ def _cut_to_checkpoint(
 def run_search(cfg: SearchConfig, emit, checkpoint: str | None = None) -> int:
     """Drive the search; call emit(line) for each certificate. Returns count.
 
-    The checkpoint is rewritten after every ``_BATCH`` handled candidates
-    and once when the search ends, exhausted or at the target count.
+    One loop serves any worker count: candidates go out in batches of
+    ``_BATCH``, through the builtin ``map`` for one worker or a process
+    pool's ``map`` for more, and come back in order.  The checkpoint is
+    rewritten after every ``_BATCH`` handled candidates and once when the
+    search ends, exhausted or at the target count.
     """
     start_index, found = 0, 0
     if checkpoint:
@@ -232,25 +236,20 @@ def run_search(cfg: SearchConfig, emit, checkpoint: str | None = None) -> int:
             unsaved = 0
         return found >= cfg.target_count
 
-    if cfg.workers <= 1:
-        for idx, task in candidates:
-            if handle(idx, certify_candidate(task)):
-                break
-    else:
-        from concurrent.futures import ProcessPoolExecutor
+    with ExitStack() as stack:
+        mapper = map
+        if cfg.workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
 
-        # at most _BATCH tasks are ever in flight
-        with ProcessPoolExecutor(max_workers=min(cfg.workers, _BATCH)) as pool:
-            done = False
-            while not done:
-                batch = list(islice(candidates, _BATCH))
-                if not batch:
-                    break
-                lines = pool.map(certify_candidate, [task for _, task in batch])
-                for (idx, _), line in zip(batch, lines):
-                    if handle(idx, line):
-                        done = True
-                        break
+            # at most _BATCH tasks are ever in flight
+            mapper = stack.enter_context(
+                ProcessPoolExecutor(max_workers=min(cfg.workers, _BATCH))).map
+        while batch := list(islice(candidates, _BATCH)):
+            lines = mapper(certify_candidate, [task for _, task in batch])
+            # any() stops at the target, and the builtin map is lazy, so a
+            # single worker certifies nothing past it
+            if any(handle(idx, line) for (idx, _), line in zip(batch, lines)):
+                break
     if checkpoint and unsaved:
         _save_checkpoint(checkpoint, cfg.fingerprint(), next_index, found)
     return found

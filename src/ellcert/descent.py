@@ -10,15 +10,15 @@ Only the real place and the primes 2 and l can obstruct: at any other
 odd prime the torsor coefficients are units, the reduced curve is a
 smooth genus-1 curve with a point by Hasse-Weil, and Hensel lifts it.
 Over Q_2 a torsor is decided by Hensel's lemma on a stack of 2-adic
-disks (``_soluble_at_two_class``), once per pair of classes in
-Q_2^*/(Q_2^*)^4.  The surviving classes depend on l only through l mod
-16, so ``selmer`` runs the exact local computation once per residue class and
-substitutes l into the classes it found (the proof is in ``selmer``).
+disks (``_soluble_at_two``), run on the torsor's own coefficients.  The
+surviving classes depend on l only through l mod 16, so ``selmer`` runs
+the exact local computation (``make_torsors`` and ``locally_soluble``,
+the functions the tests check) once per residue class and substitutes l
+into the classes it found (the proof is in ``selmer``).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import isqrt
 from typing import NamedTuple
 
@@ -34,32 +34,26 @@ class Torsor(NamedTuple):
 
     side: str  # "forward" or "dual"
     d: int
-    ell: int
     alpha: int
     beta: int
 
 
 def make_torsors(ell: int) -> list[Torsor]:
-    """All candidate torsors for both descent directions.
+    """All candidate torsors for both descent directions, for l prime.
 
     Forward classes divide 4l (spaces w^2 = d u^4 + (4l/d) v^4); dual
     classes divide -16l (spaces w^2 = d u^4 - (16l/d) v^4).  With l prime
     the signed squarefree representatives are +-{1, 2, l, 2l}, collapsing
-    to +-{1, 2} for l = 2.
+    to +-{1, 2} for l = 2.  The caller proves l prime first
+    (``require_proved_prime``); a composite l is an AssertionError.
     """
-    if ell < 2 or not is_prime(ell):
-        raise PreconditionFailure("ell-not-prime", f"ell={ell}")
-    return _torsors(ell)
-
-
-def _torsors(ell: int) -> list[Torsor]:
-    """``make_torsors`` for an ell already proved prime."""
+    assert is_prime(ell), f"make_torsors needs a prime ell, not {ell}"
     base = [1, 2] if ell == 2 else [1, 2, ell, 2 * ell]
     reps = [sgn * d for d in base for sgn in (1, -1)]
     out = []
     for d in reps:
-        out.append(Torsor("forward", d, ell, d, 4 * ell // d))
-        out.append(Torsor("dual", d, ell, d, -16 * ell // d))
+        out.append(Torsor("forward", d, d, 4 * ell // d))
+        out.append(Torsor("dual", d, d, -16 * ell // d))
     return out
 
 
@@ -108,46 +102,15 @@ def _soluble_at_odd_prime(alpha: int, beta: int, p: int) -> bool:
     return False
 
 
-def _fourth_power_class_2adic(x: int, name: str) -> int:
-    """Representative 2^(v_2(x) mod 4) * (odd part of x mod 16) of x in
-    Q_2^*/(Q_2^*)^4."""
-    if x == 0:
-        raise ValueError(f"2-adic solubility: coefficient {name} is 0")
-    v, unit = _unit_part(x, 2)
-    return (unit % 16) << (v % 4)
-
-
-def _soluble_at_two(alpha: int, beta: int) -> bool:
-    """Exact solubility of w^2 = alpha u^4 + beta v^4 over Q_2, decided once
-    per pair of classes in Q_2^*/(Q_2^*)^4.
-
-    The verdict depends on alpha and beta only through their classes.  If
-    alpha' = alpha x^4 and beta' = beta y^4 with x, y in Q_2^*, then
-    (u, v, w) -> (u / x, v / y, w) is a bijection from the nontrivial
-    solutions of w^2 = alpha u^4 + beta v^4 to those of
-    w^2 = alpha' u^4 + beta' v^4.  Each coefficient is therefore replaced by
-    the representative 2^(v_2 mod 4) * (odd part mod 16): 2^v differs from
-    2^(v mod 4) by the 4th power 2^(4 floor(v/4)), and an odd unit differs
-    from its residue mod 16 by a unit u = 1 mod 16, which is a 2-adic 4th
-    power: u = r^2 for a unit r, as u = 1 mod 8, and r^2 = 1 mod 16 makes
-    r = +-1 mod 8, so -r or r is 1 mod 8 and a square.  That leaves at
-    most 32 x 32 pairs, each decided by _soluble_at_two_class.
-    """
-    return _soluble_at_two_class(
-        _fourth_power_class_2adic(alpha, "alpha"), _fourth_power_class_2adic(beta, "beta")
-    )
-
-
 def _v2(n: int) -> int:
     """v_2(n) for n != 0."""
     return (n & -n).bit_length() - 1
 
 
-@lru_cache(maxsize=None)
-def _soluble_at_two_class(alpha: int, beta: int) -> bool:
+def _soluble_at_two(alpha: int, beta: int) -> bool:
     """Exact solubility of w^2 = alpha u^4 + beta v^4 over Q_2, for any
-    nonzero alpha and beta, by recursion on 2-adic disks; __wrapped__ is
-    the uncached algorithm.
+    nonzero alpha and beta, by recursion on 2-adic disks; a zero
+    coefficient is a ValueError that names it.
 
     A nontrivial point can be scaled so that u and v are in Z_2 and one
     of them is a unit.  If v is a unit, x = u / v is in Z_2 and
@@ -186,6 +149,8 @@ def _soluble_at_two_class(alpha: int, beta: int) -> bool:
     f'(xi) (x_k - xi) have valuation at least 2 v_2(x_k - xi); that is the
     root case.  Either way the chain resolves, a contradiction.
     """
+    if not alpha or not beta:
+        raise ValueError(f"2-adic solubility: coefficient {'beta' if alpha else 'alpha'} is 0")
     stack = [(alpha, beta, 0, 0), (beta, alpha, 0, 1)]
     while stack:
         a, b, x0, k = stack.pop()
@@ -204,20 +169,15 @@ def _soluble_at_two_class(alpha: int, beta: int) -> bool:
     return False
 
 
-def _soluble_at(t: Torsor, place) -> bool:
-    """``locally_soluble`` for a place already known to be REAL or prime."""
+def locally_soluble(t: Torsor, place) -> bool:
+    """Does the torsor have a nontrivial point over R (place=REAL) or Q_p?"""
     if place == REAL:
         return _soluble_at_real(t.alpha, t.beta)
+    if not is_prime(place):
+        raise ValueError(f"locally_soluble: place {place!r} is not prime or REAL")
     if place == 2:
         return _soluble_at_two(t.alpha, t.beta)
     return _soluble_at_odd_prime(t.alpha, t.beta, place)
-
-
-def locally_soluble(t: Torsor, place) -> bool:
-    """Does the torsor have a nontrivial point over R (place=REAL) or Q_p?"""
-    if place != REAL and not is_prime(place):
-        raise ValueError(f"locally_soluble: place {place!r} is not prime or REAL")
-    return _soluble_at(t, place)
 
 
 def _class_rep(x: int, ell: int) -> int:
@@ -251,12 +211,13 @@ def selmer(ell: int) -> SelmerReport:
     be multiplicatively closed, so its size is a power of two.
     rank <= dim sel_forward + dim sel_dual - 2.
 
-    l passes ``is_prime`` once (above psi_13 that is only a BPSW verdict,
-    which ``require_proved_prime`` refuses for both callers).  The exact local computation
-    (``_exact_selmer``) then runs once per residue of l mod 16 per
-    process; for every other prime of that residue the classes it found
-    are rebuilt by substituting l into their vectors d = sign * 2^a * l^b.
-    That is exact:
+    l must be prime: every caller proves it first (``require_proved_prime``),
+    and the assert on that contract also keeps a composite out of the
+    memo.  The exact local computation (``_exact_selmer``, through
+    ``make_torsors`` and ``locally_soluble``) then runs once per residue of
+    l mod 16 per process; for every other prime of that residue the
+    classes it found are rebuilt by substituting l into their vectors
+    d = sign * 2^a * l^b.  That is exact:
 
     * Every candidate torsor w^2 = alpha u^4 + beta v^4 has alpha and beta
       of the form +-2^k l^e, with v_l(alpha) + v_l(beta) = 1.
@@ -264,8 +225,18 @@ def selmer(ell: int) -> SelmerReport:
     * At l the difference of the two l-valuations is odd, so
       ``_soluble_at_odd_prime`` never reaches its balanced loop; it only
       takes Jacobi symbols (+-2^k / l), which depend on l mod 8 alone.
-    * At 2 the classes in Q_2^*/(Q_2^*)^4 that ``_soluble_at_two`` decides
-      on are 2^(k mod 4) * (+-l^e mod 16), which depend on l mod 16 alone.
+    * At 2 the verdict depends on alpha and beta only through their
+      classes in Q_2^*/(Q_2^*)^4.  If alpha' = alpha x^4 and beta' =
+      beta y^4 with x, y in Q_2^*, then (u, v, w) -> (u / x, v / y, w) is
+      a bijection from the nontrivial solutions of w^2 = alpha u^4 +
+      beta v^4 to those of w^2 = alpha' u^4 + beta' v^4.  A class has the
+      representative 2^(v_2 mod 4) * (odd part mod 16): 2^v differs from
+      2^(v mod 4) by the 4th power 2^(4 floor(v/4)), and an odd unit
+      differs from its residue mod 16 by a unit u = 1 mod 16, which is a
+      2-adic 4th power: u = r^2 for a unit r, as u = 1 mod 8, and r^2 = 1
+      mod 16 makes r = +-1 mod 8, so -r or r is 1 mod 8 and a square.  So
+      the class of +-2^k l^e is that of 2^(k mod 4) * (+-l^e mod 16), which
+      depends on l mod 16 alone.
 
     So the surviving class vectors found at any prime hold for every prime
     with the same residue, and the order in which the memo fills (worker
@@ -274,8 +245,7 @@ def selmer(ell: int) -> SelmerReport:
     the sort is stable on d before -d, so the tuples come out in the same
     order too.  l = 2 is alone in its residue.
     """
-    if ell < 2 or not is_prime(ell):
-        raise PreconditionFailure("ell-not-prime", f"ell={ell}")
+    assert is_prime(ell), f"selmer needs a prime ell, not {ell}"
     found = _SELMER_CLASSES.get(ell % 16)
     if found is None:
         report = _exact_selmer(ell)
@@ -302,13 +272,12 @@ def _class_vector(d: int, ell: int) -> tuple[int, int, int]:
 
 
 def _exact_selmer(ell: int) -> SelmerReport:
-    """``selmer`` computed from the local tests at R, l and 2, for an ell
-    already proved prime."""
+    """``selmer`` computed from the local tests at R, l and 2, for l prime."""
     places = (REAL, 2) if ell == 2 else (REAL, ell, 2)
     survivors = {"forward": [], "dual": []}
-    for t in _torsors(ell):
+    for t in make_torsors(ell):
         # all() stops at the first failing place
-        if all(_soluble_at(t, pl) for pl in places):
+        if all(locally_soluble(t, pl) for pl in places):
             survivors[t.side].append(t.d)
 
     fwd = tuple(sorted(survivors["forward"], key=abs))
@@ -334,9 +303,9 @@ def _exact_selmer(ell: int) -> SelmerReport:
 
 
 def rank_bound_by_residue(ell: int) -> int:
-    """Predicted rank cap for prime l from its residue mod 16 alone."""
-    if not is_prime(ell):
-        raise PreconditionFailure("ell-not-prime", f"ell={ell}")
+    """Predicted rank cap for prime l from its residue mod 16 alone; the
+    caller proves l prime first."""
+    assert is_prime(ell), f"rank_bound_by_residue needs a prime ell, not {ell}"
     r = ell % 16
     if r in (3, 11, 13):
         return 0

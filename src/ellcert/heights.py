@@ -237,13 +237,16 @@ def _x_double(a: int, u: int, w: int) -> tuple[int, int]:
     Fraction re-normalizes at every intermediate operation, which is
     quadratically painful once coordinates reach 10^5 digits; one gcd per
     doubling on the final pair is all that is actually needed.
+
+    The denominator is 0 only for a 2-torsion Q.  ``canonical_height``
+    refuses a torsion P first, and no multiple of a point of infinite
+    order is torsion, so a 0 here is a soundness alarm.
     """
     uu = u * u
     ww = w * w
     num = (uu - a * ww) ** 2
     den = 4 * u * w * (uu + a * ww)
-    if den == 0:
-        raise PreconditionFailure("torsion-point", "doubling reached infinity")
+    assert den != 0, f"doubling x = {u}/{w} on y^2 = x^3 + {a} x reached infinity"
     if den < 0:
         num, den = -num, -den
     g = math.gcd(num, den)
@@ -367,16 +370,27 @@ def _vy_log2_coeff(a: int) -> int:
     return -1
 
 
+#: Bits of |a| past which ``vy_lower_bound`` refuses before its trial
+#: division: fourth-power-freeness takes up to |a|^(1/5) / 2 divisions,
+#: about 5 * 10^5 (0.05 s) at 100 bits, and 32 times as many per 25 bits more
+_VY_MAX_BITS = 100
+
+
 def vy_lower_bound(a: int) -> float:
     """Strict lower bound for hhat(Q), Q non-torsion on y^2 = x^3 + a x.
 
     Value (1/16) log|a| + c(a) with c(a) a residue-class multiple of log 2;
     c(a) may be negative and is not clamped.  Rounded down, so the returned
     float is itself a valid lower bound.  Requires a negative and
-    fourth-power-free.
+    fourth-power-free, with at most ``_VY_MAX_BITS`` bits, so that the
+    trial division that proves it fourth-power-free stays short.
     """
     if a >= 0:
         raise ValueError("vy_lower_bound: a must be negative")
+    if a.bit_length() > _VY_MAX_BITS:
+        raise ValueError(
+            f"vy_lower_bound: a has {a.bit_length()} bits, past the {_VY_MAX_BITS} "
+            "up to which its fourth-power-freeness is tested")
     if not kth_power_free(a, 4):
         raise ValueError(f"vy_lower_bound: a={a} is not fourth-power-free")
     return _vy_floor(a, log_int_bounds(abs(a))[0])

@@ -14,7 +14,7 @@ Two rational and 2-adic oracles live here as well: ``is_square_rational``
 (``ellcert.arith.is_square`` takes integers only), and
 ``soluble_at_two_by_value_sets``, a second algorithm for the solubility of
 w^2 = alpha u^4 + beta v^4 over Q_2, against which the disk recursion of
-``ellcert.descent._soluble_at_two_class`` is checked.
+``ellcert.descent._soluble_at_two`` is checked.
 """
 
 from __future__ import annotations

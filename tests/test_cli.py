@@ -271,6 +271,15 @@ def test_verify_refuses_an_unproven_p(capsys):
     ]
 
 
+def test_verify_square_subfamily_refuses_a_fourth_power_in_ell(capsys):
+    # 25^4 + 149^4 = 17^4 * 5906, with 5^2 | s tau: the pair fails only
+    # fourth-power-freeness, which the square subfamily tests before its depth
+    rc, out, _ = run(capsys, "verify", "--mode", "square_subfamily", "--p", "5",
+                     "--s", "25", "--t", "149")
+    assert rc == 1
+    assert out.splitlines() == ["REFUSED at check 'fourth-power-free': ell=493275026"]
+
+
 def test_search_csv_format(tmp_path, capsys):
     out = tmp_path / "t.csv"
     rc, _, _ = run(
@@ -787,6 +796,20 @@ def test_worker_count_independence(tmp_path, capsys):
     assert one.read_bytes() == two.read_bytes()
 
 
+def test_one_worker_search_certifies_nothing_past_the_target(tmp_path, capsys, monkeypatch):
+    # one worker maps each batch lazily: the last candidate certified is
+    # the one that reaches the target, although its batch holds more
+    real = cli.certify_candidate
+    lines = []
+    monkeypatch.setattr(cli, "certify_candidate",
+                        lambda task: lines.append(real(task)) or lines[-1])
+    assert main(["search", "--max-param", "80", "--workers", "1", "--target-count", "3",
+                 "--out", str(tmp_path / "t.jsonl")]) == 0
+    capsys.readouterr()
+    assert lines[-1] is not None and sum(line is not None for line in lines) == 3
+    assert len(lines) < cli._BATCH
+
+
 def test_worker_pool_is_capped_at_the_batch_size(tmp_path, capsys, monkeypatch):
     seen = []
 
@@ -1018,3 +1041,19 @@ def test_heights_refuses_a_torsion_base_point(s, t, capsys):
     assert rc == 1
     assert out.startswith("REFUSED at check 'torsion-point': ")
     assert len(out.splitlines()) == 1
+
+
+def test_heights_of_a_1200_digit_ell_reports_no_floor_and_ends():
+    # the floor's fourth-power test trial-divided ell to ell^(1/5): still
+    # running after 60 s; past _VY_MAX_BITS it is refused before it starts
+    proc = subprocess.run(
+        [sys.executable, "-m", "ellcert.cli", "heights", "--s", str(10**300), "--t", "1",
+         "--iterations", "3"],
+        env=dict(os.environ, PYTHONPATH=str(Path(ellcert.__file__).parent.parent)),
+        capture_output=True, text=True, timeout=20,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[2].startswith("canonical height in [") and len(lines) == 5
+    assert lines[-1] == ("height floor unavailable: vy_lower_bound: a has 3987 bits, "
+                         "past the 100 up to which its fourth-power-freeness is tested")

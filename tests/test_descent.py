@@ -15,10 +15,8 @@ from ellcert.certify import certify_infinite_instance
 from ellcert.descent import (
     Torsor,
     _exact_selmer,
-    _fourth_power_class_2adic,
     _soluble_at_odd_prime,
     _soluble_at_two,
-    _soluble_at_two_class,
     certify_rank_one,
     locally_soluble,
     make_torsors,
@@ -41,7 +39,8 @@ def test_make_torsors_shapes():
             assert t.alpha * t.beta == -16 * 5
         assert t.alpha == t.d
     assert len(make_torsors(2)) == 8  # classes collapse to +-{1, 2}
-    with pytest.raises(PreconditionFailure):
+    # every caller proves ell prime first, so a composite is an alarm
+    with pytest.raises(AssertionError):
         make_torsors(9)
 
 
@@ -87,19 +86,26 @@ SIGNED_CLASS_REPS = [sgn * (r << k) for sgn in (1, -1) for k in range(4) for r i
 FOURTH_POWER_MULTIPLIERS = [3**4 * 17, 5**4 * 33, 7**4 * 49, 3**4 * 5**4 * 65]
 
 
+def _fourth_power_class(x):
+    """Representative 2^(v_2(x) mod 4) * (odd part of x mod 16) of x in
+    Q_2^*/(Q_2^*)^4, signed: the value-set oracle's tables grow with the
+    valuations, so it is fed classes (the proof is in ``selmer``)."""
+    v = (x & -x).bit_length() - 1
+    return (-1 if x < 0 else 1) * ((abs(x) >> v) % 16 << v % 4)
+
+
 def test_two_adic_verdict_depends_only_on_fourth_power_classes():
-    # the cached verdict on a non-representative member of each class must
-    # match the uncached algorithm, and the value-set oracle, run on that
-    # member itself
+    # the verdict on a non-representative member of each class must match
+    # the verdict on the representative, and the value-set oracle on the
+    # member's class
     pairs = itertools.product(SIGNED_CLASS_REPS, repeat=2)
     for i, (a, b) in enumerate(pairs):
         alpha = a * FOURTH_POWER_MULTIPLIERS[i % 4]
         beta = b * FOURTH_POWER_MULTIPLIERS[(i // 4) % 4]
         if a % 2 and b % 2:
-            alpha *= 2**4  # exercise the valuation reduction where it is cheap
-        uncached = _soluble_at_two_class.__wrapped__(alpha, beta)
-        assert _soluble_at_two(alpha, beta) == uncached, (a, b)
-        assert soluble_at_two_by_value_sets(alpha, beta) == uncached, (a, b)
+            alpha *= 2**4  # a valuation of 4 or more where it is cheap
+        want = soluble_at_two_by_value_sets(_fourth_power_class(alpha), _fourth_power_class(beta))
+        assert _soluble_at_two(alpha, beta) == _soluble_at_two(a, b) == want, (a, b)
 
 
 def test_disk_recursion_matches_the_value_set_oracle_on_every_class_pair():
@@ -108,8 +114,8 @@ def test_disk_recursion_matches_the_value_set_oracle_on_every_class_pair():
     soluble = 0
     for a, b in itertools.combinations_with_replacement(SIGNED_CLASS_REPS, 2):
         want = soluble_at_two_by_value_sets(a, b)
-        assert _soluble_at_two_class.__wrapped__(a, b) == want, (a, b)
-        assert _soluble_at_two_class.__wrapped__(b, a) == want, (b, a)
+        assert _soluble_at_two(a, b) == want, (a, b)
+        assert _soluble_at_two(b, a) == want, (b, a)
         soluble += want * (1 if a == b else 2)
     assert 0 < soluble < len(SIGNED_CLASS_REPS) ** 2
 
@@ -122,16 +128,14 @@ def test_disk_recursion_on_deep_coefficients_matches_the_oracle():
     for _ in range(400):
         alpha, beta = (rng.choice((1, -1)) * rng.randrange(1, 2**16, 2) << rng.randrange(13)
                        for _ in range(2))
-        want = soluble_at_two_by_value_sets(
-            _fourth_power_class_2adic(alpha, "alpha"), _fourth_power_class_2adic(beta, "beta")
-        )
-        assert _soluble_at_two_class.__wrapped__(alpha, beta) == want, (alpha, beta)
+        want = soluble_at_two_by_value_sets(_fourth_power_class(alpha), _fourth_power_class(beta))
+        assert _soluble_at_two(alpha, beta) == want, (alpha, beta)
 
 
 @pytest.mark.parametrize("alpha,beta,name", [(0, 5, "alpha"), (5, 0, "beta")])
 def test_zero_coefficient_at_two_is_named(alpha, beta, name):
     with pytest.raises(ValueError, match=f"coefficient {name} is 0"):
-        locally_soluble(Torsor("forward", 1, 5, alpha, beta), 2)
+        locally_soluble(Torsor("forward", 1, alpha, beta), 2)
 
 
 def test_unit_torsors_are_soluble_at_every_odd_prime():
@@ -149,11 +153,17 @@ def test_unit_torsors_are_soluble_at_every_odd_prime():
 
 
 def test_selmer_proves_ell_prime_once(monkeypatch):
-    # make_torsors proves ell prime; the local tests must not re-prove it
-    calls = []
-    monkeypatch.setattr(descent, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    # selmer's assert proves ell prime; make_torsors, the local test at
+    # ell and rank_bound_by_residue re-check it in the cache
+    monkeypatch.setattr(descent, "_SELMER_CLASSES", {})
+    rounds = []
+    real_round = arith._miller_rabin_round
+    monkeypatch.setattr(
+        arith, "_miller_rabin_round", lambda n, *rest: rounds.append(n) or real_round(n, *rest)
+    )
+    arith.primality_info.cache_clear()
     assert selmer(1009).rank_upper == rank_bound_by_residue(1009)
-    assert calls == [1009, 1009]  # make_torsors, rank_bound_by_residue
+    assert rounds == [1009]  # one deterministic run; 1009 < psi_1 needs base 2 alone
 
 
 def _primes_below(n):
@@ -293,7 +303,8 @@ def test_residue_prediction_table():
     assert rank_bound_by_residue(2) == 1
     assert rank_bound_by_residue(17) == 2
     assert rank_bound_by_residue(97) == 2
-    with pytest.raises(PreconditionFailure):
+    # the caller proves ell prime first, so a composite is an alarm
+    with pytest.raises(AssertionError):
         rank_bound_by_residue(15)
 
 

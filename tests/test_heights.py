@@ -219,12 +219,25 @@ def test_the_early_refusal_gives_the_stepwise_outcome(budget, monkeypatch, capsy
             with monkeypatch.context() as m:
                 m.setattr(heights_module, "x_multiple_reduced", _x_multiple_stepwise)
                 assert _heights_outcome(s, t, iterations, capsys) == got, (s, t, iterations)
+            if t == 0:
+                continue  # (-1, 0) is 2-torsion, which canonical_height refuses first
             try:
                 x_multiple_reduced(make_family(s, t), base_point(s, t),
                                    iterations)
             except PreconditionFailure as exc:
                 early += exc.detail.startswith("the doubling")
     assert early > 20
+
+
+def test_doubling_a_two_torsion_point_is_an_alarm():
+    # canonical_height refuses a torsion point before any doubling, and no
+    # multiple of a non-torsion point is 2-torsion
+    c = make_family(1, 0)
+    with pytest.raises(PreconditionFailure) as err:
+        canonical_height(c, base_point(1, 0), 3)
+    assert err.value.reason == "torsion-point"
+    with pytest.raises(AssertionError, match="reached infinity"):
+        x_multiple_reduced(c, base_point(1, 0), 3)
 
 
 def test_canonical_height_nesting_and_width():
@@ -327,6 +340,14 @@ def test_vy_rejections():
         _vy_log2_coeff(-48)
     with pytest.raises(ValueError):
         vy_lower_bound(-162)  # 2 * 3^4
+
+
+def test_vy_lower_bound_refuses_past_its_bit_limit_before_trial_division(monkeypatch):
+    assert heights_module._VY_MAX_BITS == 100
+    assert vy_lower_bound(-(2**100 - 1)) > 0  # 100 bits, 5^3 its highest power
+    monkeypatch.setattr(heights_module, "kth_power_free", lambda *args: pytest.fail(args))
+    with pytest.raises(ValueError, match="a has 101 bits, past the 100"):
+        vy_lower_bound(-(2**100 + 1))
 
 
 def test_vy_floor_below_canonical():

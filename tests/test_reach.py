@@ -9,12 +9,15 @@ entry names is dead code: delete it, or say here why it stays.
 An import guard sits beside it: no module in the package imports
 ``decimal``, whose logarithm is only the tests' oracle (``ln_oracle``).
 
-A third guard does for refusal reasons what the first does for
-functions: every reason the package can raise is met by some input, in
-the outcome grid (``test_outcome_grid.py``), in ``golden_refusals.json``
-or in a CLI test that ``REFUSAL_TESTS`` names.  A reason no input meets
-is a re-check of what a caller has already refused: make it an
-assertion of the caller's contract, or delete it.
+A third guard does for refusal sites what the first does for
+functions: every (module, function, reason) at which the package raises
+a ``PreconditionFailure`` (or calls ``_require``) is met by some input,
+from the outcome grid (``test_outcome_grid.py``), ``golden_refusals.json``
+or the CLI argv of a test that ``REFUSAL_TESTS`` names.  The guard runs
+those inputs and records the function that raised each refusal, so a
+dead site cannot hide behind a live one with the same reason.  A site no
+input meets is a re-check of what a caller has already refused: make it
+an assertion of the caller's contract, or delete it.
 """
 
 import ast
@@ -24,7 +27,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+from test_outcome_grid import BOXES, compute_box
+
 import ellcert
+from ellcert import cli
+from ellcert.certify import batch_distinctness, certify_divisibility
+from ellcert.errors import PreconditionFailure
 
 PACKAGE = Path(ellcert.__file__).resolve().parent
 DATA = Path(__file__).parent / "data"
@@ -48,10 +56,6 @@ ALLOWED = {
         "parse oracle of the record round trip; the benchmark tracer binds it"),
     ("certify", "__setattr__"): (
         "Check's write guard: a declared check is shared by every certificate"),
-    # the public, checked entry points of the descent, whose unchecked
-    # cores (_torsors, _soluble_at) the certifiers call directly
-    ("descent", "make_torsors"): "descent oracle: checks that ell is prime",
-    ("descent", "locally_soluble"): "descent oracle: checks the place",
     ("descent", "search_torsor_point"): "global-point oracle for torsors",
     ("certify", "batch_distinctness"): (
         "the pairwise distinctness verdict, kept for the batch check of "
@@ -169,16 +173,34 @@ def test_no_module_imports_decimal():
     assert [p.name for p in sources if "decimal" in _imported_modules(p)] == []
 
 
-#: reason -> the test that meets it, where neither the outcome grid nor
-#: golden_refusals.json does
+#: reason -> a test that meets a site of it that neither the outcome grid
+#: nor golden_refusals.json meets, and that test's CLI argv, which the
+#: guard runs
 REFUSAL_TESTS = {
-    "ell-primality-unproven": "test_cli.py::test_verify_rank_mode_refuses_an_unproven_ell",
-    "p-primality-unproven": "test_cli.py::test_verify_refuses_an_unproven_p",
+    "ell-primality-unproven": (
+        "test_cli.py::test_verify_rank_mode_refuses_an_unproven_ell",
+        ["verify", "--mode", "rank", "--s", "1350000", "--t", "29"]),
+    "p-primality-unproven": (
+        "test_cli.py::test_verify_refuses_an_unproven_p",
+        ["verify", "--mode", "main", "--p", "10000000000000000000000013",
+         "--s", str(10000000000000000000000013**2), "--t", "1"]),
     "height-digit-budget": (
-        "test_cli.py::test_heights_2_75_at_40_iterations_refuses_after_one_doubling"),
-    "torsion-point": "test_cli.py::test_heights_refuses_a_torsion_base_point",
-    # batch_distinctness is an allowed oracle above, with no CLI path yet
-    "not-an-infinite-family-certificate": "test_certify.py::test_batch_distinctness",
+        "test_cli.py::test_heights_2_75_at_40_iterations_refuses_after_one_doubling",
+        ["heights", "--s", "2", "--t", "75", "--iterations", "40"]),
+    "torsion-point": (
+        "test_cli.py::test_heights_refuses_a_torsion_base_point",
+        ["heights", "--s", "1", "--t", "0"]),
+    # no grid pair has a fourth power in s^4 + tau^4; 17^4 | 25^4 + 149^4
+    "fourth-power-free": (
+        "test_cli.py::test_verify_square_subfamily_refuses_a_fourth_power_in_ell",
+        ["verify", "--mode", "square_subfamily", "--p", "5", "--s", "25", "--t", "149"]),
+}
+
+#: raise sites in an ``ALLOWED`` oracle, which no CLI run enters -> the
+#: test that meets each; the guard makes the same call
+ORACLE_REFUSALS = {
+    ("certify", "batch_distinctness", "not-an-infinite-family-certificate"): (
+        "test_certify.py::test_batch_distinctness"),
 }
 
 #: reasons that re-checked what every caller refuses first, and the
@@ -189,44 +211,72 @@ RETIRED_REASONS = {
 }
 
 
-def _refusal_reasons() -> set[str]:
-    """Every reason that the package passes to ``PreconditionFailure`` or
-    ``_require``; each must be a string literal, so the scan sees it."""
-    reasons = set()
+def _refusal_sites() -> set[tuple[str, str, str]]:
+    """(module, function, reason) of every ``PreconditionFailure`` or
+    ``_require`` call in the package; each reason must be a string
+    literal, so the scan sees it.  ``_require`` passes its caller's reason
+    on, so its own raise is no site."""
+    sites = set()
     for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.FunctionDef) and node.name == "_require":
-                node.body = []  # it passes its caller's reason on
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(func, ast.FunctionDef) or func.name == "_require":
+                continue
+            for node in ast.walk(func):
+                if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+                    continue
                 position = {"PreconditionFailure": 0, "_require": 1}.get(node.func.id)
                 if position is None or len(node.args) <= position:
                     continue
                 arg = node.args[position]
                 assert isinstance(arg, ast.Constant) and isinstance(arg.value, str), (
                     f"{path.name}:{node.lineno} passes a reason that is no literal")
-                reasons.add(arg.value)
-    return reasons
+                sites.add((path.stem, func.name, arg.value))
+    return sites
 
 
-def test_every_refusal_reason_is_reached():
-    grid = json.loads((DATA / "outcome_grid.json").read_text(encoding="utf-8"))
-    met = {reason for box in grid.values() for reason in box["refusals"]}
-    golden = json.loads((DATA / "golden_refusals.json").read_text(encoding="utf-8"))
-    met |= {row["reason"] for row in golden}
-    reasons = _refusal_reasons()
-    assert reasons - met - set(REFUSAL_TESTS) == set(), "reasons no input meets"
-    # an entry names a live reason that only its test meets, and a test
-    # that exists
-    assert set(REFUSAL_TESTS) <= reasons - met
-    for where in REFUSAL_TESTS.values():
-        module, name = where.split("::")
-        assert f"def {name}(" in (Path(__file__).parent / module).read_text(encoding="utf-8")
+def _test_exists(where: str) -> bool:
+    module, name = where.split("::")
+    return f"def {name}(" in (Path(__file__).parent / module).read_text(encoding="utf-8")
+
+
+def test_every_refusal_site_is_reached(monkeypatch, capsys):
+    met = set()
+    init = PreconditionFailure.__init__
+
+    def recording(self, reason, detail=""):
+        frame = sys._getframe(1)
+        if frame.f_code.co_name == "_require":
+            frame = frame.f_back
+        met.add((Path(frame.f_code.co_filename).stem, frame.f_code.co_name, reason))
+        init(self, reason, detail)
+
+    monkeypatch.setattr(PreconditionFailure, "__init__", recording)
+    for box in BOXES:
+        compute_box(*box)
+    for row in json.loads((DATA / "golden_refusals.json").read_text(encoding="utf-8")):
+        try:
+            getattr(cli, row["certifier"])(*row["args"])
+        except PreconditionFailure:
+            pass
+    for reason, (where, argv) in REFUSAL_TESTS.items():
+        before = set(met)
+        assert _test_exists(where) and cli.main(argv) == 1, where
+        assert capsys.readouterr().out.startswith(f"REFUSED at check '{reason}'"), where
+        # each entry meets a site, of its reason, that no input before it met
+        assert {site[2] for site in met - before} == {reason}, where
+    try:
+        batch_distinctness([certify_divisibility(2, 25, 5, 1)])
+    except PreconditionFailure:
+        pass
+    sites = _refusal_sites()
+    assert sites - met == set(), "refusal sites no input meets"
+    assert met <= sites, "a refusal raised outside the scanned sites"
+    for (module, name, _), where in ORACLE_REFUSALS.items():
+        assert (module, name) in ALLOWED and _test_exists(where)
 
 
 def test_retired_reasons_are_gone():
-    assert _refusal_reasons() & RETIRED_REASONS == set()
+    assert {reason for *_, reason in _refusal_sites()} & RETIRED_REASONS == set()
     text = "".join(p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py")))
     for reason in RETIRED_REASONS - {"eleven-isogeny-j"}:  # also a check's name
         assert f'"{reason}"' not in text, reason
