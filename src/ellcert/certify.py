@@ -327,7 +327,9 @@ def certify_square_subfamily(s: int, tau: int, p: int) -> Certificate:
     is symmetric, and the two parametrizations contribute the two rational
     points (-s^2, s tau^2) and (-tau^2, s^2 tau).  Their independence is
     the cited rank result; both filtration depths are machine-checked, the
-    second as the base point's of the parameters (tau, s^2).
+    second as the base point's of the parameters (tau, s^2).  s and tau
+    must be at least 1, as s and t must in the other modes; otherwise the
+    member is refused as ``degenerate-parameters``.
     """
     _require(math.gcd(s, tau) == 1, "coprime-parameters", f"gcd({s},{tau}) != 1")
     check_p(p)
@@ -339,6 +341,9 @@ def certify_square_subfamily(s: int, tau: int, p: int) -> Certificate:
     _require(depth >= 2, "square-depth", f"v_p(s*tau)={depth} < 2")
 
     checks = _divisibility_checks(m, p, 1)
+    # the ledger refuses s < 1, but it sees only t = tau^2, the same for
+    # tau and -tau; a tau < 1 would reach the second point
+    _require(tau >= 1, "degenerate-parameters", f"(s,tau)=({s},{tau})")
     second = check_local(tau, s * s, p, 1)
     first = "s" if vp(s, p) > 0 else "tau"
     checks.append((SECOND_POINT_DEPTH, (f"(-{tau}^2, {s}^2*{tau})", second.depth, first)))

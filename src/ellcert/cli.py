@@ -1,5 +1,11 @@
 """Command line driver: batch search, re-verification, and small reports.
 
+One table, ``THEOREMS``, states what each mode is: its certifier, the
+theorem name its records carry, the flags it takes, the subject key of
+its second parameter, search's congruence screen and its ledger printer.
+Search's modes and screens, ``verify``'s flag checks and ``verify
+--file``'s record heads are all read off it.
+
 Search enumerates parameter pairs by increasing max(s, t), then
 lexicographically within each shell, so runs are reproducible; results
 are emitted in enumeration order regardless of worker count.  Only the
@@ -36,9 +42,9 @@ ell not proved prime, or ``heights``' torsion base point or a doubling
 past its bit budget (``height-digit-budget``).  2 bad usage, such as
 ``verify --file`` with any flag of single-shot ``verify`` (``--s``,
 ``--t``, ``--p``, ``--n``, ``--mode`` or ``--out``), a flag or value the
-mode's theorem does not take (``--p`` or ``--n`` for rank, an ``--n``
-other than 1 for the square subfamily), or an unsatisfiable search
-configuration.
+mode's theorem does not take (``Theorem.flags``: ``--p`` or ``--n``
+for the rank-one fragment, an ``--n`` other than 1 for the square
+subfamily), or an unsatisfiable search configuration.
 """
 
 from __future__ import annotations
@@ -73,7 +79,6 @@ from .descent import (
 from .errors import PreconditionFailure
 from .heights import canonical_height, naive_height, silverman_gaps, vy_lower_bound
 
-MODES = ("main", "square_subfamily", "infinite")  # the search modes
 _BATCH = 32
 
 
@@ -112,25 +117,17 @@ def iter_parameter_pairs(max_param: int, q: int = 1):
             yield start + m + t - 2, m, t
 
 
-def _required_depth(mode: str, n: int) -> int:
-    """The p-adic valuation one parameter must reach in this mode."""
-    return 2 if mode == "square_subfamily" else n + 1
-
-
 def cheap_filter(mode: str, p: int, n: int, s: int, t: int) -> bool:
-    """Inexpensive congruence and divisibility screens; no primality, no certs.
+    """Inexpensive divisibility and congruence screens; no primality, no certs.
 
     A coprime pair has p dividing at most one parameter, so "p divides
-    exactly one of s, t (tau in square_subfamily mode) to the required
-    depth" is the single test p^depth | s t.
+    exactly one of the two parameters to depth n + 1" is the single test
+    p^(n+1) | s t; the mode's theorem then screens the pair by its own
+    congruences (``Theorem.screen``).
     """
     from math import gcd
 
-    if gcd(s, t) != 1 or (s * t) % p ** _required_depth(mode, n):
-        return False
-    if mode == "infinite":
-        return s % 2 == 0 and t % 8 in (3, 5)
-    return True
+    return gcd(s, t) == 1 and not (s * t) % p ** (n + 1) and THEOREMS[mode].screen(s, t)
 
 
 def certify_candidate(task: tuple[str, int, int, int, int, str]) -> str | None:
@@ -216,8 +213,8 @@ def run_search(cfg: SearchConfig, emit, checkpoint: str | None = None) -> int:
         start_index, found = _load_checkpoint(checkpoint, cfg.fingerprint())
 
     # a coprime pair carries its whole p-adic depth in one parameter, so
-    # only pairs where p^depth divides s or t can pass the filter
-    q = cfg.p ** _required_depth(cfg.mode, cfg.n)
+    # only pairs where p^(n+1) divides s or t can pass the filter
+    q = cfg.p ** (cfg.n + 1)
     candidates = (
         (idx, (cfg.mode, cfg.p, cfg.n, s, t, cfg.fmt))
         for idx, s, t in iter_parameter_pairs(cfg.max_param, q)
@@ -255,17 +252,6 @@ def run_search(cfg: SearchConfig, emit, checkpoint: str | None = None) -> int:
     return found
 
 
-def _default_workers() -> int | None:
-    """ELLCERT_WORKERS, or 1 when it is unset; None when it is no integer."""
-    env = os.environ.get("ELLCERT_WORKERS")
-    if not env:
-        return 1
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return None
-
-
 def _open_out(path: str, append: bool):
     if path == "-":
         return sys.stdout, False
@@ -273,8 +259,6 @@ def _open_out(path: str, append: bool):
 
 
 def _search_config_error(args) -> str | None:
-    if args.workers is None:
-        return f"ELLCERT_WORKERS={os.environ.get('ELLCERT_WORKERS')!r} is not an integer"
     if args.target_count < 1:
         return "--target-count must be at least 1"
     if args.max_param < 1:
@@ -292,8 +276,9 @@ def _search_config_error(args) -> str | None:
     # coprime), so that parameter must reach p^depth within the range.
     # p^depth >= 2^(depth (bits(p) - 1)), so a depth that puts this
     # exponent at max_param's bit length or past it is refused unbuilt; a
-    # power that is built has fewer than twice max_param's bits
-    depth = _required_depth(args.mode, args.n)
+    # power that is built has fewer than twice max_param's bits.  The depth
+    # is n + 1 in every mode; the flag check pins the subfamily's n to 1
+    depth = args.n + 1
     if (depth * (args.p.bit_length() - 1) >= args.max_param.bit_length()
             or args.p**depth > args.max_param):
         return (
@@ -373,7 +358,7 @@ def _print_ledger(record: dict) -> None:
 
 def _print_rank_fragment(record: dict) -> None:
     sub, sel = record["subject"], record["selmer"]
-    print("theorem: rank-one")
+    print(f"theorem: {record['theorem']}")
     print(f"subject: s={sub['s']} t={sub['t']} ell={sub['ell']}")
     print(f"  [pass] residue-classes  ell_mod_16={record['ell_mod_16']}"
           f" t_mod_8={record['t_mod_8']}")
@@ -386,7 +371,8 @@ def _print_rank_fragment(record: dict) -> None:
 
 
 class Theorem(NamedTuple):
-    """What one CLI mode certifies, and how its ledger is shown.
+    """What one CLI mode certifies, what its records are called, how search
+    screens its pairs and how its ledger is shown.
 
     ``certify`` takes (s, t, p, n) in every mode.  It names its certifier
     inside a lambda body, so the name is looked up in this module on every
@@ -398,26 +384,35 @@ class Theorem(NamedTuple):
     prints the ledger from the parsed record (``certificate_to_dict``).
     ``flags`` names what the mode takes besides s and t, each with the one
     value it accepts or None for any: its record's subject carries them,
-    and search and verify refuse any other flag or value.
+    and search and verify refuse any other flag or value; search runs the
+    modes that take ``--p``.  ``record`` is the theorem name its records
+    carry, and ``second`` the subject key of its second parameter.
+    ``screen`` is the congruence screen search applies to a coprime pair
+    with p^(n+1) | s t before certifying it.  It may reject only pairs the
+    certifier refuses, so it cannot change what search emits.
     """
 
     certify: Callable
+    record: str
     show: Callable = _print_ledger
     flags: tuple[tuple[str, int | None], ...] = (("p", None), ("n", None))
+    second: str = "t"
+    screen: Callable[[int, int], bool] = lambda s, t: True
 
 
-#: CLI mode -> theorem; search, verify and verify --file all dispatch here.
+#: CLI mode -> theorem; search, verify and verify --file all dispatch here,
+#: and every other per-mode fact in this module is read off it.
 THEOREMS = {
-    "main": Theorem(lambda s, t, p, n: certify_divisibility(s, t, p, n)),
+    "main": Theorem(lambda s, t, p, n: certify_divisibility(s, t, p, n), "divisibility"),
     # two points of depth 1 each: the subfamily certifies n = 1 only
     "square_subfamily": Theorem(lambda s, t, p, n: certify_square_subfamily(s, t, p),
-                                flags=(("p", None), ("n", 1))),
-    "infinite": Theorem(lambda s, t, p, n: certify_infinite_instance(s, t, p, n)),
-    "rank": Theorem(
-        lambda s, t, p, n: certify_rank_one(s, t),
-        show=_print_rank_fragment,
-        flags=(),
-    ),
+                                "square-subfamily", flags=(("p", None), ("n", 1)),
+                                second="tau"),
+    # certify_rank_one's congruences; it refuses every pair they reject
+    "infinite": Theorem(lambda s, t, p, n: certify_infinite_instance(s, t, p, n),
+                        "infinite-family", screen=lambda s, t: s % 2 == 0 and t % 8 in (3, 5)),
+    "rank": Theorem(lambda s, t, p, n: certify_rank_one(s, t), "rank-one",
+                    show=_print_rank_fragment, flags=()),
 }
 
 
@@ -436,16 +431,6 @@ def _flag_error(mode: str, given: dict[str, int | None]) -> str | None:
     return None
 
 
-#: A record's theorem -> its CLI mode and the subject key of its second
-#: parameter.
-RECORD_MODES = {
-    "divisibility": ("main", "t"),
-    "square-subfamily": ("square_subfamily", "tau"),
-    "infinite-family": ("infinite", "t"),
-    "rank-one": ("rank", "t"),
-}
-
-
 def _write_record(out: str | None, line: str) -> None:
     if out is None:
         print(line)
@@ -454,20 +439,12 @@ def _write_record(out: str | None, line: str) -> None:
             fh.write(line + "\n")
 
 
-def _record_task(stored) -> tuple[str, int, int, int | None, int | None] | None:
-    """The (mode, s, t, p, n) that recomputes a stored record, or None for
-    an unknown theorem.  Raises ValueError naming what makes ``stored`` no
-    certificate record."""
-    if not isinstance(stored, dict):
-        raise ValueError(f"a JSON {type(stored).__name__}, not an object")
-    if stored.get("schema") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema {stored.get('schema')!r}")
-    theorem = stored.get("theorem")
-    if not isinstance(theorem, str) or theorem not in RECORD_MODES:
-        return None
-    mode, second = RECORD_MODES[theorem]
-    keys = ("s", second, *(name for name, _ in THEOREMS[mode].flags))
-    subject = stored.get("subject")
+def _record_task(mode: str, subject) -> tuple[str, int, int, int | None, int | None]:
+    """The (mode, s, t, p, n) that recomputes the record of ``mode``'s
+    theorem about ``subject``.  Raises ValueError naming what makes
+    ``subject`` no subject of that theorem."""
+    theorem = THEOREMS[mode]
+    keys = ("s", theorem.second, *(name for name, _ in theorem.flags))
     values = [subject.get(k) for k in keys] if isinstance(subject, dict) else [None]
     if not all(isinstance(v, str) for v in values):
         raise ValueError(f"subject {subject!r} lacks a decimal string for one of {keys}")
@@ -500,8 +477,8 @@ def _first_difference(stored, fresh, path: str = "") -> str | None:
     return None if stored == fresh else path
 
 
-#: The head of a written record, up to its subject, for each theorem.
-_RECORD_HEADS = {record_head(theorem): theorem for theorem in RECORD_MODES}
+#: The head of a written record, up to its subject -> the mode of its theorem.
+_RECORD_HEADS = {record_head(theorem.record): mode for mode, theorem in THEOREMS.items()}
 _raw_decode = json.JSONDecoder().raw_decode
 
 
@@ -511,10 +488,9 @@ def _head_task(raw: str) -> tuple[str, int, int, int | None, int | None] | None:
     shape or names no task.  The rest of the line is not parsed: a caller
     trusts this only when the fresh record's line equals ``raw``."""
     end = raw.find(',"subject":') + len(',"subject":')
-    theorem = _RECORD_HEADS.get(raw[:end])
+    mode = _RECORD_HEADS.get(raw[:end])
     try:
-        return theorem and _record_task(
-            {"schema": SCHEMA_VERSION, "theorem": theorem, "subject": _raw_decode(raw, end)[0]})
+        return mode and _record_task(mode, _raw_decode(raw, end)[0])
     except ValueError:  # JSONDecodeError included
         return None
 
@@ -538,11 +514,18 @@ def _check_line(raw: str) -> tuple[bool, str]:
     if line != raw:
         try:
             stored = json.loads(raw)
-            task = _record_task(stored)
+            if not isinstance(stored, dict):
+                raise ValueError(f"a JSON {type(stored).__name__}, not an object")
+            if stored.get("schema") != SCHEMA_VERSION:
+                raise ValueError(f"unsupported schema {stored.get('schema')!r}")
+            theorem = stored.get("theorem")
+            # compared, not hashed: a stored theorem may be a list
+            mode = next((m for m, th in THEOREMS.items() if th.record == theorem), None)
+            if mode is None:
+                return False, f"unknown theorem {theorem}"
+            task = _record_task(mode, stored.get("subject"))
         except ValueError as exc:  # JSONDecodeError included
             return False, f"not a certificate record ({exc})"
-        if task is None:
-            return False, f"unknown theorem {stored.get('theorem')}"
         if task != head:
             fresh, line = _recompute(task)
         if line is None:
@@ -679,7 +662,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("search", help="enumerate parameters and certify")
-    sp.add_argument("--mode", choices=MODES, default="main")
+    sp.add_argument("--mode", default="main", choices=tuple(
+        mode for mode, theorem in THEOREMS.items() if "p" in dict(theorem.flags)))
     sp.add_argument("--p", type=int, default=5, help="odd prime >= 5")
     sp.add_argument("--n", type=int, default=1, help="filtration depth target")
     sp.add_argument("--max-param", type=int, required=True,
@@ -690,15 +674,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--format", choices=("jsonl", "csv", "pretty"), default="jsonl")
     sp.add_argument("--checkpoint", default=None,
                     help="checkpoint file for resumable runs")
-    sp.add_argument("--workers", type=int, default=_default_workers(),
-                    help="worker processes (ELLCERT_WORKERS)")
+    sp.add_argument("--workers", type=int, default=1, help="worker processes")
     sp.set_defaults(func=cmd_search)
 
     vp_ = sub.add_parser(
         "verify", help="certify one parameter pair and print the full ledger"
     )
     vp_.add_argument("--s", type=int)
-    vp_.add_argument("--t", type=int, help="t (or tau in square_subfamily mode)")
+    vp_.add_argument("--t", type=int, help="t (or tau in the square subfamily)")
     vp_.add_argument("--p", type=int)
     vp_.add_argument("--n", type=int, help="filtration depth target (default 1)")
     vp_.add_argument("--mode", choices=tuple(THEOREMS), help="default main")

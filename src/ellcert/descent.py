@@ -26,8 +26,6 @@ from .arith import REAL, is_prime, is_square, jacobi, primality_info
 from .curve import Curve, is_torsion_point
 from .errors import PreconditionFailure
 
-_ODD_P_LOOP_LIMIT = 10**6
-
 
 class Torsor(NamedTuple):
     """w^2 = alpha u^4 + beta v^4 attached to the square class d."""
@@ -70,16 +68,18 @@ def _unit_part(n: int, p: int) -> tuple[int, int]:
 
 
 def _soluble_at_odd_prime(alpha: int, beta: int, p: int) -> bool:
-    """Exact solubility of w^2 = alpha u^4 + beta v^4 over Q_p, p odd.
+    """Exact solubility of w^2 = alpha u^4 + beta v^4 over Q_p, p odd, for
+    an unbalanced torsor: v_p(beta) - v_p(alpha) not divisible by 4.
 
     Solutions with uv = 0 need the corresponding coefficient to be a
-    square.  Otherwise scale so u is a unit times p^m; unequal valuations
-    of the two terms reduce to the same square tests, and the balanced
-    case (possible only when 4 | v(beta) - v(alpha)) leaves a unit sum
-    A x0^4 + B examined mod p.  A root mod p lifts to an exact zero of
-    the sum (the value set of a residue disk is all of p Z_p since the
-    derivative is a unit), giving a w = 0 solution; a nonzero quadratic
-    residue value with even valuation is a square directly.
+    square.  Otherwise the valuations of alpha u^4 and beta v^4 differ by
+    v_p(beta) - v_p(alpha) mod 4, so they are unequal, and the sum is the
+    smaller term times a unit that is 1 mod p: a square exactly when that
+    term is one, that is, when its coefficient is a square.  So the
+    verdict is whether alpha or beta has even valuation and a quadratic
+    residue as unit part.  The descent asks only the place l, where
+    v_l(alpha) + v_l(beta) = 1 (``selmer``), so a balanced torsor is an
+    AssertionError naming it.
     """
     a, big_a = _unit_part(alpha, p)
     b, big_b = _unit_part(beta, p)
@@ -87,18 +87,7 @@ def _soluble_at_odd_prime(alpha: int, beta: int, p: int) -> bool:
         return True
     if b % 2 == 0 and jacobi(big_b, p) == 1:
         return True
-    if (b - a) % 4 != 0:
-        return False
-    if p > _ODD_P_LOOP_LIMIT:
-        raise ValueError(f"odd-prime solubility loop refused for p={p}")
-    ra, rb = big_a % p, big_b % p
-    b_even = b % 2 == 0
-    for x0 in range(1, p):
-        c = (ra * pow(x0, 4, p) + rb) % p
-        if c == 0:
-            return True
-        if b_even and jacobi(c, p) == 1:
-            return True
+    assert (b - a) % 4, f"balanced torsor w^2 = {alpha} u^4 + {beta} v^4 at p={p}"
     return False
 
 
@@ -170,7 +159,11 @@ def _soluble_at_two(alpha: int, beta: int) -> bool:
 
 
 def locally_soluble(t: Torsor, place) -> bool:
-    """Does the torsor have a nontrivial point over R (place=REAL) or Q_p?"""
+    """Does the torsor have a nontrivial point over R (place=REAL) or Q_p?
+
+    At an odd p the torsor must be unbalanced there, as every torsor of
+    ``make_torsors`` is at l (``_soluble_at_odd_prime``).
+    """
     if place == REAL:
         return _soluble_at_real(t.alpha, t.beta)
     if not is_prime(place):
@@ -222,8 +215,8 @@ def selmer(ell: int) -> SelmerReport:
     * Every candidate torsor w^2 = alpha u^4 + beta v^4 has alpha and beta
       of the form +-2^k l^e, with v_l(alpha) + v_l(beta) = 1.
     * At R the verdict depends only on the signs.
-    * At l the difference of the two l-valuations is odd, so
-      ``_soluble_at_odd_prime`` never reaches its balanced loop; it only
+    * At l the difference of the two l-valuations is odd, so the torsor
+      is unbalanced there, as ``_soluble_at_odd_prime`` requires; it only
       takes Jacobi symbols (+-2^k / l), which depend on l mod 8 alone.
     * At 2 the verdict depends on alpha and beta only through their
       classes in Q_2^*/(Q_2^*)^4.  If alpha' = alpha x^4 and beta' =

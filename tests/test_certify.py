@@ -286,7 +286,7 @@ def test_golden_subjects_certify_in_integers_only(monkeypatch):
     """From cold memos, every golden subject certifies with no Fraction
     made and ``decimal`` unimportable, to the golden record."""
     lines = GOLDEN.read_text(encoding="utf-8").splitlines()
-    tasks = [cli._record_task(json.loads(line)) for line in lines]
+    tasks = [cli._head_task(line) for line in lines]
 
     def no_fraction(cls, *args, **kwargs):
         raise AssertionError(f"Fraction{args} made on the certificate path")
@@ -488,7 +488,7 @@ def _grid_certificates():
                         pass
     for line in GOLDEN.read_text(encoding="utf-8").splitlines() + POOL.read_text(
             encoding="utf-8").splitlines():
-        mode, s, t, p, n = cli._record_task(json.loads(line))
+        mode, s, t, p, n = cli._head_task(line)
         yield cli.THEOREMS[mode].certify(s, t, p, n)
 
 

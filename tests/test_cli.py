@@ -65,12 +65,10 @@ def _valuation(x, p):
 
 def _filter_by_definition(mode, p, n, s, t):
     """cheap_filter restated: coprime, and p divides exactly one of s, t
-    (s, tau in square_subfamily mode) to the mode's depth."""
+    (s, tau in square_subfamily mode) to depth n + 1, in every mode."""
     if math.gcd(s, t) != 1:
         return False
     vs, vt = _valuation(s, p), _valuation(t, p)
-    if mode == "square_subfamily":
-        return vs + vt >= 2
     if (vs > 0) == (vt > 0) or vs + vt < n + 1:
         return False
     return mode != "infinite" or (s % 2 == 0 and t % 8 in (3, 5))
@@ -106,7 +104,7 @@ def _stub_certifier(calls):
 @pytest.mark.parametrize("p", [5, 7])
 @pytest.mark.parametrize("n", [1, 2])
 def test_search_matches_filter_all_oracle(mode, p, n, tmp_path, monkeypatch):
-    depth = 2 if mode == "square_subfamily" else n + 1
+    depth = n + 1
     # two whole shells divisible by p^depth: at 7^3 infinite mode needs
     # the even s = 686
     max_param = 2 * p**depth + p
@@ -278,6 +276,23 @@ def test_verify_square_subfamily_refuses_a_fourth_power_in_ell(capsys):
                      "--s", "25", "--t", "149")
     assert rc == 1
     assert out.splitlines() == ["REFUSED at check 'fourth-power-free': ell=493275026"]
+
+
+def test_verify_square_subfamily_refuses_a_negative_tau(capsys):
+    # tau and -tau give the same curve; the ledger sees only t = tau^2, so
+    # the subfamily refuses tau < 1 itself, as main refuses t < 1
+    rc, out, _ = run(capsys, "verify", "--mode", "square_subfamily", "--p", "5",
+                     "--s", "25", "--t", "-2")
+    assert rc == 1
+    assert out.splitlines() == ["REFUSED at check 'degenerate-parameters': (s,tau)=(25,-2)"]
+
+
+def test_search_modes_are_the_theorems_that_take_p(capsys):
+    # rank takes no --p, so search has no rank mode
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--mode", "rank", "--max-param", "10"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'rank'" in capsys.readouterr().err
 
 
 def test_search_csv_format(tmp_path, capsys):
@@ -625,13 +640,18 @@ def test_verify_file_parses_a_broken_tail_before_any_outcome_but_ok(t, cut, tmp_
 
 
 def test_verify_file_names_an_unknown_theorem(tmp_path, capsys):
+    # a list or a number is no theorem name either, and no traceback
     batch = tmp_path / "unknown.jsonl"
-    batch.write_text('{"schema":"1","theorem":"sha-order","subject":{"s":"2"}}\n')
+    batch.write_text('{"schema":"1","theorem":"sha-order","subject":{"s":"2"}}\n'
+                     '{"schema":"1","theorem":[1],"subject":{}}\n'
+                     '{"schema":"1","theorem":7,"subject":{}}\n')
     rc, out, _ = run(capsys, "verify", "--file", str(batch))
     assert rc == 1
     assert out.splitlines() == [
         "line 1: unknown theorem sha-order",
-        "0/1 certificates verified",
+        "line 2: unknown theorem [1]",
+        "line 3: unknown theorem 7",
+        "0/3 certificates verified",
     ]
 
 
@@ -840,21 +860,9 @@ def test_worker_pool_is_capped_at_the_batch_size(tmp_path, capsys, monkeypatch):
     assert many.read_bytes() == one.read_bytes()
 
 
-def test_non_integer_worker_env_is_a_config_error(monkeypatch, capsys):
-    monkeypatch.setenv("ELLCERT_WORKERS", "abc")
-    rc, _, err = run(capsys, "search", "--max-param", "60")
-    assert rc == 2
-    assert err.startswith("config error:") and "ELLCERT_WORKERS" in err
-    # an explicit --workers overrides the variable
-    rc, _, _ = run(capsys, "search", "--max-param", "25", "--target-count", "1",
-                   "--workers", "1")
-    assert rc == 0
-
-
 def test_module_runs_as_script(tmp_path):
     out = tmp_path / "m.jsonl"
     env = dict(os.environ)
-    env.pop("ELLCERT_WORKERS", None)
     src = str(Path(ellcert.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(

@@ -138,18 +138,39 @@ def test_zero_coefficient_at_two_is_named(alpha, beta, name):
         locally_soluble(Torsor("forward", 1, alpha, beta), 2)
 
 
-def test_unit_torsors_are_soluble_at_every_odd_prime():
-    """With p odd and p not dividing alpha beta, w^2 = alpha u^4 + beta v^4
-    is smooth of genus 1 mod p, has at least p + 1 - 2 sqrt(p) > 0 points
-    over F_p, and Hensel lifts them: always soluble.  Pairs of non-residues
-    reach the balanced residue loop."""
-    looped = 0
-    for p in (q for q in range(3, 60, 2) if is_prime(q)):
-        residues = {x * x % p for x in range(1, p)}
-        for alpha, beta in itertools.product(range(1, p), repeat=2):
-            assert _soluble_at_odd_prime(alpha, beta, p), (alpha, beta, p)
-            looped += alpha not in residues and beta not in residues
-    assert looped == 3973
+def _is_qp_square(x, p):
+    """x is a nonzero square in Q_p, p odd: even valuation, and a unit part
+    that is a square mod p by Euler's criterion."""
+    v = 0
+    while x and x % p == 0:
+        x, v = x // p, v + 1
+    return v % 2 == 0 and pow(x % p, (p - 1) // 2, p) == 1
+
+
+def test_odd_prime_solubility_of_unbalanced_torsors_and_the_balanced_alarm():
+    """Where v_p(beta) - v_p(alpha) is not divisible by 4, the two terms
+    never share a valuation, and the torsor is soluble exactly when it has
+    a point with u or v = 0.  The verdict is checked against a point search
+    over 0 <= u, v <= p.  A balanced torsor (the descent asks none: at l
+    the valuations differ by 1) whose coefficients are both non-squares
+    is a soundness alarm."""
+    verdicts = set()
+    for p in (3, 5, 7, 11):
+        for a, b in itertools.product(range(5), repeat=2):
+            if (b - a) % 4 == 0:
+                continue
+            for ua, ub in itertools.product(range(1, p), repeat=2):
+                for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                    alpha, beta = sa * ua * p**a, sb * ub * p**b
+                    # an unbalanced torsor takes the value 0 only at (0, 0)
+                    found = any(_is_qp_square(alpha * u**4 + beta * v**4, p)
+                                for u in range(p + 1) for v in range(p + 1) if u or v)
+                    assert _soluble_at_odd_prime(alpha, beta, p) == found, (alpha, beta, p)
+                    verdicts.add(found)
+    assert verdicts == {True, False}
+    for alpha, beta, p in ((2, 2, 3), (2, 2 * 3**4, 3), (-1, 3 * 7**4, 7), (2, 3, 5)):
+        with pytest.raises(AssertionError, match="balanced torsor"):
+            _soluble_at_odd_prime(alpha, beta, p)
 
 
 def test_selmer_proves_ell_prime_once(monkeypatch):

@@ -86,6 +86,20 @@ def test_no_outcome_is_an_exception(grid):
         assert sum(entry["refusals"].values()) + entry["certificates"] == len(PARAMS) ** 2
 
 
+def test_every_pair_a_screen_rejects_is_refused():
+    """Search drops a pair its theorem's screen rejects before certifying
+    it, so the screen may reject only pairs the certifier refuses."""
+    rejected = 0
+    for mode, p, n in BOXES:
+        screen = cli.THEOREMS[mode].screen
+        for s in PARAMS:
+            for t in PARAMS:
+                if not screen(s, t):
+                    rejected += 1
+                    assert outcome(mode, s, t, p, n)[0] != "certificate", (mode, p, n, s, t)
+    assert rejected  # the infinite family's congruences reject most pairs
+
+
 if __name__ == "__main__":
     entries = {box_name(*box): compute_box(*box)[0] for box in BOXES}
     GRID.write_text(json.dumps(entries, indent=1) + "\n", encoding="utf-8")

@@ -134,7 +134,6 @@ def _defs() -> dict[tuple[str, int], str]:
 
 def test_every_function_is_reached_or_an_allowed_oracle(tmp_path):
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    env.pop("ELLCERT_WORKERS", None)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
     proc = subprocess.run(
