@@ -45,10 +45,12 @@ _MR_TIERS = (
 def vp(x: int, p: int) -> int | float:
     """p-adic valuation of the integer x.  Returns math.inf for x = 0.
 
-    Anything but an integer (a ``Fraction`` included) is a TypeError.
+    Anything but an integer (a ``Fraction`` included) is a TypeError.  p
+    must be prime, and every caller has proved it: ``check_local`` asserts
+    it of a p that ``check_p`` has passed, ``certify_square_subfamily``
+    runs ``check_p`` first, and ``reduction_at`` gets the l that
+    ``certify_rank_one`` has proved prime.
     """
-    if not is_prime(p):
-        raise ValueError(f"vp: modulus {p} is not prime")
     x = operator.index(x)
     if x == 0:
         return math.inf
@@ -199,11 +201,11 @@ def kth_power_free(n: int, k: int, step: int = 2) -> bool:
     factor up to B, so it would be 1: m = q^k.  Hence m is
     k-th-power-free exactly when m = 1 or m is no perfect k-th power.
     For k = 4 that is about n^(1/5) / 2 divisions, not n^(1/4) / 2.
+
+    n must be nonzero and k at least 2: the callers pass k = 4 with n = l
+    (``certify.member``) or n = a = -l (``heights.vy_lower_bound``), and
+    l = s^4 + t^2 is positive, as (s, t) = (0, 0) is refused first.
     """
-    if n == 0:
-        raise ValueError("kth_power_free: n must be nonzero")
-    if k < 2:
-        raise ValueError("kth_power_free: k must be >= 2")
     n = abs(n)
     bound = _iroot(n, k + 1)
     q = 2
@@ -229,9 +231,9 @@ def is_square(n: int) -> bool:
 
 
 def jacobi(a: int, n: int) -> int:
-    """Jacobi symbol (a/n) for odd n > 0."""
-    if n <= 0 or n % 2 == 0:
-        raise ValueError("jacobi: n must be positive and odd")
+    """Jacobi symbol (a/n) for odd n > 0.  The callers pass an odd prime
+    (the place l of a descent) or an odd n above 41 (the strong Lucas
+    test, after ``primality_info``'s trial division)."""
     a %= n
     result = 1
     while a != 0:

@@ -85,7 +85,8 @@ class Member(NamedTuple):
 
 
 def member(s: int, t: int) -> Member:
-    """The member for (s, t); (0, 0) raises ValueError, as make_family does.
+    """The member for (s, t).  (0, 0) gives no curve; every caller refuses
+    it first, as ``coprime-parameters``, since gcd(0, 0) = 0.
 
     For coprime s, t an odd prime q dividing ell divides neither s nor t, so
     (t / s^2)^2 is -1 mod q and q is 1 mod 4; the fourth-power test then
@@ -235,10 +236,10 @@ def cohomology_vanishing_checks(m: Member, p: int) -> list[Entry]:
     quartic twist by 25 together with a cited irreducibility theorem.
 
     None of these can fail.  The torsion checks use a supersingular-
-    reduction witness: a prime q = 3 (mod 4) not dividing 2a has #E(F_q)
-    = q + 1, recounted at run time, and torsion of order prime to q
-    injects into E(F_q) under good reduction [Silverman AEC, VII.3.1], so
-    m not dividing q + 1 leaves no rational m-torsion.
+    reduction witness at q = 3, which divides neither l nor 25 l: #E(F_3)
+    = 4, recounted at run time, and the torsion of E(Q) injects into
+    E(F_3) under good reduction at an odd prime [Silverman AEC, VII.3.1],
+    so m not dividing 4 leaves no rational m-torsion.
     ``has_rational_m_torsion`` returns False or raises AssertionError, a
     soundness alarm, as does a j among the 11-isogeny ones.
     """

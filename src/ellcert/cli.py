@@ -29,8 +29,9 @@ on every invocation: the process pool (and the multiprocessing machinery
 behind it) is imported only when a search asks for more than one worker,
 and ``hashlib`` only when a checkpoint fingerprint is computed.
 
-A checkpoint file keyed by a hash of the search configuration permits
-resuming an interrupted run.  It is rewritten after every 32 handled
+A checkpoint file keyed by a hash of the search configuration (its
+format included, so a run resumes only in the format it was written in)
+permits resuming an interrupted run.  It is rewritten after every 32 handled
 candidates and once when the search ends.  A resumed run first cuts its
 output file back to the records the checkpoint vouches for, so records
 emitted after the last checkpoint write are not duplicated.
@@ -92,11 +93,14 @@ class SearchConfig(NamedTuple):
     fmt: str = "jsonl"  # the line format of each certificate
 
     def fingerprint(self) -> str:
-        # target_count and fmt deliberately excluded: extending a finished run
-        # with a higher target must reuse the same checkpoint
+        # target_count deliberately excluded: extending a finished run with a
+        # higher target must reuse the same checkpoint.  A csv or pretty run
+        # keys its format too, as a resume appends lines to the output file;
+        # jsonl adds nothing, so every jsonl checkpoint keeps its key
         import hashlib
 
         key = f"{self.mode}|{self.p}|{self.n}|{self.max_param}"
+        key += "" if self.fmt == "jsonl" else f"|{self.fmt}"
         return hashlib.sha256(key.encode()).hexdigest()[:16]
 
 
@@ -265,6 +269,8 @@ def _search_config_error(args) -> str | None:
         return "--max-param must be at least 1"
     if args.n < 1:
         return "depth target n must be at least 1"
+    if args.workers < 1:
+        return "--workers must be at least 1"
     try:
         check_p(args.p)
     except PreconditionFailure as exc:

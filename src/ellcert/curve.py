@@ -3,15 +3,23 @@
 A curve is its coefficient a alone.  The family of interest is
 a = -(s^4 + t^2) with its obvious rational point (-s^2, s*t); a member's
 parameters s, t and ell live in ``certify.Member``, never on the curve.
-General a is supported so twists and test curves work too.  General
-Weierstrass models (b != 0) are out of scope.
+General Weierstrass models (b != 0) are out of scope.
 
-What the certifiers and the ``heights`` report use runs on integers: the
-base point and its check in ``make_family``, the torsion closed form,
-reduction data and point counts.  ``Point`` also takes ``Fraction``
-coordinates for the exact group law, a reference oracle for the tests;
-the functions that make ``Fraction``s import ``fractions`` themselves, so
-no CLI command loads it.
+What the certifiers and the ``heights`` report use runs on integers, and
+each function takes only what its callers have already proved:
+
+* ``make_family`` takes (s, t) != (0, 0), which every caller refuses
+  first, and checks the base point it builds;
+* ``has_rational_m_torsion`` takes an a prime to 3 and an m not dividing
+  4, as every family member and its twist by 25 are;
+* ``reduction_at`` takes a prime q, and its one caller passes a proved l;
+* ``count_points_mod_p`` takes an odd prime p <= 10^4 of good reduction;
+* ``is_torsion_point`` takes any curve with a != 0 and any point.
+
+``Point`` also takes ``Fraction`` coordinates for the exact group law, a
+reference oracle for the tests, as is ``on_curve``; the functions that
+make ``Fraction``s import ``fractions`` themselves, so no CLI command
+loads it.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ import math
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
-from .arith import is_prime, vp
+from .arith import vp
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -45,9 +53,9 @@ PointLike = Point | None
 
 def make_family(s: int, t: int) -> Curve:
     """The family curve y^2 = x^3 - (s^4 + t^2) x, checked to carry the
-    base point (-s^2, s t)."""
-    if s == 0 and t == 0:
-        raise ValueError("make_family: (0, 0) gives a degenerate curve")
+    base point (-s^2, s t).  (s, t) = (0, 0) would give a = 0, no curve:
+    the certifiers refuse it as ``coprime-parameters`` and ``heights`` as a
+    usage error, before any curve is built."""
     a = -(s**4 + t**2)
     # construction identity: (-s^2)^3 - (s^4+t^2)(-s^2) = (s t)^2
     x = -s * s
@@ -138,22 +146,22 @@ def translate_by_torsion(c: Curve, pt: PointLike) -> PointLike:
 def has_rational_m_torsion(c: Curve, m: int) -> bool:
     """Does E(Q) contain a point of exact order m, for m in {3, 5, 7}?
 
-    Never, and a reduction witness proves it.  Take the first prime
-    q = 3 (mod 4) with q != m, q not dividing 2a and m not dividing q + 1.
-    E has good reduction at q, and it is supersingular there: x -> -x
-    negates x^3 + a x while -1 is a non-square mod q, so #E(F_q) = q + 1.
-    Torsion of order prime to q injects into E(F_q) under good reduction
-    [Silverman AEC, VII.3.1], so m not dividing q + 1 rules out rational
-    m-torsion.  Such a q exists by Dirichlet, and at most log2|a| primes
-    are skipped for dividing a.  The count q + 1 is recomputed, not assumed.
+    Never, and a reduction witness at q = 3 proves it.  For a prime to 3,
+    E has good reduction at 3 (Delta = -64 a^3), and it is supersingular
+    there: x -> -x negates x^3 + a x while -1 is a non-square mod 3, so
+    #E(F_3) = 4.  At an odd prime q of good reduction the whole torsion of
+    E(Q) injects into E(F_q) [Silverman AEC, VII.3.1, with IV.6.4(b):
+    E_1(Q_3) has no torsion, as v(3) = 1 < 3 - 1], so m not dividing 4
+    rules out rational m-torsion.  The count 4 is recomputed, not assumed.
+
+    The premise holds for every curve a certifier asks about: 3 does not
+    divide s^4 + t^2 for coprime s, t (3 | s^4 + t^2 forces 3 | s and
+    3 | t, as -1 is no square mod 3), nor 25 (s^4 + t^2), and m is 5 or 7.
+    A breach is an AssertionError.
     """
-    if m not in (3, 5, 7):
-        raise ValueError("has_rational_m_torsion: m must be 3, 5, or 7")
-    q = 3
-    while q == m or (2 * c.a) % q == 0 or (q + 1) % m == 0 or not is_prime(q):
-        q += 4
-    if count_points_mod_p(c, q) != q + 1:
-        raise AssertionError(f"y^2 = x^3 + {c.a}x not supersingular at q={q}")
+    assert c.a % 3 and 4 % m, f"q = 3 proves nothing for a={c.a}, m={m}"
+    if count_points_mod_p(c, 3) != 4:
+        raise AssertionError(f"y^2 = x^3 + {c.a}x not supersingular at q=3")
     return False
 
 
@@ -186,9 +194,10 @@ def reduction_at(c: Curve, q: int) -> ReductionData:
     standard reduction table for residue characteristic >= 5 gives Kodaira
     type III with Tamagawa number 2; the equation is minimal there since
     v_q(Delta) < 12.  Everything else bad is reported unclassified.
+
+    q must be prime; the one caller, ``certify_infinite_instance``, passes
+    the l that ``certify_rank_one`` has proved prime.
     """
-    if not is_prime(q):
-        raise ValueError(f"reduction_at: {q} is not prime")
     if (2 * c.a) % q != 0:
         return ReductionData(True, None, None)
     if q >= 5 and vp(-48 * c.a, q) == 1 and vp(-64 * c.a**3, q) == 3:
@@ -197,17 +206,14 @@ def reduction_at(c: Curve, q: int) -> ReductionData:
 
 
 def count_points_mod_p(c: Curve, p: int) -> int:
-    """#E(F_p) by direct character sum; p odd, good reduction, p <= 10^6.
+    """#E(F_p) by direct character sum, for an odd prime p of good
+    reduction.  The callers prove all three: ``check_local`` passes an odd
+    prime p <= 10^4 that divides exactly one of s and t, so not l =
+    s^4 + t^2, and ``has_rational_m_torsion`` passes q = 3, prime to a.
 
     The count depends only on (a mod p, p), and the sum runs once per
     such pair: a search at one p meets at most p - 1 residues.
     """
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"count_points_mod_p: p={p} must be an odd prime")
-    if c.a % p == 0:
-        raise ValueError(f"count_points_mod_p: bad reduction at {p}")
-    if p > 10**6:
-        raise ValueError("count_points_mod_p: p above the supported range")
     return _count_points(c.a % p, p)
 
 

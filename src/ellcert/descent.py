@@ -98,8 +98,8 @@ def _v2(n: int) -> int:
 
 def _soluble_at_two(alpha: int, beta: int) -> bool:
     """Exact solubility of w^2 = alpha u^4 + beta v^4 over Q_2, for any
-    nonzero alpha and beta, by recursion on 2-adic disks; a zero
-    coefficient is a ValueError that names it.
+    nonzero alpha and beta, by recursion on 2-adic disks.  Every torsor of
+    ``make_torsors`` has coefficients +-2^k l^e, never 0.
 
     A nontrivial point can be scaled so that u and v are in Z_2 and one
     of them is a unit.  If v is a unit, x = u / v is in Z_2 and
@@ -138,8 +138,6 @@ def _soluble_at_two(alpha: int, beta: int) -> bool:
     f'(xi) (x_k - xi) have valuation at least 2 v_2(x_k - xi); that is the
     root case.  Either way the chain resolves, a contradiction.
     """
-    if not alpha or not beta:
-        raise ValueError(f"2-adic solubility: coefficient {'beta' if alpha else 'alpha'} is 0")
     stack = [(alpha, beta, 0, 0), (beta, alpha, 0, 1)]
     while stack:
         a, b, x0, k = stack.pop()
@@ -161,13 +159,13 @@ def _soluble_at_two(alpha: int, beta: int) -> bool:
 def locally_soluble(t: Torsor, place) -> bool:
     """Does the torsor have a nontrivial point over R (place=REAL) or Q_p?
 
-    At an odd p the torsor must be unbalanced there, as every torsor of
+    The place is REAL or a prime: the one caller, ``_exact_selmer``, asks
+    R, 2 and the l that ``make_torsors`` has asserted prime.  At an odd p
+    the torsor must be unbalanced there, as every torsor of
     ``make_torsors`` is at l (``_soluble_at_odd_prime``).
     """
     if place == REAL:
         return _soluble_at_real(t.alpha, t.beta)
-    if not is_prime(place):
-        raise ValueError(f"locally_soluble: place {place!r} is not prime or REAL")
     if place == 2:
         return _soluble_at_two(t.alpha, t.beta)
     return _soluble_at_odd_prime(t.alpha, t.beta, place)

@@ -25,7 +25,7 @@ import math
 from typing import NamedTuple
 
 from .arith import kth_power_free
-from .curve import Curve, Point, PointLike, INFINITY, is_torsion_point, on_curve
+from .curve import Curve, Point, PointLike, INFINITY, is_torsion_point
 from .errors import PreconditionFailure
 
 _INF = math.inf
@@ -155,9 +155,9 @@ def log_int_bounds(n: int) -> tuple[float, float]:
     ``_ln_fixed``'s enclosure is (e + 36) 2^-96 wide for n of e + 1 bits,
     below 2^-60 for n of fewer than 2^35 bits, and floats near ln n >= ln 2
     are at least 2^-53 apart: the two ends are at most five floats apart.
+    Every caller passes a positive n: a height max(|u|, w), s^2 for s != 0,
+    l, |a| or 64 |a|^3 for a != 0, or a constant.
     """
-    if n < 1:
-        raise ValueError("log_int_bounds: n must be >= 1")
     if n == 1:
         return 0.0, 0.0
     return _round_out(*_ln_fixed(n))
@@ -178,10 +178,10 @@ def ln_ell_lo_and_delta_hi(ell: int) -> tuple[float, float]:
     as 6 L2 falls short of 6 S ln 2 by less than 6.  Each end is rounded
     out by ``_round_out``: the first is ``log_int_bounds(ell)[0]``, and the
     second is ``log_int_bounds(64 * ell**3)[1]`` wherever both enclosures
-    decide its rounding.  ell = 1 takes the two direct calls.
+    decide its rounding.  ell must be at least 2, as ``_ln_fixed`` needs:
+    the one caller, ``certify_primitive``, asserts that ell is not 2 and
+    not a square, so not 1.
     """
-    if ell < 2:
-        return log_int_bounds(ell)[0], log_int_bounds(64 * ell**3)[1]
     lo, hi = _ln_fixed(ell)
     return _round_out(lo, 3 * hi + 6 * _LN2_FIX + 6)
 
@@ -238,17 +238,19 @@ def _x_double(a: int, u: int, w: int) -> tuple[int, int]:
     quadratically painful once coordinates reach 10^5 digits; one gcd per
     doubling on the final pair is all that is actually needed.
 
-    The denominator is 0 only for a 2-torsion Q.  ``canonical_height``
-    refuses a torsion P first, and no multiple of a point of infinite
-    order is torsion, so a 0 here is a soundness alarm.
+    The denominator 4 u w (u^2 + a w^2) is never negative: Q = (u/w, y)
+    is a rational point, so y^2 = (u^3 + a u w^2) / w^3 and
+    u w (u^2 + a w^2) = w^4 y^2 >= 0.  So w' > 0 follows from w > 0, as
+    for the base point's w = 1, with no sign to fix.  It is 0 only for a
+    2-torsion Q.  ``canonical_height`` refuses a torsion P first, and no
+    multiple of a point of infinite order is torsion, so a 0 here is a
+    soundness alarm.
     """
     uu = u * u
     ww = w * w
     num = (uu - a * ww) ** 2
     den = 4 * u * w * (uu + a * ww)
     assert den != 0, f"doubling x = {u}/{w} on y^2 = x^3 + {a} x reached infinity"
-    if den < 0:
-        num, den = -num, -den
     g = math.gcd(num, den)
     return num // g, den // g
 
@@ -325,17 +327,19 @@ def x_multiple_reduced(c: Curve, pt: Point, doublings: int) -> tuple[int, int]:
     return u, w
 
 
-def canonical_height(c: Curve, pt: PointLike, iterations: int = 5) -> HeightInterval:
+def canonical_height(c: Curve, pt: Point, iterations: int = 5) -> HeightInterval:
     """Enclosure of hhat(P) from k doublings.
 
     hhat(P) = hhat(2^k P) / 4^k and the Silverman gaps applied to 2^k P give
     [h(2^k P)/(2*4^k) - lower_gap/4^k, h(2^k P)/(2*4^k) + upper_gap/4^k],
     an interval of width (lower_gap + upper_gap)/4^k around the truth.
+
+    iterations must be at least 1 and pt an affine point of the curve:
+    the one caller, the ``heights`` report, refuses fewer iterations as a
+    usage error and passes the integral base point (-s^2, s t), which
+    ``make_family`` has checked on the curve.  A torsion point is refused
+    (``torsion-point``), as its canonical height is 0.
     """
-    if iterations < 1:
-        raise ValueError("canonical_height: iterations must be >= 1")
-    if pt is INFINITY or not on_curve(c, pt):
-        raise ValueError("canonical_height: need an affine point on the curve")
     if is_torsion_point(c, pt):
         raise PreconditionFailure("torsion-point", "canonical height would be 0")
     u, w = x_multiple_reduced(c, pt, iterations)
@@ -381,12 +385,12 @@ def vy_lower_bound(a: int) -> float:
 
     Value (1/16) log|a| + c(a) with c(a) a residue-class multiple of log 2;
     c(a) may be negative and is not clamped.  Rounded down, so the returned
-    float is itself a valid lower bound.  Requires a negative and
-    fourth-power-free, with at most ``_VY_MAX_BITS`` bits, so that the
-    trial division that proves it fourth-power-free stays short.
+    float is itself a valid lower bound.  Requires a fourth-power-free,
+    with at most ``_VY_MAX_BITS`` bits, so that the trial division that
+    proves it fourth-power-free stays short; either breach is a ValueError.
+    a must be negative, as a = -l is for every member; ``_vy_log2_coeff``
+    asserts it.
     """
-    if a >= 0:
-        raise ValueError("vy_lower_bound: a must be negative")
     if a.bit_length() > _VY_MAX_BITS:
         raise ValueError(
             f"vy_lower_bound: a has {a.bit_length()} bits, past the {_VY_MAX_BITS} "

@@ -190,6 +190,10 @@ def test_search_empty_range_exits_one(tmp_path, capsys):
         # 5^7001 has 4,894 digits: its str() raised past Python's digit limit
         ("search", "--max-param", "100", "--n", "7000"),
         ("search", "--mode", "square_subfamily", "--max-param", "100", "--n", "2"),
+        ("search", "--max-param", "0"),
+        # both ran one worker and exited 0 with 48 certificates
+        ("search", "--max-param", "30", "--workers", "0"),
+        ("search", "--max-param", "30", "--workers", "-5"),
     ],
 )
 def test_search_config_errors(argv, capsys):
@@ -437,6 +441,48 @@ def test_verify_rank_mode_refuses_an_unproven_ell(capsys):
     assert "conclusion: rank = 1" in out
 
 
+def test_verify_rank_mode_refuses_a_composite_ell_above_psi_13(capsys):
+    # Miller-Rabin base 2, the first half of BPSW, proves this ell composite
+    rc, out, _ = run(capsys, "verify", "--mode", "rank", "--s", "1350000", "--t", "11")
+    assert rc == 1
+    assert out.splitlines() == [
+        "REFUSED at check 'ell-not-prime': ell=3321506250000000000000121"]
+
+
+PSI_13 = "3317044064679887385961981"  # a strong pseudoprime to all 13 bases
+
+
+@pytest.mark.parametrize("p", ["1", PSI_13], ids=["one", "psi-13"])
+def test_verify_refuses_p_below_five_and_psi_13_as_out_of_range(p, capsys):
+    # psi_13 passes Miller-Rabin base 2; the strong Lucas half of BPSW
+    # proves it composite
+    rc, out, _ = run(capsys, "verify", "--mode", "main", "--p", p, "--s", "2", "--t", "25")
+    assert rc == 1
+    assert out.splitlines() == [f"REFUSED at check 'p-out-of-range': p={p} must be a prime >= 5"]
+
+
+def test_verify_refuses_an_unproven_p_whose_lucas_test_doubles(capsys):
+    # p + 1 = 2^4 k: the strong Lucas test passes only after doublings of
+    # V_k, and a pass above psi_13 is still only a probable prime
+    p = "3317044064679887385962191"
+    rc, out, _ = run(capsys, "verify", "--mode", "main", "--p", p, "--s", "1", "--t", "1")
+    assert rc == 1
+    assert out.splitlines() == [
+        f"REFUSED at check 'p-primality-unproven': p={p} is only a BPSW probable prime"]
+
+
+def test_verify_above_the_count_limit_proves_parity_by_two_torsion(capsys):
+    # p = 10007 is past the point count's limit of 10^4, so the even order
+    # rests on the rational point (0, 0) alone
+    rc, out, _ = run(capsys, "verify", "--mode", "main", "--p", "10007",
+                     "--s", "100140049", "--t", "2")
+    assert rc == 0
+    record = json.loads(out.splitlines()[-1])
+    [depth] = [c for c in record["checks"] if c["name"] == "kernel-filtration-depth"]
+    assert depth["witness"]["order_parity_method"] == "rational-two-torsion"
+    assert record["conclusion"] == "10007^2 divides h(Q(E[10007^1]))"
+
+
 def test_verify_file_runs_one_exact_descent_per_residue(monkeypatch, capsys):
     pool = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "pool.jsonl"
     monkeypatch.setattr(descent, "_SELMER_CLASSES", {})
@@ -601,6 +647,38 @@ def test_verify_file_refuses_malformed_records_by_name(line, tmp_path, capsys):
     assert rc == 1
     assert out.splitlines()[0].startswith("line 1: not a certificate record (")
     assert "1/2 certificates verified" in out
+
+
+def test_verify_file_skips_blank_lines(tmp_path, capsys):
+    line = Path(__file__).parent.joinpath("data", "golden_records.jsonl").read_text(
+        encoding="utf-8").splitlines()[0]
+    batch = tmp_path / "blank.jsonl"
+    batch.write_text("\n" + line + "\n  \n")
+    rc, out, _ = run(capsys, "verify", "--file", str(batch), "--verbose")
+    assert rc == 0
+    assert out.splitlines()[0].startswith("line 2: ok ")
+    assert out.splitlines()[-1] == "1/1 certificates verified"
+
+
+def test_verify_file_names_a_missing_key_and_a_longer_list(tmp_path, capsys):
+    lines = Path(__file__).parent.joinpath("data", "golden_records.jsonl").read_text(
+        encoding="utf-8").splitlines()
+    less = json.loads(lines[0])
+    del less["conclusion_basis"]
+    longer = json.loads(lines[5])
+    assert longer["ramified_primes"] == ["2", "5641", "5"]
+    longer["ramified_primes"].append("7")
+    batch = tmp_path / "shapes.jsonl"
+    batch.write_text(json.dumps(less) + "\n" + json.dumps(longer) + "\n")
+    rc, out, _ = run(capsys, "verify", "--file", str(batch))
+    assert rc == 1
+    assert out.splitlines() == [
+        "line 1: MISMATCH for subject {'s': '2', 't': '25', 'ell': '641', 'p': '5', 'n': '1'}"
+        " at conclusion_basis",
+        "line 2: MISMATCH for subject {'s': '2', 't': '75', 'ell': '5641', 'p': '5', 'n': '1'}"
+        " at ramified_primes[3]",
+        "0/2 certificates verified",
+    ]
 
 
 def test_verify_file_names_a_refused_line(tmp_path, capsys):
@@ -771,13 +849,32 @@ def test_resume_from_an_empty_checkpoint_writes_the_csv_header(tmp_path, capsys)
     full = tmp_path / "full.csv"
     assert main(base + ["--out", str(full)]) == 0
     ck = tmp_path / "ck.json"
-    fingerprint = SearchConfig("main", 5, 1, 25, target_count=1, workers=1).fingerprint()
+    fingerprint = SearchConfig("main", 5, 1, 25, target_count=1, workers=1,
+                               fmt="csv").fingerprint()
     cli._save_checkpoint(str(ck), fingerprint, 0, 0)
     part = tmp_path / "part.csv"
     part.write_text("s,t,e")  # a header cut short
     assert main(base + ["--out", str(part), "--checkpoint", str(ck)]) == 0
     capsys.readouterr()
     assert part.read_bytes() == full.read_bytes()
+
+
+@pytest.mark.parametrize("first,then", [("csv", "jsonl"), ("jsonl", "csv"), ("csv", "pretty")])
+def test_resume_in_another_format_is_refused_and_leaves_the_file(first, then, tmp_path, capsys):
+    # csv then jsonl exited 0 and left the csv header, one csv line and two
+    # jsonl lines, losing the record (2, 25); jsonl then csv was refused
+    # as a file holding fewer records than the checkpoint vouches for
+    base = ["search", "--max-param", "30", "--workers", "1"]
+    out, ck = tmp_path / "out", tmp_path / "ck.json"
+    assert main(base + ["--format", first, "--target-count", "2",
+                        "--checkpoint", str(ck), "--out", str(out)]) == 0
+    written, saved = out.read_bytes(), ck.read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        main(base + ["--format", then, "--target-count", "4",
+                     "--checkpoint", str(ck), "--out", str(out)])
+    capsys.readouterr()
+    assert "belongs to a different search configuration" in str(exc.value.code)
+    assert out.read_bytes() == written and ck.read_bytes() == saved
 
 
 def test_resume_refuses_output_shorter_than_checkpoint(tmp_path, capsys):
@@ -926,6 +1023,12 @@ def test_heights_report_loads_no_fractions():
 def test_checkpoint_fingerprints_are_stable():
     # checkpoints written by earlier releases must still resume
     assert SearchConfig("main", 5, 1, 25, 1, 1).fingerprint() == "ea044ea46dc9c413"
+    # a jsonl key is the same as before formats were keyed; csv and pretty
+    # runs key their format, so neither resumes the other's checkpoint
+    assert SearchConfig("main", 5, 1, 25, 1, 1, "jsonl").fingerprint() == "ea044ea46dc9c413"
+    keys = {SearchConfig("main", 5, 1, 25, 1, 1, fmt).fingerprint()
+            for fmt in ("jsonl", "csv", "pretty")}
+    assert len(keys) == 3
     assert (
         SearchConfig("square_subfamily", 13, 1, 400, 10**9, 4).fingerprint()
         == "040ccd1792f90d70"
@@ -1049,6 +1152,15 @@ def test_heights_refuses_a_torsion_base_point(s, t, capsys):
     assert rc == 1
     assert out.startswith("REFUSED at check 'torsion-point': ")
     assert len(out.splitlines()) == 1
+
+
+def test_heights_reports_no_floor_for_an_ell_with_a_fourth_power(capsys):
+    # s and t need not be coprime here: ell = 2^4 + 4^2 = 2^5
+    rc, out, _ = run(capsys, "heights", "--s", "2", "--t", "4")
+    assert rc == 0
+    assert out.splitlines()[0] == "ell = 32"
+    assert out.splitlines()[-1] == (
+        "height floor unavailable: vy_lower_bound: a=-32 is not fourth-power-free")
 
 
 def test_heights_of_a_1200_digit_ell_reports_no_floor_and_ends():

@@ -221,14 +221,16 @@ def test_torsion_witness_prime_and_recount(monkeypatch):
     monkeypatch.setattr(
         curve_mod, "count_points_mod_p", lambda c, q: seen.append(q) or count_points_mod_p(c, q)
     )
-    # -35 and -231 make the search skip q = m, q | 2a and m | q + 1
-    for a in (-5, -35, -231, 4, -(3 * 7 * 11 * 19 * 23 * 31)):
+    # q = 3 serves every a prime to 3 and every m not dividing #E(F_3) = 4
+    for a in (-5, -35, -7 * 11 * 19 * 23 * 31, 4, -25 * 641):
         for m in (3, 5, 7):
             seen.clear()
             assert not has_rational_m_torsion(Curve(a), m)
-            [q] = seen
-            assert is_prime(q) and q % 4 == 3 and q != m, (a, m, q)
-            assert (2 * a) % q != 0 and (q + 1) % m != 0, (a, m, q)
+            assert seen == [3], (a, m)
+    # its premise is asserted: 3 | a, or an m dividing 4, proves nothing
+    for a, m in ((-231, 5), (-9, 7), (-5, 2), (-5, 4)):
+        with pytest.raises(AssertionError, match="proves nothing"):
+            has_rational_m_torsion(Curve(a), m)
     # the recount is a live check: a wrong point count is an alarm, not a pass
     monkeypatch.setattr(curve_mod, "count_points_mod_p", lambda c, q: q)
     with pytest.raises(AssertionError, match="not supersingular"):
@@ -238,8 +240,6 @@ def test_torsion_witness_prime_and_recount(monkeypatch):
 def test_torsion_witness_on_huge_twist():
     # the root search overflowed its float magnitude bound here
     assert not has_rational_m_torsion(Curve(-25 * (10**60 + 7)), 5)
-    with pytest.raises(ValueError):
-        has_rational_m_torsion(Curve(-5), 11)
 
 
 def test_torsion_structures():
@@ -316,8 +316,6 @@ def test_reduction_frozen():
     assert (data.good, data.kodaira, data.tamagawa) == (False, "III", 2)
     assert reduction_at(c, 3).good
     assert not reduction_at(c, 2).good
-    with pytest.raises(ValueError):
-        reduction_at(c, 10)
     # any a: good iff q does not divide 2a; a = -5 has c4 = 240, Delta = 8000
     assert reduction_at(Curve(-5), 3).good
     assert reduction_at(Curve(-5), 5) == (False, "III", 2)
@@ -330,10 +328,6 @@ def test_count_points_matches_brute():
     for p in (3, 7, 11, 13, 17, 101):
         brute = len(_points_mod_p(c.a % p, p)) + 1
         assert count_points_mod_p(c, p) == brute, p
-    with pytest.raises(ValueError):
-        count_points_mod_p(c, 5)  # a = -5 vanishes mod 5
-    with pytest.raises(ValueError):
-        count_points_mod_p(c, 2)
 
 
 def _brute_count(a, p):

@@ -39,7 +39,9 @@ REFUSALS = json.loads((DATA / "golden_refusals.json").read_text(encoding="utf-8"
 BENCH_GOLDENS = Path(__file__).parent.parent / "perfbench" / "data" / "goldens.json"
 
 #: search arguments -> sha256 of the stream, and of the final checkpoint
-#: where the search keeps one
+#: where the search keeps one.  The checkpoint holds the configuration's
+#: fingerprint, which keys the format only for csv and pretty runs, so a
+#: jsonl checkpoint, this one and the benchmark's, keeps its bytes
 SEARCH_SHA256 = {
     ("--mode", "square_subfamily", "--p", "5", "--max-param", "120"): (
         "ea48a049d14f97ee4af2c78c8fe9ff5bc57b7addd5f45903d9b6239917c57c6b", None),

@@ -72,8 +72,6 @@ def test_log_int_bounds_small():
         lo, hi = log_int_bounds(n)
         assert lo <= math.log(n) <= hi
         assert hi - lo < 1e-10
-    with pytest.raises(ValueError):
-        log_int_bounds(0)
 
 
 def test_log_int_bounds_huge():
@@ -278,11 +276,7 @@ def test_canonical_height_translation_invariant_enough():
 
 def test_canonical_height_rejections():
     c = make_family(1, 2)
-    with pytest.raises(ValueError):
-        canonical_height(c, INFINITY)
-    with pytest.raises(ValueError):
-        canonical_height(c, base_point(1, 2), iterations=0)
-    with pytest.raises(PreconditionFailure):
+    with pytest.raises(PreconditionFailure, match="torsion-point"):
         canonical_height(c, point(c, 0, 0))
 
 
@@ -316,7 +310,8 @@ _VY_CASES = [
 @pytest.mark.parametrize("a,coeff", _VY_CASES)
 def test_vy_rows_frozen(a, coeff):
     if a > 0:
-        with pytest.raises(ValueError):
+        # no row of positive a is carried: the floor's assertion names it
+        with pytest.raises(AssertionError):
             vy_lower_bound(a)
         with pytest.raises(AssertionError):
             _vy_log2_coeff(a)
@@ -415,12 +410,6 @@ def test_one_wide_log_across_the_direct_ln_width():
     assert widths == {True, False}
     for ell in ells:
         assert ln_ell_lo_and_delta_hi(ell) == _direct_pair(ell), ell
-
-
-def test_one_wide_log_below_two_is_the_direct_pair():
-    assert ln_ell_lo_and_delta_hi(1) == _direct_pair(1) == (0.0, log_int_bounds(64)[1])
-    with pytest.raises(ValueError):
-        ln_ell_lo_and_delta_hi(0)
 
 
 def test_an_enclosure_across_a_float_midpoint_rounds_each_end_outward():
