@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import operator
 from functools import lru_cache
+from itertools import compress
 
 REAL = "R"
 
@@ -171,10 +172,13 @@ def is_prime(n: int) -> bool:
 
 
 def _iroot(n: int, k: int) -> int:
-    """floor(n^(1/k)) for n >= 0 and k >= 1, by integer Newton steps from
-    a power of two above the root."""
+    """floor(n^(1/k)) for n >= 0 and k >= 1: ``isqrt`` twice for k = 4
+    (``kth_power_free`` proves it exact), else integer Newton steps from a
+    power of two above the root."""
     if n < 2:
         return n
+    if k == 4:
+        return math.isqrt(math.isqrt(n))
     x = 1 << -(-n.bit_length() // k)
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
@@ -183,43 +187,87 @@ def _iroot(n: int, k: int) -> int:
         x = y
 
 
+#: Primes below 2^_TABLE_BITS are stripped from n by gcd layers against
+#: their product (``_primorial``); past it ``kth_power_free`` trial-divides.
+_TABLE_BITS = 16
+
+
+@lru_cache(maxsize=_TABLE_BITS + 1)
+def _primorial(b: int) -> int:
+    """The product of the primes below 2^b, for 0 <= b <= ``_TABLE_BITS``,
+    from a sieve of Eratosthenes; built once per b on first use.  The
+    largest, b = 16, has about 94,000 bits and takes about 10 ms."""
+    top = 1 << b
+    sieve = bytearray([1]) * top
+    sieve[:2] = bytes(min(2, top))
+    for q in range(2, math.isqrt(top - 1) + 1):
+        if sieve[q]:
+            sieve[q * q::q] = bytes(len(range(q * q, top, q)))
+    return math.prod(compress(range(top), sieve))
+
+
 def kth_power_free(n: int, k: int, step: int = 2) -> bool:
     """True when no prime q has q^k dividing n.  Sign of n is ignored.
 
-    After 2, the trial divisors are 1 + step, 1 + 2 step, ...: every odd
-    number for the default step.  A caller that knows every odd prime
-    factor of n to be 1 mod 4 may pass step 4, about half the divisions;
-    ``certify.member`` does, for n = s^4 + t^2 with s, t coprime.  A
-    composite trial divisor never divides what is left, as its prime
-    factors are smaller and already divided out.
+    Let b = ceil(bits(n) / (k + 1)), so that n^(1/(k+1)) < 2^b, and let
+    P be the product of the primes below 2^min(b, 16) (``_primorial``).
+    The gcd layers g_1 = gcd(n, P), g_(i+1) = gcd(n / (g_1 ... g_i), g_i)
+    hold exactly the primes q | P with v_q(n) >= i, each once, by
+    induction on i.  So some prime below the table edge has q^k | n
+    exactly when g_k > 1, and when it does not, every such prime has
+    v_q(n) < k, and m = n / (g_1 ... g_(k-1)) has none of them left (the
+    layers stop early at a g_i = 1, which makes every later one 1).  For
+    every n below 2^(16 (k+1)), 2^80 for k = 4, that is the whole of the
+    small-prime work: a few gcds, with no division loop.
 
-    Trial division stops at B = floor(m^(1/(k+1))), where m is what is
-    left of |n| once the primes found so far are divided out (B shrinks
-    with m).  Every prime factor of the final m then exceeds B, so is
-    above m^(1/(k+1)).  If such a prime q had q^k | m, the quotient
-    m / q^k would be below m^(1/(k+1)), so at most B, and have no prime
-    factor up to B, so it would be 1: m = q^k.  Hence m is
-    k-th-power-free exactly when m = 1 or m is no perfect k-th power.
-    For k = 4 that is about n^(1/5) / 2 divisions, not n^(1/4) / 2.
+    Past the table (b > 16) m is trial-divided by 2^16 + 1, 2^16 + 1 +
+    step, 2^16 + 1 + 2 step, ...: every odd number from 65537 for the
+    default step.  As 65537 is 1 mod 4, step 4 tries every number 1 mod 4;
+    a caller that knows every odd prime factor of n to be 1 mod 4 may pass
+    it, for half the divisions, and ``certify.member`` does, for n = s^4 +
+    t^2 with s, t coprime.  A composite trial divisor never divides what is
+    left, as its prime factors are smaller and already divided out, by the
+    gcd layers or by the trial.  Trial division stops at B =
+    floor(m^(1/(k+1))), with m what is left once the primes found so far
+    are divided out (B shrinks with m): about (B - 2^16) / step divisions.
+
+    Either way, every prime factor of the final m is above m^(1/(k+1)):
+    at least 2^b > n^(1/(k+1)) >= m^(1/(k+1)) when b <= 16, and above B
+    past it.  If such a prime q had q^k | m, the quotient m / q^k would be
+    below m^(1/(k+1)) and have no prime factor that small, so it would be
+    1: m = q^k.  Hence m is k-th-power-free exactly when m = 1 or m is no
+    perfect k-th power: r^k != m for r = floor(m^(1/k)) (``_iroot``).  For
+    k = 4, r = isqrt(isqrt(m)): r^2 <= isqrt(m) <= m^(1/2) gives r^4 <= m,
+    and (r + 1)^2 > isqrt(m), so (r + 1)^2 > m^(1/2), gives (r + 1)^4 > m.
 
     n must be nonzero and k at least 2: the callers pass k = 4 with n = l
     (``certify.member``) or n = a = -l (``heights.vy_lower_bound``), and
     l = s^4 + t^2 is positive, as (s, t) = (0, 0) is refused first.
     """
     n = abs(n)
-    bound = _iroot(n, k + 1)
-    q = 2
-    while q <= bound:
-        if n % q == 0:
-            v = 0
-            while n % q == 0:
-                n //= q
-                v += 1
-            if v >= k:
-                return False
-            bound = _iroot(n, k + 1)
-        q = q + step if q > 2 else 1 + step
-    return n == 1 or _iroot(n, k) ** k != n
+    b = -(-n.bit_length() // (k + 1))
+    g = math.gcd(n, _primorial(min(b, _TABLE_BITS)))
+    for _ in range(k - 1):
+        if g == 1:
+            break
+        n //= g
+        g = math.gcd(n, g)
+    if g > 1:
+        return False
+    if b > _TABLE_BITS:
+        bound = _iroot(n, k + 1)
+        q = (1 << _TABLE_BITS) + 1
+        while q <= bound:
+            if n % q == 0:
+                v = 0
+                while n % q == 0:
+                    n //= q
+                    v += 1
+                if v >= k:
+                    return False
+                bound = _iroot(n, k + 1)
+            q += step
+    return _iroot(n, k) ** k != n or n == 1
 
 
 def is_square(n: int) -> bool:

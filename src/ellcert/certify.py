@@ -40,6 +40,8 @@ import json
 import math
 from collections import Counter
 from functools import lru_cache
+from itertools import chain
+from operator import itemgetter
 from typing import NamedTuple
 
 from .arith import is_prime, is_square, kth_power_free, primality_info, vp
@@ -85,23 +87,20 @@ class Member(NamedTuple):
 
 
 def member(s: int, t: int) -> Member:
-    """The member for (s, t).  (0, 0) gives no curve; every caller refuses
-    it first, as ``coprime-parameters``, since gcd(0, 0) = 0.
+    """The member for coprime (s, t).  Every certifier refuses any other
+    pair first, as ``coprime-parameters``, (0, 0) included, which gives no
+    curve; so the gcd is taken there, once.
 
     For coprime s, t an odd prime q dividing ell divides neither s nor t, so
-    (t / s^2)^2 is -1 mod q and q is 1 mod 4; the fourth-power test then
-    tries only 2 and 5, 9, 13, ... (``kth_power_free`` with step 4).
+    (t / s^2)^2 is -1 mod q and q is 1 mod 4.  The fourth-power test strips
+    every prime below 2^16 by gcds, whatever its step; past that table it
+    tries only 65537, 65541, 65545, ... (``kth_power_free`` with step 4).
+    The step matters only there, for an ell above 2^80: below it no trial
+    division runs, and the member of any pair, coprime or not, is right.
     """
     c = make_family(s, t)
     ell = -c.a
-    return Member(
-        s=s,
-        t=t,
-        ell=ell,
-        curve=c,
-        fourth_power_free=kth_power_free(ell, 4, 4 if math.gcd(s, t) == 1 else 2),
-        ell_is_square=is_square(ell),
-    )
+    return Member(s, t, ell, c, kth_power_free(ell, 4, 4), is_square(ell))
 
 
 #: The kinds of witness value a check slot holds.
@@ -208,6 +207,7 @@ CHECKS = {check.name: check for check in (
 
 #: One ledger entry: a declared check and its raw witness values.
 Entry = tuple[Check, tuple]
+_check, _witness = itemgetter(0), itemgetter(1)
 
 
 class Certificate(NamedTuple):
@@ -219,11 +219,6 @@ class Certificate(NamedTuple):
     unramified_rank_lower_bound: int
     ramified_primes: tuple[int, ...] | None = None
     distinctness_key: int | None = None
-
-
-def _require(ok: bool, name: str, detail: str) -> None:
-    if not ok:
-        raise PreconditionFailure(name, detail)
 
 
 def cohomology_vanishing_checks(m: Member, p: int) -> list[Entry]:
@@ -269,56 +264,65 @@ def check_p(p: int) -> None:
     make ell too large to test for fourth powers in any useful time.
     """
     prime, method = primality_info(p)
-    _require(p >= 5 and prime, "p-out-of-range", f"p={p} must be a prime >= 5")
-    _require(method != "baillie-psw-probable-prime", "p-primality-unproven",
-             f"p={p} is only a BPSW probable prime")
+    if p < 5 or not prime:
+        raise PreconditionFailure("p-out-of-range", f"p={p} must be a prime >= 5")
+    if method == "baillie-psw-probable-prime":
+        raise PreconditionFailure("p-primality-unproven",
+                                  f"p={p} is only a BPSW probable prime")
 
 
 def _checked_member(s: int, t: int, p: int, n: int) -> Member:
     """The member, built only once the cheap checks on n, p and gcd pass."""
-    _require(n >= 1, "depth-target", f"n={n} must be >= 1")
+    if n < 1:
+        raise PreconditionFailure("depth-target", f"n={n} must be >= 1")
     check_p(p)
-    _require(math.gcd(s, t) == 1, "coprime-parameters", f"gcd({s},{t}) != 1")
+    if math.gcd(s, t) != 1:
+        raise PreconditionFailure("coprime-parameters", f"gcd({s},{t}) != 1")
     return member(s, t)
 
 
 def _divisibility_checks(m: Member, p: int, n: int) -> list[Entry]:
-    """The ledger for a member whose n, p and gcd checks have passed."""
-    ell = m.ell
-    checks = [(COPRIME_PARAMETERS, (m.s, m.t))]
-
-    _require(m.fourth_power_free, "fourth-power-free", f"ell={ell}")
-    checks.append((FOURTH_POWER_FREE, (ell,)))
-
-    _require(not m.ell_is_square, "nonsquare-ell", f"ell={ell}")
-    checks.append((NONSQUARE_ELL, (ell,)))
-
-    local = check_local(m.s, m.t, p, n)  # raises with its own reasons if violated
-    checks += (
-        (PARAMETER_DEPTH, (p, n, local.flagged, local.v_st)),
+    """The ledger for a member whose n, p and gcd checks have passed.  A
+    refusal's detail is formatted only on the branch that refuses."""
+    s, t, ell, curve, fourth_power_free, ell_is_square = m
+    if not fourth_power_free:
+        raise PreconditionFailure("fourth-power-free", f"ell={ell}")
+    if ell_is_square:
+        raise PreconditionFailure("nonsquare-ell", f"ell={ell}")
+    # raises with its own reasons if violated
+    flagged, v_st, xv, yv, depth, parity_method = check_local(s, t, p, n)
+    return [
+        (COPRIME_PARAMETERS, (s, t)),
+        (FOURTH_POWER_FREE, (ell,)),
+        (NONSQUARE_ELL, (ell,)),
+        (PARAMETER_DEPTH, (p, n, flagged, v_st)),
         (GOOD_REDUCTION_AT_P, (p,)),
-        (INTEGRAL_J, (j_invariant(m.curve),)),
-        (KERNEL_FILTRATION_DEPTH, (local.depth, local.x_doubled_valuation,
-                                   local.y_doubled_valuation, local.order_parity_method)),
-    )
-    checks += cohomology_vanishing_checks(m, p)
-    checks.append((PRIMITIVE_POINT, ("height-ratio", certify_primitive(m))))
-    checks.append((FILTRATION_TO_CLASS_GROUP, (p, n)))
-    return checks
+        (INTEGRAL_J, (j_invariant(curve),)),
+        (KERNEL_FILTRATION_DEPTH, (depth, xv, yv, parity_method)),
+        *cohomology_vanishing_checks(m, p),
+        (PRIMITIVE_POINT, ("height-ratio", certify_primitive(m))),
+        (FILTRATION_TO_CLASS_GROUP, (p, n)),
+    ]
 
 
 def certify_divisibility(s: int, t: int, p: int, n: int) -> Certificate:
     """Certificate that p^(2n) divides h of the p^n division field of E_{s,t}."""
     m = _checked_member(s, t, p, n)
-    checks = _divisibility_checks(m, p, n)
     return Certificate(
-        theorem="divisibility",
-        subject={"s": s, "t": t, "ell": m.ell, "p": p, "n": n},
-        ledger=tuple(checks),
-        conclusion=f"{p}^{2 * n} divides h(Q(E[{p}^{n}]))",
-        conclusion_basis="verified checks plus the cited criterion",
-        unramified_rank_lower_bound=1,
+        "divisibility",
+        {"s": s, "t": t, "ell": m.ell, "p": p, "n": n},
+        tuple(_divisibility_checks(m, p, n)),
+        _divisibility_conclusion(p, n),
+        "verified checks plus the cited criterion",
+        1,
     )
+
+
+@lru_cache(maxsize=64)
+def _divisibility_conclusion(p: int, n: int) -> str:
+    """The conclusion a divisibility certificate states; it depends on p
+    and n alone, so a search at one (p, n) formats it once."""
+    return f"{p}^{2 * n} divides h(Q(E[{p}^{n}]))"
 
 
 def certify_square_subfamily(s: int, tau: int, p: int) -> Certificate:
@@ -332,19 +336,23 @@ def certify_square_subfamily(s: int, tau: int, p: int) -> Certificate:
     must be at least 1, as s and t must in the other modes; otherwise the
     member is refused as ``degenerate-parameters``.
     """
-    _require(math.gcd(s, tau) == 1, "coprime-parameters", f"gcd({s},{tau}) != 1")
+    if math.gcd(s, tau) != 1:
+        raise PreconditionFailure("coprime-parameters", f"gcd({s},{tau}) != 1")
     check_p(p)
     t = tau * tau
     m = member(s, t)
     ell = m.ell
-    _require(m.fourth_power_free, "fourth-power-free", f"ell={ell}")
+    if not m.fourth_power_free:
+        raise PreconditionFailure("fourth-power-free", f"ell={ell}")
     depth = vp(s * tau, p)
-    _require(depth >= 2, "square-depth", f"v_p(s*tau)={depth} < 2")
+    if depth < 2:
+        raise PreconditionFailure("square-depth", f"v_p(s*tau)={depth} < 2")
 
     checks = _divisibility_checks(m, p, 1)
     # the ledger refuses s < 1, but it sees only t = tau^2, the same for
     # tau and -tau; a tau < 1 would reach the second point
-    _require(tau >= 1, "degenerate-parameters", f"(s,tau)=({s},{tau})")
+    if tau < 1:
+        raise PreconditionFailure("degenerate-parameters", f"(s,tau)=({s},{tau})")
     second = check_local(tau, s * s, p, 1)
     first = "s" if vp(s, p) > 0 else "tau"
     checks.append((SECOND_POINT_DEPTH, (f"(-{tau}^2, {s}^2*{tau})", second.depth, first)))
@@ -354,12 +362,12 @@ def certify_square_subfamily(s: int, tau: int, p: int) -> Certificate:
         raise AssertionError(f"torsion second point at (s,tau)=({s},{tau}), p={p}")
     checks.append((INDEPENDENT_POINTS, (s, tau, ell)))
     return Certificate(
-        theorem="square-subfamily",
-        subject={"s": s, "tau": tau, "t": t, "ell": ell, "p": p, "n": 1},
-        ledger=tuple(checks),
-        conclusion=f"{p}^4 divides h(Q(E[{p}]))",
-        conclusion_basis="two independent deep points double the exponent",
-        unramified_rank_lower_bound=2,
+        "square-subfamily",
+        {"s": s, "tau": tau, "t": t, "ell": ell, "p": p, "n": 1},
+        tuple(checks),
+        f"{p}^4 divides h(Q(E[{p}]))",
+        "two independent deep points double the exponent",
+        2,
     )
 
 
@@ -384,17 +392,15 @@ def certify_infinite_instance(s: int, t: int, p: int, n: int) -> Certificate:
     checks.append((KODAIRA_TYPE_AT_ELL, (ell, red.kodaira, red.tamagawa)))
     checks.append((DIVISION_FIELD_RAMIFICATION, ((2, ell, p),)))
     return Certificate(
-        theorem="infinite-family",
-        subject={"s": s, "t": t, "ell": ell, "p": p, "n": n},
-        ledger=tuple(checks),
-        conclusion=(
-            f"{p}^{2 * n} divides h(Q(E[{p}^{n}])), rank E(Q) = 1, "
-            f"and the division field is ramified exactly at 2, {ell}, {p}"
-        ),
-        conclusion_basis="verified checks plus the cited criterion",
-        unramified_rank_lower_bound=1,
-        ramified_primes=(2, ell, p),
-        distinctness_key=ell,
+        "infinite-family",
+        {"s": s, "t": t, "ell": ell, "p": p, "n": n},
+        tuple(checks),
+        f"{p}^{2 * n} divides h(Q(E[{p}^{n}])), rank E(Q) = 1, "
+        f"and the division field is ramified exactly at 2, {ell}, {p}",
+        "verified checks plus the cited criterion",
+        1,
+        (2, ell, p),
+        ell,
     )
 
 
@@ -440,7 +446,8 @@ _TAIL = ('],"conclusion":%s,"conclusion_basis":%s,"unramified_rank_lower_bound":
 
 
 @lru_cache(maxsize=64)
-def _ledger_shape(theorem: str, subject: tuple[str, ...], *checks: Check) -> tuple[str, tuple]:
+def _ledger_shape(theorem: str, subject: tuple[str, ...], checks: tuple[Check, ...]
+                  ) -> tuple[str, tuple]:
     """The template of a whole record of ``theorem`` with these subject
     keys whose ledger holds ``checks`` in this order, the checks' templates
     joined into it, and the (value index, converter) pairs of its slots; a
@@ -456,22 +463,22 @@ def _ledger_shape(theorem: str, subject: tuple[str, ...], *checks: Check) -> tup
 def certificate_to_jsonl(cert: Certificate | RankCert) -> str:
     """The record of a certificate or a rank-one result as one compact JSON
     line, the same text as ``json.dumps(record, separators=(",", ":"))``:
-    the template of its ledger's shape, filled with its values."""
+    the template of its ledger's shape, filled with its values.  The
+    ledger's checks and its witness values are gathered by ``map`` and
+    ``chain``, with no Python loop over its entries."""
     if isinstance(cert, RankCert):
         rep = cert.selmer_report
         return _RANK_ONE % (
             cert.s, cert.t, cert.ell, cert.ell_mod_16, cert.t_mod_8, rep.dim_forward,
             rep.dim_dual, rep.rank_upper, cert.rank, _JSON_BOOL[cert.base_point_nontorsion])
-    subject, ledger = cert.subject, cert.ledger
-    ram, key = cert.ramified_primes, cert.distinctness_key
-    template, convert = _ledger_shape(cert.theorem, tuple(subject),
-                                      *[check for check, _ in ledger])
+    theorem, subject, ledger, conclusion, basis, rank_bound, ram, key = cert
+    template, convert = _ledger_shape(theorem, tuple(subject), tuple(map(_check, ledger)))
     values = [
         *subject.values(),
-        *[value for _, values in ledger for value in values],
-        cert.conclusion,
-        cert.conclusion_basis,
-        cert.unramified_rank_lower_bound,
+        *chain.from_iterable(map(_witness, ledger)),
+        conclusion,
+        basis,
+        rank_bound,
         "null" if ram is None else "[%s]" % _encode_ints(ram),
         "null" if key is None else '"%d"' % key,
     ]

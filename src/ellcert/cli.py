@@ -45,7 +45,8 @@ past its bit budget (``height-digit-budget``).  2 bad usage, such as
 ``--t``, ``--p``, ``--n``, ``--mode`` or ``--out``), a flag or value the
 mode's theorem does not take (``Theorem.flags``: ``--p`` or ``--n``
 for the rank-one fragment, an ``--n`` other than 1 for the square
-subfamily), or an unsatisfiable search configuration.
+subfamily), an unsatisfiable search configuration, or a checkpoint
+that cannot be resumed from (``_refuse_resume``).
 """
 
 from __future__ import annotations
@@ -152,17 +153,40 @@ def certify_candidate(task: tuple[str, int, int, int, int, str]) -> str | None:
     return f"s={sub['s']} t={sub['t']} ell={sub['ell']}: {cert.conclusion} [{cert.theorem}]"
 
 
-def _load_checkpoint(path: str, fingerprint: str):
+def _refuse_resume(problem: str):
+    """End a search that cannot resume from its checkpoint as a usage
+    error, exit 2, with ``problem`` naming the file; its callers run before
+    the output file or the checkpoint is written."""
+    print(f"checkpoint error: {problem}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _load_checkpoint(path: str, fingerprint: str) -> tuple[int, int]:
+    """(next index, certificates found) of the checkpoint at ``path``, or
+    (0, 0) where there is none.  Any other file is refused
+    (``_refuse_resume``): one that cannot be read or parsed, that is no
+    JSON object holding ``config``, ``next_index`` and ``found``, whose
+    counts are not integers >= 0, or that another search configuration
+    wrote."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except FileNotFoundError:
         return 0, 0
-    if data.get("config") != fingerprint:
-        raise SystemExit(
-            f"checkpoint {path} belongs to a different search configuration"
-        )
-    return int(data["next_index"]), int(data["found"])
+    # a UnicodeDecodeError and a JSONDecodeError are ValueErrors; deep
+    # nesting is a RecursionError
+    except (OSError, ValueError, RecursionError) as exc:
+        _refuse_resume(f"{path} is no checkpoint: {exc}")
+    if not isinstance(data, dict) or not {"config", "next_index", "found"} <= data.keys():
+        _refuse_resume(f"{path} is no checkpoint: not a JSON object holding "
+                       "config, next_index and found")
+    counts = data["next_index"], data["found"]
+    if not all(type(count) is int and count >= 0 for count in counts):
+        _refuse_resume(f"{path} is no checkpoint: next_index and found must be "
+                       "integers >= 0")
+    if data["config"] != fingerprint:
+        _refuse_resume(f"{path} belongs to a different search configuration")
+    return counts
 
 
 def _save_checkpoint(path: str, fingerprint: str, next_index: int, found: int):
@@ -194,7 +218,7 @@ def _cut_to_checkpoint(
                 kept += 1
                 end += len(line)
     if kept < keep and found:
-        raise SystemExit(
+        _refuse_resume(
             f"{path} holds fewer than the {found} record(s) checkpoint "
             f"{checkpoint} vouches for"
         )

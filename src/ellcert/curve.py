@@ -56,9 +56,10 @@ def make_family(s: int, t: int) -> Curve:
     base point (-s^2, s t).  (s, t) = (0, 0) would give a = 0, no curve:
     the certifiers refuse it as ``coprime-parameters`` and ``heights`` as a
     usage error, before any curve is built."""
-    a = -(s**4 + t**2)
+    s2 = s * s
+    a = -(s2 * s2 + t * t)
     # construction identity: (-s^2)^3 - (s^4+t^2)(-s^2) = (s t)^2
-    x = -s * s
+    x = -s2
     assert (s * t) ** 2 == x**3 + a * x
     return Curve(a)
 

@@ -29,14 +29,19 @@ from .curve import Curve, Point, PointLike, INFINITY, is_torsion_point
 from .errors import PreconditionFailure
 
 _INF = math.inf
+_next = math.nextafter
 
 
 def _up(x: float) -> float:
-    return math.nextafter(math.nextafter(x, _INF), _INF)
+    """x nudged two floats up.  The per-member path (``_round_out``,
+    ``_silverman_upper_gap``, ``_vy_floor``, ``certify_primitive``) writes
+    the same two ``nextafter`` steps inline, one call fewer per rounding."""
+    return _next(_next(x, _INF), _INF)
 
 
 def _dn(x: float) -> float:
-    return math.nextafter(math.nextafter(x, -_INF), -_INF)
+    """x nudged two floats down; see ``_up``."""
+    return _next(_next(x, -_INF), -_INF)
 
 
 # ``_ln_fixed`` encloses ln n in integers, in units of 2^-96.
@@ -44,6 +49,7 @@ _FIX_BITS = 96
 _FIX_ULP = 2.0**-_FIX_BITS
 _TOP_BITS = 5
 _SERIES_TERMS = 8
+_SERIES_DIVISORS = range(3, 2 * _SERIES_TERMS, 2)  # 2k + 1 for k = 1, ..., 7
 #: floor(2^96 ln 2) and floor(2^96 ln(1 + j/32)) for j = 0, ..., 31;
 #: the tests recompute every one from a 60-digit Decimal logarithm.
 _LN2_FIX = 54916777467707473351141471128
@@ -120,7 +126,7 @@ def _ln_fixed(n: int) -> tuple[int, int]:
     z = ((m - c) << _FIX_BITS) // (m + c)
     z2 = z * z >> _FIX_BITS
     sigma = p = z
-    for d in range(3, 2 * _SERIES_TERMS, 2):
+    for d in _SERIES_DIVISORS:
         p = p * z2 >> _FIX_BITS
         if not p:
             break
@@ -146,7 +152,8 @@ def _round_out(lo: int, hi: int) -> tuple[float, float]:
     test grids) an end may be one float from the oracle's, and is still a
     proved bound.
     """
-    return _dn(float(lo) * _FIX_ULP), _up(float(hi) * _FIX_ULP)
+    return (_next(_next(float(lo) * _FIX_ULP, -_INF), -_INF),
+            _next(_next(float(hi) * _FIX_ULP, _INF), _INF))
 
 
 def log_int_bounds(n: int) -> tuple[float, float]:
@@ -221,7 +228,8 @@ def silverman_gaps(c: Curve) -> SilvermanBounds:
 
 def _silverman_upper_gap(hdelta_hi: float) -> float:
     """``upper_gap`` of ``silverman_gaps`` from an upper bound of h(Delta)."""
-    return _up(_up(LOG1728_HI / 12.0 + hdelta_hi / 12.0) + 1.07)
+    gap = _next(_next(LOG1728_HI / 12.0 + hdelta_hi / 12.0, _INF), _INF) + 1.07
+    return _next(_next(gap, _INF), _INF)
 
 
 class HeightInterval(NamedTuple):
@@ -374,9 +382,16 @@ def _vy_log2_coeff(a: int) -> int:
     return -1
 
 
+#: c(a) of each row, coeff / 16 times the end of ``LOG2_BOUNDS`` that
+#: makes it smaller, rounded down: the floor's second term, worked out once.
+_VY_C_TERM_DN = {coeff: _dn(coeff / 16 * LOG2_BOUNDS[0 if coeff > 0 else 1])
+                 for coeff in (9, 5, -1)}
+
+
 #: Bits of |a| past which ``vy_lower_bound`` refuses before its trial
-#: division: fourth-power-freeness takes up to |a|^(1/5) / 2 divisions,
-#: about 5 * 10^5 (0.05 s) at 100 bits, and 32 times as many per 25 bits more
+#: division: past 80 bits fourth-power-freeness trial-divides from 2^16 up
+#: to |a|^(1/5), about 5 * 10^5 divisions (0.05 s) at 100 bits, and 32
+#: times as many per 25 bits more
 _VY_MAX_BITS = 100
 
 
@@ -404,7 +419,5 @@ def _vy_floor(a: int, ln_a_lo: float) -> float:
     """``vy_lower_bound`` for a caller that already knows a is negative and
     fourth-power-free and holds ``log_int_bounds(abs(a))[0]`` as ``ln_a_lo``;
     nothing here checks any of the three."""
-    coeff = _vy_log2_coeff(a)
-    log2_lo, log2_hi = LOG2_BOUNDS
-    c_term = coeff / 16 * (log2_lo if coeff > 0 else log2_hi)
-    return _dn(_dn(ln_a_lo / 16.0) + _dn(c_term))
+    floor = _next(_next(ln_a_lo / 16.0, -_INF), -_INF) + _VY_C_TERM_DN[_vy_log2_coeff(a)]
+    return _next(_next(floor, -_INF), -_INF)

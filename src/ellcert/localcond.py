@@ -62,24 +62,24 @@ def check_local(s: int, t: int, p: int, n: int) -> LocalCert:
     refusal.
     """
     assert n >= 1 and p != 2 and is_prime(p) and s and t, (s, t, p, n)
-    v_s = vp(s, p)
-    v_t = vp(t, p)
-    if (v_s > 0) == (v_t > 0):
+    s_flagged = s % p == 0
+    if s_flagged == (t % p == 0):
         raise PreconditionFailure(
             "p-divides-exactly-one",
-            f"p={p} divides {'both' if v_s else 'neither'} of s={s}, t={t}",
+            f"p={p} divides {'both' if s_flagged else 'neither'} of s={s}, t={t}",
         )
-    v_st = v_s + v_t
+    v_st = vp(s if s_flagged else t, p)
     if v_st < n + 1:
         raise PreconditionFailure(
             "insufficient-depth", f"v_p(st)={v_st} < n+1={n + 1}"
         )
 
-    s4, t2 = s**4, t * t
+    s2, t2 = s * s, t * t
+    s4 = s2 * s2
     a = -(s4 + t2)
     u = 2 * s4 + t2
     x_num, y_num = u * u, u * (4 * s4 * s4 + 4 * s4 * t2 - t2 * t2)
-    x_den = 4 * s * s * t2
+    x_den = 4 * s2 * t2
     assert y_num * y_num == x_num**3 + a * x_num * x_den * x_den, (s, t)
     # p is odd, so the constants 4 and 8 of the denominators are units
     xv = vp(x_num, p) - 2 * v_st
@@ -97,11 +97,4 @@ def check_local(s: int, t: int, p: int, n: int) -> LocalCert:
     else:
         parity_method = "rational-two-torsion"
 
-    return LocalCert(
-        flagged="s" if v_s > 0 else "t",
-        v_st=v_st,
-        x_doubled_valuation=xv,
-        y_doubled_valuation=yv,
-        depth=depth,
-        order_parity_method=parity_method,
-    )
+    return LocalCert("s" if s_flagged else "t", v_st, xv, yv, depth, parity_method)

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 from .errors import PreconditionFailure
 from .heights import (
-    _silverman_upper_gap, _up, _vy_floor, ln_ell_lo_and_delta_hi, log_int_bounds,
+    _INF, _next, _silverman_upper_gap, _vy_floor, ln_ell_lo_and_delta_hi, log_int_bounds,
 )
 
 if TYPE_CHECKING:
@@ -84,8 +84,10 @@ def certify_primitive(m: Member) -> float:
     ln_ell_lo, h_delta_hi = ln_ell_lo_and_delta_hi(ell)
     vy = _vy_floor(-ell, ln_ell_lo)
     h_naive_hi = _ln_s_squared_hi(s) if s > 1 else 0.0
-    crude = _up(_up(h_naive_hi / 2.0) + _silverman_upper_gap(h_delta_hi))
-    ratio = _up(crude / vy)
+    # each step rounded two floats up, as heights._up does
+    crude = _next(_next(h_naive_hi / 2.0, _INF), _INF) + _silverman_upper_gap(h_delta_hi)
+    crude = _next(_next(crude, _INF), _INF)
+    ratio = _next(_next(crude / vy, _INF), _INF)
     if not ratio < _INDEX_SQ_LIMIT - RATIO_MARGIN:
         raise AssertionError(f"crude index bound {ratio} >= 9 at (s,t)=({s},{t})")
     return ratio

@@ -14,6 +14,7 @@ from ellcert.arith import (
     _MR_BASES,
     _MR_TIERS,
     _iroot,
+    _primorial,
     factorize,
     is_prime,
     is_square,
@@ -261,10 +262,30 @@ def test_step_four_is_the_full_test_for_coprime_family_parameters():
         (2**3 * 3**3 * 10007**3 * 9973, True),
         (-(3**4) * 11, False),
         (1, True),
+        # across the 2^16 edge of the gcd table: 65521 is the last prime
+        # below it, 65537 the first above.  Below 2^80 a fourth power past
+        # the table is the cofactor itself
+        (65537**4, False),
+        (65537**4 * 3, False),
+        # above 2^80: the table's layers find 65521^4, the trial from 65537
+        # finds 65537^4, and cubes of both are divided out and pass
+        (65521**4 * 536870923, False),  # times a 30-bit prime
+        (65537**4 * 524309, False),  # times a 20-bit prime
+        (65521**3 * 65537**3 * 549755813911, True),  # times a 40-bit prime
+        (-(65537**4) * 524309, False),
+        (-(65521**3) * 65537**3 * 549755813911, True),
     ],
 )
 def test_kth_power_free_prime_powers_past_the_cut_off(n, free):
     assert kth_power_free(n, 4) == free
+    # the only trial divisor that divides any n here is 65537, 1 mod 4
+    assert kth_power_free(n, 4, 4) == free
+
+
+def test_primorial_is_the_product_of_the_primes_below_two_to_the_b():
+    for b in range(13):
+        assert _primorial(b) == math.prod(q for q in range(2, 1 << b) if is_prime(q)), b
+    assert _primorial(16) % 65521 == 0 and _primorial(16) % 65537 != 0
 
 
 def test_iroot():

@@ -317,7 +317,8 @@ def test_member_facts():
     assert m.curve == make_family(2, 25)
     assert m.fourth_power_free and not m.ell_is_square
     assert not member(1, 182).fourth_power_free  # 5^4 * 53
-    # 3 divides both parameters, so 3 mod 4 primes are tried too: 3^4 * 5
+    # 3 divides both parameters; the gcd layers strip every prime below
+    # 2^16, 3 mod 4 or not, so member needs no gcd of s and t: 3^4 * 5
     assert not member(3, 18).fourth_power_free
     assert member(2, 3).ell_is_square  # 25
 

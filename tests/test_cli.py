@@ -10,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import ellcert
 from ellcert import cli, descent, heights
@@ -483,6 +485,26 @@ def test_verify_above_the_count_limit_proves_parity_by_two_torsion(capsys):
     assert record["conclusion"] == "10007^2 divides h(Q(E[10007^1]))"
 
 
+def test_verify_certifies_a_30_digit_ell_past_the_gcd_table(capsys):
+    # l has 99 bits, past the 2^80 below which the gcd layers decide alone:
+    # the trial from 65537 to the cofactor's fifth root finds no factor
+    rc, out, _ = run(capsys, "verify", "--mode", "main", "--p", "5",
+                     "--s", "25000075", "--t", "7")
+    assert rc == 0
+    assert "  [pass] fourth-power-free  ell=390629687521093792187531640674" in out.splitlines()
+
+
+def test_verify_refuses_a_fourth_power_of_a_prime_past_the_gcd_table(capsys):
+    # l = 1 + t^2 = 65537 * 65557^4 * r with r coprime to both: the trial
+    # past 2^16 divides out 65537 once, shrinks its bound and finds 65557^4
+    t = 408156742691570465454481
+    ell = 1 + t * t
+    assert ell % 65537 == 0 and ell % 65537**2 and ell % 65557**4 == 0
+    rc, out, _ = run(capsys, "verify", "--mode", "main", "--p", "5", "--s", "1", "--t", str(t))
+    assert rc == 1
+    assert out.splitlines() == [f"REFUSED at check 'fourth-power-free': ell={ell}"]
+
+
 def test_verify_file_runs_one_exact_descent_per_residue(monkeypatch, capsys):
     pool = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "pool.jsonl"
     monkeypatch.setattr(descent, "_SELMER_CLASSES", {})
@@ -872,8 +894,9 @@ def test_resume_in_another_format_is_refused_and_leaves_the_file(first, then, tm
     with pytest.raises(SystemExit) as exc:
         main(base + ["--format", then, "--target-count", "4",
                      "--checkpoint", str(ck), "--out", str(out)])
-    capsys.readouterr()
-    assert "belongs to a different search configuration" in str(exc.value.code)
+    assert exc.value.code == 2
+    assert (f"checkpoint error: {ck} belongs to a different search configuration"
+            in capsys.readouterr().err)
     assert out.read_bytes() == written and ck.read_bytes() == saved
 
 
@@ -887,7 +910,8 @@ def test_resume_refuses_output_shorter_than_checkpoint(tmp_path, capsys):
     part.write_text(short)
     with pytest.raises(SystemExit) as exc:
         main(base + ["--out", str(part), "--checkpoint", str(ck)])
-    assert "vouches for" in str(exc.value.code)
+    assert exc.value.code == 2
+    assert "vouches for" in capsys.readouterr().err
     assert part.read_text() == short
 
 
@@ -898,9 +922,76 @@ def test_checkpoint_rejects_other_config(tmp_path, capsys):
             str(tmp_path / "a.jsonl")]
     assert main(args) == 0
     capsys.readouterr()
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["search", "--mode", "infinite", "--max-param", "90", "--workers", "1",
               "--checkpoint", str(ck), "--out", str(tmp_path / "b.jsonl")])
+    assert exc.value.code == 2
+    assert "belongs to a different search configuration" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content,why", [
+    (b"not json", "Expecting value"),
+    (b"[1]", "not a JSON object holding config, next_index and found"),
+    (b'{"config": "x", "next_index": 0}', "not a JSON object holding"),
+    (b'{"config": "x", "next_index": "3", "found": 0}', "must be integers >= 0"),
+    (b'{"config": "x", "next_index": 3, "found": -1}', "must be integers >= 0"),
+    (b'{"config": "x", "next_index": 3, "found": true}', "must be integers >= 0"),
+    (b"\xff\xfe", "can't decode"),
+    (b"[" * 100_000, "recursion"),
+], ids=["not-json", "a-list", "no-found", "string-count", "negative-count", "bool-count",
+        "not-utf8", "deep-nesting"])
+def test_a_malformed_checkpoint_is_a_usage_error_that_leaves_both_files(
+        content, why, tmp_path, capsys):
+    # "not json" ended in JSONDecodeError and "[1]" in AttributeError
+    ck, out = tmp_path / "ck.json", tmp_path / "out.jsonl"
+    ck.write_bytes(content)
+    out.write_text("kept\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--p", "5", "--max-param", "30", "--checkpoint", str(ck),
+              "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"checkpoint error: {ck} is no checkpoint: ") and why in err, err
+    assert ck.read_bytes() == content and out.read_text() == "kept\n"
+
+
+def test_a_malformed_checkpoint_is_refused_when_the_search_writes_to_stdout(
+        tmp_path, capsys):
+    ck = tmp_path / "ck.json"
+    ck.write_text("[1]")
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--p", "5", "--max-param", "30", "--checkpoint", str(ck)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "is no checkpoint" in captured.err
+
+
+def test_a_directory_as_checkpoint_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--p", "5", "--max-param", "30", "--checkpoint", str(tmp_path),
+              "--out", str(tmp_path / "out.jsonl")])
+    assert exc.value.code == 2
+    assert f"checkpoint error: {tmp_path} is no checkpoint" in capsys.readouterr().err
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(content=st.binary(max_size=200))
+def test_any_bytes_as_a_checkpoint_end_in_a_search_or_a_named_usage_error(
+        content, tmp_path, capsys):
+    ck, out = tmp_path / "fuzz.ck", tmp_path / "fuzz.jsonl"
+    ck.write_bytes(content)
+    out.write_bytes(b"")
+    try:
+        code = main(["search", "--p", "5", "--max-param", "25", "--checkpoint", str(ck),
+                     "--out", str(out)])
+    except SystemExit as exc:
+        assert exc.code == 2, content
+        assert f"checkpoint error: {ck} " in capsys.readouterr().err, content
+        assert ck.read_bytes() == content and out.read_bytes() == b"", content
+    else:
+        assert code == 0, content
+        capsys.readouterr()
 
 
 def test_worker_count_independence(tmp_path, capsys):

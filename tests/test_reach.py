@@ -27,7 +27,7 @@ An import guard sits beside it: no module in the package imports
 
 A third guard does for refusal sites what the first does for lines:
 every (module, function, reason) at which the package raises a
-``PreconditionFailure`` (or calls ``_require``) is met by some input,
+``PreconditionFailure`` is met by some input,
 from the outcome grid (``test_outcome_grid.py``), ``golden_refusals.json``
 or the CLI argv of a test that ``REFUSAL_TESTS`` names.  The guard runs
 those inputs and records the function that raised each refusal, so a
@@ -306,6 +306,20 @@ def _branch_runs(tmp: Path) -> dict[str, list[list[str]]]:
              "--s", "1", "--t", "1"]],
         "test_cli.py::test_verify_above_the_count_limit_proves_parity_by_two_torsion": [
             ["verify", "--mode", "main", "--p", "10007", "--s", "100140049", "--t", "2"]],
+        "test_cli.py::test_verify_square_subfamily_refuses_a_negative_tau": [
+            ["verify", "--mode", "square_subfamily", "--p", "5", "--s", "25", "--t", "-2"]],
+        # the fourth-power test's trial division past the 2^16 gcd table:
+        # one l finds no factor there, the other 65537 and then 65557^4
+        "test_cli.py::test_verify_certifies_a_30_digit_ell_past_the_gcd_table": [
+            ["verify", "--mode", "main", "--p", "5", "--s", "25000075", "--t", "7"]],
+        "test_cli.py::test_verify_refuses_a_fourth_power_of_a_prime_past_the_gcd_table": [
+            ["verify", "--mode", "main", "--p", "5", "--s", "1",
+             "--t", "408156742691570465454481"]],
+        "test_cli.py::test_a_malformed_checkpoint_is_a_usage_error_that_leaves_both_files": [
+            [*main_p5, "--max-param", "30", "--checkpoint", _write_lines(tmp / name, [text]),
+             "--out", str(tmp / "kept.jsonl")]
+            for name, text in (("text.ck", "not json"), ("list.ck", "[1]"),
+                               ("count.ck", '{"config":"x","next_index":"3","found":0}'))],
     }
 
 
@@ -474,22 +488,19 @@ RETIRED_REASONS = {
 
 
 def _refusal_sites() -> set[tuple[str, str, str]]:
-    """(module, function, reason) of every ``PreconditionFailure`` or
-    ``_require`` call in the package; each reason must be a string
-    literal, so the scan sees it.  ``_require`` passes its caller's reason
-    on, so its own raise is no site."""
+    """(module, function, reason) of every ``PreconditionFailure`` call in
+    the package; each reason must be a string literal, so the scan sees
+    it."""
     sites = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if not isinstance(func, ast.FunctionDef) or func.name == "_require":
+            if not isinstance(func, ast.FunctionDef):
                 continue
             for node in ast.walk(func):
-                if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+                if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "PreconditionFailure" and node.args):
                     continue
-                position = {"PreconditionFailure": 0, "_require": 1}.get(node.func.id)
-                if position is None or len(node.args) <= position:
-                    continue
-                arg = node.args[position]
+                arg = node.args[0]
                 assert isinstance(arg, ast.Constant) and isinstance(arg.value, str), (
                     f"{path.name}:{node.lineno} passes a reason that is no literal")
                 sites.add((path.stem, func.name, arg.value))
@@ -507,8 +518,6 @@ def test_every_refusal_site_is_reached(monkeypatch, capsys):
 
     def recording(self, reason, detail=""):
         frame = sys._getframe(1)
-        if frame.f_code.co_name == "_require":
-            frame = frame.f_back
         met.add((Path(frame.f_code.co_filename).stem, frame.f_code.co_name, reason))
         init(self, reason, detail)
 
