@@ -18,20 +18,33 @@ Three theorem shapes are produced:
 A fourth, the "rank-one" fragment, is ``descent.certify_rank_one``'s
 result on its own.
 
+Plans.  The three divisibility-based theorems apply at one (p, n) across
+a whole family, and so does a search.  ``plan_for`` makes, once per
+(theorem, p, n) in a process (cached, bounded), the ``Plan`` that their
+certificates share: it refuses n and p (``check_p``) before any member
+is built, runs the checks that read p and n alone (the p >= 11 mod-p
+image conditions, j = 1728), and holds the record's layout, each value
+either a constant worked out there (the constant ledger entries, the
+conclusion and its basis) or ``SLOT``, a value each member gives.  A
+``Certificate`` is its plan and its member's values, in slot order; every
+check that reads a member value runs for every member.  ``fields()``, or
+any of its attributes (theorem, subject, ledger, conclusion, ...), gives
+the certificate in full.
+
 Records.  Each ledger check is declared once, as a module-level ``Check``:
 its name, status, citation and witness keys, each key with the kind of
 value it holds (a decimal integer, a string, a float, a list of decimal
-integers or a bool).  A certifier records (check, values) pairs holding
-the raw values, so it builds no witness dict and no decimal string.  Each
-ledger shape (a theorem, its subject keys and its checks, in order) gets
-one record template on first use: the checks' constant JSON text encoded
-once, ``%`` escaped, with one ``%`` slot per value.  ``certificate_to_jsonl``
-fills the shape's template in one ``%``: it is the one writer of the
-compact JSON line, for all four theorems.  Integers become decimal strings
-there, so arbitrary precision survives any JSON parser.
+integers or a bool).  A certifier records raw values, so it builds no
+witness dict and no decimal string.  A plan renders its record on its
+first write: the constants as JSON text, encoded once, with a ``%`` code
+for each value (14 of a divisibility record's 29 at p >= 13).
+``certificate_to_jsonl`` fills it in one ``%``: it is the one writer of
+the compact JSON line, for all four theorems.  Integers become decimal
+strings there, so arbitrary precision survives any JSON parser.
 ``certificate_to_dict`` is that line parsed, so the dict and the line
-cannot disagree, and ``certificate_from_dict`` reads a record back through
-``CHECKS``, the registry of declared checks by name.
+cannot disagree, and ``certificate_from_dict`` reads a record back
+through ``CHECKS``, the registry of declared checks by name, into a
+certificate whose plan holds no constant, written the same way.
 """
 
 from __future__ import annotations
@@ -42,6 +55,7 @@ from collections import Counter
 from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from .arith import is_prime, is_square, kth_power_free, primality_info, vp
@@ -103,8 +117,11 @@ def member(s: int, t: int) -> Member:
     return Member(s, t, ell, c, kth_power_free(ell, 4, 4), is_square(ell))
 
 
-#: The kinds of witness value a check slot holds.
-INT, STR, FLOAT, INTS, BOOL = "int", "str", "float", "ints", "bool"
+#: The kinds of value a record slot holds.  ``OPT_INTS`` and ``OPT_INT``
+#: are a list of decimal integers and a decimal integer that may be null:
+#: a record's ramified primes and its distinctness key.
+INT, STR, FLOAT, INTS, BOOL, OPT_INTS, OPT_INT = (
+    "int", "str", "float", "ints", "bool", "ints?", "int?")
 
 _encode_str = json.encoder.encode_basestring_ascii  # the quoted, escaped text
 _JSON_BOOL = {True: "true", False: "false"}
@@ -115,26 +132,26 @@ def _encode_ints(values) -> str:
     return '"%s"' % '","'.join(map(str, values)) if values else ""
 
 
-#: kind -> (its slot in a template, the converter a value goes through
-#: first, or None where ``%`` formats the value itself).  A float slot
-#: takes a finite float, whose repr is its JSON text.
+#: kind -> (the ``%`` code that formats a value, the JSON text around it
+#: with ``%s`` where the value goes, and the converter a value goes
+#: through first, or None).  A float takes a finite float, whose repr is
+#: its JSON text.
 _SLOTS = {
-    INT: ('"%d"', None),
-    STR: ("%s", _encode_str),
-    FLOAT: ("%r", None),
-    INTS: ("[%s]", _encode_ints),
-    BOOL: ("%s", _JSON_BOOL.__getitem__),
+    INT: ("%d", '"%s"', None),
+    STR: ("%s", "%s", _encode_str),
+    FLOAT: ("%r", "%s", None),
+    INTS: ("%s", "[%s]", _encode_ints),
+    BOOL: ("%s", "%s", _JSON_BOOL.__getitem__),
+    OPT_INTS: ("%s", "%s", lambda v: "null" if v is None else "[%s]" % _encode_ints(v)),
+    OPT_INT: ("%s", "%s", lambda v: "null" if v is None else '"%d"' % v),
 }
-
-
-def _const(value) -> str:
-    """A constant's JSON text, with ``%`` escaped for a template."""
-    return json.dumps(value).replace("%", "%%")
+#: Where a value goes in a rendered record: no JSON text holds a raw NUL.
+_MARK = "\x00"
 
 
 def _object(fields) -> str:
-    """The template of a JSON object from (key, template text) pairs."""
-    return "{%s}" % ",".join([f"{_const(key)}:{text}" for key, text in fields])
+    """A JSON object's text from (key, value text) pairs."""
+    return "{%s}" % ",".join([f"{json.dumps(key)}:{text}" for key, text in fields])
 
 
 class Check:
@@ -152,15 +169,6 @@ class Check:
 
     def __setattr__(self, attr, value):
         raise AttributeError(f"a Check is immutable: cannot set {attr!r}")
-
-    def template(self) -> str:
-        """The check's JSON object with one ``%`` slot per witness value."""
-        return _object([
-            ("name", _const(self.name)),
-            ("status", _const(self.status)),
-            ("witness", _object([(key, _SLOTS[kind][0]) for key, kind in self.witness])),
-            ("citation", _const(self.citation)),
-        ])
 
 
 PASS, CITED = "pass", "cited-assumption"
@@ -207,21 +215,108 @@ CHECKS = {check.name: check for check in (
 
 #: One ledger entry: a declared check and its raw witness values.
 Entry = tuple[Check, tuple]
-_check, _witness = itemgetter(0), itemgetter(1)
+_witness = itemgetter(1)
+
+#: In a plan, the place of a value that each certificate gives itself.
+SLOT = object()
+
+#: A record's fields after its checks, each with the kind of its value.
+_TAIL = (("conclusion", STR), ("conclusion_basis", STR), ("unramified_rank_lower_bound", INT),
+         ("ramified_primes", OPT_INTS), ("distinctness_key", OPT_INT))
+
+
+class Plan:
+    """What every certificate of one theorem at one (p, n) has in common:
+    the record's layout, each value a constant or ``SLOT``.  ``subject``
+    holds (key, value) pairs, ``ledger`` (check, values) pairs and
+    ``tail`` the values of ``_TAIL``'s fields.  ``shape`` is None until
+    the first write renders it (``render``)."""
+
+    __slots__ = ("theorem", "subject", "ledger", "tail", "shape")
+
+    def __init__(self, theorem: str, subject: tuple, ledger: tuple, tail: tuple):
+        self.theorem, self.subject, self.ledger, self.tail = theorem, subject, ledger, tail
+        self.shape = None
+
+    def render(self) -> tuple[str, tuple, tuple]:
+        """Render the record once, keep it as ``shape`` and return it.
+
+        The record's constant JSON text is cut into runs at the member's
+        values.  ``shape`` holds a short ``%`` format, with ``%s`` for each
+        run and the value's own code between two runs, its arguments with
+        the runs in place and None where a value goes, and the (argument
+        index, converter) pairs of the values a converter encodes first.
+        A run is an argument, so ``%`` copies it whole instead of scanning
+        it for codes.
+        """
+        codes, converters = [], []
+
+        def text(kind, value):
+            code, around, convert = _SLOTS[kind]
+            if value is SLOT:
+                codes.append(code)
+                converters.append(convert)
+                return around % _MARK
+            return around % (code % (value if convert is None else convert(value)))
+
+        subject = _object([(key, text(INT, value)) for key, value in self.subject])
+        checks = ",".join([_object([
+            ("name", json.dumps(check.name)),
+            ("status", json.dumps(check.status)),
+            ("witness", _object([(key, text(kind, value))
+                                 for (key, kind), value in zip(check.witness, values)])),
+            ("citation", json.dumps(check.citation)),
+        ]) for check, values in self.ledger])
+        tail = [(key, text(kind, value)) for (key, kind), value in zip(_TAIL, self.tail)]
+        record = _object([("schema", json.dumps(SCHEMA_VERSION)),
+                          ("theorem", json.dumps(self.theorem)),
+                          ("subject", subject), ("checks", f"[{checks}]"), *tail])
+        args = [None] * (2 * len(codes) + 1)
+        args[::2] = record.split(_MARK)
+        self.shape = "%s" + "".join([code + "%s" for code in codes]), tuple(args), tuple(
+            (2 * i + 1, convert) for i, convert in enumerate(converters) if convert is not None)
+        return self.shape
 
 
 class Certificate(NamedTuple):
-    theorem: str  # "divisibility" | "square-subfamily" | "infinite-family"
-    subject: dict  # integers, in the order of the theorem's record
-    ledger: tuple[Entry, ...]
-    conclusion: str
-    conclusion_basis: str
-    unramified_rank_lower_bound: int
-    ramified_primes: tuple[int, ...] | None = None
-    distinctness_key: int | None = None
+    """A certificate: its plan, and its own values in the order of the
+    plan's slots.  The attributes of ``fields()`` (theorem, subject,
+    ledger, conclusion, ...) read as its own."""
+
+    plan: Plan
+    values: tuple
+
+    def fields(self) -> SimpleNamespace:
+        """The certificate with every value in place: its theorem, subject
+        and ledger, and the fields of ``_TAIL`` by name."""
+        plan = self.plan
+        given = iter(self.values)
+
+        def fill(value):
+            return next(given) if value is SLOT else value
+
+        subject = {key: fill(value) for key, value in plan.subject}
+        ledger = tuple([(check, tuple(map(fill, values))) for check, values in plan.ledger])
+        return SimpleNamespace(theorem=plan.theorem, subject=subject, ledger=ledger, **{
+            key: fill(value) for (key, _), value in zip(_TAIL, plan.tail)})
+
+    def __getattr__(self, name: str):
+        return getattr(self.fields(), name)
+
+    @property
+    def conclusion(self) -> str:
+        """The conclusion alone, as ``verify --file`` reads it off every
+        certificate.  Where the member gives it, it is the first of the
+        tail's slots, which fill the last values."""
+        tail = self.plan.tail
+        return self.values[-tail.count(SLOT)] if tail[0] is SLOT else tail[0]
 
 
-def cohomology_vanishing_checks(m: Member, p: int) -> list[Entry]:
+#: j of every family curve: y^2 = x^3 + a x has j = 1728 whatever a is
+FAMILY_J = j_invariant(Curve(-1))
+
+
+def cohomology_vanishing_checks(m: Member | None, p: int) -> list[Entry]:
     """Mod-p image conditions on the member's curve that feed the
     divisibility criterion, for a p that ``check_p`` has passed.
 
@@ -229,6 +324,9 @@ def cohomology_vanishing_checks(m: Member, p: int) -> list[Entry]:
     comparing j = 1728 against the two rational-11-isogeny j-invariants;
     7 by the absence of rational 7-torsion; 5 by the same check on the
     quartic twist by 25 together with a cited irreducibility theorem.
+    For p >= 11 nothing of the member is read, as every family curve has
+    the one j, so ``plan_for`` runs them once for its p, with m None; 5
+    and 7 run for each member (``_MEMBER_COHOMOLOGY``).
 
     None of these can fail.  The torsion checks use a supersingular-
     reduction witness at q = 3, which divides neither l nor 25 l: #E(F_3)
@@ -242,9 +340,8 @@ def cohomology_vanishing_checks(m: Member, p: int) -> list[Entry]:
     if p >= 13:
         return [(MOD_P_IMAGE_LARGE_PRIME, (p,))]
     if p == 11:
-        j = j_invariant(m.curve)
-        assert j not in _ELEVEN_ISOGENY_J, j
-        return [(ELEVEN_ISOGENY_J, (j, _ELEVEN_ISOGENY_J))]
+        assert FAMILY_J not in _ELEVEN_ISOGENY_J, FAMILY_J
+        return [(ELEVEN_ISOGENY_J, (FAMILY_J, _ELEVEN_ISOGENY_J))]
     if p == 7:
         has_rational_m_torsion(m.curve, 7)
         return [(SEVEN_TORSION_FREE, (m.ell,))]
@@ -254,14 +351,21 @@ def cohomology_vanishing_checks(m: Member, p: int) -> list[Entry]:
     return [(TWIST_FIVE_TORSION_FREE, (twist.a,)), (MOD_FIVE_IRREDUCIBILITY, (m.ell,))]
 
 
+#: p -> the checks of ``cohomology_vanishing_checks`` whose values each
+#: member gives, for the p it runs per member
+_MEMBER_COHOMOLOGY = {5: (TWIST_FIVE_TORSION_FREE, MOD_FIVE_IRREDUCIBILITY),
+                      7: (SEVEN_TORSION_FREE,)}
+
+
 def check_p(p: int) -> None:
     """Refuse a p that is not a prime >= 5 (``p-out-of-range``) or that is
     only a BPSW probable prime, above psi_13 (``p-primality-unproven``).
 
     Every certifier, and ``search`` before it enumerates, runs this before
-    a member is built: an unproved p would leave the record resting on a
-    probable prime, and the parameters such a p forces (p^(n+1) | s t)
-    make ell too large to test for fourth powers in any useful time.
+    a member is built (``plan_for``): an unproved p would leave the record
+    resting on a probable prime, and the parameters such a p forces
+    (p^(n+1) | s t) make ell too large to test for fourth powers in any
+    useful time.
     """
     prime, method = primality_info(p)
     if p < 5 or not prime:
@@ -271,58 +375,83 @@ def check_p(p: int) -> None:
                                   f"p={p} is only a BPSW probable prime")
 
 
-def _checked_member(s: int, t: int, p: int, n: int) -> Member:
-    """The member, built only once the cheap checks on n, p and gcd pass."""
+_BASIS = "verified checks plus the cited criterion"
+
+
+@lru_cache(maxsize=64)
+def plan_for(theorem: str, p: int, n: int) -> Plan:
+    """The plan of ``theorem``'s certificates at (p, n), for the three
+    divisibility-based theorems; cached per process (bounded), so a search
+    at one (p, n) makes one.
+
+    It refuses an n below 1 (``depth-target``) and a p that ``check_p``
+    refuses, before any member is built, and works out once what of the
+    record depends on p and n alone: the constant ledger entries, the
+    p >= 11 mod-p image conditions, the conclusion and its basis.  A
+    refusal is not cached.  Every ledger begins with the divisibility
+    checks, whose member values ``_divisibility_values`` gives.
+    """
     if n < 1:
         raise PreconditionFailure("depth-target", f"n={n} must be >= 1")
     check_p(p)
+    member_checks = _MEMBER_COHOMOLOGY.get(p)
+    cohomology = (cohomology_vanishing_checks(None, p) if member_checks is None else
+                  [(check, (SLOT,) * len(check.witness)) for check in member_checks])
+    ledger = [
+        (COPRIME_PARAMETERS, (SLOT, SLOT)),
+        (FOURTH_POWER_FREE, (SLOT,)),
+        (NONSQUARE_ELL, (SLOT,)),
+        (PARAMETER_DEPTH, (p, n, SLOT, SLOT)),
+        (GOOD_REDUCTION_AT_P, (p,)),
+        (INTEGRAL_J, (FAMILY_J,)),
+        (KERNEL_FILTRATION_DEPTH, (SLOT,) * 4),
+        *cohomology,
+        (PRIMITIVE_POINT, ("height-ratio", SLOT)),
+        (FILTRATION_TO_CLASS_GROUP, (p, n)),
+    ]
+    subject = (("s", SLOT), ("t", SLOT), ("ell", SLOT), ("p", p), ("n", n))
+    if theorem == "divisibility":
+        conclusion = f"{p}^{2 * n} divides h(Q(E[{p}^{n}]))"
+        return Plan(theorem, subject, tuple(ledger), (conclusion, _BASIS, 1, None, None))
+    if theorem == "square-subfamily":
+        ledger += [(SECOND_POINT_DEPTH, (SLOT,) * 3), (INDEPENDENT_POINTS, (SLOT,) * 3)]
+        return Plan(theorem, (("s", SLOT), ("tau", SLOT), *subject[1:]), tuple(ledger), (
+            f"{p}^4 divides h(Q(E[{p}]))", "two independent deep points double the exponent",
+            2, None, None))
+    # the Kodaira type and Tamagawa number are asserted for each member
+    ledger += [(RANK_EXACTLY_ONE, (SLOT,) * 4), (KODAIRA_TYPE_AT_ELL, (SLOT, "III", 2)),
+               (DIVISION_FIELD_RAMIFICATION, (SLOT,))]
+    return Plan(theorem, subject, tuple(ledger), (SLOT, _BASIS, 1, SLOT, SLOT))
+
+
+def _coprime(s: int, t: int) -> None:
     if math.gcd(s, t) != 1:
         raise PreconditionFailure("coprime-parameters", f"gcd({s},{t}) != 1")
-    return member(s, t)
 
 
-def _divisibility_checks(m: Member, p: int, n: int) -> list[Entry]:
-    """The ledger for a member whose n, p and gcd checks have passed.  A
-    refusal's detail is formatted only on the branch that refuses."""
-    s, t, ell, curve, fourth_power_free, ell_is_square = m
+def _divisibility_values(subject: tuple, m: Member, p: int, n: int) -> tuple:
+    """The subject's values, then those the member gives the divisibility
+    checks of its plan, in slot order, once n, p and the gcd have passed.
+    A refusal's detail is formatted only on the branch that refuses."""
+    s, t, ell, _, fourth_power_free, ell_is_square = m
     if not fourth_power_free:
         raise PreconditionFailure("fourth-power-free", f"ell={ell}")
     if ell_is_square:
         raise PreconditionFailure("nonsquare-ell", f"ell={ell}")
     # raises with its own reasons if violated
     flagged, v_st, xv, yv, depth, parity_method = check_local(s, t, p, n)
-    return [
-        (COPRIME_PARAMETERS, (s, t)),
-        (FOURTH_POWER_FREE, (ell,)),
-        (NONSQUARE_ELL, (ell,)),
-        (PARAMETER_DEPTH, (p, n, flagged, v_st)),
-        (GOOD_REDUCTION_AT_P, (p,)),
-        (INTEGRAL_J, (j_invariant(curve),)),
-        (KERNEL_FILTRATION_DEPTH, (depth, xv, yv, parity_method)),
-        *cohomology_vanishing_checks(m, p),
-        (PRIMITIVE_POINT, ("height-ratio", certify_primitive(m))),
-        (FILTRATION_TO_CLASS_GROUP, (p, n)),
-    ]
+    cohomology = (chain.from_iterable(map(_witness, cohomology_vanishing_checks(m, p)))
+                  if p in _MEMBER_COHOMOLOGY else ())
+    return (*subject, s, t, ell, ell, flagged, v_st, depth, xv, yv, parity_method, *cohomology,
+            certify_primitive(m))
 
 
 def certify_divisibility(s: int, t: int, p: int, n: int) -> Certificate:
     """Certificate that p^(2n) divides h of the p^n division field of E_{s,t}."""
-    m = _checked_member(s, t, p, n)
-    return Certificate(
-        "divisibility",
-        {"s": s, "t": t, "ell": m.ell, "p": p, "n": n},
-        tuple(_divisibility_checks(m, p, n)),
-        _divisibility_conclusion(p, n),
-        "verified checks plus the cited criterion",
-        1,
-    )
-
-
-@lru_cache(maxsize=64)
-def _divisibility_conclusion(p: int, n: int) -> str:
-    """The conclusion a divisibility certificate states; it depends on p
-    and n alone, so a search at one (p, n) formats it once."""
-    return f"{p}^{2 * n} divides h(Q(E[{p}^{n}]))"
+    plan = plan_for("divisibility", p, n)
+    _coprime(s, t)
+    m = member(s, t)
+    return Certificate(plan, _divisibility_values((s, t, m.ell), m, p, n))
 
 
 def certify_square_subfamily(s: int, tau: int, p: int) -> Certificate:
@@ -336,9 +465,8 @@ def certify_square_subfamily(s: int, tau: int, p: int) -> Certificate:
     must be at least 1, as s and t must in the other modes; otherwise the
     member is refused as ``degenerate-parameters``.
     """
-    if math.gcd(s, tau) != 1:
-        raise PreconditionFailure("coprime-parameters", f"gcd({s},{tau}) != 1")
-    check_p(p)
+    _coprime(s, tau)
+    plan = plan_for("square-subfamily", p, 1)
     t = tau * tau
     m = member(s, t)
     ell = m.ell
@@ -348,40 +476,32 @@ def certify_square_subfamily(s: int, tau: int, p: int) -> Certificate:
     if depth < 2:
         raise PreconditionFailure("square-depth", f"v_p(s*tau)={depth} < 2")
 
-    checks = _divisibility_checks(m, p, 1)
+    values = _divisibility_values((s, tau, t, ell), m, p, 1)
     # the ledger refuses s < 1, but it sees only t = tau^2, the same for
     # tau and -tau; a tau < 1 would reach the second point
     if tau < 1:
         raise PreconditionFailure("degenerate-parameters", f"(s,tau)=({s},{tau})")
     second = check_local(tau, s * s, p, 1)
     first = "s" if vp(s, p) > 0 else "tau"
-    checks.append((SECOND_POINT_DEPTH, (f"(-{tau}^2, {s}^2*{tau})", second.depth, first)))
     # l is not a square here, so the torsion is {O, (0, 0)}, and
     # y(second) = s^2 tau is not 0 since tau = 0 would force l = 1
     if is_torsion_point(m.curve, (-tau * tau, s * s * tau)):
         raise AssertionError(f"torsion second point at (s,tau)=({s},{tau}), p={p}")
-    checks.append((INDEPENDENT_POINTS, (s, tau, ell)))
-    return Certificate(
-        "square-subfamily",
-        {"s": s, "tau": tau, "t": t, "ell": ell, "p": p, "n": 1},
-        tuple(checks),
-        f"{p}^4 divides h(Q(E[{p}]))",
-        "two independent deep points double the exponent",
-        2,
-    )
+    return Certificate(plan, (*values, f"(-{tau}^2, {s}^2*{tau})", second.depth, first,
+                              s, tau, ell))
 
 
 def certify_infinite_instance(s: int, t: int, p: int, n: int) -> Certificate:
     """One member of the infinite pairwise-distinct list: divisibility,
     rank exactly 1, and the ramification set {2, l, p} keyed by l."""
-    m = _checked_member(s, t, p, n)
-    checks = _divisibility_checks(m, p, n)
+    plan = plan_for("infinite-family", p, n)
+    _coprime(s, t)
+    m = member(s, t)
     ell = m.ell
+    values = _divisibility_values((s, t, ell), m, p, n)
     # enforces s even, t = +-3 mod 8, l prime
     rank = certify_rank_one(s, t)
     rep = rank.selmer_report
-    checks.append((RANK_EXACTLY_ONE, (rank.ell_mod_16, rep.sel_forward, rep.sel_dual,
-                                      rep.rank_upper)))
     # l is a prime = 9 mod 16, so l does not divide 48, v_l(c4) = 1 and
     # v_l(Delta) = 3: the table always gives type III with Tamagawa number 2
     red = reduction_at(m.curve, ell)
@@ -389,19 +509,12 @@ def certify_infinite_instance(s: int, t: int, p: int, n: int) -> Certificate:
         raise AssertionError(
             f"kodaira={red.kodaira} at ell={ell}, (s,t)=({s},{t}), p={p}"
         )
-    checks.append((KODAIRA_TYPE_AT_ELL, (ell, red.kodaira, red.tamagawa)))
-    checks.append((DIVISION_FIELD_RAMIFICATION, ((2, ell, p),)))
-    return Certificate(
-        "infinite-family",
-        {"s": s, "t": t, "ell": ell, "p": p, "n": n},
-        tuple(checks),
-        f"{p}^{2 * n} divides h(Q(E[{p}^{n}])), rank E(Q) = 1, "
-        f"and the division field is ramified exactly at 2, {ell}, {p}",
-        "verified checks plus the cited criterion",
-        1,
-        (2, ell, p),
-        ell,
-    )
+    ramified = (2, ell, p)
+    conclusion = (f"{p}^{2 * n} divides h(Q(E[{p}^{n}])), rank E(Q) = 1, "
+                  f"and the division field is ramified exactly at 2, {ell}, {p}")
+    return Certificate(plan, (
+        *values, rank.ell_mod_16, rep.sel_forward, rep.sel_dual, rep.rank_upper,
+        ell, ramified, conclusion, ramified, ell))
 
 
 def batch_distinctness(certs: list[Certificate]) -> dict:
@@ -429,62 +542,29 @@ def record_head(theorem: str) -> str:
     return '{"schema":"%s","theorem":"%s","subject":' % (SCHEMA_VERSION, theorem)
 
 
-def _head(theorem: str, subject: tuple[str, ...]) -> str:
-    """A record's template up to the end of its subject, whose integers
-    are slots."""
-    return record_head(theorem) + "{%s}" % ",".join(f'"{key}":"%d"' for key in subject)
-
-
-_RANK_ONE = _head("rank-one", ("s", "t", "ell")) + (
-    ',"ell_mod_16":"%d","t_mod_8":"%d","selmer":{"dim_forward":"%d","dim_dual":"%d",'
-    '"rank_upper":"%d"},"rank":"%d","base_point_nontorsion":%s}')
-#: a certificate record after its checks: the encoded conclusion and
-#: basis, the rank bound, and the JSON texts of the ramified primes and of
-#: the distinctness key
-_TAIL = ('],"conclusion":%s,"conclusion_basis":%s,"unramified_rank_lower_bound":"%d",'
-         '"ramified_primes":%s,"distinctness_key":%s}')
-
-
-@lru_cache(maxsize=64)
-def _ledger_shape(theorem: str, subject: tuple[str, ...], checks: tuple[Check, ...]
-                  ) -> tuple[str, tuple]:
-    """The template of a whole record of ``theorem`` with these subject
-    keys whose ledger holds ``checks`` in this order, the checks' templates
-    joined into it, and the (value index, converter) pairs of its slots; a
-    certifier makes a handful of such shapes, one per cohomology branch."""
-    template = (_head(theorem, subject) + ',"checks":['
-                + ",".join([check.template() for check in checks]) + _TAIL)
-    kinds = [INT] * len(subject) + [kind for check in checks for _, kind in check.witness]
-    kinds += [STR, STR]  # the conclusion and its basis
-    return template, tuple((i, _SLOTS[kind][1]) for i, kind in enumerate(kinds)
-                           if _SLOTS[kind][1] is not None)
+_RANK_ONE = record_head("rank-one") + (
+    '{"s":"%d","t":"%d","ell":"%d"},"ell_mod_16":"%d","t_mod_8":"%d","selmer":'
+    '{"dim_forward":"%d","dim_dual":"%d","rank_upper":"%d"},"rank":"%d",'
+    '"base_point_nontorsion":%s}')
 
 
 def certificate_to_jsonl(cert: Certificate | RankCert) -> str:
     """The record of a certificate or a rank-one result as one compact JSON
     line, the same text as ``json.dumps(record, separators=(",", ":"))``:
-    the template of its ledger's shape, filled with its values.  The
-    ledger's checks and its witness values are gathered by ``map`` and
-    ``chain``, with no Python loop over its entries."""
+    its plan's template (rendered on the plan's first write) filled with
+    the certificate's own values, the constants being in the template."""
     if isinstance(cert, RankCert):
         rep = cert.selmer_report
         return _RANK_ONE % (
             cert.s, cert.t, cert.ell, cert.ell_mod_16, cert.t_mod_8, rep.dim_forward,
             rep.dim_dual, rep.rank_upper, cert.rank, _JSON_BOOL[cert.base_point_nontorsion])
-    theorem, subject, ledger, conclusion, basis, rank_bound, ram, key = cert
-    template, convert = _ledger_shape(theorem, tuple(subject), tuple(map(_check, ledger)))
-    values = [
-        *subject.values(),
-        *chain.from_iterable(map(_witness, ledger)),
-        conclusion,
-        basis,
-        rank_bound,
-        "null" if ram is None else "[%s]" % _encode_ints(ram),
-        "null" if key is None else '"%d"' % key,
-    ]
+    plan, values = cert
+    form, args, convert = plan.shape or plan.render()
+    args = list(args)
+    args[1::2] = values
     for i, f in convert:
-        values[i] = f(values[i])
-    return template % tuple(values)
+        args[i] = f(args[i])
+    return form % tuple(args)
 
 
 def certificate_to_dict(cert: Certificate | RankCert) -> dict:
@@ -497,7 +577,9 @@ def certificate_from_dict(data: dict) -> Certificate | RankCert:
     inverse of ``certificate_to_dict`` for all four theorems.  A rank-one
     record holds the Selmer dimensions but not the groups, so the parsed
     report's ``sel_forward`` and ``sel_dual`` are None.  Each check is read
-    back through ``CHECKS``, so an unknown one raises KeyError."""
+    back through ``CHECKS``, so an unknown one raises KeyError.  The
+    certificate's plan holds no constant: every value is a slot, so its
+    line is written as every other one is."""
     if data.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema {data.get('schema')!r}")
     subject = {k: int(v) for k, v in data["subject"].items()}
@@ -511,22 +593,22 @@ def certificate_from_dict(data: dict) -> Certificate | RankCert:
             rank=int(data["rank"]),
             base_point_nontorsion=data["base_point_nontorsion"],
         )
-    ledger = []
+    checks, values = [], [*subject.values()]
     for ch in data["checks"]:
         check, witness = CHECKS[ch["name"]], ch["witness"]
-        ledger.append((check, tuple(
-            int(witness[k]) if kind == INT else
-            tuple(map(int, witness[k])) if kind == INTS else witness[k]
-            for k, kind in check.witness)))
+        checks.append((check, (SLOT,) * len(check.witness)))
+        values += [int(witness[k]) if kind == INT else
+                   tuple(map(int, witness[k])) if kind == INTS else witness[k]
+                   for k, kind in check.witness]
     ram = data.get("ramified_primes")
     key = data.get("distinctness_key")
-    return Certificate(
-        theorem=data["theorem"],
-        subject=subject,
-        ledger=tuple(ledger),
-        conclusion=data["conclusion"],
-        conclusion_basis=data["conclusion_basis"],
-        unramified_rank_lower_bound=int(data["unramified_rank_lower_bound"]),
-        ramified_primes=tuple(int(x) for x in ram) if ram is not None else None,
-        distinctness_key=int(key) if key is not None else None,
-    )
+    plan = Plan(data["theorem"], tuple((k, SLOT) for k in subject), tuple(checks),
+                (SLOT,) * len(_TAIL))
+    return Certificate(plan, (
+        *values,
+        data["conclusion"],
+        data["conclusion_basis"],
+        int(data["unramified_rank_lower_bound"]),
+        tuple(int(x) for x in ram) if ram is not None else None,
+        int(key) if key is not None else None,
+    ))

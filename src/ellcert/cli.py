@@ -22,7 +22,9 @@ of each stored line, and compares the line with the fresh record's line
 first.  It parses the whole line, and compares the two as dicts, only
 when the texts differ or before any outcome but ok, so a record stored
 with another key order or spacing still verifies, a MISMATCH names the
-first differing field, and a line that is no record is named as such.
+first differing field, and a line that is no record is named as such:
+one holding a byte that is not UTF-8 or nested past the recursion limit
+included.
 
 Start-up is kept lean, since ``verify --file`` and short searches pay it
 on every invocation: the process pool (and the multiprocessing machinery
@@ -521,7 +523,8 @@ def _head_task(raw: str) -> tuple[str, int, int, int | None, int | None] | None:
     mode = _RECORD_HEADS.get(raw[:end])
     try:
         return mode and _record_task(mode, _raw_decode(raw, end)[0])
-    except ValueError:  # JSONDecodeError included
+    # a JSONDecodeError is a ValueError; deep nesting is a RecursionError
+    except (ValueError, RecursionError):
         return None
 
 
@@ -535,6 +538,14 @@ def _recompute(task) -> tuple:
     return cert, certificate_to_jsonl(cert)
 
 
+def _utf8(raw: str) -> str:
+    """``raw``, or the UnicodeDecodeError naming its first byte that is not
+    UTF-8: ``_verify_file`` reads such a byte as a lone surrogate."""
+    if not raw.isascii():
+        raw.encode("utf-8", "surrogateescape").decode("utf-8")
+    return raw
+
+
 def _check_line(raw: str) -> tuple[bool, str]:
     """Whether a stored line re-verifies, and what ``verify --file`` says
     of it.  A line the fresh record writes again is ok, whatever its head
@@ -543,7 +554,7 @@ def _check_line(raw: str) -> tuple[bool, str]:
     fresh, line = _recompute(head) if head else (None, None)
     if line != raw:
         try:
-            stored = json.loads(raw)
+            stored = json.loads(_utf8(raw))
             if not isinstance(stored, dict):
                 raise ValueError(f"a JSON {type(stored).__name__}, not an object")
             if stored.get("schema") != SCHEMA_VERSION:
@@ -554,7 +565,9 @@ def _check_line(raw: str) -> tuple[bool, str]:
             if mode is None:
                 return False, f"unknown theorem {theorem}"
             task = _record_task(mode, stored.get("subject"))
-        except ValueError as exc:  # JSONDecodeError included
+        # a UnicodeDecodeError and a JSONDecodeError are ValueErrors; deep
+        # nesting is a RecursionError
+        except (ValueError, RecursionError) as exc:
             return False, f"not a certificate record ({exc})"
         if task != head:
             fresh, line = _recompute(task)
@@ -572,7 +585,8 @@ def _verify_file(args) -> int:
     bad = 0
     total = 0
     try:
-        fh = open(args.file, encoding="utf-8")
+        # a byte that is not UTF-8 is named on its own line (``_utf8``)
+        fh = open(args.file, encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         print(f"cannot read {args.file}: {exc}", file=sys.stderr)
         return 2

@@ -58,7 +58,7 @@ def certify_primitive(m: Member) -> float:
     below 7.7 for l >= 5.  A failed test is therefore a soundness alarm.
 
     Every certifier path meets the lemma's preconditions, so they are
-    asserted, not refused.  The only caller, ``_divisibility_checks``,
+    asserted, not refused.  The only caller, ``_divisibility_values``,
     refuses ``fourth-power-free`` and ``nonsquare-ell`` first, and then
     ``check_local``, which needs a prime p >= 5 with p^(n+1) | s t, so
     |s t| >= 25 and l != 2.  A negative s or t passes all of these, so

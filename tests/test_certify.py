@@ -2,6 +2,9 @@
 round-trips, and batch distinctness."""
 
 import json
+import os
+import random
+import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -41,6 +44,16 @@ MAIN_CHECK_NAMES = [
     "primitive-point",
     "filtration-to-class-group",
 ]
+
+
+def _hand_built(theorem, subject, ledger, *tail):
+    """A certificate of these fields whose plan holds no constant, as
+    ``certificate_from_dict`` builds one: every value is a slot."""
+    plan = certify.Plan(theorem, tuple((key, certify.SLOT) for key in subject),
+                        tuple((check, (certify.SLOT,) * len(values)) for check, values in ledger),
+                        (certify.SLOT,) * len(tail))
+    return certify.Certificate(plan, (*subject.values(), *(v for _, vs in ledger for v in vs),
+                                      *tail))
 
 
 def test_divisibility_frozen_ledger():
@@ -224,8 +237,7 @@ def test_batch_distinctness_is_linear():
         __hash__ = int.__hash__
 
     def infinite(key):
-        return certify.Certificate("infinite-family", {}, (), "", "", 1,
-                                   distinctness_key=key)
+        return _hand_built("infinite-family", {}, (), "", "", 1, None, key)
 
     keys = [Key(k) for k in range(10_000)]
     certs = [infinite(k) for k in keys] + [infinite(Key(4321))]
@@ -444,7 +456,7 @@ _AWKWARD_FLOATS = [1e-07, 5e+16, -0.0, 0.1, 5.4755797146897915, 1.79769313486231
 def _one_check_lines(check, values, conclusion="c"):
     """The line of a record whose ledger is the one check, written by the
     templates and by the compact ``json.dumps`` of its old record form."""
-    cert = certify.Certificate(
+    cert = _hand_built(
         "divisibility", dict(zip(("s", "t", "ell", "p", "n"), (1, -2, 10**30, 4, 5))),
         ((check, values),), conclusion, conclusion[::-1], -1, (2, -3), 7)
     return certificate_to_jsonl(cert), json.dumps(_old_record(cert), separators=(",", ":"))
@@ -476,21 +488,26 @@ def test_template_kernel_is_the_compact_encoder(name, key, citation, i, s, f, in
     assert got == want
 
 
-def _grid_certificates():
-    """Every certificate of the four modes over s, t in [1, 40] and p in
-    {5, 7, 11, 13}, then every golden record's and every pool record's."""
+def _grid_tasks():
+    """(mode, s, t, p, n) of the four modes over s, t in [1, 40] and p in
+    {5, 7, 11, 13}, then of every golden record and every pool record."""
     for mode, theorem in cli.THEOREMS.items():
         for p in (5, 7, 11, 13) if theorem.flags else (None,):
             for s in range(1, 41):
                 for t in range(1, 41):
-                    try:
-                        yield theorem.certify(s, t, p, 1)
-                    except PreconditionFailure:
-                        pass
+                    yield mode, s, t, p, 1
     for line in GOLDEN.read_text(encoding="utf-8").splitlines() + POOL.read_text(
             encoding="utf-8").splitlines():
-        mode, s, t, p, n = cli._head_task(line)
-        yield cli.THEOREMS[mode].certify(s, t, p, n)
+        yield cli._head_task(line)
+
+
+def _grid_certificates():
+    """Every certificate of ``_grid_tasks``; the grid's refusals are skipped."""
+    for mode, s, t, p, n in _grid_tasks():
+        try:
+            yield cli.THEOREMS[mode].certify(s, t, p, n)
+        except PreconditionFailure:
+            pass
 
 
 POOL = Path(__file__).parent.parent / "perfbench" / "data" / "pool.jsonl"
@@ -534,3 +551,108 @@ def test_from_dict_reads_each_check_through_the_registry():
     data["checks"][0]["name"] = "no-such-check"
     with pytest.raises(KeyError):
         certificate_from_dict(data)
+
+
+def _certified_tasks():
+    tasks = []
+    for task in _grid_tasks():
+        try:
+            cli.THEOREMS[task[0]].certify(*task[1:])
+        except PreconditionFailure:
+            continue
+        tasks.append(task)
+    return tasks
+
+
+#: Writes the line of each task of the JSON list in argv[1], each from a
+#: plan made for it alone, in a fresh interpreter.
+_FRESH_LINES = """
+import json, sys
+from ellcert import certify, cli
+lines = []
+for mode, s, t, p, n in json.loads(sys.argv[1]):
+    certify.plan_for.cache_clear()
+    lines.append(certify.certificate_to_jsonl(cli.THEOREMS[mode].certify(s, t, p, n)))
+print(json.dumps(lines))
+"""
+
+
+def test_plans_met_in_any_order_write_what_a_fresh_process_writes():
+    tasks = _certified_tasks()
+    shuffled = list(tasks)
+    random.Random(29).shuffle(shuffled)
+    certify.plan_for.cache_clear()
+    # each plan's template is rendered by the first of its members that
+    # the shuffle meets, then filled for the others
+    here = {task: certificate_to_jsonl(cli.THEOREMS[task[0]].certify(*task[1:]))
+            for task in shuffled}
+    assert len({task[0::3] + task[4:] for task in tasks if task[0] != "rank"}) == 6
+    env = dict(os.environ, PYTHONPATH=str(Path(certify.__file__).parent.parent))
+    fresh = json.loads(subprocess.run(
+        [sys.executable, "-c", _FRESH_LINES, json.dumps(tasks)], env=env, check=True,
+        capture_output=True, text=True).stdout)
+    assert [here[task] for task in tasks] == fresh
+
+
+def test_the_plan_cache_is_bounded():
+    certify.plan_for.cache_clear()
+    bound = certify.plan_for.cache_info().maxsize
+    assert bound is not None
+    line = certificate_to_jsonl(certify_divisibility(2, 13 * 13, 13, 1))
+    made = certify.plan_for("divisibility", 13, 1)
+    primes = [q for q in range(17, 2000) if arith.is_prime(q)][:bound]
+    for q in primes:
+        assert certify.plan_for("divisibility", q, 1).subject[3] == ("p", q)
+    assert certify.plan_for.cache_info().currsize == bound
+    # the least recently used plan was dropped; it is made again, and
+    # writes the same line
+    again = certify_divisibility(2, 13 * 13, 13, 1)
+    assert again.plan is not made and again.plan is certify.plan_for("divisibility", 13, 1)
+    assert certificate_to_jsonl(again) == line == OLD_ENCODER(_old_record(again))
+
+
+def test_a_plan_runs_what_depends_on_p_and_n_alone_once(monkeypatch):
+    certify.plan_for.cache_clear()
+    checked = _count_calls(monkeypatch, certify.check_p)
+    cohomology = _count_calls(monkeypatch, certify.cohomology_vanishing_checks)
+    local = _count_calls(monkeypatch, certify.check_local)
+    members = [(2, 169), (2, 507), (4, 169), (1, 338), (3, 338)]
+    for s, t in members:
+        certify_divisibility(s, t, 13, 1)
+    assert checked == [(13,)] and [p for _, p in cohomology] == [13]
+    assert cohomology[0][0] is None  # no member is read at p = 13
+    assert len(local) == len(members)  # every member's own checks run
+    # at p = 5 the mod-5 image is settled for each member
+    for s, t in ((2, 25), (2, 75)):
+        certify_divisibility(s, t, 5, 1)
+    assert [p for _, p in cohomology] == [13, 5, 5]
+    assert checked == [(13,), (5,)]
+
+
+def test_a_divisibility_record_has_fourteen_slots_at_p_13():
+    plan = certify_divisibility(2, 169, 13, 1).plan
+    form, args, convert = plan.shape or plan.render()
+    # 15 runs of constant JSON text around the member's 14 values
+    assert len(args) == 29 and args[1::2] == (None,) * 14
+    assert form == "%s" + "%s".join(["%d"] * 7 + ["%s"] + ["%d"] * 4 + ["%s", "%r"]) + "%s"
+    assert [i for i, _ in convert] == [15, 25]  # the flagged parameter, the parity method
+    constants = [check.name for check, values in plan.ledger
+                 if certify.SLOT not in values]
+    assert constants == ["good-reduction-at-p", "integral-j", "mod-p-image-large-prime",
+                         "filtration-to-class-group"]
+    assert plan.tail == ("13^2 divides h(Q(E[13^1]))",
+                         "verified checks plus the cited criterion", 1, None, None)
+
+
+def test_a_plan_less_certificate_writes_the_same_line():
+    for cert in (certify_divisibility(2, 25, 5, 1), certify_divisibility(2, 121, 11, 1),
+                 certify_square_subfamily(25, 2, 5), certify_infinite_instance(2, 75, 5, 1)):
+        line = certificate_to_jsonl(cert)
+        bare = certificate_from_dict(json.loads(line))
+        plan = bare.plan
+        assert plan is not cert.plan
+        assert {v for _, v in plan.subject} == {v for _, vs in plan.ledger for v in vs} == {
+            *plan.tail} == {certify.SLOT}
+        assert certificate_to_jsonl(bare) == line
+        assert bare.fields() == cert.fields()
+        assert bare.conclusion == cert.conclusion == cert.fields().conclusion

@@ -5,6 +5,7 @@ import concurrent.futures
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -637,6 +638,89 @@ def test_verify_file_bad_inputs(tmp_path, capsys):
     rc, out, _ = run(capsys, "verify", "--file", str(empty))
     assert rc == 1
     assert "0/0" in out
+
+
+def test_verify_file_names_a_line_that_is_not_utf8(tmp_path, capsys):
+    golden = GOLDEN.read_text(encoding="utf-8").splitlines()[0].encode()
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(b"\xff\xfe\n")  # a UTF-16 byte-order mark
+    rc, out, err = run(capsys, "verify", "--file", str(bad))
+    assert (rc, err) == (1, "")
+    assert out.splitlines() == [
+        "line 1: not a certificate record ('utf-8' codec can't decode byte 0xff in "
+        "position 0: invalid start byte)",
+        "0/1 certificates verified",
+    ]
+    # the lines around it are read as UTF-8, and a valid non-ASCII line is
+    # no record either
+    mixed = tmp_path / "mixed.jsonl"
+    mixed.write_bytes(golden + b"\n" + golden[:20] + b"\xe9\n\xc3\xa9\n" + golden + b"\n")
+    rc, out, _ = run(capsys, "verify", "--file", str(mixed))
+    assert rc == 1
+    lines = out.splitlines()
+    assert lines[0].startswith("line 2: not a certificate record ('utf-8' codec can't "
+                               "decode byte 0xe9 in position 20")
+    assert lines[1].startswith("line 3: not a certificate record (Expecting value")
+    assert lines[2:] == ["2/4 certificates verified"]
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 100_000,
+    '{"schema":"1","theorem":"divisibility","subject":' + "[" * 100_000,
+], ids=["a-list", "a-subject"])
+def test_verify_file_names_a_deeply_nested_line(tmp_path, capsys, text):
+    deep = tmp_path / "deep.jsonl"
+    deep.write_text(text + "\n", encoding="utf-8")
+    rc, out, err = run(capsys, "verify", "--file", str(deep))
+    assert (rc, err) == (1, "")
+    said, total = out.splitlines()
+    assert said.startswith("line 1: not a certificate record (maximum recursion depth")
+    assert total == "0/1 certificates verified"
+
+
+def _verify_file_ends_in_a_named_verdict(path, capsys):
+    """``verify --file path`` ends in exit 0 or 1, each bad line named and a
+    count last; any exception, a traceback from the console script, fails."""
+    rc = main(["verify", "--file", str(path)])
+    out, err = capsys.readouterr()
+    assert rc in (0, 1) and err == ""
+    # a stored theorem is printed as it is, so a verdict may hold a newline
+    *said, total, end = out.split("\n")
+    assert end == "" and total.endswith(" certificates verified")
+    verified, count = map(int, total.split()[0].split("/"))
+    bad = [line for line in said if re.match(r"line \d+: ", line)]
+    assert said[:1] == bad[:1] and verified + len(bad) == count
+    assert rc == (0 if count and not bad else 1)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(content=st.binary(max_size=300))
+def test_any_bytes_as_a_record_file_end_in_a_named_verdict(content, tmp_path, capsys):
+    path = tmp_path / "fuzz.jsonl"
+    path.write_bytes(content)
+    _verify_file_ends_in_a_named_verdict(path, capsys)
+
+
+def _edited(line: str, edit) -> str:
+    at, text, cut = edit
+    at %= len(line) + 1
+    return line[:at] + text + line[at + cut:]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=st.lists(st.one_of(
+    st.text(max_size=60),
+    st.tuples(st.sampled_from(GOLDEN.read_text(encoding="utf-8").splitlines()),
+              st.tuples(st.integers(0, 2000), st.text(max_size=3), st.integers(0, 3))),
+), max_size=4))
+def test_any_text_lines_as_a_record_file_end_in_a_named_verdict(lines, tmp_path, capsys):
+    # arbitrary text, and golden records with a few characters edited
+    path = tmp_path / "fuzz.jsonl"
+    text = "\n".join(_edited(*line) if isinstance(line, tuple) else line for line in lines)
+    path.write_text(text, encoding="utf-8")
+    _verify_file_ends_in_a_named_verdict(path, capsys)
 
 
 _RANK_ONE_WITHOUT_T = {

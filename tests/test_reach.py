@@ -220,6 +220,7 @@ def _branch_runs(tmp: Path) -> dict[str, list[list[str]]]:
                          0, 0)
     (tmp / "part.csv").write_text("s,t,e")  # a header cut short
     (tmp / "empty.jsonl").write_text("")
+    (tmp / "utf16.jsonl").write_bytes(b"\xff\xfe\n")
     return {
         "test_cli.py::test_search_config_errors": [
             ["search", "--max-param", "60", "--target-count", "0"],
@@ -258,6 +259,11 @@ def _branch_runs(tmp: Path) -> dict[str, list[list[str]]]:
             ["verify", "--file", str(tmp / "absent.jsonl")],
             ["verify", "--file", _write_lines(tmp / "garbled.jsonl", ["this is not json"])],
             ["verify", "--file", str(tmp / "empty.jsonl")]],
+        "test_cli.py::test_verify_file_names_a_line_that_is_not_utf8": [
+            ["verify", "--file", str(tmp / "utf16.jsonl")]],
+        "test_cli.py::test_verify_file_names_a_deeply_nested_line": [
+            ["verify", "--file", _write_lines(tmp / "deep.jsonl", [
+                "[" * 100_000, first[:first.index('"subject":') + 10] + "[" * 100_000])]],
         "test_cli.py::test_verify_file_skips_blank_lines": [
             ["verify", "--file", _write_lines(tmp / "blank.jsonl", ["", first, "  "])]],
         "test_cli.py::test_verify_file_refuses_malformed_records_by_name": [
