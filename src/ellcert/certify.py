@@ -27,24 +27,25 @@ image conditions, j = 1728), and holds the record's layout, each value
 either a constant worked out there (the constant ledger entries, the
 conclusion and its basis) or ``SLOT``, a value each member gives.  A
 ``Certificate`` is its plan and its member's values, in slot order; every
-check that reads a member value runs for every member.  ``fields()``, or
-any of its attributes (theorem, subject, ledger, conclusion, ...), gives
-the certificate in full.
+check that reads a member value runs for every member.  ``fields()``
+gives the certificate in full: its theorem, subject, ledger, conclusion
+and the rest.
 
-Records.  Each ledger check is declared once, as a module-level ``Check``:
-its name, status, citation and witness keys, each key with the kind of
-value it holds (a decimal integer, a string, a float, a list of decimal
-integers or a bool).  A certifier records raw values, so it builds no
-witness dict and no decimal string.  A plan renders its record on its
-first write: the constants as JSON text, encoded once, with a ``%`` code
-for each value (14 of a divisibility record's 29 at p >= 13).
-``certificate_to_jsonl`` fills it in one ``%``: it is the one writer of
-the compact JSON line, for all four theorems.  Integers become decimal
-strings there, so arbitrary precision survives any JSON parser.
-``certificate_to_dict`` is that line parsed, so the dict and the line
-cannot disagree, and ``certificate_from_dict`` reads a record back
-through ``CHECKS``, the registry of declared checks by name, into a
-certificate whose plan holds no constant, written the same way.
+Records.  Each ledger check is declared once, as a module-level ``Check``
+made by ``declare``: its name, status, citation and witness keys, each
+key with the kind of value it holds (a decimal integer, a string, a
+float, a list of decimal integers or a bool).  A certifier records raw
+values, so it builds no witness dict and no decimal string.  A plan
+renders its record on its first write: the constants as JSON text,
+encoded once, with a ``%`` code for each value (14 of a divisibility
+record's 29 at p >= 13).  ``certificate_to_jsonl`` fills it in one
+``%``: it is the one writer of the compact JSON line, for all four
+theorems.  Integers become decimal strings there, so arbitrary precision
+survives any JSON parser.  ``certificate_to_dict`` is that line parsed,
+so the dict and the line cannot disagree; no command calls it, as the
+CLI parses the line it has written.  ``certificate_from_dict`` reads a
+record back through ``CHECKS``, the registry of declared checks by name,
+into a certificate whose plan holds no constant, written the same way.
 """
 
 from __future__ import annotations
@@ -154,51 +155,50 @@ def _object(fields) -> str:
     return "{%s}" % ",".join([f"{json.dumps(key)}:{text}" for key, text in fields])
 
 
-class Check:
-    """One ledger check, declared once: its name, status and citation, and
-    its witness keys in record order, each with the kind of value its slot
-    takes (``key=KIND``).  A check is a constant shared by every
-    certificate, so its attributes cannot be set."""
+class Check(NamedTuple):
+    """One ledger check: its name, status and citation, and its witness
+    keys in record order, each with the kind of value its slot takes.  A
+    check is a constant shared by every certificate, so it is a tuple."""
 
-    __slots__ = ("name", "status", "citation", "witness")
+    name: str
+    status: str
+    citation: str | None
+    witness: tuple[tuple[str, str], ...]
 
-    def __init__(self, name: str, status: str, citation: str | None = None, **witness: str):
-        for attr, value in (("name", name), ("status", status), ("citation", citation),
-                            ("witness", tuple(witness.items()))):
-            object.__setattr__(self, attr, value)
 
-    def __setattr__(self, attr, value):
-        raise AttributeError(f"a Check is immutable: cannot set {attr!r}")
+def declare(name: str, status: str, citation: str | None = None, /, **witness: str) -> Check:
+    """The check ``name``, each witness key given as ``key=KIND``."""
+    return Check(name, status, citation, tuple(witness.items()))
 
 
 PASS, CITED = "pass", "cited-assumption"
-COPRIME_PARAMETERS = Check("coprime-parameters", PASS, s=INT, t=INT)
-FOURTH_POWER_FREE = Check("fourth-power-free", PASS, ell=INT)
-NONSQUARE_ELL = Check("nonsquare-ell", PASS, ell=INT)
-PARAMETER_DEPTH = Check("parameter-depth", PASS, p=INT, n=INT, flagged=STR, v_st=INT)
-GOOD_REDUCTION_AT_P = Check("good-reduction-at-p", PASS, p=INT)
-INTEGRAL_J = Check("integral-j", PASS, j=INT)
-KERNEL_FILTRATION_DEPTH = Check(
+COPRIME_PARAMETERS = declare("coprime-parameters", PASS, s=INT, t=INT)
+FOURTH_POWER_FREE = declare("fourth-power-free", PASS, ell=INT)
+NONSQUARE_ELL = declare("nonsquare-ell", PASS, ell=INT)
+PARAMETER_DEPTH = declare("parameter-depth", PASS, p=INT, n=INT, flagged=STR, v_st=INT)
+GOOD_REDUCTION_AT_P = declare("good-reduction-at-p", PASS, p=INT)
+INTEGRAL_J = declare("integral-j", PASS, j=INT)
+KERNEL_FILTRATION_DEPTH = declare(
     "kernel-filtration-depth", PASS, depth=INT, x_doubled_valuation=INT,
     y_doubled_valuation=INT, order_parity_method=STR)
-MOD_P_IMAGE_LARGE_PRIME = Check("mod-p-image-large-prime", PASS, p=INT)
-ELEVEN_ISOGENY_J = Check("eleven-isogeny-j", PASS, j=INT, excluded_j=INTS)
-SEVEN_TORSION_FREE = Check("seven-torsion-free", PASS, ell=INT)
-TWIST_FIVE_TORSION_FREE = Check("twist-five-torsion-free", PASS, twist_a=INT)
-MOD_FIVE_IRREDUCIBILITY = Check(
+MOD_P_IMAGE_LARGE_PRIME = declare("mod-p-image-large-prime", PASS, p=INT)
+ELEVEN_ISOGENY_J = declare("eleven-isogeny-j", PASS, j=INT, excluded_j=INTS)
+SEVEN_TORSION_FREE = declare("seven-torsion-free", PASS, ell=INT)
+TWIST_FIVE_TORSION_FREE = declare("twist-five-torsion-free", PASS, twist_a=INT)
+MOD_FIVE_IRREDUCIBILITY = declare(
     "mod-five-irreducibility", CITED, CITATIONS["mod-five-irreducibility"], ell=INT)
-PRIMITIVE_POINT = Check("primitive-point", PASS, method=STR, index_square_bound=FLOAT)
-FILTRATION_TO_CLASS_GROUP = Check(
+PRIMITIVE_POINT = declare("primitive-point", PASS, method=STR, index_square_bound=FLOAT)
+FILTRATION_TO_CLASS_GROUP = declare(
     "filtration-to-class-group", CITED, CITATIONS["divisibility-criterion"], p=INT, n=INT)
-SECOND_POINT_DEPTH = Check(
+SECOND_POINT_DEPTH = declare(
     "second-point-depth", PASS, point=STR, depth=INT, flagged_parameter=STR)
-INDEPENDENT_POINTS = Check(
+INDEPENDENT_POINTS = declare(
     "independent-points", CITED, CITATIONS["independent-points"], s=INT, tau=INT, ell=INT)
-RANK_EXACTLY_ONE = Check(
+RANK_EXACTLY_ONE = declare(
     "rank-exactly-one", PASS, ell_mod_16=INT, selmer_forward=INTS, selmer_dual=INTS,
     rank_upper=INT)
-KODAIRA_TYPE_AT_ELL = Check("kodaira-type-at-ell", PASS, ell=INT, kodaira=STR, tamagawa=INT)
-DIVISION_FIELD_RAMIFICATION = Check(
+KODAIRA_TYPE_AT_ELL = declare("kodaira-type-at-ell", PASS, ell=INT, kodaira=STR, tamagawa=INT)
+DIVISION_FIELD_RAMIFICATION = declare(
     "division-field-ramification", CITED, CITATIONS["division-field-ramification"],
     ramified=INTS)
 
@@ -280,8 +280,7 @@ class Plan:
 
 class Certificate(NamedTuple):
     """A certificate: its plan, and its own values in the order of the
-    plan's slots.  The attributes of ``fields()`` (theorem, subject,
-    ledger, conclusion, ...) read as its own."""
+    plan's slots; ``fields()`` gives it in full."""
 
     plan: Plan
     values: tuple
@@ -299,9 +298,6 @@ class Certificate(NamedTuple):
         ledger = tuple([(check, tuple(map(fill, values))) for check, values in plan.ledger])
         return SimpleNamespace(theorem=plan.theorem, subject=subject, ledger=ledger, **{
             key: fill(value) for (key, _), value in zip(_TAIL, plan.tail)})
-
-    def __getattr__(self, name: str):
-        return getattr(self.fields(), name)
 
     @property
     def conclusion(self) -> str:
@@ -521,11 +517,12 @@ def batch_distinctness(certs: list[Certificate]) -> dict:
     """Confirm pairwise distinct division fields via the l fingerprint."""
     keys = []
     for cert in certs:
-        if cert.theorem != "infinite-family" or cert.distinctness_key is None:
+        fields = cert.fields()
+        if fields.theorem != "infinite-family" or fields.distinctness_key is None:
             raise PreconditionFailure(
-                "not-an-infinite-family-certificate", cert.theorem
+                "not-an-infinite-family-certificate", fields.theorem
             )
-        keys.append(cert.distinctness_key)
+        keys.append(fields.distinctness_key)
     counts = Counter(keys)
     return {
         "count": len(keys),

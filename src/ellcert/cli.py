@@ -4,7 +4,10 @@ One table, ``THEOREMS``, states what each mode is: its certifier, the
 theorem name its records carry, the flags it takes, the subject key of
 its second parameter, search's congruence screen and its ledger printer.
 Search's modes and screens, ``verify``'s flag checks and ``verify
---file``'s record heads are all read off it.
+--file``'s record heads are all read off it.  One function, ``outcome``,
+is the one certify path: it takes a task (mode, s, t, p, n, fmt) and
+gives the certificate and its line, or the refusal and None, to search,
+``verify`` and ``verify --file`` alike.
 
 Search enumerates parameter pairs by increasing max(s, t), then
 lexicographically within each shell, so runs are reproducible; results
@@ -65,7 +68,6 @@ from typing import NamedTuple
 from .arith import is_prime
 from .certify import (
     SCHEMA_VERSION,
-    certificate_to_dict,
     certificate_to_jsonl,
     certify_divisibility,
     certify_infinite_instance,
@@ -124,35 +126,54 @@ def iter_parameter_pairs(max_param: int, q: int = 1):
             yield start + m + t - 2, m, t
 
 
-def cheap_filter(mode: str, p: int, n: int, s: int, t: int) -> bool:
-    """Inexpensive divisibility and congruence screens; no primality, no certs.
+def cheap_filter(mode: str, s: int, t: int) -> bool:
+    """Inexpensive screens of a pair that ``iter_parameter_pairs`` yields;
+    no primality, no certs.
 
-    A coprime pair has p dividing at most one parameter, so "p divides
-    exactly one of the two parameters to depth n + 1" is the single test
-    p^(n+1) | s t; the mode's theorem then screens the pair by its own
-    congruences (``Theorem.screen``).
+    The pair is coprime, and the mode's theorem screens it by its own
+    congruences (``Theorem.screen``).  Its depth needs no test: a coprime
+    pair with p^(n+1) dividing s or t has p dividing exactly one of them,
+    to depth n + 1 at least.
     """
     from math import gcd
 
-    return gcd(s, t) == 1 and not (s * t) % p ** (n + 1) and THEOREMS[mode].screen(s, t)
+    return gcd(s, t) == 1 and THEOREMS[mode].screen(s, t)
 
 
-def certify_candidate(task: tuple[str, int, int, int, int, str]) -> str | None:
-    """Worker body: full certification, then the certificate's output line
-    in the task's format (jsonl, csv or pretty); None when a precondition
-    fails.  The csv and pretty lines are read off the certificate itself,
-    so no record is written or parsed for them."""
-    mode, p, n, s, t, fmt = task
+#: (mode, s, t, p, n, fmt): one candidate, in the certifiers' argument
+#: order, and the line format its certificate is written in
+Task = tuple[str, int, int, int | None, int | None, str]
+
+
+def outcome(task: Task) -> tuple:
+    """What one task comes to: the certificate of its mode's theorem and
+    the certificate's line in the task's format (jsonl, csv or pretty), or
+    the ``PreconditionFailure`` that refuses it and None.  Any other
+    exception propagates, a soundness alarm.
+
+    This is the one place a theorem certifies: search, ``verify``,
+    ``verify --file`` and the outcome grid all call it.  The csv and
+    pretty lines are read off the certificate's fields, so no record is
+    written or parsed for them.
+    """
+    mode, s, t, p, n, fmt = task
     try:
         cert = THEOREMS[mode].certify(s, t, p, n)
-    except PreconditionFailure:
-        return None
+    except PreconditionFailure as exc:
+        return exc, None
     if fmt == "jsonl":
-        return certificate_to_jsonl(cert)
-    sub = cert.subject
+        return cert, certificate_to_jsonl(cert)
+    fields = cert.fields()
+    sub = fields.subject
     if fmt == "csv":
-        return f"{sub['s']},{sub['t']},{sub['ell']},{sub['p']},{sub['n']},{cert.theorem}"
-    return f"s={sub['s']} t={sub['t']} ell={sub['ell']}: {cert.conclusion} [{cert.theorem}]"
+        return cert, f"{sub['s']},{sub['t']},{sub['ell']},{sub['p']},{sub['n']},{fields.theorem}"
+    return cert, (f"s={sub['s']} t={sub['t']} ell={sub['ell']}: {fields.conclusion}"
+                  f" [{fields.theorem}]")
+
+
+def certify_candidate(task: Task) -> str | None:
+    """Worker body: ``outcome``'s line, or None where a precondition fails."""
+    return outcome(task)[1]
 
 
 def _refuse_resume(problem: str):
@@ -239,16 +260,17 @@ def run_search(cfg: SearchConfig, emit, checkpoint: str | None = None) -> int:
     search ends, exhausted or at the target count.
     """
     start_index, found = 0, 0
+    fingerprint = checkpoint and cfg.fingerprint()
     if checkpoint:
-        start_index, found = _load_checkpoint(checkpoint, cfg.fingerprint())
+        start_index, found = _load_checkpoint(checkpoint, fingerprint)
 
     # a coprime pair carries its whole p-adic depth in one parameter, so
-    # only pairs where p^(n+1) divides s or t can pass the filter
+    # only pairs where p^(n+1) divides s or t are enumerated
     q = cfg.p ** (cfg.n + 1)
     candidates = (
-        (idx, (cfg.mode, cfg.p, cfg.n, s, t, cfg.fmt))
+        (idx, (cfg.mode, s, t, cfg.p, cfg.n, cfg.fmt))
         for idx, s, t in iter_parameter_pairs(cfg.max_param, q)
-        if idx >= start_index and cheap_filter(cfg.mode, cfg.p, cfg.n, s, t)
+        if idx >= start_index and cheap_filter(cfg.mode, s, t)
     )
     next_index, unsaved = start_index, 0
 
@@ -259,7 +281,7 @@ def run_search(cfg: SearchConfig, emit, checkpoint: str | None = None) -> int:
             found += 1
         next_index, unsaved = idx + 1, unsaved + 1
         if checkpoint and unsaved == _BATCH:
-            _save_checkpoint(checkpoint, cfg.fingerprint(), next_index, found)
+            _save_checkpoint(checkpoint, fingerprint, next_index, found)
             unsaved = 0
         return found >= cfg.target_count
 
@@ -278,7 +300,7 @@ def run_search(cfg: SearchConfig, emit, checkpoint: str | None = None) -> int:
             if any(handle(idx, line) for (idx, _), line in zip(batch, lines)):
                 break
     if checkpoint and unsaved:
-        _save_checkpoint(checkpoint, cfg.fingerprint(), next_index, found)
+        _save_checkpoint(checkpoint, fingerprint, next_index, found)
     return found
 
 
@@ -406,14 +428,15 @@ class Theorem(NamedTuple):
     """What one CLI mode certifies, what its records are called, how search
     screens its pairs and how its ledger is shown.
 
-    ``certify`` takes (s, t, p, n) in every mode.  It names its certifier
-    inside a lambda body, so the name is looked up in this module on every
-    call, and rebinding it (a test's monkeypatch, a profiler's wrapper)
-    takes effect here too.  Every mode's result has its line written by
-    ``certificate_to_jsonl``, the one record writer, which this module
-    calls by name, so a wrapper bound here sees every line that search,
-    ``verify --out`` and ``verify --file`` write or compare.  ``show``
-    prints the ledger from the parsed record (``certificate_to_dict``).
+    ``certify`` takes (s, t, p, n) in every mode, and ``outcome`` is its
+    one caller.  It names its certifier inside a lambda body, so the name
+    is looked up in this module on every call, and rebinding it (a test's
+    monkeypatch, a profiler's wrapper) takes effect here too.  Every
+    mode's result has its line written by ``certificate_to_jsonl``, the
+    one record writer, which this module calls by name, so a wrapper bound
+    here sees every line that search, ``verify --out`` and ``verify
+    --file`` write or compare.  ``show`` prints the ledger from the
+    record, parsed from the line ``verify`` writes.
     ``flags`` names what the mode takes besides s and t, each with the one
     value it accepts or None for any: its record's subject carries them,
     and search and verify refuse any other flag or value; search runs the
@@ -471,10 +494,10 @@ def _write_record(out: str | None, line: str) -> None:
             fh.write(line + "\n")
 
 
-def _record_task(mode: str, subject) -> tuple[str, int, int, int | None, int | None]:
-    """The (mode, s, t, p, n) that recomputes the record of ``mode``'s
-    theorem about ``subject``.  Raises ValueError naming what makes
-    ``subject`` no subject of that theorem."""
+def _record_task(mode: str, subject) -> Task:
+    """The jsonl task that recomputes the record of ``mode``'s theorem
+    about ``subject``.  Raises ValueError naming what makes ``subject`` no
+    subject of that theorem."""
     theorem = THEOREMS[mode]
     keys = ("s", theorem.second, *(name for name, _ in theorem.flags))
     values = [subject.get(k) for k in keys] if isinstance(subject, dict) else [None]
@@ -482,7 +505,7 @@ def _record_task(mode: str, subject) -> tuple[str, int, int, int | None, int | N
         raise ValueError(f"subject {subject!r} lacks a decimal string for one of {keys}")
     s, t, *rest = map(int, values)  # a ValueError names the bad literal
     p, n = rest or (None, None)
-    return mode, s, t, p, n
+    return mode, s, t, p, n, "jsonl"
 
 
 def _first_difference(stored, fresh, path: str = "") -> str | None:
@@ -514,7 +537,7 @@ _RECORD_HEADS = {record_head(theorem.record): mode for mode, theorem in THEOREMS
 _raw_decode = json.JSONDecoder().raw_decode
 
 
-def _head_task(raw: str) -> tuple[str, int, int, int | None, int | None] | None:
+def _head_task(raw: str) -> Task | None:
     """``_record_task`` of a line that begins as a written record does, read
     from its theorem and subject alone, or None where the head is another
     shape or names no task.  The rest of the line is not parsed: a caller
@@ -526,16 +549,6 @@ def _head_task(raw: str) -> tuple[str, int, int, int | None, int | None] | None:
     # a JSONDecodeError is a ValueError; deep nesting is a RecursionError
     except (ValueError, RecursionError):
         return None
-
-
-def _recompute(task) -> tuple:
-    """The fresh certificate for a record task and its line, or the refusal
-    it ends in and None."""
-    try:
-        cert = THEOREMS[task[0]].certify(*task[1:])
-    except PreconditionFailure as exc:
-        return exc, None
-    return cert, certificate_to_jsonl(cert)
 
 
 def _utf8(raw: str) -> str:
@@ -551,7 +564,7 @@ def _check_line(raw: str) -> tuple[bool, str]:
     of it.  A line the fresh record writes again is ok, whatever its head
     would parse to in full; any other outcome parses the line first."""
     head = _head_task(raw)
-    fresh, line = _recompute(head) if head else (None, None)
+    fresh, line = outcome(head) if head else (None, None)
     if line != raw:
         try:
             stored = json.loads(_utf8(raw))
@@ -563,14 +576,15 @@ def _check_line(raw: str) -> tuple[bool, str]:
             # compared, not hashed: a stored theorem may be a list
             mode = next((m for m, th in THEOREMS.items() if th.record == theorem), None)
             if mode is None:
-                return False, f"unknown theorem {theorem}"
+                # as JSON text, so a theorem holding a line break stays on its line
+                return False, f"unknown theorem {json.dumps(theorem)}"
             task = _record_task(mode, stored.get("subject"))
         # a UnicodeDecodeError and a JSONDecodeError are ValueErrors; deep
         # nesting is a RecursionError
         except (ValueError, RecursionError) as exc:
             return False, f"not a certificate record ({exc})"
         if task != head:
-            fresh, line = _recompute(task)
+            fresh, line = outcome(task)
         if line is None:
             return False, f"REFUSED at check '{fresh.reason}'"
         # a record stored with another key order or spacing still matches
@@ -630,12 +644,12 @@ def cmd_verify(args) -> int:
     if problem is not None:
         print(problem, file=sys.stderr)
         return 2
-    try:
-        cert = theorem.certify(args.s, args.t, args.p, 1 if args.n is None else args.n)
-    except PreconditionFailure as exc:
-        return _refused(exc)
-    theorem.show(certificate_to_dict(cert))
-    _write_record(args.out, certificate_to_jsonl(cert))
+    n = 1 if args.n is None else args.n
+    result, line = outcome((mode, args.s, args.t, args.p, n, "jsonl"))
+    if line is None:
+        return _refused(result)
+    theorem.show(json.loads(line))
+    _write_record(args.out, line)
     return 0
 
 

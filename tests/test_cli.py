@@ -83,11 +83,14 @@ def test_cheap_filter_matches_its_definition(p, n):
     grid = [(s, t) for s in range(-30, 60) for t in range(-30, 60) if (s, t) != (0, 0)]
     grid += [(p**3 * u, 1) for u in (-2, -1, 1, 2)] + [(3, -(p**4))]
     grid += [(2 * p**3, 3), (-2 * p**3, -3)]  # deep enough for infinite mode at n = 2
+    q = p ** (n + 1)
     for mode in ("main", "square_subfamily", "infinite"):
         passed = 0
         for s, t in grid:
             want = _filter_by_definition(mode, p, n, s, t)
-            assert cheap_filter(mode, p, n, s, t) == want, (mode, s, t)
+            # the depth is the enumeration's: it yields only pairs with q | s or q | t
+            deep = s % q == 0 or t % q == 0
+            assert (deep and cheap_filter(mode, s, t)) == want, (mode, s, t)
             passed += want
         assert passed
 
@@ -97,7 +100,7 @@ def _stub_certifier(calls):
     # names the task so the emitted sequence shows which ones were handled
     def certify(task):
         calls.append(task)
-        _, _, _, s, t, _ = task
+        _, s, t, *_ = task
         return None if (s + t) % 3 == 0 else json.dumps(task)
 
     return certify
@@ -115,8 +118,8 @@ def test_search_matches_filter_all_oracle(mode, p, n, tmp_path, monkeypatch):
     oracle = _stub_certifier(oracle_tasks)
     last = None
     for idx, s, t in _all_pairs(max_param):
-        if cheap_filter(mode, p, n, s, t):
-            line = oracle((mode, p, n, s, t, "jsonl"))
+        if _filter_by_definition(mode, p, n, s, t):
+            line = oracle((mode, s, t, p, n, "jsonl"))
             if line is not None:
                 oracle_records.append(line)
             last = idx
@@ -147,7 +150,7 @@ def test_checkpoint_written_per_batch_and_at_the_end(tmp_path, monkeypatch):
     assert main(["search", "--max-param", "80", "--workers", "1",
                  "--checkpoint", str(ck), "--out", str(tmp_path / "o.jsonl")]) == 0
     handled = sum(
-        1 for _, s, t in _all_pairs(80) if cheap_filter("main", 5, 1, s, t)
+        1 for _, s, t in _all_pairs(80) if _filter_by_definition("main", 5, 1, s, t)
     )
     assert len(writes) == handled // 32 + (handled % 32 > 0)
     assert writes[-1] == (json.loads(ck.read_text())["next_index"], 278)
@@ -824,18 +827,24 @@ def test_verify_file_parses_a_broken_tail_before_any_outcome_but_ok(t, cut, tmp_
 
 
 def test_verify_file_names_an_unknown_theorem(tmp_path, capsys):
-    # a list or a number is no theorem name either, and no traceback
+    # a list or a number is no theorem name either, and no traceback; the
+    # name is printed as JSON text, so one holding U+0085 or a newline
+    # keeps its verdict on one line
     batch = tmp_path / "unknown.jsonl"
     batch.write_text('{"schema":"1","theorem":"sha-order","subject":{"s":"2"}}\n'
                      '{"schema":"1","theorem":[1],"subject":{}}\n'
-                     '{"schema":"1","theorem":7,"subject":{}}\n')
+                     '{"schema":"1","theorem":7,"subject":{}}\n'
+                     '{"schema":"1","theorem":"\\u0085divisibility","subject":{}}\n'
+                     '{"schema":"1","theorem":"a\\nb","subject":{}}\n')
     rc, out, _ = run(capsys, "verify", "--file", str(batch))
     assert rc == 1
     assert out.splitlines() == [
-        "line 1: unknown theorem sha-order",
+        'line 1: unknown theorem "sha-order"',
         "line 2: unknown theorem [1]",
         "line 3: unknown theorem 7",
-        "0/3 certificates verified",
+        'line 4: unknown theorem "\\u0085divisibility"',
+        'line 5: unknown theorem "a\\nb"',
+        "0/5 certificates verified",
     ]
 
 
@@ -871,7 +880,7 @@ def test_registry_looks_each_certifier_up_by_name(mode, name, s, t, p, monkeypat
         return real(*args)
 
     monkeypatch.setattr(cli, name, spy)
-    line = cli.certify_candidate((mode, p, 1, s, t, "jsonl"))
+    line = cli.certify_candidate((mode, s, t, p, 1, "jsonl"))
     argv = ["verify", "--mode", mode, "--s", str(s), "--t", str(t)]
     rc, out, _ = run(capsys, *argv, *(["--p", str(p)] if p else []))
     assert rc == 0 and out.splitlines()[-1] == line

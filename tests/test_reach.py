@@ -73,8 +73,8 @@ ALLOWED = {
     ("arith", "factorize"): "factoring oracle; the benchmark tracer binds it",
     ("certify", "certificate_from_dict"): (
         "parse oracle of the record round trip; the benchmark tracer binds it"),
-    ("certify", "__setattr__"): (
-        "Check's write guard: a declared check is shared by every certificate"),
+    ("certify", "certificate_to_dict"): (
+        "a certificate's record as a dict, for the tests; the benchmark tracer binds it"),
     ("descent", "search_torsor_point"): "global-point oracle for torsors",
     ("certify", "batch_distinctness"): (
         "the pairwise distinctness verdict, kept for the batch check of "
@@ -273,7 +273,8 @@ def _branch_runs(tmp: Path) -> dict[str, list[list[str]]]:
                 first.replace('"t":"25"', '"t":"x"', 1)])]],
         "test_cli.py::test_verify_file_names_an_unknown_theorem": [
             ["verify", "--file", _write_lines(tmp / "unknown.jsonl", [
-                '{"schema":"1","theorem":"sha-order","subject":{"s":"2"}}'])]],
+                '{"schema":"1","theorem":"sha-order","subject":{"s":"2"}}',
+                '{"schema":"1","theorem":"a\\nb","subject":{}}'])]],
         "test_cli.py::test_verify_file_names_a_refused_line": [
             ["verify", "--file", _write_lines(tmp / "refused.jsonl", [json.dumps(refused)])]],
         "test_cli.py::test_verify_file_parses_a_broken_tail_before_any_outcome_but_ok": [
