@@ -6,7 +6,7 @@ assumption from the literature.  A certificate is only built when every
 check passes; a candidate failing any check raises PreconditionFailure
 naming the check, so downstream consumers never see a half-valid ledger.
 
-Three theorem shapes are produced:
+Four theorem shapes are produced:
 
 * "divisibility": p^(2n) divides the class number of the p^n division
   field of E_{s,t}, from one primitive point deep in the filtration.
@@ -14,22 +14,23 @@ Three theorem shapes are produced:
   with p^2 | s tau both points sit deep enough and the exponent doubles.
 * "infinite-family": divisibility plus exact rank 1 plus the ramification
   fingerprint {2, l, p} that separates division fields of distinct members.
+* "rank-one": the rank-1 half of the infinite family on its own, from
+  ``descent.certify_rank_one``'s Selmer report (``certify_rank_one``).
 
-A fourth, the "rank-one" fragment, is ``descent.certify_rank_one``'s
-result on its own.
-
-Plans.  The three divisibility-based theorems apply at one (p, n) across
-a whole family, and so does a search.  ``plan_for`` makes, once per
-(theorem, p, n) in a process (cached, bounded), the ``Plan`` that their
-certificates share: it refuses n and p (``check_p``) before any member
-is built, runs the checks that read p and n alone (the p >= 11 mod-p
-image conditions, j = 1728), and holds the record's layout, each value
-either a constant worked out there (the constant ledger entries, the
-conclusion and its basis) or ``SLOT``, a value each member gives.  A
+Plans.  A ``Plan`` lays out one theorem's record as a tree of (key, kind,
+value) fields.  A value is a constant or ``SLOT``, a value each member
+gives; an ``OBJECT`` field holds fields of its own, and a ``LEDGER``
+field (the record's ``checks``) the ledger's (check, values) entries.  The three divisibility-based
+theorems apply at one (p, n) across a whole family, and so does a search.
+``plan_for`` makes, once per (theorem, p, n) in a process (cached,
+bounded), the plan that their certificates share: it refuses n and p
+(``check_p``) before any member is built, runs the checks that read p and
+n alone (the p >= 11 mod-p image conditions, j = 1728), and works out the
+constants (the constant ledger entries, the conclusion and its basis).
+The rank-one record's plan, ``RANK_ONE_PLAN``, is one constant.  A
 ``Certificate`` is its plan and its member's values, in slot order; every
 check that reads a member value runs for every member.  ``fields()``
-gives the certificate in full: its theorem, subject, ledger, conclusion
-and the rest.
+gives the certificate in full, and ``conclusion`` its conclusion alone.
 
 Records.  Each ledger check is declared once, as a module-level ``Check``
 made by ``declare``: its name, status, citation and witness keys, each
@@ -44,8 +45,9 @@ theorems.  Integers become decimal strings there, so arbitrary precision
 survives any JSON parser.  ``certificate_to_dict`` is that line parsed,
 so the dict and the line cannot disagree; no command calls it, as the
 CLI parses the line it has written.  ``certificate_from_dict`` reads a
-record back through ``CHECKS``, the registry of declared checks by name,
-into a certificate whose plan holds no constant, written the same way.
+record back, through ``RANK_ONE_PLAN`` or, for the other theorems,
+through ``CHECKS``, the registry of declared checks by name, into a plan
+that holds no constant; either way it is written as every other one is.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ from operator import itemgetter
 from types import SimpleNamespace
 from typing import NamedTuple
 
+from . import descent
 from .arith import is_prime, is_square, kth_power_free, primality_info, vp
 from .curve import (
     Curve,
@@ -68,7 +71,6 @@ from .curve import (
     make_family,
     reduction_at,
 )
-from .descent import RankCert, SelmerReport, certify_rank_one
 from .errors import PreconditionFailure
 from .localcond import check_local
 from .primitivity import certify_primitive
@@ -118,11 +120,13 @@ def member(s: int, t: int) -> Member:
     return Member(s, t, ell, c, kth_power_free(ell, 4, 4), is_square(ell))
 
 
-#: The kinds of value a record slot holds.  ``OPT_INTS`` and ``OPT_INT``
+#: The kinds of value a record field holds.  ``OPT_INTS`` and ``OPT_INT``
 #: are a list of decimal integers and a decimal integer that may be null:
-#: a record's ramified primes and its distinctness key.
-INT, STR, FLOAT, INTS, BOOL, OPT_INTS, OPT_INT = (
-    "int", "str", "float", "ints", "bool", "ints?", "int?")
+#: a record's ramified primes and its distinctness key.  An ``OBJECT``
+#: field holds fields of its own, and a ``LEDGER`` field (the record's
+#: ``checks``) the ledger's (check, values) entries.
+INT, STR, FLOAT, INTS, BOOL, OPT_INTS, OPT_INT, OBJECT, LEDGER = (
+    "int", "str", "float", "ints", "bool", "ints?", "int?", "object", "ledger")
 
 _encode_str = json.encoder.encode_basestring_ascii  # the quoted, escaped text
 _JSON_BOOL = {True: "true", False: "false"}
@@ -134,17 +138,19 @@ def _encode_ints(values) -> str:
 
 
 #: kind -> (the ``%`` code that formats a value, the JSON text around it
-#: with ``%s`` where the value goes, and the converter a value goes
-#: through first, or None).  A float takes a finite float, whose repr is
-#: its JSON text.
-_SLOTS = {
-    INT: ("%d", '"%s"', None),
-    STR: ("%s", "%s", _encode_str),
-    FLOAT: ("%r", "%s", None),
-    INTS: ("%s", "[%s]", _encode_ints),
-    BOOL: ("%s", "%s", _JSON_BOOL.__getitem__),
-    OPT_INTS: ("%s", "%s", lambda v: "null" if v is None else "[%s]" % _encode_ints(v)),
-    OPT_INT: ("%s", "%s", lambda v: "null" if v is None else '"%d"' % v),
+#: with ``%s`` where the value goes, the converter a value goes through
+#: first, or None, and the reader that takes the value back from a parsed
+#: record).  A float takes a finite float, whose repr is its JSON text.
+_LEAVES = {
+    INT: ("%d", '"%s"', None, int),
+    STR: ("%s", "%s", _encode_str, lambda v: v),
+    FLOAT: ("%r", "%s", None, lambda v: v),
+    INTS: ("%s", "[%s]", _encode_ints, lambda v: tuple(map(int, v))),
+    BOOL: ("%s", "%s", _JSON_BOOL.__getitem__, lambda v: v),
+    OPT_INTS: ("%s", "%s", lambda v: "null" if v is None else "[%s]" % _encode_ints(v),
+               lambda v: None if v is None else tuple(map(int, v))),
+    OPT_INT: ("%s", "%s", lambda v: "null" if v is None else '"%d"' % v,
+              lambda v: None if v is None else int(v)),
 }
 #: Where a value goes in a rendered record: no JSON text holds a raw NUL.
 _MARK = "\x00"
@@ -220,22 +226,30 @@ _witness = itemgetter(1)
 #: In a plan, the place of a value that each certificate gives itself.
 SLOT = object()
 
-#: A record's fields after its checks, each with the kind of its value.
+#: A ledger record's fields after its checks, each with the kind of its value.
 _TAIL = (("conclusion", STR), ("conclusion_basis", STR), ("unramified_rank_lower_bound", INT),
          ("ramified_primes", OPT_INTS), ("distinctness_key", OPT_INT))
 
 
+def _witness_fields(check: Check, values: tuple) -> list:
+    """The fields of a ledger entry's witness object."""
+    return [(key, kind, value) for (key, kind), value in zip(check.witness, values)]
+
+
 class Plan:
-    """What every certificate of one theorem at one (p, n) has in common:
-    the record's layout, each value a constant or ``SLOT``.  ``subject``
-    holds (key, value) pairs, ``ledger`` (check, values) pairs and
-    ``tail`` the values of ``_TAIL``'s fields.  ``shape`` is None until
+    """What every certificate of one theorem (at one (p, n), for the three
+    divisibility-based ones) has in common: ``fields``, the record's layout
+    after its schema and theorem, as a tree of (key, kind, value) fields in
+    record order.  A value is a constant or ``SLOT``; an ``OBJECT`` field's
+    value is its own fields and a ``LEDGER`` field's its (check, values)
+    entries.  ``conclusion`` is the conclusion, or the position among the
+    certificate's values of the one that holds it.  ``shape`` is None until
     the first write renders it (``render``)."""
 
-    __slots__ = ("theorem", "subject", "ledger", "tail", "shape")
+    __slots__ = ("theorem", "fields", "conclusion", "shape")
 
-    def __init__(self, theorem: str, subject: tuple, ledger: tuple, tail: tuple):
-        self.theorem, self.subject, self.ledger, self.tail = theorem, subject, ledger, tail
+    def __init__(self, theorem: str, fields: tuple, conclusion: str | int):
+        self.theorem, self.fields, self.conclusion = theorem, fields, conclusion
         self.shape = None
 
     def render(self) -> tuple[str, tuple, tuple]:
@@ -252,30 +266,54 @@ class Plan:
         codes, converters = [], []
 
         def text(kind, value):
-            code, around, convert = _SLOTS[kind]
+            if kind == OBJECT:
+                return _object([(key, text(kind, value)) for key, kind, value in value])
+            if kind == LEDGER:
+                return "[%s]" % ",".join([_object([
+                    ("name", json.dumps(check.name)),
+                    ("status", json.dumps(check.status)),
+                    ("witness", text(OBJECT, _witness_fields(check, values))),
+                    ("citation", json.dumps(check.citation)),
+                ]) for check, values in value])
+            code, around, convert, _ = _LEAVES[kind]
             if value is SLOT:
                 codes.append(code)
                 converters.append(convert)
                 return around % _MARK
             return around % (code % (value if convert is None else convert(value)))
 
-        subject = _object([(key, text(INT, value)) for key, value in self.subject])
-        checks = ",".join([_object([
-            ("name", json.dumps(check.name)),
-            ("status", json.dumps(check.status)),
-            ("witness", _object([(key, text(kind, value))
-                                 for (key, kind), value in zip(check.witness, values)])),
-            ("citation", json.dumps(check.citation)),
-        ]) for check, values in self.ledger])
-        tail = [(key, text(kind, value)) for (key, kind), value in zip(_TAIL, self.tail)]
-        record = _object([("schema", json.dumps(SCHEMA_VERSION)),
-                          ("theorem", json.dumps(self.theorem)),
-                          ("subject", subject), ("checks", f"[{checks}]"), *tail])
+        record = text(OBJECT, (("schema", STR, SCHEMA_VERSION), ("theorem", STR, self.theorem),
+                               *self.fields))
         args = [None] * (2 * len(codes) + 1)
         args[::2] = record.split(_MARK)
         self.shape = "%s" + "".join([code + "%s" for code in codes]), tuple(args), tuple(
             (2 * i + 1, convert) for i, convert in enumerate(converters) if convert is not None)
         return self.shape
+
+
+def _ledger_plan(theorem: str, subject: tuple, ledger: tuple, tail: tuple) -> Plan:
+    """The plan of a ledger record: its subject's (key, value) pairs, each a
+    decimal integer, its ``checks`` entries, and the values of ``_TAIL``'s
+    fields, the first of them the conclusion."""
+    return Plan(theorem, (
+        ("subject", OBJECT, tuple([(key, INT, value) for key, value in subject])),
+        ("checks", LEDGER, ledger),
+        *[(key, kind, value) for (key, kind), value in zip(_TAIL, tail)],
+    ), -tail.count(SLOT) if tail[0] is SLOT else tail[0])
+
+
+#: The rank-one record.  Every value that ell's residue fixes today is a
+#: slot all the same; the rank and the base point's verdict are constants,
+#: as ``descent.certify_rank_one`` refuses or raises otherwise.
+RANK_ONE_PLAN = Plan("rank-one", (
+    ("subject", OBJECT, (("s", INT, SLOT), ("t", INT, SLOT), ("ell", INT, SLOT))),
+    ("ell_mod_16", INT, SLOT),
+    ("t_mod_8", INT, SLOT),
+    ("selmer", OBJECT, (("dim_forward", INT, SLOT), ("dim_dual", INT, SLOT),
+                        ("rank_upper", INT, SLOT))),
+    ("rank", INT, 1),
+    ("base_point_nontorsion", BOOL, True),
+), "rank = 1")
 
 
 class Certificate(NamedTuple):
@@ -286,26 +324,27 @@ class Certificate(NamedTuple):
     values: tuple
 
     def fields(self) -> SimpleNamespace:
-        """The certificate with every value in place: its theorem, subject
-        and ledger, and the fields of ``_TAIL`` by name."""
-        plan = self.plan
+        """The certificate with every value in place: its theorem and its
+        record's fields by key, an object's as a dict and the ledger's as
+        (check, values) pairs."""
         given = iter(self.values)
 
-        def fill(value):
+        def fill(kind, value):
+            if kind == OBJECT:
+                return {key: fill(kind, value) for key, kind, value in value}
+            if kind == LEDGER:
+                return tuple([(check, tuple([next(given) if v is SLOT else v for v in values]))
+                              for check, values in value])
             return next(given) if value is SLOT else value
 
-        subject = {key: fill(value) for key, value in plan.subject}
-        ledger = tuple([(check, tuple(map(fill, values))) for check, values in plan.ledger])
-        return SimpleNamespace(theorem=plan.theorem, subject=subject, ledger=ledger, **{
-            key: fill(value) for (key, _), value in zip(_TAIL, plan.tail)})
+        return SimpleNamespace(theorem=self.plan.theorem, **fill(OBJECT, self.plan.fields))
 
     @property
     def conclusion(self) -> str:
         """The conclusion alone, as ``verify --file`` reads it off every
-        certificate.  Where the member gives it, it is the first of the
-        tail's slots, which fill the last values."""
-        tail = self.plan.tail
-        return self.values[-tail.count(SLOT)] if tail[0] is SLOT else tail[0]
+        certificate: the plan's, or the value at the position it gives."""
+        conclusion = self.plan.conclusion
+        return conclusion if isinstance(conclusion, str) else self.values[conclusion]
 
 
 #: j of every family curve: y^2 = x^3 + a x has j = 1728 whatever a is
@@ -408,16 +447,17 @@ def plan_for(theorem: str, p: int, n: int) -> Plan:
     subject = (("s", SLOT), ("t", SLOT), ("ell", SLOT), ("p", p), ("n", n))
     if theorem == "divisibility":
         conclusion = f"{p}^{2 * n} divides h(Q(E[{p}^{n}]))"
-        return Plan(theorem, subject, tuple(ledger), (conclusion, _BASIS, 1, None, None))
+        return _ledger_plan(theorem, subject, tuple(ledger), (conclusion, _BASIS, 1, None, None))
     if theorem == "square-subfamily":
         ledger += [(SECOND_POINT_DEPTH, (SLOT,) * 3), (INDEPENDENT_POINTS, (SLOT,) * 3)]
-        return Plan(theorem, (("s", SLOT), ("tau", SLOT), *subject[1:]), tuple(ledger), (
+        subject = (("s", SLOT), ("tau", SLOT), *subject[1:])
+        return _ledger_plan(theorem, subject, tuple(ledger), (
             f"{p}^4 divides h(Q(E[{p}]))", "two independent deep points double the exponent",
             2, None, None))
     # the Kodaira type and Tamagawa number are asserted for each member
     ledger += [(RANK_EXACTLY_ONE, (SLOT,) * 4), (KODAIRA_TYPE_AT_ELL, (SLOT, "III", 2)),
                (DIVISION_FIELD_RAMIFICATION, (SLOT,))]
-    return Plan(theorem, subject, tuple(ledger), (SLOT, _BASIS, 1, SLOT, SLOT))
+    return _ledger_plan(theorem, subject, tuple(ledger), (SLOT, _BASIS, 1, SLOT, SLOT))
 
 
 def _coprime(s: int, t: int) -> None:
@@ -496,8 +536,7 @@ def certify_infinite_instance(s: int, t: int, p: int, n: int) -> Certificate:
     ell = m.ell
     values = _divisibility_values((s, t, ell), m, p, n)
     # enforces s even, t = +-3 mod 8, l prime
-    rank = certify_rank_one(s, t)
-    rep = rank.selmer_report
+    rep = descent.certify_rank_one(s, t)
     # l is a prime = 9 mod 16, so l does not divide 48, v_l(c4) = 1 and
     # v_l(Delta) = 3: the table always gives type III with Tamagawa number 2
     red = reduction_at(m.curve, ell)
@@ -509,8 +548,18 @@ def certify_infinite_instance(s: int, t: int, p: int, n: int) -> Certificate:
     conclusion = (f"{p}^{2 * n} divides h(Q(E[{p}^{n}])), rank E(Q) = 1, "
                   f"and the division field is ramified exactly at 2, {ell}, {p}")
     return Certificate(plan, (
-        *values, rank.ell_mod_16, rep.sel_forward, rep.sel_dual, rep.rank_upper,
+        *values, ell % 16, rep.sel_forward, rep.sel_dual, rep.rank_upper,
         ell, ramified, conclusion, ramified, ell))
+
+
+def certify_rank_one(s: int, t: int) -> Certificate:
+    """Certificate that rank E_{s,t}(Q) = 1, for s even and positive,
+    t = +-3 mod 8 and l = s^4 + t^2 proved prime; the refusals and the
+    proof are ``descent.certify_rank_one``'s."""
+    rep = descent.certify_rank_one(s, t)
+    ell = s**4 + t**2
+    return Certificate(RANK_ONE_PLAN, (s, t, ell, ell % 16, t % 8, rep.dim_forward,
+                                       rep.dim_dual, rep.rank_upper))
 
 
 def batch_distinctness(certs: list[Certificate]) -> dict:
@@ -539,22 +588,11 @@ def record_head(theorem: str) -> str:
     return '{"schema":"%s","theorem":"%s","subject":' % (SCHEMA_VERSION, theorem)
 
 
-_RANK_ONE = record_head("rank-one") + (
-    '{"s":"%d","t":"%d","ell":"%d"},"ell_mod_16":"%d","t_mod_8":"%d","selmer":'
-    '{"dim_forward":"%d","dim_dual":"%d","rank_upper":"%d"},"rank":"%d",'
-    '"base_point_nontorsion":%s}')
-
-
-def certificate_to_jsonl(cert: Certificate | RankCert) -> str:
-    """The record of a certificate or a rank-one result as one compact JSON
-    line, the same text as ``json.dumps(record, separators=(",", ":"))``:
-    its plan's template (rendered on the plan's first write) filled with
-    the certificate's own values, the constants being in the template."""
-    if isinstance(cert, RankCert):
-        rep = cert.selmer_report
-        return _RANK_ONE % (
-            cert.s, cert.t, cert.ell, cert.ell_mod_16, cert.t_mod_8, rep.dim_forward,
-            rep.dim_dual, rep.rank_upper, cert.rank, _JSON_BOOL[cert.base_point_nontorsion])
+def certificate_to_jsonl(cert: Certificate) -> str:
+    """The record of a certificate as one compact JSON line, the same text
+    as ``json.dumps(record, separators=(",", ":"))``: its plan's template
+    (rendered on the plan's first write) filled with the certificate's own
+    values, the constants being in the template."""
     plan, values = cert
     form, args, convert = plan.shape or plan.render()
     args = list(args)
@@ -564,48 +602,39 @@ def certificate_to_jsonl(cert: Certificate | RankCert) -> str:
     return form % tuple(args)
 
 
-def certificate_to_dict(cert: Certificate | RankCert) -> dict:
-    """The record of a certificate or a rank-one result: its line, parsed."""
+def certificate_to_dict(cert: Certificate) -> dict:
+    """The record of a certificate: its line, parsed."""
     return json.loads(certificate_to_jsonl(cert))
 
 
-def certificate_from_dict(data: dict) -> Certificate | RankCert:
-    """The certificate or rank-one result whose record ``data`` is; the
-    inverse of ``certificate_to_dict`` for all four theorems.  A rank-one
-    record holds the Selmer dimensions but not the groups, so the parsed
-    report's ``sel_forward`` and ``sel_dual`` are None.  Each check is read
-    back through ``CHECKS``, so an unknown one raises KeyError.  The
-    certificate's plan holds no constant: every value is a slot, so its
-    line is written as every other one is."""
+def certificate_from_dict(data: dict) -> Certificate:
+    """The certificate whose record ``data`` is; the inverse of
+    ``certificate_to_dict`` for all four theorems.  A rank-one record is
+    read through ``RANK_ONE_PLAN``, and one that does not hold a constant
+    of that plan raises ValueError.  Any other record is read into a plan
+    that holds no constant, each check through ``CHECKS``, so an unknown
+    check raises KeyError.  A missing field raises KeyError too.  Either
+    way the certificate's line is written as every other one is."""
     if data.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema {data.get('schema')!r}")
-    subject = {k: int(v) for k, v in data["subject"].items()}
-    if data["theorem"] == "rank-one":
-        sel = {k: int(v) for k, v in data["selmer"].items()}
-        return RankCert(
-            **subject,
-            ell_mod_16=int(data["ell_mod_16"]),
-            t_mod_8=int(data["t_mod_8"]),
-            selmer_report=SelmerReport(sel_forward=None, sel_dual=None, **sel),
-            rank=int(data["rank"]),
-            base_point_nontorsion=data["base_point_nontorsion"],
-        )
-    checks, values = [], [*subject.values()]
-    for ch in data["checks"]:
-        check, witness = CHECKS[ch["name"]], ch["witness"]
-        checks.append((check, (SLOT,) * len(check.witness)))
-        values += [int(witness[k]) if kind == INT else
-                   tuple(map(int, witness[k])) if kind == INTS else witness[k]
-                   for k, kind in check.witness]
-    ram = data.get("ramified_primes")
-    key = data.get("distinctness_key")
-    plan = Plan(data["theorem"], tuple((k, SLOT) for k in subject), tuple(checks),
-                (SLOT,) * len(_TAIL))
-    return Certificate(plan, (
-        *values,
-        data["conclusion"],
-        data["conclusion_basis"],
-        int(data["unramified_rank_lower_bound"]),
-        tuple(int(x) for x in ram) if ram is not None else None,
-        int(key) if key is not None else None,
-    ))
+    plan = RANK_ONE_PLAN if data["theorem"] == RANK_ONE_PLAN.theorem else _ledger_plan(
+        data["theorem"], tuple((key, SLOT) for key in data["subject"]),
+        tuple((check, (SLOT,) * len(check.witness))
+              for check in [CHECKS[entry["name"]] for entry in data["checks"]]),
+        (SLOT,) * len(_TAIL))
+    values = []
+
+    def read(key, kind, value, item):
+        if kind == OBJECT:
+            for field in value:
+                read(*field, item[field[0]])
+        elif kind == LEDGER:
+            for (check, given), entry in zip(value, item):
+                read("witness", OBJECT, _witness_fields(check, given), entry["witness"])
+        elif value is SLOT:
+            values.append(_LEAVES[kind][3](item))
+        elif _LEAVES[kind][3](item) != value:
+            raise ValueError(f"{key} is {item!r}, not {value!r}")
+
+    read(None, OBJECT, plan.fields, data)
+    return Certificate(plan, tuple(values))

@@ -71,17 +71,13 @@ from .certify import (
     certificate_to_jsonl,
     certify_divisibility,
     certify_infinite_instance,
+    certify_rank_one,
     certify_square_subfamily,
     check_p,
     record_head,
 )
 from .curve import base_point, make_family
-from .descent import (
-    certify_rank_one,
-    rank_bound_by_residue,
-    require_proved_prime,
-    selmer,
-)
+from .descent import rank_bound_by_residue, require_proved_prime, selmer
 from .errors import PreconditionFailure
 from .heights import canonical_height, naive_height, silverman_gaps, vy_lower_bound
 
@@ -166,8 +162,10 @@ def outcome(task: Task) -> tuple:
     fields = cert.fields()
     sub = fields.subject
     if fmt == "csv":
-        return cert, f"{sub['s']},{sub['t']},{sub['ell']},{sub['p']},{sub['n']},{fields.theorem}"
-    return cert, (f"s={sub['s']} t={sub['t']} ell={sub['ell']}: {fields.conclusion}"
+        # the rank-one fragment takes no p or n: its fields are left empty
+        return cert, (f"{sub['s']},{sub['t']},{sub['ell']},{sub.get('p', '')},"
+                      f"{sub.get('n', '')},{fields.theorem}")
+    return cert, (f"s={sub['s']} t={sub['t']} ell={sub['ell']}: {cert.conclusion}"
                   f" [{fields.theorem}]")
 
 
@@ -428,12 +426,12 @@ class Theorem(NamedTuple):
     """What one CLI mode certifies, what its records are called, how search
     screens its pairs and how its ledger is shown.
 
-    ``certify`` takes (s, t, p, n) in every mode, and ``outcome`` is its
-    one caller.  It names its certifier inside a lambda body, so the name
-    is looked up in this module on every call, and rebinding it (a test's
-    monkeypatch, a profiler's wrapper) takes effect here too.  Every
-    mode's result has its line written by ``certificate_to_jsonl``, the
-    one record writer, which this module calls by name, so a wrapper bound
+    ``certify`` takes (s, t, p, n) and returns a ``certify.Certificate``
+    in every mode, and ``outcome`` is its one caller.  It names its certifier inside a lambda body, so the name is looked up in
+    this module on every call, and rebinding it (a test's monkeypatch, a
+    profiler's wrapper) takes effect here too.  Every mode's certificate
+    has its line written by ``certificate_to_jsonl``, the one record
+    writer, which this module calls by name, so a wrapper bound
     here sees every line that search, ``verify --out`` and ``verify
     --file`` write or compare.  ``show`` prints the ledger from the
     record, parsed from the line ``verify`` writes.

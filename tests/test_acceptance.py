@@ -17,7 +17,7 @@ import pytest
 
 from divpoly_oracle import vp_rational
 from ellcert.arith import REAL, is_prime, is_square, jacobi, kth_power_free, vp
-from ellcert.certify import certify_divisibility, member
+from ellcert.certify import certify_divisibility, certify_rank_one, member
 from ellcert.cli import SearchConfig, main, run_search
 from ellcert.curve import (
     base_point,
@@ -27,7 +27,7 @@ from ellcert.curve import (
     smul,
     translate_by_torsion,
 )
-from ellcert.descent import certify_rank_one, locally_soluble, make_torsors, selmer
+from ellcert.descent import locally_soluble, make_torsors, selmer
 from ellcert.errors import PreconditionFailure
 from ellcert.heights import canonical_height, silverman_gaps
 from ellcert.primitivity import certify_primitive
@@ -150,8 +150,8 @@ def test_criterion_3_rank_one_certification():
                 t += 1
         assert len(pairs) == 146
         for s, t in pairs:
-            rc = certify_rank_one(s, t)
-            assert rc.rank == 1 and rc.selmer_report.rank_upper == 1, (s, t)
+            rc = certify_rank_one(s, t).fields()
+            assert rc.rank == 1 and rc.selmer["rank_upper"] == 1, (s, t)
             assert rc.base_point_nontorsion
 
 

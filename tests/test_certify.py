@@ -24,6 +24,7 @@ from ellcert.certify import (
     certificate_to_jsonl,
     certify_divisibility,
     certify_infinite_instance,
+    certify_rank_one,
     certify_square_subfamily,
     cohomology_vanishing_checks,
     member,
@@ -49,9 +50,10 @@ MAIN_CHECK_NAMES = [
 def _hand_built(theorem, subject, ledger, *tail):
     """A certificate of these fields whose plan holds no constant, as
     ``certificate_from_dict`` builds one: every value is a slot."""
-    plan = certify.Plan(theorem, tuple((key, certify.SLOT) for key in subject),
-                        tuple((check, (certify.SLOT,) * len(values)) for check, values in ledger),
-                        (certify.SLOT,) * len(tail))
+    plan = certify._ledger_plan(
+        theorem, tuple((key, certify.SLOT) for key in subject),
+        tuple((check, (certify.SLOT,) * len(values)) for check, values in ledger),
+        (certify.SLOT,) * len(tail))
     return certify.Certificate(plan, (*subject.values(), *(v for _, vs in ledger for v in vs),
                                       *tail))
 
@@ -60,9 +62,9 @@ def test_divisibility_frozen_ledger():
     cert = certify_divisibility(2, 25, 5, 1).fields()
     assert cert.theorem == "divisibility"
     assert cert.subject == {"s": 2, "t": 25, "ell": 641, "p": 5, "n": 1}
-    assert [check.name for check, _ in cert.ledger] == MAIN_CHECK_NAMES
-    assert all(check.status in ("pass", "cited-assumption") for check, _ in cert.ledger)
-    cited = {check.name for check, _ in cert.ledger if check.status == "cited-assumption"}
+    assert [check.name for check, _ in cert.checks] == MAIN_CHECK_NAMES
+    assert all(check.status in ("pass", "cited-assumption") for check, _ in cert.checks)
+    cited = {check.name for check, _ in cert.checks if check.status == "cited-assumption"}
     assert cited == {"mod-five-irreducibility", "filtration-to-class-group"}
     assert cert.conclusion == "5^2 divides h(Q(E[5^1]))"
     assert cert.unramified_rank_lower_bound == 1
@@ -86,7 +88,7 @@ def test_divisibility_depth_two():
 )
 def test_larger_p_branches(s, t, p, expected_entry):
     cert = certify_divisibility(s, t, p, 1).fields()
-    assert expected_entry in {check.name for check, _ in cert.ledger}
+    assert expected_entry in {check.name for check, _ in cert.checks}
     assert cert.conclusion == f"{p}^2 divides h(Q(E[{p}^1]))"
 
 
@@ -150,10 +152,10 @@ def test_square_subfamily_frozen():
     assert cert.subject["tau"] == 25 and cert.subject["t"] == 625
     assert cert.conclusion == "5^4 divides h(Q(E[5]))"
     assert cert.unramified_rank_lower_bound == 2
-    names = [check.name for check, _ in cert.ledger]
+    names = [check.name for check, _ in cert.checks]
     assert "second-point-depth" in names
     assert "independent-points" in names
-    second = next(check for check, _ in cert.ledger if check.name == "second-point-depth")
+    second = next(check for check, _ in cert.checks if check.name == "second-point-depth")
     assert second.status == "pass"
 
 
@@ -178,7 +180,7 @@ def test_infinite_instance_frozen():
     assert cert.subject["ell"] == 5641
     assert cert.ramified_primes == (2, 5641, 5)
     assert cert.distinctness_key == 5641
-    names = [check.name for check, _ in cert.ledger]
+    names = [check.name for check, _ in cert.checks]
     for needed in ("rank-exactly-one", "kodaira-type-at-ell", "division-field-ramification"):
         assert needed in names
     assert "rank E(Q) = 1" in cert.conclusion
@@ -338,13 +340,13 @@ def test_member_facts():
 def test_records_are_immutable_values():
     cert = certify_divisibility(2, 25, 5, 1)
     m = member(2, 25)
-    for obj, field in ((cert, "theorem"), (cert.fields().ledger[0][0], "status"),
+    for obj, field in ((cert, "theorem"), (cert.fields().checks[0][0], "status"),
                        (m, "ell"), (m.curve, "a")):
         with pytest.raises(AttributeError):
             setattr(obj, field, None)
     # a ledger entry is a (check, values) pair of tuples
     assert all(type(entry) is tuple and type(entry[1]) is tuple
-               for entry in cert.fields().ledger)
+               for entry in cert.fields().checks)
     assert certify_divisibility(2, 25, 5, 1) == cert
     assert hash(member(2, 25).curve) == hash(m.curve)
 
@@ -424,23 +426,21 @@ def _old_entry(check, values) -> dict:
 def _old_record(cert) -> dict:
     """The record as the old ``certificate_to_dict`` built it, field by
     field from the certificate, with ``str`` for every integer."""
-    if isinstance(cert, descent.RankCert):
-        rep = cert.selmer_report
+    cert = cert.fields()
+    if cert.theorem == "rank-one":
         return {
             "schema": SCHEMA_VERSION, "theorem": "rank-one",
-            "subject": {"s": str(cert.s), "t": str(cert.t), "ell": str(cert.ell)},
+            "subject": {k: str(v) for k, v in cert.subject.items()},
             "ell_mod_16": str(cert.ell_mod_16), "t_mod_8": str(cert.t_mod_8),
-            "selmer": {"dim_forward": str(rep.dim_forward), "dim_dual": str(rep.dim_dual),
-                       "rank_upper": str(rep.rank_upper)},
+            "selmer": {k: str(v) for k, v in cert.selmer.items()},
             "rank": str(cert.rank), "base_point_nontorsion": cert.base_point_nontorsion,
         }
-    cert = cert.fields()
     ram, key = cert.ramified_primes, cert.distinctness_key
     return {
         "schema": SCHEMA_VERSION,
         "theorem": cert.theorem,
         "subject": {k: str(v) for k, v in cert.subject.items()},
-        "checks": [_old_entry(check, values) for check, values in cert.ledger],
+        "checks": [_old_entry(check, values) for check, values in cert.checks],
         "conclusion": cert.conclusion,
         "conclusion_basis": cert.conclusion_basis,
         "unramified_rank_lower_bound": str(cert.unramified_rank_lower_bound),
@@ -540,7 +540,7 @@ def test_every_check_of_the_registry_is_written_somewhere():
 def test_a_certificate_writes_no_witness_dict_and_no_decimal_string(monkeypatch):
     # a certifier records raw values; only the writer makes decimal text
     cert = certify_divisibility(2, 169, 13, 1)
-    values = [v for _, vs in cert.fields().ledger for v in vs]
+    values = [v for _, vs in cert.fields().checks for v in vs]
     assert not any(isinstance(v, dict) for v in values)
     assert [v for v in values if isinstance(v, str)] == ["t", "counted", "height-ratio"]
     assert 28577 in values and 13 in values
@@ -549,7 +549,7 @@ def test_a_certificate_writes_no_witness_dict_and_no_decimal_string(monkeypatch)
 def test_from_dict_reads_each_check_through_the_registry():
     data = certificate_to_dict(certify_divisibility(2, 25, 5, 1))
     cert = certificate_from_dict(data)
-    assert all(check is certify.CHECKS[check.name] for check, _ in cert.fields().ledger)
+    assert all(check is certify.CHECKS[check.name] for check, _ in cert.fields().checks)
     data["checks"][0]["name"] = "no-such-check"
     with pytest.raises(KeyError):
         certificate_from_dict(data)
@@ -596,6 +596,23 @@ def test_plans_met_in_any_order_write_what_a_fresh_process_writes():
     assert [here[task] for task in tasks] == fresh
 
 
+def _layout(plan) -> dict:
+    """A plan's top-level fields: key -> constant, ``SLOT`` or nested fields."""
+    return {key: value for key, _, value in plan.fields}
+
+
+def _leaves(fields):
+    """Every leaf value of a field tree, in record order."""
+    for _, kind, value in fields:
+        if kind == certify.OBJECT:
+            yield from _leaves(value)
+        elif kind == certify.LEDGER:
+            for _, values in value:
+                yield from values
+        else:
+            yield value
+
+
 def test_the_plan_cache_is_bounded():
     certify.plan_for.cache_clear()
     bound = certify.plan_for.cache_info().maxsize
@@ -604,7 +621,8 @@ def test_the_plan_cache_is_bounded():
     made = certify.plan_for("divisibility", 13, 1)
     primes = [q for q in range(17, 2000) if arith.is_prime(q)][:bound]
     for q in primes:
-        assert certify.plan_for("divisibility", q, 1).subject[3] == ("p", q)
+        subject = _layout(certify.plan_for("divisibility", q, 1))["subject"]
+        assert subject[3] == ("p", certify.INT, q)
     assert certify.plan_for.cache_info().currsize == bound
     # the least recently used plan was dropped; it is made again, and
     # writes the same line
@@ -638,12 +656,14 @@ def test_a_divisibility_record_has_fourteen_slots_at_p_13():
     assert len(args) == 29 and args[1::2] == (None,) * 14
     assert form == "%s" + "%s".join(["%d"] * 7 + ["%s"] + ["%d"] * 4 + ["%s", "%r"]) + "%s"
     assert [i for i, _ in convert] == [15, 25]  # the flagged parameter, the parity method
-    constants = [check.name for check, values in plan.ledger
+    layout = _layout(plan)
+    constants = [check.name for check, values in layout["checks"]
                  if certify.SLOT not in values]
     assert constants == ["good-reduction-at-p", "integral-j", "mod-p-image-large-prime",
                          "filtration-to-class-group"]
-    assert plan.tail == ("13^2 divides h(Q(E[13^1]))",
-                         "verified checks plus the cited criterion", 1, None, None)
+    assert [layout[key] for key, _ in certify._TAIL] == [
+        "13^2 divides h(Q(E[13^1]))", "verified checks plus the cited criterion", 1, None, None]
+    assert plan.conclusion == layout["conclusion"]
 
 
 def test_a_plan_less_certificate_writes_the_same_line():
@@ -653,8 +673,26 @@ def test_a_plan_less_certificate_writes_the_same_line():
         bare = certificate_from_dict(json.loads(line))
         plan = bare.plan
         assert plan is not cert.plan
-        assert {v for _, v in plan.subject} == {v for _, vs in plan.ledger for v in vs} == {
-            *plan.tail} == {certify.SLOT}
+        assert set(_leaves(plan.fields)) == {certify.SLOT}
         assert certificate_to_jsonl(bare) == line
         assert bare.fields() == cert.fields()
         assert bare.conclusion == cert.conclusion == cert.fields().conclusion
+    # a rank-one record is read through the one rank-one plan, its
+    # constants included
+    golden = GOLDEN.read_text(encoding="utf-8").splitlines()[-1]
+    rank = certificate_from_dict(json.loads(golden))
+    assert rank == certify_rank_one(2, 5) and rank.plan is certify.RANK_ONE_PLAN
+    assert rank.conclusion == "rank = 1"
+    pool = [line for line in POOL.read_text(encoding="utf-8").splitlines()
+            if json.loads(line)["theorem"] == "rank-one"]
+    assert len(pool) == 240
+    for line in pool:
+        assert certificate_to_jsonl(certificate_from_dict(json.loads(line))) == line
+    data = json.loads(golden)
+    del data["selmer"]
+    with pytest.raises(KeyError):
+        certificate_from_dict(data)
+    data = json.loads(golden)
+    data["rank"] = "2"
+    with pytest.raises(ValueError, match="rank is '2', not 1"):
+        certificate_from_dict(data)

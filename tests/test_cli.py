@@ -331,6 +331,15 @@ def test_search_pretty_format(capsys):
     assert "2 certificate(s)" in err
 
 
+def test_outcome_writes_the_rank_one_fragment_in_every_format():
+    # the rank-one fragment takes no p or n, so its csv line leaves them empty
+    lines = {fmt: cli.outcome(("rank", 2, 5, None, None, fmt))[1]
+             for fmt in ("jsonl", "csv", "pretty")}
+    assert lines["csv"] == "2,5,41,,,rank-one"
+    assert lines["pretty"] == "s=2 t=5 ell=41: rank = 1 [rank-one]"
+    assert lines["jsonl"] == GOLDEN.read_text(encoding="utf-8").splitlines()[-1]
+
+
 def test_verify_single_then_bulk(tmp_path, capsys):
     rec = tmp_path / "one.jsonl"
     rc, out, _ = run(

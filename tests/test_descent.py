@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from divpoly_oracle import is_fourth_power_2adic, soluble_at_two_by_value_sets
-from ellcert import arith, descent
+from ellcert import arith, certify, descent
 from ellcert.arith import REAL, is_prime, primality_info
 from ellcert.certify import certify_infinite_instance
 from ellcert.descent import (
@@ -234,7 +234,7 @@ def test_certify_rank_one_refuses_an_unproven_ell():
         certify_rank_one(1350000, 29)
     assert err.value.reason == "ell-primality-unproven"
     # below psi_13 the fixed Miller-Rabin bases prove l prime
-    assert certify_rank_one(131072, 75).ell == 131072**4 + 75**2
+    assert certify_rank_one(131072, 75).sel_forward == (1, 131072**4 + 75**2)
 
 
 def test_certify_rank_one_proves_ell_prime_once(monkeypatch):
@@ -318,11 +318,15 @@ def test_residue_prediction_table():
 
 
 def test_certify_rank_one():
-    rc = certify_rank_one(2, 5)
-    assert (rc.ell, rc.rank, rc.ell_mod_16) == (41, 1, 9)
-    assert rc.base_point_nontorsion
-    assert certify_rank_one(4, 5).ell == 281
-    assert certify_rank_one(2, 75).ell == 5641
+    # the Selmer report that caps the rank at 1
+    rep = certify_rank_one(2, 5)
+    assert rep == ((1, 41), (1, -1, 41, -41), 1, 2, 1)
+    assert certify_rank_one(4, 5).sel_forward == (1, 281)
+    assert certify_rank_one(2, 75).sel_forward == (1, 5641)
+    # and the certificate made from it
+    cert = certify.certify_rank_one(2, 5).fields()
+    assert (cert.subject["ell"], cert.rank, cert.ell_mod_16) == (41, 1, 9)
+    assert cert.base_point_nontorsion
 
 
 @pytest.mark.parametrize(

@@ -101,8 +101,8 @@ def test_every_command_says_what_outcome_says(grid, tmp_path, capsys):
     for mode, p, n in BOXES:
         flags = [] if p is None else [f"--p={p}", f"--n={n}"]
         for s, t in grid[box_name(mode, p, n)][2]:
-            # search runs the modes that take --p
-            for fmt in ("jsonl", "csv", "pretty") if p is not None else ("jsonl",):
+            # rank included, though search does not run it
+            for fmt in ("jsonl", "csv", "pretty"):
                 task = (mode, s, t, p, n, fmt)
                 assert cli.certify_candidate(task) == cli.outcome(task)[1], task
             result, line = cli.outcome((mode, s, t, p, n, "jsonl"))

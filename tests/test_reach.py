@@ -176,7 +176,7 @@ def _cli_runs(tmp: Path) -> list[list[str]]:
     drifted["checks"][-1]["citation"] = "edited"
     (tmp / "drift.jsonl").write_text(json.dumps(drifted) + "\n", encoding="utf-8")
     return [
-        # --verbose prints each fresh result's conclusion (RankCert's too)
+        # --verbose prints each fresh certificate's conclusion, the rank-one one's too
         ["verify", "--file", str(GOLDEN), "--verbose"],
         ["verify", "--file", str(tmp / "drift.jsonl")],
         ["verify", "--mode", "main", "--p", "5", "--s", "2", "--t", "25",
