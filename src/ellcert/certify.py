@@ -563,7 +563,15 @@ def certify_rank_one(s: int, t: int) -> Certificate:
 
 
 def batch_distinctness(certs: list[Certificate]) -> dict:
-    """Confirm pairwise distinct division fields via the l fingerprint."""
+    """Confirm pairwise distinct division fields Q(E[p^n]), keyed by
+    (l, p, n): l from ``distinctness_key``, p and n from the subject.
+
+    l alone does not name the field.  The same curve at two values of p
+    has two fields, ramified at {2, l, p} for each p, and at two values of
+    n it has Q(E[p^n]) inside Q(E[p^(n+1)]), a strictly larger field.  The
+    curve is y^2 = x^3 - l x, so equal (l, p, n) from different (s, t) is
+    one field twice, a true duplicate.
+    """
     keys = []
     for cert in certs:
         fields = cert.fields()
@@ -571,7 +579,7 @@ def batch_distinctness(certs: list[Certificate]) -> dict:
             raise PreconditionFailure(
                 "not-an-infinite-family-certificate", fields.theorem
             )
-        keys.append(fields.distinctness_key)
+        keys.append((fields.distinctness_key, fields.subject["p"], fields.subject["n"]))
     counts = Counter(keys)
     return {
         "count": len(keys),

@@ -36,10 +36,12 @@ and ``hashlib`` only when a checkpoint fingerprint is computed.
 
 A checkpoint file keyed by a hash of the search configuration (its
 format included, so a run resumes only in the format it was written in)
-permits resuming an interrupted run.  It is rewritten after every 32 handled
-candidates and once when the search ends.  A resumed run first cuts its
-output file back to the records the checkpoint vouches for, so records
-emitted after the last checkpoint write are not duplicated.
+permits resuming an interrupted run.  ``cmd_search`` reads it once, before
+the output is opened, and ``run_search`` rewrites it once after each batch
+of 32 handled candidates, or fewer where the target or the enumeration
+ends.  A resumed run first cuts its output file back to the records the
+checkpoint vouches for, so records emitted after the last checkpoint write
+are not duplicated, and starts from the index the same read gave.
 
 Exit codes: 0 success, 1 completed but a hypothesis check failed (or a
 search found nothing, or a stored certificate did not re-verify); a
@@ -61,8 +63,9 @@ import json
 import os
 import sys
 from collections.abc import Callable
-from contextlib import ExitStack
+from contextlib import ExitStack, nullcontext
 from itertools import islice
+from math import gcd
 from typing import NamedTuple
 
 from .arith import is_prime
@@ -131,8 +134,6 @@ def cheap_filter(mode: str, s: int, t: int) -> bool:
     pair with p^(n+1) dividing s or t has p dividing exactly one of them,
     to depth n + 1 at least.
     """
-    from math import gcd
-
     return gcd(s, t) == 1 and THEOREMS[mode].screen(s, t)
 
 
@@ -182,9 +183,9 @@ def _refuse_resume(problem: str):
     raise SystemExit(2)
 
 
-def _load_checkpoint(path: str, fingerprint: str) -> tuple[int, int]:
+def _load_checkpoint(path: str, fingerprint: str) -> tuple[int, int] | None:
     """(next index, certificates found) of the checkpoint at ``path``, or
-    (0, 0) where there is none.  Any other file is refused
+    None where there is no file.  Any other file is refused
     (``_refuse_resume``): one that cannot be read or parsed, that is no
     JSON object holding ``config``, ``next_index`` and ``found``, whose
     counts are not integers >= 0, or that another search configuration
@@ -193,7 +194,7 @@ def _load_checkpoint(path: str, fingerprint: str) -> tuple[int, int]:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except FileNotFoundError:
-        return 0, 0
+        return None
     # a UnicodeDecodeError and a JSONDecodeError are ValueErrors; deep
     # nesting is a RecursionError
     except (OSError, ValueError, RecursionError) as exc:
@@ -217,17 +218,15 @@ def _save_checkpoint(path: str, fingerprint: str, next_index: int, found: int):
     os.replace(tmp, path)
 
 
-def _cut_to_checkpoint(
-    path: str, checkpoint: str, fingerprint: str, header_lines: int
-) -> int:
+def _cut_to_checkpoint(path: str, checkpoint: str, found: int, header_lines: int) -> int:
     """Cut a resumed run's output file back to its header lines and the
-    records its checkpoint vouches for; return how many lines it kept.
+    ``found`` records its checkpoint vouches for; return how many lines it
+    kept.
 
     Later records were emitted after the last checkpoint write, and the
     resumed run emits them again.  A file holding fewer records than the
     checkpoint counts is refused and left as it is.
     """
-    found = _load_checkpoint(checkpoint, fingerprint)[1]
     keep = header_lines + found
     kept = end = 0
     exists = os.path.exists(path)
@@ -248,19 +247,20 @@ def _cut_to_checkpoint(
     return kept
 
 
-def run_search(cfg: SearchConfig, emit, checkpoint: str | None = None) -> int:
+def run_search(cfg: SearchConfig, emit, checkpoint: str | None = None,
+               start: tuple[int, int] = (0, 0)) -> int:
     """Drive the search; call emit(line) for each certificate. Returns count.
 
-    One loop serves any worker count: candidates go out in batches of
+    ``start`` is (next index, certificates found) to go on from, as the
+    caller read them off the checkpoint; this function reads no file.  One
+    loop serves any worker count: candidates go out in batches of
     ``_BATCH``, through the builtin ``map`` for one worker or a process
     pool's ``map`` for more, and come back in order.  The checkpoint is
-    rewritten after every ``_BATCH`` handled candidates and once when the
-    search ends, exhausted or at the target count.
+    rewritten once after each batch: ``_BATCH`` handled candidates, or
+    fewer where the target count or the enumeration ends.
     """
-    start_index, found = 0, 0
+    start_index, found = start
     fingerprint = checkpoint and cfg.fingerprint()
-    if checkpoint:
-        start_index, found = _load_checkpoint(checkpoint, fingerprint)
 
     # a coprime pair carries its whole p-adic depth in one parameter, so
     # only pairs where p^(n+1) divides s or t are enumerated
@@ -270,18 +270,6 @@ def run_search(cfg: SearchConfig, emit, checkpoint: str | None = None) -> int:
         for idx, s, t in iter_parameter_pairs(cfg.max_param, q)
         if idx >= start_index and cheap_filter(cfg.mode, s, t)
     )
-    next_index, unsaved = start_index, 0
-
-    def handle(idx: int, line: str | None) -> bool:
-        nonlocal found, next_index, unsaved
-        if line is not None:
-            emit(line)
-            found += 1
-        next_index, unsaved = idx + 1, unsaved + 1
-        if checkpoint and unsaved == _BATCH:
-            _save_checkpoint(checkpoint, fingerprint, next_index, found)
-            unsaved = 0
-        return found >= cfg.target_count
 
     with ExitStack() as stack:
         mapper = map
@@ -293,19 +281,20 @@ def run_search(cfg: SearchConfig, emit, checkpoint: str | None = None) -> int:
                 ProcessPoolExecutor(max_workers=min(cfg.workers, _BATCH))).map
         while batch := list(islice(candidates, _BATCH)):
             lines = mapper(certify_candidate, [task for _, task in batch])
-            # any() stops at the target, and the builtin map is lazy, so a
-            # single worker certifies nothing past it
-            if any(handle(idx, line) for (idx, _), line in zip(batch, lines)):
+            # the builtin map is lazy, so a single worker certifies nothing
+            # past the target
+            for (idx, _), line in zip(batch, lines):
+                if line is not None:
+                    emit(line)
+                    found += 1
+                next_index = idx + 1
+                if found >= cfg.target_count:
+                    break
+            if checkpoint:
+                _save_checkpoint(checkpoint, fingerprint, next_index, found)
+            if found >= cfg.target_count:
                 break
-    if checkpoint and unsaved:
-        _save_checkpoint(checkpoint, fingerprint, next_index, found)
     return found
-
-
-def _open_out(path: str, append: bool):
-    if path == "-":
-        return sys.stdout, False
-    return open(path, "a" if append else "w", encoding="utf-8"), True
 
 
 def _search_config_error(args) -> str | None:
@@ -354,27 +343,24 @@ def cmd_search(args) -> int:
         workers=args.workers,
         fmt=args.format,
     )
-    resuming = bool(args.checkpoint and os.path.exists(args.checkpoint))
+    start = args.checkpoint and _load_checkpoint(args.checkpoint, cfg.fingerprint())
     header_lines = 1 if args.format == "csv" else 0
     kept = 0
-    if resuming:
+    if start:
         # stdout cannot be cut back, so a resumed run there just appends
         kept = header_lines if args.out == "-" else _cut_to_checkpoint(
-            args.out, args.checkpoint, cfg.fingerprint(), header_lines
+            args.out, args.checkpoint, start[1], header_lines
         )
-    stream, close_me = _open_out(args.out, append=resuming)
+    with (nullcontext(sys.stdout) if args.out == "-"
+          else open(args.out, "a" if start else "w", encoding="utf-8")) as stream:
 
-    def emit(line: str):
-        stream.write(line + "\n")
-        stream.flush()
+        def emit(line: str):
+            stream.write(line + "\n")
+            stream.flush()
 
-    if header_lines and not kept:
-        stream.write("s,t,ell,p,n,theorem\n")
-    try:
-        found = run_search(cfg, emit, checkpoint=args.checkpoint)
-    finally:
-        if close_me:
-            stream.close()
+        if header_lines and not kept:
+            stream.write("s,t,ell,p,n,theorem\n")
+        found = run_search(cfg, emit, args.checkpoint, start or (0, 0))
     print(
         f"{found} certificate(s) from pairs with max(s,t) <= {cfg.max_param}",
         file=sys.stderr,

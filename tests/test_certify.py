@@ -220,7 +220,15 @@ def test_batch_distinctness():
 
     doubled = batch_distinctness([certs[0], certs[0]])
     assert doubled["pairwise_distinct"] is False
-    assert doubled["duplicate_keys"] == [5641]
+    assert doubled["duplicate_keys"] == [(5641, 5, 1)]
+
+    # one ell, two fields: Q(E[5]) and Q(E[7]) are ramified at 5 and 7
+    # apart, and Q(E[5]) is strictly inside Q(E[25])
+    for one, other in [((50, 147, 5, 1), (50, 147, 7, 1)), ((2, 125, 5, 1), (2, 125, 5, 2))]:
+        report = batch_distinctness([certify_infinite_instance(*one),
+                                     certify_infinite_instance(*other)])
+        assert report == {"count": 2, "distinct": 2, "pairwise_distinct": True,
+                          "duplicate_keys": []}, (one, other)
 
     with pytest.raises(PreconditionFailure):
         batch_distinctness([certify_divisibility(2, 25, 5, 1)])
@@ -239,14 +247,14 @@ def test_batch_distinctness_is_linear():
         __hash__ = int.__hash__
 
     def infinite(key):
-        return _hand_built("infinite-family", {}, (), "", "", 1, None, key)
+        return _hand_built("infinite-family", {"p": 5, "n": 1}, (), "", "", 1, None, key)
 
     keys = [Key(k) for k in range(10_000)]
     certs = [infinite(k) for k in keys] + [infinite(Key(4321))]
     report = batch_distinctness(certs)
     assert report == {
         "count": 10_001, "distinct": 10_000, "pairwise_distinct": False,
-        "duplicate_keys": [4321],
+        "duplicate_keys": [(4321, 5, 1)],
     }
     # one lookup per key; counting each key's copies in the list would
     # take about 10^8 comparisons

@@ -137,6 +137,25 @@ def test_search_matches_filter_all_oracle(mode, p, n, tmp_path, monkeypatch):
     assert (state["next_index"], state["found"]) == (last + 1, found)
 
 
+def _writes_by_definition(certified, start, target, max_param=80):
+    """The (next_index, found) checkpoint writes of a main p = 5 search that
+    goes on from ``start``: one after each batch of 32 handled candidates,
+    or fewer where the target or the enumeration ends.  ``certified`` holds
+    the pairs whose candidates give a certificate."""
+    handled = [(idx, (s, t) in certified) for idx, s, t in _all_pairs(max_param)
+               if idx >= start[0] and _filter_by_definition("main", 5, 1, s, t)]
+    writes, found = [], start[1]
+    for first in range(0, len(handled), 32):
+        for idx, emits in handled[first:first + 32]:
+            found += emits
+            if found >= target:
+                break
+        writes.append((idx + 1, found))
+        if found >= target:
+            break
+    return writes
+
+
 def test_checkpoint_written_per_batch_and_at_the_end(tmp_path, monkeypatch):
     writes = []
     save = cli._save_checkpoint
@@ -146,14 +165,47 @@ def test_checkpoint_written_per_batch_and_at_the_end(tmp_path, monkeypatch):
         save(path, fingerprint, next_index, found)
 
     monkeypatch.setattr(cli, "_save_checkpoint", recording_save)
-    ck = tmp_path / "ck.json"
-    assert main(["search", "--max-param", "80", "--workers", "1",
-                 "--checkpoint", str(ck), "--out", str(tmp_path / "o.jsonl")]) == 0
+    base = ["search", "--max-param", "80", "--workers", "1"]
+    full, ck = tmp_path / "full.jsonl", tmp_path / "ck.json"
+    assert main(base + ["--checkpoint", str(ck), "--out", str(full)]) == 0
     handled = sum(
         1 for _, s, t in _all_pairs(80) if _filter_by_definition("main", 5, 1, s, t)
     )
     assert len(writes) == handled // 32 + (handled % 32 > 0)
     assert writes[-1] == (json.loads(ck.read_text())["next_index"], 278)
+    subjects = (json.loads(line)["subject"] for line in full.read_text().splitlines())
+    certified = {(int(sub["s"]), int(sub["t"])) for sub in subjects}
+    assert writes == _writes_by_definition(certified, (0, 0), 10**9)
+
+    # a target met in the middle of a batch, then the run resumed without it
+    part, ck = tmp_path / "part.jsonl", tmp_path / "part.ck"
+    writes.clear()
+    assert main(base + ["--target-count", "33", "--checkpoint", str(ck), "--out", str(part)]) == 0
+    # the first batch, then the first candidate of the second
+    assert writes == _writes_by_definition(certified, (0, 0), 33) == [(614, 32), (616, 33)]
+    writes.clear()
+    assert main(base + ["--checkpoint", str(ck), "--out", str(part)]) == 0
+    # batches of 32 from the stop, not from the first run's batch edges
+    assert writes == _writes_by_definition(certified, (616, 33), 10**9)
+    assert writes[0] == (1625, 65) and writes[-1] == (6237, 278)
+    assert part.read_bytes() == full.read_bytes()
+
+
+def test_a_resumed_search_reads_its_checkpoint_once(tmp_path, monkeypatch):
+    base = ["search", "--max-param", "80", "--workers", "1", "--out", str(tmp_path / "o"),
+            "--checkpoint", str(tmp_path / "ck.json")]
+    assert main(base + ["--target-count", "33"]) == 0
+    reads = []
+    load = cli._load_checkpoint
+
+    def recording_load(path, fingerprint):
+        reads.append(load(path, fingerprint))
+        return reads[-1]
+
+    monkeypatch.setattr(cli, "_load_checkpoint", recording_load)
+    assert main(base) == 0
+    # the one read both cuts the output and gives the start
+    assert reads == [(616, 33)]
 
 
 def test_search_main_jsonl(tmp_path, capsys):
@@ -1074,6 +1126,19 @@ def test_a_directory_as_checkpoint_is_a_usage_error(tmp_path, capsys):
               "--out", str(tmp_path / "out.jsonl")])
     assert exc.value.code == 2
     assert f"checkpoint error: {tmp_path} is no checkpoint" in capsys.readouterr().err
+
+
+def test_a_checkpoint_name_too_long_is_refused_before_the_output_is_opened(tmp_path, capsys):
+    # os.path.exists reads such a name as absent; the one read of the
+    # checkpoint refuses it before the output is opened for writing
+    ck, out = tmp_path / ("c" * 300), tmp_path / "out.jsonl"
+    out.write_text("kept\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--p", "5", "--max-param", "30", "--checkpoint", str(ck),
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"checkpoint error: {ck} is no checkpoint" in capsys.readouterr().err
+    assert out.read_text() == "kept\n"
 
 
 @settings(max_examples=150, deadline=None,
